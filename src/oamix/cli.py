@@ -23,13 +23,13 @@ from pathlib import Path
 
 from . import __version__
 from .core import as_fraction
-from .errors import OamixError
+from .errors import InvalidParameter, OamixError
 from .evaluate import (
     ContinuousAmounts,
     DiscreteAmounts,
+    _powers,
     evaluate_design,
     fds_curve,
-    power,
 )
 from .io import read_design, write_design
 from .models import ModelKind, build_spec, coded_model_matrix, model_matrix
@@ -111,9 +111,16 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _exact(text: str, flag: str):
+    try:
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameter(f"{flag} needs exact numbers such as 3/4 or 0.75, got {text!r}") from None
+
+
 def cmd_cross(args) -> int:
     design = _read_stdin_design(args)
-    levels = [as_fraction(tok) for tok in args.levels.split(",") if tok.strip()]
+    levels = [_exact(tok, "--levels") for tok in args.levels.split(",") if tok.strip()]
     out = cross_amounts(design, levels)
     _emit(write_design(out, decimals=_decimals(args.format)), args.out)
     return 0
@@ -121,7 +128,7 @@ def cmd_cross(args) -> int:
 
 def cmd_scale(args) -> int:
     design = _read_stdin_design(args)
-    out = scale_amounts(design, as_fraction(args.a_max))
+    out = scale_amounts(design, _exact(args.a_max, "--a-max"))
     _emit(write_design(out, decimals=_decimals(args.format)), args.out)
     return 0
 
@@ -152,7 +159,12 @@ def _amount_policy(args, design):
         return None  # library default: continuous over the design's level range
     if args.amounts == "discrete":
         return DiscreteAmounts(tuple(float(a) for a in design.amount_levels))
-    lo, hi = (float(tok) for tok in args.amounts.split(":", 1))
+    try:
+        lo, hi = (float(tok) for tok in args.amounts.split(":", 1))
+    except ValueError:
+        raise InvalidParameter(
+            f"--amounts must be continuous, discrete or LO:HI, got {args.amounts!r}"
+        ) from None
     return ContinuousAmounts(lo, hi)
 
 
@@ -176,11 +188,12 @@ def cmd_power(args) -> int:
     design = _read_stdin_design(args)
     spec = _spec_for(args, design)
     mm = coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
-    rows = {}
-    for j, label in enumerate(mm.col_labels):
-        if args.term and label != args.term:
-            continue
-        rows[label] = power(mm, j, signal_sd=args.signal, alpha=args.alpha)
+    powers = _powers(mm, args.signal, args.alpha)
+    rows = {
+        label: float(pw)
+        for label, pw in zip(mm.col_labels, powers)
+        if not args.term or label == args.term
+    }
     if args.term and not rows:
         raise OamixError(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
     _emit(json.dumps({"signal_sd": args.signal, "alpha": args.alpha, "power": rows}, indent=2) + "\n", args.out)

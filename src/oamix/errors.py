@@ -9,6 +9,11 @@ class OamixError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(OamixError, ValueError):
+    """An argument or CLI flag outside its domain (a count, a probability,
+    a range or a policy name)."""
+
+
 # point and design validation
 class NegativeEntry(OamixError):
     pass
@@ -108,4 +113,8 @@ class RowLengthMismatch(OamixError):
 
 
 class InconsistentPwoRow(OamixError):
+    pass
+
+
+class AmountMismatch(OamixError):
     pass

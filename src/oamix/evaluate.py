@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import integrate, linalg, stats
+from scipy import linalg, special
 
 from .core import Design
 from .errors import (
     ConstantColumn,
+    InvalidParameter,
     MissingAmount,
     NoResidualDf,
     SingularInformation,
 )
-from .models import ModelMatrix, ModelSpec, coded_model_matrix, model_matrix
+from .models import ModelSpec, _as_array, coded_model_matrix, model_matrix, term_columns
 from .oofa import pwo_pairs
 
 __all__ = [
@@ -51,13 +52,6 @@ __all__ = [
 
 RCOND_FLOOR = 1e-10
 _FDS_CHUNK = 8192
-
-
-def _as_array(X) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(X, ModelMatrix):
-        return X.X, X.col_labels
-    arr = np.asarray(X, dtype=float)
-    return arr, tuple(str(j) for j in range(arr.shape[1]))
 
 
 def information_matrix(X) -> np.ndarray:
@@ -96,7 +90,6 @@ class _Factor:
             )
         self.X = arr
         self.labels = labels
-        self.M = M
         self.rcond = float(rcond)
         self._scale = scale
         self._cho = linalg.cho_factor(C, lower=True)
@@ -108,8 +101,7 @@ class _Factor:
         return np.einsum("ij,ji->i", F, S)
 
     def inverse_diag(self) -> np.ndarray:
-        p = self.M.shape[0]
-        inv_c = linalg.cho_solve(self._cho, np.eye(p)).diagonal()
+        inv_c = linalg.cho_solve(self._cho, np.eye(len(self._scale))).diagonal()
         return inv_c / self._scale**2
 
 
@@ -161,36 +153,56 @@ def std_errors(X) -> np.ndarray:
     return np.sqrt(_Factor(X).inverse_diag())
 
 
+def _term_stats(fac: _Factor, signal_sd: float = 0.0, alpha: float = 0.05, signal_scale: float = 0.5):
+    """Per-column SE, multicollinearity R^2 and power from one factor.
+
+    1/[M^{-1}]_jj is the residual sum of squares of column j regressed on
+    the others, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN where SST_j = 0.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not math.isfinite(signal_sd):
+        raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
+    n, p = fac.X.shape
+    inv_diag = fac.inverse_diag()
+    se = np.sqrt(inv_diag)
+    sst = np.sum((fac.X - fac.X.mean(axis=0)) ** 2, axis=0)
+    with np.errstate(divide="ignore"):
+        r2 = np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * inv_diag))
+    pw = _nct_two_sided(signal_scale * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
+    return se, r2, pw
+
+
 def r2_multicollinearity(X, j: int) -> float:
     """R^2 of column j regressed on all other columns.
 
-    Residual sum of squares comes from the least-squares projection onto
-    the other columns; the total sum of squares is taken about the column
-    mean.  Invariant under positive diagonal rescaling of the columns.
+    The total sum of squares is taken about the column mean.  Invariant
+    under positive diagonal rescaling of the columns.  A singular X raises
+    SingularInformation.
     """
-    arr, labels = _as_array(X)
-    if arr.shape[1] < 2:
+    fac = _Factor(X)
+    if fac.X.shape[1] < 2:
         raise ConstantColumn("need at least two columns")
-    target = arr[:, j]
-    sst = float(np.sum((target - target.mean()) ** 2))
-    if sst == 0.0:
-        raise ConstantColumn(f"column {labels[j]} is constant")
-    others = np.delete(arr, j, axis=1)
-    _, sse, _, _ = np.linalg.lstsq(others, target, rcond=None)
-    if sse.size == 0:
-        resid = target - others @ np.linalg.lstsq(others, target, rcond=None)[0]
-        sse_val = float(resid @ resid)
-    else:
-        sse_val = float(sse[0])
-    return 1.0 - sse_val / sst
+    r2 = _term_stats(fac)[1][j]
+    if np.isnan(r2):
+        raise ConstantColumn(f"column {fac.labels[j]} is constant")
+    return float(r2)
 
 
-def _nct_two_sided(delta: float, df: int, alpha: float) -> float:
-    if delta == 0.0:
-        # the central case is exact by construction
-        return alpha
-    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
-    return float(1.0 - stats.nct.cdf(tcrit, df, delta) + stats.nct.cdf(-tcrit, df, delta))
+def _nct_two_sided(delta, df: int, alpha: float):
+    """Two-sided t-test power at noncentrality delta (a scalar or an array)."""
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    pw = 1.0 - special.nctdtr(df, delta, tcrit) + special.nctdtr(df, delta, -tcrit)
+    # the central case is exact by construction
+    return np.where(np.asarray(delta) == 0.0, alpha, pw)[()]
+
+
+def _powers(X, signal_sd: float, alpha: float, signal_scale: float = 0.5) -> np.ndarray:
+    """Power of every coefficient of X from one factorization."""
+    n, p = _as_array(X)[0].shape
+    if n - p < 1:
+        raise NoResidualDf(f"N - p = {n - p}; no residual degrees of freedom")
+    return _term_stats(_Factor(X), signal_sd, alpha, signal_scale)[2]
 
 
 def power(X, j: int, signal_sd: float, alpha: float = 0.05, *, signal_scale: float = 0.5) -> float:
@@ -202,14 +214,7 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05, *, signal_scale: flo
     default convention reproduces the reference designs' documented power
     columns for linear, sign, and interaction terms.
     """
-    arr, _ = _as_array(X)
-    n, p = arr.shape
-    df = n - p
-    if df < 1:
-        raise NoResidualDf(f"N - p = {df}; no residual degrees of freedom")
-    se = std_errors(X)[j]
-    delta = signal_scale * signal_sd / se
-    return _nct_two_sided(delta, df, alpha)
+    return float(_powers(X, signal_sd, alpha, signal_scale)[j])
 
 
 def nct_power_oracle(delta: float, df: int, alpha: float) -> float:
@@ -218,6 +223,8 @@ def nct_power_oracle(delta: float, df: int, alpha: float) -> float:
     Integrates the noncentral-t density directly; used to pin the library
     routine to 1e-6 absolute accuracy in tests.
     """
+    from scipy import integrate, stats
+
     tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
 
     def density(x):
@@ -239,6 +246,10 @@ class ContinuousAmounts:
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0 <= self.lo <= self.hi):
+            raise InvalidParameter(f"amount range needs finite 0 <= lo <= hi, got {self.lo}:{self.hi}")
 
 
 @dataclass(frozen=True)
@@ -274,34 +285,13 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
 
 
 def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts) -> np.ndarray:
-    n = x.shape[0]
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
-    pos = np.argsort(np.argsort(keys, axis=1), axis=1)
-    pair_index = {pair: i for i, pair in enumerate(pwo_pairs(spec.m))}
-    zcols: dict[tuple[int, int], np.ndarray] = {}
-
-    def zcol(pair):
-        if pair not in zcols:
-            j, k = pair
-            if signs is not None:
-                z = signs[:, pair_index[pair]]
-            else:
-                z = np.where(pos[:, j - 1] < pos[:, k - 1], 1.0, -1.0)
-            z = z * (comps[:, j - 1] != 0) * (comps[:, k - 1] != 0)
-            zcols[pair] = z
-        return zcols[pair]
-
-    cols = []
-    for term in spec.terms:
-        c = np.ones(n)
-        for i, p in term.comp_powers:
-            c = c * comps[:, i - 1] ** p
-        if term.pwo_pair is not None:
-            c = c * zcol(term.pwo_pair)
-        if term.amount_power:
-            c = c * amounts ** term.amount_power
-        cols.append(c)
-    return np.column_stack(cols)
+    j, k = np.array(pwo_pairs(spec.m)).T - 1
+    if signs is None:
+        pos = np.argsort(np.argsort(keys, axis=1), axis=1)
+        signs = np.where(pos[:, j] < pos[:, k], 1.0, -1.0)
+    signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
+    return term_columns(spec, comps, signs, amounts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,9 +357,11 @@ def fds_curve(
     matter how many workers are used.
     """
     if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+        raise InvalidParameter(f"n_samples must be at least 100, got {n_samples}")
     if sign_policy not in ("orderings", "continuous"):
-        raise ValueError(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
+        raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
+    if workers < 1:
+        raise InvalidParameter(f"workers must be at least 1, got {workers}")
     policy = amount_policy if amount_policy is not None else _default_policy(design)
     fac = _Factor(model_matrix(design, spec))
 
@@ -425,23 +417,7 @@ class EvalReport:
     terms: tuple[TermStats, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "n_params": self.n_params,
-            "max_pv": self.max_pv,
-            "avg_pv": self.avg_pv,
-            "max_pv_n_scaled": self.max_pv_n_scaled,
-            "g_efficiency_pct": self.g_efficiency_pct,
-            "d_criteria": dict(self.d_criteria),
-            "rcond": self.rcond,
-            "coding": self.coding,
-            "signal_sd": self.signal_sd,
-            "alpha": self.alpha,
-            "terms": [
-                {"label": t.label, "se": t.se, "r2": t.r2, "power": t.power}
-                for t in self.terms
-            ],
-        }
+        return {**asdict(self), "terms": [asdict(t) for t in self.terms]}
 
 
 def evaluate_design(
@@ -456,48 +432,38 @@ def evaluate_design(
     """Full criteria bundle for a design under a model spec.
 
     Leverage-based quantities (max/avg prediction variance, G-efficiency)
-    and the determinant of the information matrix do not depend on the
-    column coding.  Per-term standard errors, multicollinearity R^2, and
-    power do: `coding="coded"` (the default) centers and scales numeric
-    amount factors to [-1, 1] before building terms, which is the
-    convention under which the bundled reference designs' documented
-    per-term columns reproduce; `coding="raw"` uses the design's own units.
-    Standard errors assume unit error variance.
+    do not depend on the column coding.  The determinant criteria (log|X'X|
+    of table5 under eq8 is 213.58 raw, 14.81 coded), per-term standard
+    errors, multicollinearity R^2, and power do: `coding="coded"` (the
+    default) centers and scales numeric amount factors to [-1, 1] before
+    building terms, which is the convention under which the bundled
+    reference designs' documented per-term columns reproduce;
+    `coding="raw"` uses the design's own units.  Standard errors assume
+    unit error variance.
     """
     if coding not in ("coded", "raw"):
-        raise ValueError(f"coding must be 'coded' or 'raw', got {coding!r}")
+        raise InvalidParameter(f"coding must be 'coded' or 'raw', got {coding!r}")
     mm = model_matrix(design, spec)
     fac = _Factor(mm)
     n, p = mm.X.shape
     lev = fac.pv(mm.X)
     max_pv = float(lev.max())
-    avg_pv = float(lev.mean())
-    df = n - p
-    term_mm = coded_model_matrix(design, spec) if coding == "coded" else mm
-    term_fac = _Factor(term_mm)
-    se = np.sqrt(term_fac.inverse_diag())
-    term_stats = []
-    for j, label in enumerate(term_mm.col_labels):
-        try:
-            r2 = r2_multicollinearity(term_mm.X, j)
-        except ConstantColumn:
-            r2 = float("nan")
-        if df >= 1:
-            pw = _nct_two_sided(signal_scale * signal_sd / se[j], df, alpha)
-        else:
-            pw = float("nan")
-        term_stats.append(TermStats(label=label, se=float(se[j]), r2=r2, power=pw))
+    term_fac = fac if coding == "raw" else _Factor(coded_model_matrix(design, spec))
+    se, r2, pw = _term_stats(term_fac, signal_sd, alpha, signal_scale)
     return EvalReport(
         n_runs=n,
         n_params=p,
         max_pv=max_pv,
-        avg_pv=avg_pv,
+        avg_pv=float(lev.mean()),
         max_pv_n_scaled=max_pv * n,
         g_efficiency_pct=g_efficiency(p, n, max_pv),
-        d_criteria=d_criteria(term_mm.X),
+        d_criteria=d_criteria(term_fac.X),
         rcond=fac.rcond,
         coding=coding,
         signal_sd=signal_sd,
         alpha=alpha,
-        terms=tuple(term_stats),
+        terms=tuple(
+            TermStats(label=label, se=float(s), r2=float(r), power=float(w))
+            for label, s, r, w in zip(term_fac.labels, se, r2, pw)
+        ),
     )

@@ -13,7 +13,8 @@ half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
 are display artifacts; reading one parses each token as an exact decimal
 fraction and re-derives orderings from the sign columns, but proportions
-rounded for display will no longer sum to 1.
+rounded for display will no longer sum to 1, and an amount row whose
+rounded A differs from the sum of its rounded amounts is rejected.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -26,6 +27,7 @@ from importlib import resources
 
 from .core import Design, DesignPoint, Kind, OofARun
 from .errors import (
+    AmountMismatch,
     BadPwoValue,
     InconsistentPwo,
     InconsistentPwoRow,
@@ -45,9 +47,7 @@ def format_value(value: Fraction, decimals: int | None) -> str:
     if decimals is None:
         return str(value)
     scale = 10 ** decimals
-    scaled = value * scale
-    # half-up for the nonnegative values a design can hold
-    q = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    q = (round_half_up(value, decimals) * scale).numerator
     if q % scale == 0:
         return str(q // scale)
     return f"{q // scale}.{q % scale:0{decimals}d}"
@@ -57,6 +57,7 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
     """The exact rational a value displays as at k decimals."""
     scale = 10 ** decimals
     scaled = value * scale
+    # half-up for the nonnegative values a design can hold
     q = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
     return Fraction(q, scale)
 
@@ -133,7 +134,8 @@ def _parse_header(line: str) -> tuple[Kind, int, bool, bool]:
 def read_design(text: str) -> Design:
     """Parse a design file.
 
-    Rational files reproduce the written design exactly.  Sign columns are
+    Rational files reproduce the written design exactly.  In an amount
+    design the A cell must equal the row's sum of amounts.  Sign columns are
     checked row by row: entries must be -1, 0, or +1, must be zero exactly
     when an involved component is zero, and must be induced by some
     addition order (the ordering is re-derived from them).
@@ -185,15 +187,16 @@ def read_design(text: str) -> Design:
                 ordering = ordering_from_pwo(support, pwo)
             except InconsistentPwo as exc:
                 raise InconsistentPwoRow(f"line {row_no}: {exc}") from exc
-        if kind is Kind.AMOUNT:
-            amount = sum(values, Fraction(0))
-        elif with_amount:
+        amount = None
+        if with_amount:
             try:
                 amount = Fraction(cells[-1])
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedHeader(f"line {row_no}: bad amount ({exc})") from exc
-        else:
-            amount = None
+            if kind is Kind.AMOUNT:
+                total = sum(values, Fraction(0))
+                if amount != total:
+                    raise AmountMismatch(f"line {row_no}: A is {amount} but the amounts sum to {total}")
         runs.append(OofARun(point=point, ordering=ordering, pwo=pwo, amount=amount))
     return Design(m=m, kind=kind, runs=tuple(runs))
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 import numpy as np
 
 from .core import Design, Kind
@@ -234,16 +233,28 @@ class ModelMatrix:
         return self.X.shape
 
 
-def _pair_index(m: int) -> dict[tuple[int, int], int]:
-    return {pair: idx for idx, pair in enumerate(pwo_pairs(m))}
+def term_columns(spec: ModelSpec, comps, signs, amounts) -> np.ndarray:
+    """The n x p matrix of model vectors f(x) at n points given as float arrays:
+    `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
+    applied, and `amounts` (n,).  Column arithmetic is ones * comps**p * z *
+    amounts**t, in that order, for design matrices and FDS rows alike."""
+    pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
+    cols = []
+    for term in spec.terms:
+        c = np.ones(comps.shape[0])
+        for i, p in term.comp_powers:
+            c = c * comps[:, i - 1] ** p
+        if term.pwo_pair is not None:
+            c = c * signs[:, pair_col[term.pwo_pair]]
+        if term.amount_power:
+            c = c * amounts ** term.amount_power
+        cols.append(c)
+    return np.column_stack(cols)
 
 
-def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
-    """Materialize the N x p model matrix for a design.
-
-    Entries are exact rational products (signs are exact integers) and are
-    converted to float only at the end.
-    """
+def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
+    """Check the design against the spec, convert its exact values to float
+    once, apply `code` to the numeric amount factors, and build the terms."""
     if design.m != spec.m:
         raise KindMismatch(f"design has m={design.m}, spec has m={spec.m}")
     if spec.kind.uses_amounts:
@@ -258,23 +269,26 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     if spec.kind.has_pwo and not design.is_expanded:
         raise MissingPwo("spec has sign terms but the design carries no orderings")
 
-    idx = _pair_index(spec.m)
-    rows = []
-    for run in design.runs:
-        comps = run.point.values
-        row = []
-        for term in spec.terms:
-            v = Fraction(1)
-            for i, p in term.comp_powers:
-                v *= comps[i - 1] ** p
-            if term.pwo_pair is not None:
-                v *= run.pwo[idx[term.pwo_pair]]
-            if term.amount_power:
-                v *= run.amount ** term.amount_power
-            row.append(float(v))
-        rows.append(row)
-    X = np.array(rows, dtype=float)
-    return ModelMatrix(X=X, row_ids=tuple(range(1, len(rows) + 1)), col_labels=spec.labels)
+    n = len(design.runs)
+    comps = np.array([[float(v) for v in run.point.values] for run in design.runs]).reshape(n, spec.m)
+    signs = np.array([run.pwo for run in design.runs], dtype=float) if spec.kind.has_pwo else None
+    if spec.kind.uses_amounts:
+        comps = np.column_stack([code(comps[:, i]) for i in range(spec.m)])
+        amounts = None
+    else:
+        amounts = code(np.array([float(run.amount) for run in design.runs]))
+    X = term_columns(spec, comps, signs, amounts)
+    return ModelMatrix(X=X, row_ids=tuple(range(1, n + 1)), col_labels=spec.labels)
+
+
+def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
+    """Materialize the N x p model matrix for a design.
+
+    The design's exact rational values (signs are exact integers) are
+    converted to float once, and the term products are taken in float, so
+    a cell is within an ulp or two of its exact value.
+    """
+    return _matrix(design, spec, lambda col: col)
 
 
 def _code_column(col: np.ndarray) -> np.ndarray:
@@ -298,28 +312,7 @@ def coded_model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     leverage-based criteria do not depend on it.  The same physical design
     yields the same coded matrix in any amount units.
     """
-    raw = model_matrix(design, spec)
-    comps = np.array([[float(v) for v in run.point.values] for run in design.runs])
-    if spec.kind.uses_amounts:
-        coded_comps = np.column_stack([_code_column(comps[:, i]) for i in range(spec.m)])
-        amounts = None
-    else:
-        coded_comps = comps
-        amounts = _code_column(np.array([float(run.amount) for run in design.runs]))
-    idx = _pair_index(spec.m)
-    zmat = np.array([run.pwo for run in design.runs], dtype=float) if design.is_expanded else None
-    n = len(design.runs)
-    cols = []
-    for term in spec.terms:
-        c = np.ones(n)
-        for i, p in term.comp_powers:
-            c = c * coded_comps[:, i - 1] ** p
-        if term.pwo_pair is not None:
-            c = c * zmat[:, idx[term.pwo_pair]]
-        if term.amount_power:
-            c = c * amounts ** term.amount_power
-        cols.append(c)
-    return ModelMatrix(X=np.column_stack(cols), row_ids=raw.row_ids, col_labels=spec.labels)
+    return _matrix(design, spec, _code_column)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,6 +60,7 @@ from oamix.evaluate import _nct_two_sided, nct_power_oracle
 from oamix.io import round_half_up
 from oamix.models import coded_model_matrix
 
+from exact_terms import design_cells, exact_model_rows
 from golden_rows import TABLE1, TABLE2, TABLE3, TABLE5, parse_rows
 
 
@@ -89,30 +90,6 @@ def design_rows(design, decimals):
 MEMBERSHIP_REDUCTIONS = list(
     combinations([(i, pair) for pair in ((1, 2), (1, 3), (2, 3)) for i in pair], 3)
 )
-
-
-def design_cells(design, code=lambda a: a):
-    """(proportions, signs, amount) per run, with the amount recoded."""
-    return [(run.point.values, run.pwo, None if run.amount is None else code(run.amount))
-            for run in design.runs]
-
-
-def exact_model_rows(cells, terms, m):
-    pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
-    rows = []
-    for comps, signs, amount in cells:
-        row = []
-        for term in terms:
-            v = Fraction(1)
-            for i, p in term.comp_powers:
-                v *= comps[i - 1] ** p
-            if term.pwo_pair is not None:
-                v *= signs[pairs.index(term.pwo_pair)]
-            if term.amount_power:
-                v *= amount**term.amount_power
-            row.append(v)
-        rows.append(row)
-    return rows
 
 
 def exact_gram(rows):

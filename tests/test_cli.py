@@ -1,12 +1,15 @@
 """CLI pipelines, demo artifacts, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from oamix import read_design
+import oamix
+from oamix import read_design, reference_design, write_design
 from oamix.cli import main
 
 
@@ -119,3 +122,41 @@ def test_demo_writes_artifacts(tmp_path, capsys):
     assert rep2["g_efficiency_pct"] == pytest.approx(53.79, abs=0.3)
     printed = capsys.readouterr().out
     assert "example1" in printed and "example2" in printed
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["cross", "--levels", "abc"], "table1"),
+        (["cross", "--levels", "1/0"], "table1"),
+        (["scale", "--a-max", "x"], "table2"),
+        (["fds", "--model", "eq6", "--samples", "50"], "table3"),
+        (["fds", "--model", "eq6", "--amounts", "3:x"], "table3"),
+        (["fds", "--model", "eq6", "--amounts", "5:1"], "table3"),
+        (["fds", "--model", "eq6", "--amounts", "5"], "table3"),
+        (["fds", "--model", "eq6", "--workers", "0"], "table3"),
+        (["evaluate", "--model", "eq6", "--alpha", "1.5"], "table3"),
+        (["evaluate", "--model", "eq6", "--alpha", "0"], "table3"),
+        (["evaluate", "--model", "eq6", "--signal", "nan"], "table3"),
+        (["power", "--model", "eq6", "--signal", "1", "--alpha", "1"], "table3"),
+        (["power", "--model", "eq6", "--signal", "nan"], "table3"),
+    ],
+    ids=lambda value: "_".join(value) if isinstance(value, list) else value,
+)
+def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
+    path = tmp_path / f"{table}.csv"
+    path.write_text(write_design(reference_design(table)))
+    assert main([*argv, "--input", str(path)]) == 2
+    assert "error: InvalidParameter: " in capsys.readouterr().err
+
+
+def test_imports_leave_scipy_stats_and_integrate_unloaded():
+    code = (
+        "import sys, oamix, oamix.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = str(Path(oamix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

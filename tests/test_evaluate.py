@@ -1,9 +1,12 @@
 """Evaluation criteria: leverages, efficiency, determinants, FDS, power."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from oamix import (
+    ContinuousAmounts,
     DiscreteAmounts,
     d_criteria,
     evaluate_design,
@@ -19,6 +22,7 @@ from oamix import (
 )
 from oamix.errors import (
     ConstantColumn,
+    InvalidParameter,
     MissingAmount,
     NoResidualDf,
     SingularInformation,
@@ -113,6 +117,55 @@ def test_r2_constant_column_raises():
     X = np.column_stack([np.ones(6), np.arange(6.0)])
     with pytest.raises(ConstantColumn):
         r2_multicollinearity(X, 0)
+
+
+def lstsq_r2(X, j):
+    """R^2 of column j on the others by an explicit least-squares fit."""
+    target = X[:, j]
+    others = np.delete(X, j, axis=1)
+    resid = target - others @ np.linalg.lstsq(others, target, rcond=None)[0]
+    return 1.0 - (resid @ resid) / np.sum((target - target.mean()) ** 2)
+
+
+@pytest.mark.parametrize("coding", ["coded", "raw"])
+@pytest.mark.parametrize("table, spec", [("table2", "spec8"), ("table3", "spec6"), ("table5", "spec8")])
+def test_r2_closed_form_matches_lstsq(request, table, spec, coding):
+    design, spec = request.getfixturevalue(table), request.getfixturevalue(spec)
+    build = coded_model_matrix if coding == "coded" else model_matrix
+    X = build(design, spec).X
+    report = evaluate_design(design, spec, coding=coding)
+    for j, term in enumerate(report.terms):
+        if np.ptp(X[:, j]) == 0:
+            assert np.isnan(term.r2)
+            with pytest.raises(ConstantColumn):
+                r2_multicollinearity(X, j)
+        else:
+            assert abs(term.r2 - lstsq_r2(X, j)) <= 1e-10
+
+
+@pytest.mark.parametrize("coding", ["coded", "raw"])
+def test_report_agrees_bit_for_bit_with_public_criteria(table3, spec6, coding):
+    build = coded_model_matrix if coding == "coded" else model_matrix
+    term = build(table3, spec6)
+    report = evaluate_design(table3, spec6, signal_sd=0.5, coding=coding)
+    assert [t.se for t in report.terms] == std_errors(term).tolist()
+    for j, t in enumerate(report.terms):
+        assert t.r2 == r2_multicollinearity(term.X, j)
+        assert t.power == power(term, j, signal_sd=0.5)
+
+
+def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
+    X = coded_model_matrix(table2, spec8)
+    for alpha in (0.0, 1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(InvalidParameter):
+            power(X, 1, signal_sd=1.0, alpha=alpha)
+        with pytest.raises(InvalidParameter):
+            evaluate_design(table2, spec8, alpha=alpha)
+    for signal in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            power(X, 1, signal_sd=signal)
+        with pytest.raises(InvalidParameter):
+            evaluate_design(table2, spec8, signal_sd=signal)
 
 
 def test_power_null_equals_alpha(table2, spec8):
@@ -223,6 +276,30 @@ def test_fds_needs_amounts():
 def test_fds_rejects_small_samples(table5, spec8):
     with pytest.raises(ValueError):
         fds_curve(table5, spec8, n_samples=10, seed=1)
+
+
+@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"sign_policy": "random"}])
+def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
+    with pytest.raises(InvalidParameter):
+        fds_curve(table5, spec8, n_samples=1000, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("lo, hi", [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_continuous_amounts_rejects_bad_range(lo, hi):
+    with pytest.raises(InvalidParameter):
+        ContinuousAmounts(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "sign_policy, digest",
+    [
+        ("orderings", "15165ea27ed2c525641550e4079be1da8a14e4bbb9050ced58c036cef3324e93"),
+        ("continuous", "f837479dc93ba3dc0db8c41ee44c8b6fcfa36948ff2e6df4ac0848c861d3c3be"),
+    ],
+)
+def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
+    curve = fds_curve(table3, spec6, n_samples=20000, seed=3, sign_policy=sign_policy)
+    assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
 
 
 def test_evaluate_report_schema(table2, spec8):

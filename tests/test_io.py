@@ -6,6 +6,7 @@ import pytest
 
 from oamix import Kind, read_design, write_design
 from oamix.errors import (
+    AmountMismatch,
     BadPwoValue,
     InconsistentPwoRow,
     MalformedHeader,
@@ -126,3 +127,9 @@ def test_amount_read_recomputes_totals(table5):
     again = read_design(write_design(table5))
     for run in again.runs:
         assert run.amount == sum(run.point.values, Fraction(0))
+
+
+def test_amount_read_checks_the_total_column():
+    with pytest.raises(AmountMismatch):
+        read_design("a1,a2,A\n1/2,1/2,7\n")
+    assert read_design("a1,a2,A\n1/2,1/2,1\n").runs[0].amount == 1
