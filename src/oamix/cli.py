@@ -46,7 +46,13 @@ _MODEL_HELP = (
 
 
 def _read_stdin_design(args) -> "Design":
-    text = Path(args.input).read_text() if args.input else sys.stdin.read()
+    if args.input:
+        try:
+            text = Path(args.input).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameter(f"cannot read --input {args.input!r}: {exc}") from None
+    else:
+        text = sys.stdin.read()
     design = read_design(text)
     validate_design(design)
     return design
@@ -202,32 +208,37 @@ def cmd_power(args) -> int:
 
 def cmd_demo(args) -> int:
     out_dir = Path(args.out or os.environ.get("OAMIX_OUT", "oamix-demo"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     table1 = oofa_expand(simplex_lattice(3, 3))
     table2 = oofa_expand(project_columns(simplex_centroid(4), {4}))
     table3 = cross_amounts(table1, [Fraction(3, 4), Fraction(3, 2), Fraction(3)])
     table5 = scale_amounts(table2, 500)
 
-    (out_dir / "table1.csv").write_text(write_design(table1))
-    (out_dir / "table2.csv").write_text(write_design(table2))
-    (out_dir / "table3.csv").write_text(write_design(table3))
-    (out_dir / "table5.csv").write_text(write_design(table5))
-    (out_dir / "table1_display.csv").write_text(write_design(table1, decimals=2))
-    (out_dir / "table3_display.csv").write_text(write_design(table3, decimals=2))
-    (out_dir / "table5_display.csv").write_text(write_design(table5, decimals=1))
-
     spec6 = build_spec(ModelKind.OOFA_MA_FULL, 3)
     spec8 = build_spec(ModelKind.OOFA_CA_FULL, 3)
     report1 = evaluate_design(table3, spec6, signal_sd=0.5, alpha=0.05)
     report2 = evaluate_design(table5, spec8, signal_sd=2.0, alpha=0.05)
-    (out_dir / "example1_report.json").write_text(json.dumps(report1.to_dict(), indent=2) + "\n")
-    (out_dir / "example2_report.json").write_text(json.dumps(report2.to_dict(), indent=2) + "\n")
-
     curve1 = fds_curve(table3, spec6, n_samples=args.samples, seed=args.seed)
     curve2 = fds_curve(table5, spec8, n_samples=args.samples, seed=args.seed)
-    (out_dir / "example1_fds.txt").write_text(curve1.to_text())
-    (out_dir / "example2_fds.txt").write_text(curve2.to_text())
+
+    # everything is computed before the first file is written, so a failure
+    # leaves no partial output directory
+    files = {
+        "table1.csv": write_design(table1),
+        "table2.csv": write_design(table2),
+        "table3.csv": write_design(table3),
+        "table5.csv": write_design(table5),
+        "table1_display.csv": write_design(table1, decimals=2),
+        "table3_display.csv": write_design(table3, decimals=2),
+        "table5_display.csv": write_design(table5, decimals=1),
+        "example1_report.json": json.dumps(report1.to_dict(), indent=2) + "\n",
+        "example2_report.json": json.dumps(report2.to_dict(), indent=2) + "\n",
+        "example1_fds.txt": curve1.to_text(),
+        "example2_fds.txt": curve2.to_text(),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
     print(f"# oamix demo {args.suite} --out {out_dir} --samples {args.samples} --seed {args.seed}")
     print(f"example1: N={report1.n_runs} p={report1.n_params} "

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .core import Design
 from .errors import (
@@ -61,28 +61,30 @@ def information_matrix(X) -> np.ndarray:
 
 
 class _Factor:
-    """Cholesky factor of X'X with a reciprocal-condition gate.
+    """One factorization of X, with a reciprocal-condition gate.
 
-    The matrix is equilibrated (scaled to unit diagonal) before both the
-    condition check and the solves, so the gate and the numerics do not
-    depend on column units; a reciprocal condition below 1e-10 on the
-    equilibrated matrix raises SingularInformation naming the columns that
-    load on the near-null space, rather than returning noise.
+    X'X is never formed.  The columns of X are equilibrated by their norms
+    D, then X D^{-1} = Q R by QR and R = U S V' by a p x p SVD, so the
+    singular values of X D^{-1} are S (padded with zeros when N < p) and
+    M^{-1} = W W' with W = D^{-1} V S^{-1}.  The gate and the numerics do
+    not depend on column units: the reciprocal condition (s_min/s_max)^2 of
+    the equilibrated X'X below 1e-10 raises SingularInformation naming the
+    columns that load on the near-null space, rather than returning noise.
+    log|X'X| = 2 (sum log S + sum log D).
     """
 
     def __init__(self, X):
         arr, labels = _as_array(X)
-        M = arr.T @ arr
-        diag = M.diagonal()
-        if np.any(diag <= 0):
-            dead = [labels[j] for j in np.nonzero(diag <= 0)[0]]
+        p = arr.shape[1]
+        scale = np.linalg.norm(arr, axis=0)
+        if np.any(scale <= 0):
+            dead = [labels[j] for j in np.nonzero(scale <= 0)[0]]
             raise SingularInformation(f"columns are identically zero: {dead}")
-        scale = np.sqrt(diag)
-        C = M / np.outer(scale, scale)
-        w, V = np.linalg.eigh(C)
-        rcond = w[0] / w[-1] if w[-1] > 0 else 0.0
+        _, s, Vt = np.linalg.svd(np.linalg.qr(arr / scale, mode="r"))
+        s = np.concatenate([s, np.zeros(p - s.size)])
+        rcond = (s[-1] / s[0]) ** 2
         if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-            mass = np.abs(V[:, w < w[-1] * RCOND_FLOOR]).max(axis=1)
+            mass = np.abs(Vt[s**2 < s[0] ** 2 * RCOND_FLOOR]).max(axis=0)
             suspects = [labels[j] for j in np.nonzero(mass > 0.5 * mass.max())[0]]
             raise SingularInformation(
                 f"information matrix is singular at working precision "
@@ -91,18 +93,16 @@ class _Factor:
         self.X = arr
         self.labels = labels
         self.rcond = float(rcond)
-        self._scale = scale
-        self._cho = linalg.cho_factor(C, lower=True)
+        self.log_det = float(2.0 * (np.log(s).sum() + np.log(scale).sum()))
+        self._W = Vt.T / (s * scale[:, None])
 
     def pv(self, F: np.ndarray) -> np.ndarray:
-        """d_i = f_i' M^{-1} f_i for each row f_i of F, by solving."""
-        F = np.atleast_2d(np.asarray(F, dtype=float)) / self._scale
-        S = linalg.cho_solve(self._cho, F.T)
-        return np.einsum("ij,ji->i", F, S)
+        """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F."""
+        G = np.atleast_2d(np.asarray(F, dtype=float)) @ self._W
+        return np.einsum("ij,ij->i", G, G)
 
     def inverse_diag(self) -> np.ndarray:
-        inv_c = linalg.cho_solve(self._cho, np.eye(len(self._scale))).diagonal()
-        return inv_c / self._scale**2
+        return np.einsum("ij,ij->i", self._W, self._W)
 
 
 def leverages(X) -> np.ndarray:
@@ -122,7 +122,7 @@ def g_efficiency(p: int, n: int, max_pv: float) -> float:
 
 
 def d_criteria(X) -> dict:
-    """Determinant criteria from a stable factorization.
+    """Determinant criteria from the factor's log|X'X|.
 
     Both common run-count scalings are reported so a convention stated
     without a formula can be identified empirically:
@@ -130,17 +130,19 @@ def d_criteria(X) -> dict:
       d_eff_per_param       |X'X|^(1/p)
       per_run_scaled        |X'X / N|^(1/p)
       n_scaled_inverse      N * |X'X|^(-1/p)
+    An X whose equilibrated reciprocal condition is below 1e-10 raises
+    SingularInformation, as every other criterion does.
     """
-    arr, _labels = _as_array(X)
-    n, p = arr.shape
-    M = arr.T @ arr
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise SingularInformation("information matrix has nonpositive determinant")
+    return _d_criteria(_Factor(X))
+
+
+def _d_criteria(fac: _Factor) -> dict:
+    n, p = fac.X.shape
+    logdet = fac.log_det
     per_param = math.exp(logdet / p)
     return {
         "det": math.exp(logdet) if logdet < 700 else float("inf"),
-        "log_det": float(logdet),
+        "log_det": logdet,
         "d_eff_per_param": per_param,
         "per_run_scaled": per_param / n,
         "n_scaled_inverse": n / per_param,
@@ -457,7 +459,7 @@ def evaluate_design(
         avg_pv=float(lev.mean()),
         max_pv_n_scaled=max_pv * n,
         g_efficiency_pct=g_efficiency(p, n, max_pv),
-        d_criteria=d_criteria(term_fac.X),
+        d_criteria=_d_criteria(term_fac),
         rcond=fac.rcond,
         coding=coding,
         signal_sd=signal_sd,

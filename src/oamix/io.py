@@ -144,6 +144,8 @@ def read_design(text: str) -> Design:
     if not lines:
         raise MalformedHeader("empty design file")
     kind, m, with_signs, with_amount = _parse_header(lines[0])
+    if len(lines) == 1:
+        raise MalformedHeader("design file has a header but no rows")
     n_pairs = len(pwo_pairs(m)) if with_signs else 0
     width = m + n_pairs + (1 if with_amount else 0)
     runs = []
@@ -171,20 +173,8 @@ def read_design(text: str) -> Design:
                     raise BadPwoValue(f"line {row_no}: sign {cell!r} not in -1/0/+1")
                 pwo_vals.append(int(v))
             pwo = tuple(pwo_vals)
-            support = point.support()
-            active = set(support)
-            for (j, k), z in zip(pwo_pairs(m), pwo):
-                both_active = j in active and k in active
-                if both_active and z == 0:
-                    raise InconsistentPwoRow(
-                        f"line {row_no}: z{j}{k} is 0 but both components are present"
-                    )
-                if not both_active and z != 0:
-                    raise InconsistentPwoRow(
-                        f"line {row_no}: z{j}{k} is {z} but a component is absent"
-                    )
             try:
-                ordering = ordering_from_pwo(support, pwo)
+                ordering = ordering_from_pwo(point.support(), pwo)
             except InconsistentPwo as exc:
                 raise InconsistentPwoRow(f"line {row_no}: {exc}") from exc
         amount = None

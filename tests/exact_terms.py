@@ -1,8 +1,10 @@
-"""Exact rational model rows: the reference for the float term evaluator.
+"""Exact rational model rows and linear algebra: the references for the
+float term evaluator and the factorization behind every criterion.
 
 Every term is the exact product of its component powers, its sign factor
 and its power of the total amount, with pairs in the file format's
-lexicographic sign-column order.
+lexicographic sign-column order.  M = X'X, its inverse, determinant and
+the leverages f' M^-1 f are computed over the rationals.
 """
 
 from fractions import Fraction
@@ -30,3 +32,54 @@ def exact_model_rows(cells, terms, m):
             row.append(v)
         rows.append(row)
     return rows
+
+
+def exact_gram(rows):
+    p = len(rows[0])
+    M = [[Fraction(0)] * p for _ in range(p)]
+    for row in rows:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        for a, va in nz:
+            for b, vb in nz:
+                M[a][b] += va * vb
+    return M
+
+
+def exact_inverse(M):
+    """Gauss-Jordan inverse over the rationals."""
+    p = len(M)
+    A = [list(row) + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(M)]
+    for c in range(p):
+        r = next(r for r in range(c, p) if A[r][c] != 0)
+        A[c], A[r] = A[r], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(p):
+            if r != c and A[r][c] != 0:
+                f = A[r][c]
+                A[r] = [v - f * w for v, w in zip(A[r], A[c])]
+    return [row[p:] for row in A]
+
+
+def exact_det(M):
+    """Determinant of a positive definite M over the rationals: the product
+    of its Gaussian-elimination pivots, which need no row exchanges."""
+    A = [list(row) for row in M]
+    det = Fraction(1)
+    for c in range(len(A)):
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            if A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [v - f * w for v, w in zip(A[r], A[c])]
+    return det
+
+
+def exact_leverages(rows, Minv=None):
+    """f' M^-1 f for each row f; M^-1 is taken from the rows unless given."""
+    if Minv is None:
+        Minv = exact_inverse(exact_gram(rows))
+    out = []
+    for row in rows:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        out.append(sum(va * vb * Minv[a][b] for a, va in nz for b, vb in nz))
+    return out

@@ -60,7 +60,7 @@ from oamix.evaluate import _nct_two_sided, nct_power_oracle
 from oamix.io import round_half_up
 from oamix.models import coded_model_matrix
 
-from exact_terms import design_cells, exact_model_rows
+from exact_terms import design_cells, exact_gram, exact_inverse, exact_leverages, exact_model_rows
 from golden_rows import TABLE1, TABLE2, TABLE3, TABLE5, parse_rows
 
 
@@ -85,46 +85,11 @@ def design_rows(design, decimals):
     return sorted(rows)
 
 
-# Exact rational linear algebra for the criteria that are derived, not
-# documented.  Pairs follow the file format's lexicographic sign columns.
+# The order-interaction reductions: three (member, pair) choices, pairs in
+# the file format's lexicographic sign-column order.
 MEMBERSHIP_REDUCTIONS = list(
     combinations([(i, pair) for pair in ((1, 2), (1, 3), (2, 3)) for i in pair], 3)
 )
-
-
-def exact_gram(rows):
-    p = len(rows[0])
-    M = [[Fraction(0)] * p for _ in range(p)]
-    for row in rows:
-        nz = [(j, v) for j, v in enumerate(row) if v]
-        for a, va in nz:
-            for b, vb in nz:
-                M[a][b] += va * vb
-    return M
-
-
-def exact_inverse(M):
-    """Gauss-Jordan inverse over the rationals."""
-    p = len(M)
-    A = [list(row) + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(M)]
-    for c in range(p):
-        r = next(r for r in range(c, p) if A[r][c] != 0)
-        A[c], A[r] = A[r], A[c]
-        A[c] = [v / A[c][c] for v in A[c]]
-        for r in range(p):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [v - f * w for v, w in zip(A[r], A[c])]
-    return [row[p:] for row in A]
-
-
-def exact_leverages(rows):
-    Minv = exact_inverse(exact_gram(rows))
-    out = []
-    for row in rows:
-        nz = [(j, v) for j, v in enumerate(row) if v]
-        out.append(sum(va * vb * Minv[a][b] for a, va in nz for b, vb in nz))
-    return out
 
 
 def amount_free(spec):

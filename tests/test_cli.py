@@ -150,10 +150,35 @@ def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
     assert "error: InvalidParameter: " in capsys.readouterr().err
 
 
+def test_demo_failure_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo", "paper", "--out", str(out), "--samples", "10"]) == 2
+    assert "error: InvalidParameter: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("missing.csv", None, "InvalidParameter"),
+        (".", None, "InvalidParameter"),
+        ("header_only.csv", "x1,x2,x3,A\n", "MalformedHeader"),
+    ],
+    ids=["missing", "directory", "header_only"],
+)
+def test_bad_input_file_exits_2_with_named_error(tmp_path, capsys, name, text, error):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main(["matrix", "--model", "eq1", "--coding", "coded", "--input", str(path)]) == 2
+    assert f"error: {error}: " in capsys.readouterr().err
+
+
 def test_imports_leave_scipy_stats_and_integrate_unloaded():
     code = (
         "import sys, oamix, oamix.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     src = str(Path(oamix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

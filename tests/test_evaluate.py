@@ -1,6 +1,7 @@
 """Evaluation criteria: leverages, efficiency, determinants, FDS, power."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oamix import (
     ContinuousAmounts,
     DiscreteAmounts,
+    build_spec,
     d_criteria,
     evaluate_design,
     fds_curve,
@@ -15,9 +17,13 @@ from oamix import (
     information_matrix,
     leverages,
     model_matrix,
+    oofa_expand,
     power,
     prediction_variance,
+    project_columns,
     r2_multicollinearity,
+    scale_amounts,
+    simplex_centroid,
     std_errors,
 )
 from oamix.errors import (
@@ -29,6 +35,15 @@ from oamix.errors import (
 )
 from oamix.evaluate import nct_power_oracle, _nct_two_sided
 from oamix.models import coded_model_matrix
+
+from exact_terms import (
+    design_cells,
+    exact_det,
+    exact_gram,
+    exact_inverse,
+    exact_leverages,
+    exact_model_rows,
+)
 
 
 def test_information_matrix_trivial():
@@ -59,6 +74,32 @@ def test_leverage_reparametrization_invariance(table2, spec8):
         while abs(np.linalg.det(T)) < 1e-3:
             T = rng.normal(size=(16, 16))
         assert np.allclose(leverages(X), leverages(X @ T), atol=1e-8)
+
+
+@pytest.mark.parametrize("coding", ["raw", "coded"])
+def test_factor_matches_exact_inverse_and_determinant(coding):
+    # 129 x 25: the projected m = 5 centroid scaled to 500, under eq8 with m = 4
+    design = scale_amounts(oofa_expand(project_columns(simplex_centroid(5), {5})), 500)
+    spec = build_spec("eq8", 4)
+    if coding == "raw":
+        cells = design_cells(design)
+        mm = model_matrix(design, spec)
+    else:
+        cols = list(zip(*(run.point.values for run in design.runs)))
+        codes = [((max(c) + min(c)) / 2, (max(c) - min(c)) / 2) for c in cols]
+        cells = [(tuple((v - c) / h for v, (c, h) in zip(run.point.values, codes)), run.pwo, None)
+                 for run in design.runs]
+        mm = coded_model_matrix(design, spec)
+    rows = exact_model_rows(cells, spec.terms, spec.m)
+    M = exact_gram(rows)
+    Minv = exact_inverse(M)
+    det = exact_det(M)
+    exact_log_det = math.log(det.numerator) - math.log(det.denominator)
+    inv_diag = np.array([float(Minv[j][j]) for j in range(len(Minv))])
+    exact_lev = np.array([float(h) for h in exact_leverages(rows, Minv)])
+    assert np.max(np.abs(std_errors(mm) ** 2 / inv_diag - 1)) <= 1e-13
+    assert np.max(np.abs(leverages(mm) / exact_lev - 1)) <= 1e-13
+    assert d_criteria(mm)["log_det"] == pytest.approx(exact_log_det, rel=1e-13, abs=0)
 
 
 def test_g_efficiency_identities():
@@ -198,6 +239,8 @@ def test_singular_information_reports_labels():
     with pytest.raises(SingularInformation) as err:
         leverages(X)
     assert "1" in str(err.value) or "2" in str(err.value)
+    with pytest.raises(SingularInformation):
+        d_criteria(X)
 
 
 def test_zero_column_is_singular():
@@ -293,9 +336,10 @@ def test_continuous_amounts_rejects_bad_range(lo, hi):
 @pytest.mark.parametrize(
     "sign_policy, digest",
     [
-        ("orderings", "15165ea27ed2c525641550e4079be1da8a14e4bbb9050ced58c036cef3324e93"),
-        ("continuous", "f837479dc93ba3dc0db8c41ee44c8b6fcfa36948ff2e6df4ac0848c861d3c3be"),
+        ("orderings", "c20f27087ede8f46a52ef9ae7daca8d81dc1cdf8a3d74e0f51ab2faaa98fd7d7"),
+        ("continuous", "ec41b4d34f9845da57089e64ec991783af5a6e75502e6ceabd5b8ba3882ffbd3"),
     ],
+    ids=["orderings", "continuous"],
 )
 def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
     curve = fds_curve(table3, spec6, n_samples=20000, seed=3, sign_policy=sign_policy)

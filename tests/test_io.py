@@ -118,6 +118,8 @@ def test_read_malformed_headers():
         "x1,x2,A,junk",
         "a1,a2,a3",  # amount designs carry the A column
         "",
+        "x1,x2,x3,A",  # a header with no rows
+        "a1,a2,z12,A",
     ):
         with pytest.raises(MalformedHeader):
             read_design(header + "\n")
