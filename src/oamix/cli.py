@@ -33,7 +33,7 @@ from .evaluate import (
 )
 from .io import read_design, write_design
 from .models import ModelKind, build_spec, coded_model_matrix, model_matrix
-from .oofa import cross_amounts, oofa_expand, scale_amounts, validate_design
+from .oofa import cross_amounts, oofa_expand, scale_amounts
 from .simplex import project_columns, simplex_centroid, simplex_lattice
 
 _MODEL_HELP = (
@@ -53,9 +53,7 @@ def _read_stdin_design(args) -> "Design":
             raise InvalidParameter(f"cannot read --input {args.input!r}: {exc}") from None
     else:
         text = sys.stdin.read()
-    design = read_design(text)
-    validate_design(design)
-    return design
+    return read_design(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,9 +66,10 @@ def _emit(text: str, out: str | None) -> None:
 def _decimals(fmt: str) -> int | None:
     if fmt == "rational":
         return None
-    if fmt.startswith("decimals:"):
-        return int(fmt.split(":", 1)[1])
-    raise argparse.ArgumentTypeError(f"format must be rational or decimals:K, got {fmt!r}")
+    digits = fmt.removeprefix("decimals:")
+    if digits == fmt or not digits.isdecimal():
+        raise InvalidParameter(f"--format must be rational or decimals:K with K >= 0, got {fmt!r}")
+    return int(digits)
 
 
 def _add_io_args(p, with_input=True):
@@ -93,27 +92,33 @@ def _spec_for(args, design):
 
 
 def cmd_generate(args) -> int:
+    decimals = _decimals(args.format)
     if args.base == "lattice":
         if args.w is None:
-            raise OamixError("lattice base needs --w")
+            raise InvalidParameter("lattice base needs --w")
         design = simplex_lattice(args.m, args.w)
     else:
         design = simplex_centroid(args.m)
-    _emit(write_design(design, decimals=_decimals(args.format)), args.out)
+    _emit(write_design(design, decimals=decimals), args.out)
     return 0
 
 
 def cmd_project(args) -> int:
+    decimals = _decimals(args.format)
     design = _read_stdin_design(args)
-    drop = {int(tok) for tok in args.drop.split(",") if tok.strip()}
+    try:
+        drop = {int(tok) for tok in args.drop.split(",") if tok.strip()}
+    except ValueError:
+        raise InvalidParameter(f"--drop needs comma-separated column numbers, got {args.drop!r}") from None
     out = project_columns(design, drop)
-    _emit(write_design(out, decimals=_decimals(args.format)), args.out)
+    _emit(write_design(out, decimals=decimals), args.out)
     return 0
 
 
 def cmd_expand(args) -> int:
+    decimals = _decimals(args.format)
     design = _read_stdin_design(args)
-    _emit(write_design(oofa_expand(design), decimals=_decimals(args.format)), args.out)
+    _emit(write_design(oofa_expand(design), decimals=decimals), args.out)
     return 0
 
 
@@ -125,17 +130,19 @@ def _exact(text: str, flag: str):
 
 
 def cmd_cross(args) -> int:
+    decimals = _decimals(args.format)
     design = _read_stdin_design(args)
     levels = [_exact(tok, "--levels") for tok in args.levels.split(",") if tok.strip()]
     out = cross_amounts(design, levels)
-    _emit(write_design(out, decimals=_decimals(args.format)), args.out)
+    _emit(write_design(out, decimals=decimals), args.out)
     return 0
 
 
 def cmd_scale(args) -> int:
+    decimals = _decimals(args.format)
     design = _read_stdin_design(args)
     out = scale_amounts(design, _exact(args.a_max, "--a-max"))
-    _emit(write_design(out, decimals=_decimals(args.format)), args.out)
+    _emit(write_design(out, decimals=decimals), args.out)
     return 0
 
 
@@ -201,7 +208,7 @@ def cmd_power(args) -> int:
         if not args.term or label == args.term
     }
     if args.term and not rows:
-        raise OamixError(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
+        raise InvalidParameter(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
     _emit(json.dumps({"signal_sd": args.signal, "alpha": args.alpha, "power": rows}, indent=2) + "\n", args.out)
     return 0
 
@@ -317,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous (design range), discrete (design levels), or LO:HI",
     )
     p.add_argument("--signs", default="orderings", choices=("orderings", "continuous"))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="at least 1; FDS chunks run serially, so the output does not depend on it")
     _add_io_args(p)
     p.set_defaults(func=cmd_fds)
 

@@ -36,9 +36,12 @@ class Kind(Enum):
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings like '1/3' or '0.75' exactly.
 
-    Floats are rejected: a binary float has already lost the decimal value
-    it was meant to carry, and exactness is the whole point here.
+    A Fraction is immutable, so one comes back as it is.  Floats are
+    rejected: a binary float has already lost the decimal value it was
+    meant to carry, and exactness is the whole point here.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing lossy coercion of float {value!r}; pass a string, int, or Fraction"

@@ -15,7 +15,6 @@ on whether amounts are expressed in unit or physical scales.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,13 +68,18 @@ class _Factor:
     M^{-1} = W W' with W = D^{-1} V S^{-1}.  The gate and the numerics do
     not depend on column units: the reciprocal condition (s_min/s_max)^2 of
     the equilibrated X'X below 1e-10 raises SingularInformation naming the
-    columns that load on the near-null space, rather than returning noise.
+    columns that load on the near-null space, rather than returning noise;
+    a NaN or infinite cell raises InvalidParameter naming its columns.
     log|X'X| = 2 (sum log S + sum log D).
     """
 
     def __init__(self, X):
         arr, labels = _as_array(X)
         p = arr.shape[1]
+        finite = np.isfinite(arr).all(axis=0)
+        if not finite.all():
+            bad = [labels[j] for j in np.nonzero(~finite)[0]]
+            raise InvalidParameter(f"columns hold NaN or infinite cells: {bad}")
         scale = np.linalg.norm(arr, axis=0)
         if np.any(scale <= 0):
             dead = [labels[j] for j in np.nonzero(scale <= 0)[0]]
@@ -260,6 +264,10 @@ class DiscreteAmounts:
 
     levels: tuple[float, ...]
 
+    def __post_init__(self):
+        if not self.levels or not all(math.isfinite(a) and a >= 0 for a in self.levels):
+            raise InvalidParameter(f"amount levels need a nonempty set of finite values >= 0, got {self.levels}")
+
 
 def _default_policy(design: Design) -> ContinuousAmounts:
     levels = [float(a) for a in design.amount_levels]
@@ -355,8 +363,9 @@ def fds_curve(
     majority-below-the-design-maximum claims hold.
 
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
-    curve is bit-identical for a given (seed, n_samples, policies) tuple no
-    matter how many workers are used.
+    curve is bit-identical for a given (seed, n_samples, policies) tuple.
+    `workers` must be at least 1 and is otherwise unused: the chunks run
+    serially (threads measured no gain), so the output does not depend on it.
     """
     if n_samples < 100:
         raise InvalidParameter(f"n_samples must be at least 100, got {n_samples}")
@@ -367,19 +376,11 @@ def fds_curve(
     policy = amount_policy if amount_policy is not None else _default_policy(design)
     fac = _Factor(model_matrix(design, spec))
 
-    n_chunks = (n_samples + _FDS_CHUNK - 1) // _FDS_CHUNK
-
-    def run_chunk(index: int) -> np.ndarray:
+    parts = []
+    for index in range((n_samples + _FDS_CHUNK - 1) // _FDS_CHUNK):
         count = min(_FDS_CHUNK, n_samples - index * _FDS_CHUNK)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
-        F = _rows_from_samples(spec, x, keys, signs, amounts)
-        return fac.pv(F)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(i) for i in range(n_chunks)]
+        parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
     variances = np.sort(np.concatenate(parts))
     return FdsCurve(
         variances=variances,

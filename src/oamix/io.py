@@ -11,10 +11,11 @@ Values are exact rational strings (``1/3``) by default and round-trip
 losslessly.  ``decimals=k`` renders a display variant: values are rounded
 half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
-are display artifacts; reading one parses each token as an exact decimal
-fraction and re-derives orderings from the sign columns, but proportions
-rounded for display will no longer sum to 1, and an amount row whose
-rounded A differs from the sum of its rounded amounts is rejected.
+are display artifacts.  `read_design`, the one reader the library and the
+CLI share, parses each token as an exact decimal fraction and accepts a
+row only when it satisfies its kind, so it rejects a display file of
+thirds rounded to 0.33 (proportions no longer summing to 1) and an amount
+row whose rounded A differs from the sum of its rounded amounts.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -25,13 +26,14 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .core import Design, DesignPoint, Kind, OofARun
+from .core import Design, DesignPoint, Kind, OofARun, validate_point
 from .errors import (
     AmountMismatch,
     BadPwoValue,
     InconsistentPwo,
     InconsistentPwoRow,
     MalformedHeader,
+    OamixError,
     RowLengthMismatch,
 )
 from .oofa import ordering_from_pwo, pwo_pairs
@@ -132,13 +134,15 @@ def _parse_header(line: str) -> tuple[Kind, int, bool, bool]:
 
 
 def read_design(text: str) -> Design:
-    """Parse a design file.
+    """Parse and check a design file: the one reader of library and CLI.
 
-    Rational files reproduce the written design exactly.  In an amount
-    design the A cell must equal the row's sum of amounts.  Sign columns are
-    checked row by row: entries must be -1, 0, or +1, must be zero exactly
-    when an involved component is zero, and must be induced by some
-    addition order (the ordering is re-derived from them).
+    Rational files reproduce the written design exactly, and every design
+    returned passes ``validate_design``.  Rows must satisfy their kind
+    (entries nonnegative, proportions summing to exactly 1, an amount
+    design's A equal to the row's sum of amounts); signs must be -1, 0, or
+    +1, zero exactly when an involved component is zero, and induced by
+    some addition order (the ordering is re-derived from them).  An error
+    in a row names its line as ``line N: ...`` and keeps its class.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -148,45 +152,40 @@ def read_design(text: str) -> Design:
         raise MalformedHeader("design file has a header but no rows")
     n_pairs = len(pwo_pairs(m)) if with_signs else 0
     width = m + n_pairs + (1 if with_amount else 0)
+    parsed: dict[str, Fraction] = {}
+
+    def decode(cell: str) -> Fraction:
+        if cell not in parsed:
+            try:
+                parsed[cell] = Fraction(cell)
+            except (ValueError, ZeroDivisionError):
+                raise MalformedHeader(f"unreadable value {cell!r}") from None
+        return parsed[cell]
+
     runs = []
     for row_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != width:
-            raise RowLengthMismatch(
-                f"line {row_no}: expected {width} values, got {len(cells)}"
-            )
         try:
-            values = tuple(Fraction(c) for c in cells[:m])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedHeader(f"line {row_no}: bad value ({exc})") from exc
-        point = DesignPoint(values, kind)
-        ordering = None
-        pwo = None
-        if with_signs:
-            pwo_vals = []
-            for cell in cells[m : m + n_pairs]:
-                try:
-                    v = Fraction(cell)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise BadPwoValue(f"line {row_no}: sign {cell!r} unreadable") from exc
-                if v not in (-1, 0, 1):
-                    raise BadPwoValue(f"line {row_no}: sign {cell!r} not in -1/0/+1")
-                pwo_vals.append(int(v))
-            pwo = tuple(pwo_vals)
-            try:
+            cells = line.split(",")
+            if len(cells) != width:
+                raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
+            row = [decode(c.strip()) for c in cells]
+            point = DesignPoint(tuple(row[:m]), kind)
+            validate_point(point)
+            ordering = pwo = amount = None
+            if with_signs:
+                signs = row[m : m + n_pairs]
+                if any(z not in (-1, 0, 1) for z in signs):
+                    raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, signs))}")
+                pwo = tuple(int(z) for z in signs)
                 ordering = ordering_from_pwo(point.support(), pwo)
-            except InconsistentPwo as exc:
-                raise InconsistentPwoRow(f"line {row_no}: {exc}") from exc
-        amount = None
-        if with_amount:
-            try:
-                amount = Fraction(cells[-1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedHeader(f"line {row_no}: bad amount ({exc})") from exc
-            if kind is Kind.AMOUNT:
-                total = sum(values, Fraction(0))
-                if amount != total:
-                    raise AmountMismatch(f"line {row_no}: A is {amount} but the amounts sum to {total}")
+            if with_amount:
+                amount = row[-1]
+                if kind is Kind.AMOUNT and amount != sum(row[:m]):
+                    raise AmountMismatch(f"A is {amount} but the amounts sum to {sum(row[:m])}")
+        except InconsistentPwo as exc:
+            raise InconsistentPwoRow(f"line {row_no}: {exc}") from exc
+        except OamixError as exc:
+            raise type(exc)(f"line {row_no}: {exc}") from exc
         runs.append(OofARun(point=point, ordering=ordering, pwo=pwo, amount=amount))
     return Design(m=m, kind=kind, runs=tuple(runs))
 

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateLevel,
     EmptyLevels,
     InconsistentPwo,
+    InvalidDimension,
     NegativeEntry,
     NonPositiveScale,
     OrderingSupportMismatch,
@@ -113,8 +114,12 @@ def oofa_expand(design: Design) -> Design:
 
     Orderings are enumerated in lexicographic order of the support indices;
     runs with s <= 1 pass through as a single run with an all-zero sign
-    vector.  Amount tags and coordinates are unchanged.
+    vector.  Amount tags and coordinates are unchanged.  A design needs
+    two components to have sign factors (and a file with none could not
+    tell its expanded runs from unexpanded ones), so m = 1 is refused.
     """
+    if design.m < 2:
+        raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
     runs = []
     for run in design.runs:
         if run.pwo is not None:
@@ -167,8 +172,9 @@ def scale_amounts(design: Design, a_max) -> Design:
 
 
 def validate_design(design: Design) -> None:
-    """Structural check used by readers and the CLI: homogeneous m and kind,
-    valid points, and sign vectors consistent with each run's ordering."""
+    """Structural check of a design built in code: homogeneous m and kind,
+    valid points, and sign vectors consistent with each run's ordering.
+    Every design `read_design` returns already passes it."""
     expanded_state = None
     for idx, run in enumerate(design.runs, start=1):
         if run.point.m != design.m:

@@ -140,6 +140,19 @@ def test_demo_writes_artifacts(tmp_path, capsys):
         (["evaluate", "--model", "eq6", "--signal", "nan"], "table3"),
         (["power", "--model", "eq6", "--signal", "1", "--alpha", "1"], "table3"),
         (["power", "--model", "eq6", "--signal", "nan"], "table3"),
+        (["power", "--model", "eq6", "--signal", "1", "--term", "nope"], "table3"),
+        (["fds", "--model", "eq6", "--amounts", "discrete"], "table1"),
+        (["project", "--drop", "abc"], "table1"),
+        *(
+            ([*command, "--format", fmt], table)
+            for command, table in (
+                (["project", "--drop", "3"], "table1"),
+                (["expand"], "table1"),
+                (["cross", "--levels", "1"], "table1"),
+                (["scale", "--a-max", "2"], "table2"),
+            )
+            for fmt in ("foo", "decimals:x", "decimals:-1")
+        ),
     ],
     ids=lambda value: "_".join(value) if isinstance(value, list) else value,
 )
@@ -147,6 +160,21 @@ def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
     path = tmp_path / f"{table}.csv"
     path.write_text(write_design(reference_design(table)))
     assert main([*argv, "--input", str(path)]) == 2
+    assert "error: InvalidParameter: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--w", "2", "--format", "foo"],
+        ["--w", "2", "--format", "decimals:x"],
+        ["--w", "2", "--format", "decimals:-1"],
+        [],
+    ],
+    ids=["format_foo", "format_decimals_x", "format_decimals_-1", "lattice_without_w"],
+)
+def test_generate_misuse_exits_2_with_named_error(capsys, argv):
+    assert main(["generate", "--base", "lattice", "--m", "3", *argv]) == 2
     assert "error: InvalidParameter: " in capsys.readouterr().err
 
 

@@ -249,6 +249,12 @@ def test_zero_column_is_singular():
         leverages(X)
 
 
+def test_non_finite_cells_are_named():
+    X = np.column_stack([np.ones(4), [0, 1, np.nan, 3.0]])
+    with pytest.raises(InvalidParameter, match=r"\['1'\]"):
+        leverages(X)
+
+
 def test_fds_basic_properties(table5, spec8):
     curve = fds_curve(table5, spec8, n_samples=2000, seed=1)
     assert np.all(np.diff(curve.variances) >= 0)
@@ -331,6 +337,12 @@ def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
 def test_continuous_amounts_rejects_bad_range(lo, hi):
     with pytest.raises(InvalidParameter):
         ContinuousAmounts(lo, hi)
+
+
+@pytest.mark.parametrize("levels", [(), (float("nan"),), (-5.0,)], ids=["empty", "nan", "negative"])
+def test_discrete_amounts_rejects_bad_levels(levels):
+    with pytest.raises(InvalidParameter):
+        DiscreteAmounts(levels)
 
 
 @pytest.mark.parametrize(

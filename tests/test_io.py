@@ -3,14 +3,29 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oamix import Kind, read_design, write_design
+from oamix import (
+    Kind,
+    cross_amounts,
+    oofa_expand,
+    project_columns,
+    read_design,
+    scale_amounts,
+    simplex_centroid,
+    simplex_lattice,
+    validate_design,
+    write_design,
+)
 from oamix.errors import (
     AmountMismatch,
     BadPwoValue,
     InconsistentPwoRow,
     MalformedHeader,
+    NegativeEntry,
     RowLengthMismatch,
+    SumNotOne,
 )
 from oamix.io import format_value, round_half_up
 
@@ -135,3 +150,68 @@ def test_amount_read_checks_the_total_column():
     with pytest.raises(AmountMismatch):
         read_design("a1,a2,A\n1/2,1/2,7\n")
     assert read_design("a1,a2,A\n1/2,1/2,1\n").runs[0].amount == 1
+
+
+@st.composite
+def built_designs(draw):
+    """A lattice or centroid base, maybe projected to amounts, maybe expanded
+    over orderings, then maybe crossed with amount levels or scaled."""
+    m = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        design = simplex_lattice(m, draw(st.integers(1, 3)))
+    else:
+        design = simplex_centroid(m)
+    if draw(st.booleans()):
+        design = project_columns(design, draw(st.sets(st.integers(1, m), min_size=1, max_size=m - 1)))
+    if design.m >= 2 and draw(st.booleans()):
+        design = oofa_expand(design)
+    if draw(st.booleans()):
+        if design.kind is Kind.AMOUNT:
+            scale = draw(st.fractions(min_value=Fraction(1, 12), max_value=500, max_denominator=12))
+            design = scale_amounts(design, scale)
+        else:
+            levels = st.fractions(min_value=0, max_value=50, max_denominator=12)
+            design = cross_amounts(design, draw(st.lists(levels, min_size=1, max_size=3, unique=True)))
+    return design
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(built_designs())
+def test_round_trip_property(design):
+    again = read_design(write_design(design))
+    assert again == design
+    validate_design(again)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x1,x2\n-1/2,3/2\n", NegativeEntry),
+        ("a1,a2,A\n-1,2,1\n", NegativeEntry),
+        ("x1,x2\n1/4,1/4\n", SumNotOne),
+        ("x1,x2\n1,0,0\n", RowLengthMismatch),
+        ("x1,x2\n1,zero\n", MalformedHeader),
+        ("x1,x2,z12\n1/2,1/2,1/2\n", BadPwoValue),
+        ("x1,x2,z12\n1/2,1/2,0\n", InconsistentPwoRow),
+        ("a1,a2,A\n1/2,1/2,7\n", AmountMismatch),
+        # the first faulty row is reported, whatever faults come later
+        ("x1,x2,z12\n1/2,0,1\n1/2,1/2,2\n", SumNotOne),
+    ],
+    ids=["negative_proportion", "negative_amount", "sum_half", "row_length",
+         "unreadable", "sign_half", "masking", "amount_total", "first_fault"],
+)
+def test_row_errors_keep_their_class_and_name_the_line(text, error):
+    with pytest.raises(error, match="^line 2: "):
+        read_design(text)
+
+
+def test_error_names_the_row_after_good_rows():
+    with pytest.raises(SumNotOne, match="^line 4: "):
+        read_design("x1,x2\n1,0\n0,1\n1/3,1/3\n")
+
+
+@pytest.mark.parametrize("name, decimals", [("table1", 2), ("table3", 2)])
+def test_rounded_display_of_thirds_is_rejected(request, name, decimals):
+    display = write_design(request.getfixturevalue(name), decimals=decimals)
+    with pytest.raises(SumNotOne):
+        read_design(display)

@@ -26,6 +26,7 @@ from oamix.errors import (
     DuplicateLevel,
     EmptyLevels,
     InconsistentPwo,
+    InvalidDimension,
     NegativeEntry,
     NonPositiveScale,
     OrderingSupportMismatch,
@@ -124,6 +125,11 @@ def test_expand_pure_vertices_passthrough():
 def test_expand_twice_raises(table1):
     with pytest.raises(AlreadyExpanded):
         oofa_expand(table1)
+
+
+def test_expand_needs_two_components():
+    with pytest.raises(InvalidDimension):
+        oofa_expand(project_columns(simplex_centroid(3), {2, 3}))
 
 
 def test_cross_amounts_counts_and_levels(table1, table3):
