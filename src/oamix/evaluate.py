@@ -365,7 +365,8 @@ def fds_curve(
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple.
     `workers` must be at least 1 and is otherwise unused: the chunks run
-    serially (threads measured no gain), so the output does not depend on it.
+    serially (threads bought wall time only with more CPU), so the output
+    does not depend on it.
     """
     if n_samples < 100:
         raise InvalidParameter(f"n_samples must be at least 100, got {n_samples}")
