@@ -52,6 +52,7 @@ from .oofa import (
     pwo_pairs,
     scale_amounts,
     validate_design,
+    validate_run,
 )
 from .simplex import project_columns, simplex_centroid, simplex_lattice
 
@@ -98,6 +99,7 @@ __all__ = [
     "pwo_pairs",
     "scale_amounts",
     "validate_design",
+    "validate_run",
     "project_columns",
     "simplex_centroid",
     "simplex_lattice",

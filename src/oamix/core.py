@@ -70,23 +70,22 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class OofARun:
-    """One design row: a point, optionally an addition order with its sign
-    vector, and optionally a total-amount tag.
+    """One design row: a point, optionally the sign vector of its addition
+    order, and optionally a total-amount tag.
 
     `pwo` is aligned with ``oofa.pwo_pairs(m)`` and is None until the design
-    is expanded over orderings.  `amount` is the exact per-run total for
-    amount-kind points, or the attached total-amount level for proportion
-    points (None until one is attached).
+    is expanded over orderings; it is the one record of the order, which
+    ``oofa.ordering_from_pwo(point.support(), pwo)`` recovers.  `amount` is
+    the exact per-run total for amount-kind points, or the attached
+    total-amount level for proportion points (None until one is attached).
+    ``oofa.validate_run`` states what makes a run valid.
     """
 
     point: DesignPoint
-    ordering: tuple[int, ...] | None = None
     pwo: tuple[int, ...] | None = None
     amount: Fraction | None = None
 
     def __post_init__(self):
-        if self.ordering is not None:
-            object.__setattr__(self, "ordering", tuple(int(c) for c in self.ordering))
         if self.pwo is not None:
             object.__setattr__(self, "pwo", tuple(int(z) for z in self.pwo))
         if self.amount is not None:
@@ -108,12 +107,8 @@ class Design:
         return len(self.runs)
 
     @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
-    @property
     def is_expanded(self) -> bool:
-        """True when every run carries an addition order and sign vector."""
+        """True when every run carries the sign vector of an addition order."""
         return all(run.pwo is not None for run in self.runs)
 
     @property

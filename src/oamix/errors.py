@@ -112,9 +112,17 @@ class RowLengthMismatch(OamixError):
     pass
 
 
-class InconsistentPwoRow(OamixError):
-    pass
+class InconsistentPwoRow(InconsistentPwo):
+    """Signs of one design row, located by file line or run number, that no
+    addition order induces."""
 
 
 class AmountMismatch(OamixError):
     pass
+
+
+def located(where: str, exc: OamixError) -> OamixError:
+    """`exc` with its message prefixed by `where` (``line 5``, ``run 3``),
+    keeping its class; InconsistentPwo becomes InconsistentPwoRow."""
+    cls = InconsistentPwoRow if isinstance(exc, InconsistentPwo) else type(exc)
+    return cls(f"{where}: {exc}")

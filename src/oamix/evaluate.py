@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 RCOND_FLOOR = 1e-10
+# a signal of k error SDs is read as a +-k/2 half-range (see `power`)
+SIGNAL_HALF_RANGE = 0.5
 _FDS_CHUNK = 8192
 
 
@@ -159,7 +161,7 @@ def std_errors(X) -> np.ndarray:
     return np.sqrt(_Factor(X).inverse_diag())
 
 
-def _term_stats(fac: _Factor, signal_sd: float = 0.0, alpha: float = 0.05, signal_scale: float = 0.5):
+def _term_stats(fac: _Factor, signal_sd: float = 0.0, alpha: float = 0.05):
     """Per-column SE, multicollinearity R^2 and power from one factor.
 
     1/[M^{-1}]_jj is the residual sum of squares of column j regressed on
@@ -175,7 +177,7 @@ def _term_stats(fac: _Factor, signal_sd: float = 0.0, alpha: float = 0.05, signa
     sst = np.sum((fac.X - fac.X.mean(axis=0)) ** 2, axis=0)
     with np.errstate(divide="ignore"):
         r2 = np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * inv_diag))
-    pw = _nct_two_sided(signal_scale * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
+    pw = _nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
     return se, r2, pw
 
 
@@ -203,42 +205,24 @@ def _nct_two_sided(delta, df: int, alpha: float):
     return np.where(np.asarray(delta) == 0.0, alpha, pw)[()]
 
 
-def _powers(X, signal_sd: float, alpha: float, signal_scale: float = 0.5) -> np.ndarray:
+def _powers(X, signal_sd: float, alpha: float) -> np.ndarray:
     """Power of every coefficient of X from one factorization."""
     n, p = _as_array(X)[0].shape
     if n - p < 1:
         raise NoResidualDf(f"N - p = {n - p}; no residual degrees of freedom")
-    return _term_stats(_Factor(X), signal_sd, alpha, signal_scale)[2]
+    return _term_stats(_Factor(X), signal_sd, alpha)[2]
 
 
-def power(X, j: int, signal_sd: float, alpha: float = 0.05, *, signal_scale: float = 0.5) -> float:
+def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
     """Two-sided t-test power for coefficient j.
 
     The signal "k standard deviations" is read as a +-k/2 half-range, so the
-    noncentrality is delta = (signal_scale * k) / SE_j with signal_scale
-    defaulting to 0.5; the residual degrees of freedom are N - p.  The
-    default convention reproduces the reference designs' documented power
+    noncentrality is delta = (SIGNAL_HALF_RANGE * k) / SE_j with
+    SIGNAL_HALF_RANGE = 0.5; the residual degrees of freedom are N - p.
+    This convention reproduces the reference designs' documented power
     columns for linear, sign, and interaction terms.
     """
-    return float(_powers(X, signal_sd, alpha, signal_scale)[j])
-
-
-def nct_power_oracle(delta: float, df: int, alpha: float) -> float:
-    """Numeric-integration reference for the two-sided noncentral-t power.
-
-    Integrates the noncentral-t density directly; used to pin the library
-    routine to 1e-6 absolute accuracy in tests.
-    """
-    from scipy import integrate, stats
-
-    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
-
-    def density(x):
-        return stats.nct.pdf(x, df, delta)
-
-    upper, _ = integrate.quad(density, tcrit, np.inf, limit=200)
-    lower, _ = integrate.quad(density, -np.inf, -tcrit, limit=200)
-    return float(upper + lower)
+    return float(_powers(X, signal_sd, alpha)[j])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +282,9 @@ def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts) -> np.ndarray:
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
     j, k = np.array(pwo_pairs(spec.m)).T - 1
     if signs is None:
-        pos = np.argsort(np.argsort(keys, axis=1), axis=1)
-        signs = np.where(pos[:, j] < pos[:, k], 1.0, -1.0)
+        # j before k when its key is smaller; a tie goes to the lower index,
+        # as a stable argsort of the keys would rank it
+        signs = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0)
     signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
     return term_columns(spec, comps, signs, amounts)
 
@@ -431,7 +416,6 @@ def evaluate_design(
     alpha: float = 0.05,
     *,
     coding: str = "coded",
-    signal_scale: float = 0.5,
 ) -> EvalReport:
     """Full criteria bundle for a design under a model spec.
 
@@ -453,7 +437,7 @@ def evaluate_design(
     lev = fac.pv(mm.X)
     max_pv = float(lev.max())
     term_fac = fac if coding == "raw" else _Factor(coded_model_matrix(design, spec))
-    se, r2, pw = _term_stats(term_fac, signal_sd, alpha, signal_scale)
+    se, r2, pw = _term_stats(term_fac, signal_sd, alpha)
     return EvalReport(
         n_runs=n,
         n_params=p,

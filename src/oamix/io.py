@@ -13,9 +13,10 @@ half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
 are display artifacts.  `read_design`, the one reader the library and the
 CLI share, parses each token as an exact decimal fraction and accepts a
-row only when it satisfies its kind, so it rejects a display file of
-thirds rounded to 0.33 (proportions no longer summing to 1) and an amount
-row whose rounded A differs from the sum of its rounded amounts.
+row only when its run passes ``oofa.validate_run``, so it rejects a
+display file of thirds rounded to 0.33 (proportions no longer summing to
+1) and an amount row whose rounded A differs from the sum of its rounded
+amounts.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -26,17 +27,9 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .core import Design, DesignPoint, Kind, OofARun, validate_point
-from .errors import (
-    AmountMismatch,
-    BadPwoValue,
-    InconsistentPwo,
-    InconsistentPwoRow,
-    MalformedHeader,
-    OamixError,
-    RowLengthMismatch,
-)
-from .oofa import ordering_from_pwo, pwo_pairs
+from .core import Design, DesignPoint, Kind, OofARun
+from .errors import BadPwoValue, MalformedHeader, OamixError, RowLengthMismatch, located
+from .oofa import pwo_pairs, validate_run
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -137,17 +130,19 @@ def read_design(text: str) -> Design:
     """Parse and check a design file: the one reader of library and CLI.
 
     Rational files reproduce the written design exactly, and every design
-    returned passes ``validate_design``.  Rows must satisfy their kind
-    (entries nonnegative, proportions summing to exactly 1, an amount
-    design's A equal to the row's sum of amounts); signs must be -1, 0, or
-    +1, zero exactly when an involved component is zero, and induced by
-    some addition order (the ordering is re-derived from them).  An error
-    in a row names its line as ``line N: ...`` and keeps its class.
+    returned passes ``validate_design``.  The reader checks the format
+    (the header, the width of each row, readable values, integer signs)
+    and then each row's run with ``oofa.validate_run``: entries
+    nonnegative, proportions summing to exactly 1, A nonnegative and, in
+    an amount design, equal to the row's sum of amounts, and signs induced
+    by some addition order.  An error in a row names its physical line as
+    ``line N: ...`` and keeps its class (sign-order faults are
+    InconsistentPwoRow).
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise MalformedHeader("empty design file")
-    kind, m, with_signs, with_amount = _parse_header(lines[0])
+    kind, m, with_signs, with_amount = _parse_header(lines[0][1])
     if len(lines) == 1:
         raise MalformedHeader("design file has a header but no rows")
     n_pairs = len(pwo_pairs(m)) if with_signs else 0
@@ -163,30 +158,22 @@ def read_design(text: str) -> Design:
         return parsed[cell]
 
     runs = []
-    for row_no, line in enumerate(lines[1:], start=2):
+    for row_no, line in lines[1:]:
         try:
             cells = line.split(",")
             if len(cells) != width:
                 raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
             row = [decode(c.strip()) for c in cells]
+            signs = row[m : m + n_pairs]
+            if any(z.denominator != 1 for z in signs):
+                raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, signs))}")
             point = DesignPoint(tuple(row[:m]), kind)
-            validate_point(point)
-            ordering = pwo = amount = None
-            if with_signs:
-                signs = row[m : m + n_pairs]
-                if any(z not in (-1, 0, 1) for z in signs):
-                    raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, signs))}")
-                pwo = tuple(int(z) for z in signs)
-                ordering = ordering_from_pwo(point.support(), pwo)
-            if with_amount:
-                amount = row[-1]
-                if kind is Kind.AMOUNT and amount != sum(row[:m]):
-                    raise AmountMismatch(f"A is {amount} but the amounts sum to {sum(row[:m])}")
-        except InconsistentPwo as exc:
-            raise InconsistentPwoRow(f"line {row_no}: {exc}") from exc
+            run = OofARun(point, pwo=signs if with_signs else None,
+                          amount=row[-1] if with_amount else None)
+            validate_run(run)
         except OamixError as exc:
-            raise type(exc)(f"line {row_no}: {exc}") from exc
-        runs.append(OofARun(point=point, ordering=ordering, pwo=pwo, amount=amount))
+            raise located(f"line {row_no}", exc) from exc
+        runs.append(run)
     return Design(m=m, kind=kind, runs=tuple(runs))
 
 

@@ -225,7 +225,6 @@ def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
 @dataclass(frozen=True, eq=False)
 class ModelMatrix:
     X: np.ndarray
-    row_ids: tuple[int, ...]
     col_labels: tuple[str, ...]
 
     @property
@@ -278,7 +277,7 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     else:
         amounts = code(np.array([float(run.amount) for run in design.runs]))
     X = term_columns(spec, comps, signs, amounts)
-    return ModelMatrix(X=X, row_ids=tuple(range(1, n + 1)), col_labels=spec.labels)
+    return ModelMatrix(X=X, col_labels=spec.labels)
 
 
 def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:

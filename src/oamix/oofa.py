@@ -15,17 +15,21 @@ from itertools import permutations
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .core import Design, DesignPoint, Kind, as_fraction, validate_point
+from .core import Design, DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
 from .errors import (
     AlreadyExpanded,
+    AmountMismatch,
+    BadPwoValue,
     DuplicateLevel,
     EmptyLevels,
     InconsistentPwo,
     InvalidDimension,
     NegativeEntry,
     NonPositiveScale,
+    OamixError,
     OrderingSupportMismatch,
     WrongKind,
+    located,
 )
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "oofa_expand",
     "cross_amounts",
     "scale_amounts",
+    "validate_run",
     "validate_design",
 ]
 
@@ -76,20 +81,17 @@ def _m_from_pairs(n_pairs: int) -> int:
 def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, ...]:
     """The unique permutation of `support` inducing the given sign vector.
 
-    Inverse of pwo_from_ordering.  Raises InconsistentPwo when the signs
-    violate zero masking or cannot come from any total order (a cyclic
-    pattern such as z12=+1, z23=+1, z13=-1 on full support).
+    Inverse of pwo_from_ordering.  Raises BadPwoValue for an entry other
+    than -1, 0 or +1, and InconsistentPwo when the signs violate zero
+    masking or cannot come from any total order (a cyclic pattern such as
+    z12=+1, z23=+1, z13=-1 on full support).
     """
     support = tuple(sorted(int(c) for c in support))
     pwo = tuple(int(z) for z in pwo)
     if any(z not in (-1, 0, 1) for z in pwo):
-        raise InconsistentPwo("sign entries must be -1, 0, or +1")
+        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
     m = _m_from_pairs(len(pwo))
-    if len(support) <= 1:
-        if any(pwo):
-            raise InconsistentPwo("nonzero signs with fewer than two active components")
-        return support
-    if support[-1] > m:
+    if support and support[-1] > m:
         raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
     active = set(support)
     wins = {c: 0 for c in support}
@@ -100,13 +102,11 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
             wins[j if z == 1 else k] += 1
         elif z != 0:
             raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
-    order = tuple(sorted(support, key=lambda c: (-wins[c], c)))
-    # ties in win counts only arise from cyclic patterns; recomputing catches them
-    pos = {c: i for i, c in enumerate(order)}
-    for (j, k), z in zip(pwo_pairs(m), pwo):
-        if j in active and k in active and z != (1 if pos[j] < pos[k] else -1):
-            raise InconsistentPwo("sign pattern is not induced by any addition order")
-    return order
+    # the signs make a tournament on the support, and a tournament is
+    # transitive exactly when its win counts are all distinct
+    if len(set(wins.values())) != len(support):
+        raise InconsistentPwo("sign pattern is not induced by any addition order")
+    return tuple(sorted(support, key=lambda c: -wins[c]))
 
 
 def oofa_expand(design: Design) -> Design:
@@ -124,15 +124,9 @@ def oofa_expand(design: Design) -> Design:
     for run in design.runs:
         if run.pwo is not None:
             raise AlreadyExpanded("design already carries orderings")
-        support = run.point.support()
-        if len(support) <= 1:
-            orderings: Iterable[tuple[int, ...]] = (support,)
-        else:
-            orderings = permutations(support)
-        for ordering in orderings:
-            runs.append(
-                replace(run, ordering=ordering, pwo=pwo_from_ordering(run.point, ordering))
-            )
+        # permutations of a support of size 0 or 1 is that support alone
+        for ordering in permutations(run.point.support()):
+            runs.append(replace(run, pwo=pwo_from_ordering(run.point, ordering)))
     return replace(design, runs=tuple(runs))
 
 
@@ -157,7 +151,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
 
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
-    and orderings are unchanged."""
+    are unchanged."""
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
     scale = as_fraction(a_max)
@@ -171,25 +165,39 @@ def scale_amounts(design: Design, a_max) -> Design:
     return replace(design, runs=tuple(runs))
 
 
+def validate_run(run: OofARun) -> None:
+    """Raise unless one run is valid: its point satisfies its kind, a
+    total-amount tag A is nonnegative and, for an amount run, equals the
+    sum of its amounts, and its signs are induced by some addition order of
+    its support.  The one run check of `read_design` and `validate_design`.
+    """
+    point = run.point
+    validate_point(point)
+    if run.amount is not None and run.amount < 0:
+        raise NegativeEntry(f"total amount A is negative: {run.amount}")
+    if point.kind is Kind.AMOUNT:
+        total = total_amount(point)
+        if run.amount != total:
+            raise AmountMismatch(f"A is {run.amount} but the amounts sum to {total}")
+    if run.pwo is not None:
+        if len(run.pwo) != point.m * (point.m - 1) // 2:
+            raise InconsistentPwo(f"{len(run.pwo)} signs for the pairs of {point.m} components")
+        ordering_from_pwo(point.support(), run.pwo)
+
+
 def validate_design(design: Design) -> None:
-    """Structural check of a design built in code: homogeneous m and kind,
-    valid points, and sign vectors consistent with each run's ordering.
-    Every design `read_design` returns already passes it."""
-    expanded_state = None
+    """Check a design built in code: every run has the design's m and kind,
+    its runs are all expanded or all unexpanded, and each run passes
+    `validate_run`, whose errors are prefixed ``run N:``.  Every design
+    `read_design` returns already passes it."""
+    if len({run.pwo is None for run in design.runs}) > 1:
+        raise WrongKind("design mixes expanded and unexpanded runs")
     for idx, run in enumerate(design.runs, start=1):
         if run.point.m != design.m:
             raise WrongKind(f"run {idx} has {run.point.m} components, design says {design.m}")
         if run.point.kind is not design.kind:
             raise WrongKind(f"run {idx} kind {run.point.kind} disagrees with design kind")
-        validate_point(run.point)
-        has_pwo = run.pwo is not None
-        if expanded_state is None:
-            expanded_state = has_pwo
-        elif expanded_state != has_pwo:
-            raise WrongKind("design mixes expanded and unexpanded runs")
-        if has_pwo:
-            if run.ordering is None:
-                raise OrderingSupportMismatch(f"run {idx} has signs but no ordering")
-            expected = pwo_from_ordering(run.point, run.ordering)
-            if expected != run.pwo:
-                raise InconsistentPwo(f"run {idx} sign vector disagrees with its ordering")
+        try:
+            validate_run(run)
+        except OamixError as exc:
+            raise located(f"run {idx}", exc) from exc

@@ -1,5 +1,6 @@
 """Exact rational model rows and linear algebra: the references for the
-float term evaluator and the factorization behind every criterion.
+float term evaluator and the factorization behind every criterion, plus
+a numeric-integration reference for the power routine.
 
 Every term is the exact product of its component powers, its sign factor
 and its power of the total amount, with pairs in the file format's
@@ -8,6 +9,22 @@ the leverages f' M^-1 f are computed over the rationals.
 """
 
 from fractions import Fraction
+
+import numpy as np
+from scipy import integrate, stats
+
+
+def nct_power_oracle(delta: float, df: int, alpha: float) -> float:
+    """Two-sided noncentral-t power by integrating the noncentral-t density
+    directly; pins the library routine to 1e-6 absolute accuracy."""
+    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
+
+    def density(x):
+        return stats.nct.pdf(x, df, delta)
+
+    upper, _ = integrate.quad(density, tcrit, np.inf, limit=200)
+    lower, _ = integrate.quad(density, -np.inf, -tcrit, limit=200)
+    return float(upper + lower)
 
 
 def design_cells(design, code=lambda a: a):

@@ -56,11 +56,18 @@ from oamix import (
 )
 from oamix.core import DesignPoint, Kind
 from scipy.optimize import brentq
-from oamix.evaluate import _nct_two_sided, nct_power_oracle
+from oamix.evaluate import _nct_two_sided
 from oamix.io import round_half_up
 from oamix.models import coded_model_matrix
 
-from exact_terms import design_cells, exact_gram, exact_inverse, exact_leverages, exact_model_rows
+from exact_terms import (
+    design_cells,
+    exact_gram,
+    exact_inverse,
+    exact_leverages,
+    exact_model_rows,
+    nct_power_oracle,
+)
 from golden_rows import TABLE1, TABLE2, TABLE3, TABLE5, parse_rows
 
 
@@ -281,7 +288,8 @@ def test_criterion_6_pwo_properties(table1, table2):
         if len(expanded) != expected:
             counts_ok = False
         for run in expanded.runs:
-            if ordering_from_pwo(run.point.support(), run.pwo) != run.ordering:
+            ordering = ordering_from_pwo(run.point.support(), run.pwo)
+            if pwo_from_ordering(run.point, ordering) != run.pwo:
                 transitive_ok = False
     run_checks(
         "criterion 6",

@@ -1,10 +1,11 @@
 """Core containers: exact values, validation, totals."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from oamix import DesignPoint, Kind, as_fraction, total_amount, validate_point
+from oamix import DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
 from oamix.errors import NegativeEntry, SumNotOne, TotalExceedsMax, WrongKind
 
 
@@ -77,3 +78,7 @@ def test_amount_scaling_keeps_total_exact():
         p = P("1/3", "1/3", "1/3")
         scaled = DesignPoint(tuple(v * a for v in p.values), Kind.AMOUNT)
         assert total_amount(scaled) == a
+
+
+def test_run_records_its_order_only_as_signs():
+    assert [f.name for f in fields(OofARun)] == ["point", "pwo", "amount"]

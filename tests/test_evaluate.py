@@ -33,7 +33,7 @@ from oamix.errors import (
     NoResidualDf,
     SingularInformation,
 )
-from oamix.evaluate import nct_power_oracle, _nct_two_sided
+from oamix.evaluate import _nct_two_sided
 from oamix.models import coded_model_matrix
 
 from exact_terms import (
@@ -43,6 +43,7 @@ from exact_terms import (
     exact_inverse,
     exact_leverages,
     exact_model_rows,
+    nct_power_oracle,
 )
 
 
@@ -295,7 +296,7 @@ def test_fds_continuous_signs_policy(table5, spec8):
 def test_fds_invariant_under_component_relabeling(table2, spec8):
     # the design is symmetric under relabeling, so the curve only moves by
     # sampling error
-    from oamix import pwo_from_ordering
+    from oamix import ordering_from_pwo, pwo_from_ordering
     from oamix.core import Design, DesignPoint, Kind, OofARun
 
     perm = {1: 3, 2: 1, 3: 2}
@@ -305,9 +306,8 @@ def test_fds_invariant_under_component_relabeling(table2, spec8):
         for i, v in enumerate(run.point.values, start=1):
             values[perm[i] - 1] = v
         point = DesignPoint(tuple(values), Kind.AMOUNT)
-        ordering = tuple(perm[c] for c in run.ordering)
-        runs.append(OofARun(point, ordering=ordering,
-                            pwo=pwo_from_ordering(point, ordering), amount=run.amount))
+        ordering = tuple(perm[c] for c in ordering_from_pwo(run.point.support(), run.pwo))
+        runs.append(OofARun(point, pwo=pwo_from_ordering(point, ordering), amount=run.amount))
     relabeled = Design(m=3, kind=Kind.AMOUNT, runs=tuple(runs))
     a = fds_curve(table2, spec8, n_samples=40000, seed=21)
     b = fds_curve(relabeled, spec8, n_samples=40000, seed=22)

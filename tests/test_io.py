@@ -1,15 +1,20 @@
 """Design-file round trips, display rendering, and row validation."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamix import (
+    Design,
+    DesignPoint,
     Kind,
+    OofARun,
     cross_amounts,
     oofa_expand,
+    ordering_from_pwo,
     project_columns,
     read_design,
     scale_amounts,
@@ -91,8 +96,11 @@ def test_read_decimal_tokens_are_exact_decimals():
 
 
 def test_read_rederives_orderings(table2):
+    # expansion lists the permutations of each base run's support in order
+    base = project_columns(simplex_centroid(4), {4})
+    expected = [o for run in base.runs for o in permutations(run.point.support())]
     again = read_design(write_design(table2))
-    assert all(r.ordering == s.ordering for r, s in zip(again.runs, table2.runs))
+    assert [ordering_from_pwo(r.point.support(), r.pwo) for r in again.runs] == expected
 
 
 def test_read_masking_violation():
@@ -208,6 +216,43 @@ def test_row_errors_keep_their_class_and_name_the_line(text, error):
 def test_error_names_the_row_after_good_rows():
     with pytest.raises(SumNotOne, match="^line 4: "):
         read_design("x1,x2\n1,0\n0,1\n1/3,1/3\n")
+
+
+def test_error_names_the_physical_line_after_blank_lines():
+    with pytest.raises(SumNotOne, match="^line 5: "):
+        read_design("x1,x2\n1,0\n\n\n1/2,1/3\n")
+
+
+def test_negative_total_amount_is_rejected():
+    text = "x1,x2,A\n1,0,-1\n0,1,-1\n1/2,1/2,2\n1/2,1/2,-1\n1,0,2\n0,1,2\n"
+    with pytest.raises(NegativeEntry, match="^line 2: "):
+        read_design(text)
+
+
+def _run(values, kind=Kind.PROPORTION, pwo=None, amount=None):
+    return OofARun(DesignPoint(values, kind), pwo=pwo, amount=amount)
+
+
+@pytest.mark.parametrize(
+    "good, bad, error",
+    [
+        (_run(("1/2", "1/2"), Kind.AMOUNT, amount=1), _run(("1/2", "1/2"), Kind.AMOUNT, amount=3),
+         AmountMismatch),
+        (_run((1, 0), amount=1), _run((1, 0), amount=-1), NegativeEntry),
+        (_run(("1/3",) * 3, pwo=(1, 1, 1)), _run(("1/3",) * 3, pwo=(1, -1, 1)), InconsistentPwoRow),
+        (_run((0, "1/2", "1/2"), pwo=(0, 0, 1)), _run((0, "1/2", "1/2"), pwo=(1, 0, 1)),
+         InconsistentPwoRow),
+    ],
+    ids=["amount_total", "negative_total", "cyclic_signs", "masking"],
+)
+def test_validate_design_and_reader_agree(good, bad, error):
+    # a design built in code fails validate_design exactly as its file fails read_design
+    design = Design(m=bad.point.m, kind=bad.point.kind, runs=(good, bad))
+    with pytest.raises(error, match="^run 2: ") as built:
+        validate_design(design)
+    with pytest.raises(error, match="^line 3: ") as read:
+        read_design(write_design(design))
+    assert type(built.value) is type(read.value) is error
 
 
 @pytest.mark.parametrize("name, decimals", [("table1", 2), ("table3", 2)])

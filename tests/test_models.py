@@ -15,6 +15,7 @@ from oamix import (
     fit_ols,
     leverages,
     model_matrix,
+    ordering_from_pwo,
     pwo_from_ordering,
     simplex_lattice,
 )
@@ -109,7 +110,7 @@ def test_full_rank_on_reference_designs(table2, table3, spec6, spec8):
 
 def test_vertex_row_eq1():
     point = DesignPoint((1, 0, 0), Kind.PROPORTION)
-    run = OofARun(point, ordering=(1,), pwo=pwo_from_ordering(point, (1,)), amount=Fraction(1))
+    run = OofARun(point, pwo=pwo_from_ordering(point, (1,)), amount=Fraction(1))
     d = Design(m=3, kind=Kind.PROPORTION, runs=(run,))
     X = model_matrix(d, build_spec("eq1", 3)).X
     assert X.tolist() == [[1, 0, 0, 1, 0, 0]]
@@ -150,8 +151,8 @@ def test_exchange_symmetry_leverages(table1, spec6):
         for i, v in enumerate(run.point.values, start=1):
             values[perm[i] - 1] = v
         point = DesignPoint(tuple(values), Kind.PROPORTION)
-        ordering = tuple(perm[c] for c in run.ordering)
-        runs.append(OofARun(point, ordering=ordering, pwo=pwo_from_ordering(point, ordering)))
+        ordering = tuple(perm[c] for c in ordering_from_pwo(run.point.support(), run.pwo))
+        runs.append(OofARun(point, pwo=pwo_from_ordering(point, ordering)))
     permuted = cross_amounts(
         Design(m=3, kind=Kind.PROPORTION, runs=tuple(runs)),
         [Fraction(3, 4), Fraction(3, 2), Fraction(3)],

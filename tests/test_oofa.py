@@ -1,7 +1,7 @@
 """Orderings, sign vectors, expansion, crossing, scaling."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamix import (
+    Design,
     DesignPoint,
     Kind,
+    OofARun,
     cross_amounts,
     oofa_expand,
     ordering_from_pwo,
@@ -76,6 +78,23 @@ def test_ordering_from_pwo_cyclic_pattern_rejected():
         ordering_from_pwo({1, 2, 3}, (1, -1, 1))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_ordering_from_pwo_accepts_exactly_the_induced_signs(m):
+    # over every support and every sign vector, the vectors some order
+    # induces decode to that order, and every other vector is refused
+    for size in range(m + 1):
+        for support in combinations(range(1, m + 1), size):
+            point = P(*(int(i in support) for i in range(1, m + 1)), kind=Kind.AMOUNT)
+            induced = {pwo_from_ordering(point, o): o for o in permutations(support)}
+            assert len(induced) == factorial(size)
+            for z in product((-1, 0, 1), repeat=len(pwo_pairs(m))):
+                if z in induced:
+                    assert ordering_from_pwo(support, z) == induced[z]
+                else:
+                    with pytest.raises(InconsistentPwo):
+                        ordering_from_pwo(support, z)
+
+
 def test_only_six_patterns_are_transitive():
     # enumerate the orders; exactly 6 of the 8 sign patterns are induced
     induced = {
@@ -105,6 +124,13 @@ def test_expand_lattice_21_runs(table1):
 def test_expand_projected_centroid_31_runs(table2):
     assert len(table2) == 31
     validate_design(table2)
+
+
+def test_validate_design_needs_a_sign_per_pair():
+    point = P("1/2", "1/2", 0)
+    design = Design(m=3, kind=Kind.PROPORTION, runs=(OofARun(point, pwo=(1,)),))
+    with pytest.raises(InconsistentPwo, match="^run 1: "):
+        validate_design(design)
 
 
 def test_expand_counts_sum_of_factorials():
