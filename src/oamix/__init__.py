@@ -22,9 +22,11 @@ from .evaluate import (
     DiscreteAmounts,
     EvalReport,
     FdsCurve,
+    OlsFit,
     d_criteria,
     evaluate_design,
     fds_curve,
+    fit_ols,
     g_efficiency,
     information_matrix,
     leverages,
@@ -38,10 +40,8 @@ from .models import (
     ModelKind,
     ModelMatrix,
     ModelSpec,
-    OlsFit,
     Term,
     build_spec,
-    fit_ols,
     model_matrix,
 )
 from .oofa import (

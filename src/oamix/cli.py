@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,6 +55,23 @@ def _read_stdin_design(args) -> "Design":
     else:
         text = sys.stdin.read()
     return read_design(text)
+
+
+def _json(data: dict) -> str:
+    """Indented JSON with every non-finite float (an undefined R^2, power
+    or a determinant beyond float range) written as null, so any RFC 8259
+    parser reads it."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(data), indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -163,7 +181,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_design(
         design, spec, signal_sd=args.signal, alpha=args.alpha, coding=args.coding
     )
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit(_json(report.to_dict()), args.out)
     return 0
 
 
@@ -190,7 +208,6 @@ def cmd_fds(args) -> int:
         n_samples=args.samples,
         seed=args.seed,
         amount_policy=_amount_policy(args, design),
-        workers=args.workers,
         sign_policy=args.signs,
     )
     _emit(curve.to_text(), args.out)
@@ -209,7 +226,7 @@ def cmd_power(args) -> int:
     }
     if args.term and not rows:
         raise InvalidParameter(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
-    _emit(json.dumps({"signal_sd": args.signal, "alpha": args.alpha, "power": rows}, indent=2) + "\n", args.out)
+    _emit(_json({"signal_sd": args.signal, "alpha": args.alpha, "power": rows}), args.out)
     return 0
 
 
@@ -238,8 +255,8 @@ def cmd_demo(args) -> int:
         "table1_display.csv": write_design(table1, decimals=2),
         "table3_display.csv": write_design(table3, decimals=2),
         "table5_display.csv": write_design(table5, decimals=1),
-        "example1_report.json": json.dumps(report1.to_dict(), indent=2) + "\n",
-        "example2_report.json": json.dumps(report2.to_dict(), indent=2) + "\n",
+        "example1_report.json": _json(report1.to_dict()),
+        "example2_report.json": _json(report2.to_dict()),
         "example1_fds.txt": curve1.to_text(),
         "example2_fds.txt": curve2.to_text(),
     }
@@ -324,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous (design range), discrete (design levels), or LO:HI",
     )
     p.add_argument("--signs", default="orderings", choices=("orderings", "continuous"))
-    p.add_argument("--workers", type=int, default=1,
-                   help="at least 1; FDS chunks run serially, so the output does not depend on it")
     _add_io_args(p)
     p.set_defaults(func=cmd_fds)
 

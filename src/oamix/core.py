@@ -5,6 +5,8 @@ lattice values like 1/3 stay exact; conversion to binary floating point
 happens only when a numeric model matrix is materialized.  Component
 indices are 1-based on every public surface.  All containers are frozen
 and safe to share across threads.
+
+A `Design` fixes its shape, the columns its runs carry, when it is built.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NegativeEntry, SumNotOne, TotalExceedsMax, WrongKind
+from .errors import NegativeEntry, SumNotOne, WrongKind
 
 __all__ = [
     "Kind",
@@ -94,35 +96,53 @@ class OofARun:
 
 @dataclass(frozen=True)
 class Design:
-    """An ordered collection of runs sharing component count and kind."""
+    """An ordered collection of runs of one shape.
+
+    Every run has the design's `m` and `kind`; either all runs carry a sign
+    vector or none does; either all carry a total amount A or none does,
+    and all runs of an amount design do.  A run that breaks the shape
+    raises WrongKind naming the first such run.
+    """
 
     m: int
     kind: Kind
     runs: tuple[OofARun, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
+        runs = tuple(self.runs)
+        object.__setattr__(self, "runs", runs)
+        shape = (self.m, self.kind, self.is_expanded, self.has_amounts)
+        for idx, run in enumerate(runs, start=1):
+            got = (run.point.m, run.point.kind, run.pwo is not None, run.amount is not None)
+            if got != shape:
+                raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
 
     def __len__(self) -> int:
         return len(self.runs)
 
     @property
     def is_expanded(self) -> bool:
-        """True when every run carries the sign vector of an addition order."""
-        return all(run.pwo is not None for run in self.runs)
+        """True when the runs carry the sign vectors of addition orders."""
+        return bool(self.runs) and self.runs[0].pwo is not None
+
+    @property
+    def has_amounts(self) -> bool:
+        """True when the runs carry a total amount A, as amount runs always do."""
+        return self.kind is Kind.AMOUNT or (bool(self.runs) and self.runs[0].amount is not None)
 
     @property
     def amount_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct per-run totals (empty when none are attached)."""
-        return tuple(sorted({run.amount for run in self.runs if run.amount is not None}))
+        return tuple(sorted({run.amount for run in self.runs})) if self.has_amounts else ()
 
 
-def validate_point(point: DesignPoint, a_max=None) -> None:
-    """Raise unless the point satisfies its kind's constraints.
+def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:
+    return f"{m} {kind.value} components, {'with' if signs else 'no'} signs, {'with' if amount else 'no'} A"
 
-    Proportions must be nonnegative and sum to exactly 1.  Amounts must be
-    nonnegative; when `a_max` is given, the total may not exceed it.
-    """
+
+def validate_point(point: DesignPoint) -> None:
+    """Raise unless the point satisfies its kind's constraints: entries are
+    nonnegative, and proportions sum to exactly 1."""
     for i, v in enumerate(point.values, start=1):
         if v < 0:
             raise NegativeEntry(f"component {i} is negative: {v}")
@@ -130,11 +150,6 @@ def validate_point(point: DesignPoint, a_max=None) -> None:
         total = sum(point.values, Fraction(0))
         if total != 1:
             raise SumNotOne(f"proportions sum to {total}, expected exactly 1")
-    elif a_max is not None:
-        total = sum(point.values, Fraction(0))
-        bound = as_fraction(a_max)
-        if total > bound:
-            raise TotalExceedsMax(f"total amount {total} exceeds maximum {bound}")
 
 
 def total_amount(point: DesignPoint) -> Fraction:

@@ -23,10 +23,6 @@ class SumNotOne(OamixError):
     pass
 
 
-class TotalExceedsMax(OamixError):
-    pass
-
-
 class WrongKind(OamixError):
     pass
 
@@ -79,10 +75,6 @@ class MissingPwo(OamixError):
 
 
 class MissingAmount(OamixError):
-    pass
-
-
-class RankDeficient(OamixError):
     pass
 
 

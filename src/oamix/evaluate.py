@@ -3,8 +3,9 @@
 Everything here works on the model matrix X (N x p): information matrix
 M = X'X, leverages / prediction variances d(f) = f' M^{-1} f, G-efficiency
 100 p / (N max d), determinant criteria, per-term standard errors and
-multicollinearity R^2, two-sided t-test power, and Monte Carlo fraction-of-
-design-space (FDS) curves.
+multicollinearity R^2, two-sided t-test power, Monte Carlo fraction-of-
+design-space (FDS) curves, and least-squares fits.  Each X is factored
+once, by `_Factor`, and every quantity is read off that factor.
 
 Prediction variances are reported unscaled (d = f' M^{-1} f); the N-scaled
 variant N*d is emitted alongside, clearly labeled.  Leverage-based criteria
@@ -18,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import Design
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     NoResidualDf,
     SingularInformation,
 )
-from .models import ModelSpec, _as_array, coded_model_matrix, model_matrix, term_columns
+from .models import ModelMatrix, ModelSpec, coded_model_matrix, model_matrix, term_columns
 from .oofa import pwo_pairs
 
 __all__ = [
@@ -47,12 +47,21 @@ __all__ = [
     "TermStats",
     "EvalReport",
     "evaluate_design",
+    "OlsFit",
+    "fit_ols",
 ]
 
 RCOND_FLOOR = 1e-10
 # a signal of k error SDs is read as a +-k/2 half-range (see `power`)
 SIGNAL_HALF_RANGE = 0.5
 _FDS_CHUNK = 8192
+
+
+def _as_array(X) -> tuple[np.ndarray, tuple[str, ...]]:
+    if isinstance(X, ModelMatrix):
+        return X.X, X.col_labels
+    arr = np.asarray(X, dtype=float)
+    return arr, tuple(str(j) for j in range(arr.shape[1]))
 
 
 def information_matrix(X) -> np.ndarray:
@@ -109,6 +118,10 @@ class _Factor:
 
     def inverse_diag(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self._W, self._W)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """M^{-1} X'y = W W'X'y: the least-squares coefficients for y."""
+        return self._W @ (self._W.T @ (self.X.T @ y))
 
 
 def leverages(X) -> np.ndarray:
@@ -199,6 +212,8 @@ def r2_multicollinearity(X, j: int) -> float:
 
 def _nct_two_sided(delta, df: int, alpha: float):
     """Two-sided t-test power at noncentrality delta (a scalar or an array)."""
+    from scipy import special  # only power needs scipy
+
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
     pw = 1.0 - special.nctdtr(df, delta, tcrit) + special.nctdtr(df, delta, -tcrit)
     # the central case is exact by construction
@@ -455,3 +470,39 @@ def evaluate_design(
             for label, s, r, w in zip(term_fac.labels, se, r2, pw)
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# least squares
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class OlsFit:
+    coef: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    df_resid: int
+    sse: float
+    sigma2: float
+
+
+def fit_ols(X, y) -> OlsFit:
+    """Least squares on the one factor of X: coef = W W'X'y, then one
+    refinement step against its residual.  An X that no criterion accepts
+    (N < p, or an equilibrated reciprocal condition below 1e-10) raises
+    SingularInformation naming the near-null-space columns; a y that is not
+    N finite values raises InvalidParameter."""
+    fac = _Factor(X)
+    n, p = fac.X.shape
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,) or not np.isfinite(y).all():
+        raise InvalidParameter(f"y needs {n} finite values, got shape {y.shape}")
+    coef = fac.solve(y)
+    coef = coef + fac.solve(y - fac.X @ coef)
+    fitted = fac.X @ coef
+    residuals = y - fitted
+    sse = float(residuals @ residuals)
+    df = n - p
+    sigma2 = sse / df if df > 0 else float("nan")
+    return OlsFit(coef=coef, fitted=fitted, residuals=residuals, df_resid=df, sse=sse, sigma2=sigma2)

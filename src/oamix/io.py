@@ -2,10 +2,13 @@
 
 A design file is comma-separated text with one header line naming the
 columns: component columns ``x1..xm`` (proportions) or ``a1..am``
-(amounts), then optional sign columns ``z12, z13, ...`` in lexicographic
-pair order, then an optional total-amount column ``A``.  Amount designs
-always carry the A column; proportion designs carry it once levels are
-attached.
+(amounts), then sign columns ``z12, z13, ...`` in lexicographic pair order
+when the design is expanded, then the total-amount column ``A`` when it
+carries amounts (amount designs always do).  `_columns` is the one
+statement of this grammar: the writer emits its header, and the reader
+accepts a header only when it equals `_columns` for some kind, m and
+flags.  The flags are the design's shape, which ``core.Design`` fixes for
+all its runs at once.
 
 Values are exact rational strings (``1/3``) by default and round-trip
 losslessly.  ``decimals=k`` renders a display variant: values are rounded
@@ -23,18 +26,15 @@ Pair labels use single digits, so the format covers up to 9 components.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 from .core import Design, DesignPoint, Kind, OofARun
 from .errors import BadPwoValue, MalformedHeader, OamixError, RowLengthMismatch, located
 from .oofa import pwo_pairs, validate_run
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
-
-_COMP_RE = re.compile(r"^([xa])([1-9])$")
-_PAIR_RE = re.compile(r"^z([1-9])([1-9])$")
 
 
 def format_value(value: Fraction, decimals: int | None) -> str:
@@ -57,27 +57,23 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
     return Fraction(q, scale)
 
 
-def _columns(design: Design) -> tuple[str, ...]:
-    symbol = "a" if design.kind is Kind.AMOUNT else "x"
-    cols = [f"{symbol}{i}" for i in range(1, design.m + 1)]
-    if design.is_expanded:
-        cols += [f"z{j}{k}" for j, k in pwo_pairs(design.m)]
-    has_amounts = design.kind is Kind.AMOUNT or any(
-        run.amount is not None for run in design.runs
-    )
-    if has_amounts:
+def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[str]:
+    """The header of a design file: the one statement of its grammar."""
+    symbol = "a" if kind is Kind.AMOUNT else "x"
+    cols = [f"{symbol}{i}" for i in range(1, m + 1)]
+    if with_signs:
+        cols += [f"z{j}{k}" for j, k in pwo_pairs(m)]
+    if with_amount:
         cols.append("A")
-    return tuple(cols)
+    return cols
 
 
 def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated."""
     if design.m > 9:
         raise MalformedHeader("the file format covers up to 9 components")
-    cols = _columns(design)
-    with_signs = design.is_expanded
-    with_amount = cols[-1] == "A"
-    lines = [",".join(cols)]
+    with_signs, with_amount = design.is_expanded, design.has_amounts
+    lines = [",".join(_columns(design.kind, design.m, with_signs, with_amount))]
     for run in design.runs:
         cells = [format_value(v, decimals) for v in run.point.values]
         if with_signs:
@@ -88,42 +84,24 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every header the format admits, keyed by its text: a one-component
+# design has no sign columns, and an amount design always carries A
+_HEADERS = {
+    ",".join(_columns(kind, m, with_signs, with_amount)): (kind, m, with_signs, with_amount)
+    for kind, m, with_signs, with_amount in product(Kind, range(1, 10), (False, True), (False, True))
+    if (m > 1 or not with_signs) and (with_amount or kind is Kind.PROPORTION)
+}
+
+
 def _parse_header(line: str) -> tuple[Kind, int, bool, bool]:
-    tokens = [t.strip() for t in line.split(",")]
-    if not tokens or not tokens[0]:
-        raise MalformedHeader("empty header line")
-    match = _COMP_RE.match(tokens[0])
-    if match is None:
-        raise MalformedHeader(f"header must start with x1 or a1, got {tokens[0]!r}")
-    symbol = match.group(1)
-    m = 0
-    pos = 0
-    for tok in tokens:
-        cm = _COMP_RE.match(tok)
-        if cm is None or cm.group(1) != symbol:
-            break
-        m += 1
-        if int(cm.group(2)) != m:
-            raise MalformedHeader(f"component columns out of order at {tok!r}")
-        pos += 1
-    expected_pairs = [f"z{j}{k}" for j, k in pwo_pairs(m)]
-    with_signs = pos < len(tokens) and _PAIR_RE.match(tokens[pos]) is not None
-    if with_signs:
-        got = tokens[pos : pos + len(expected_pairs)]
-        if got != expected_pairs:
-            raise MalformedHeader(
-                f"sign columns must be {expected_pairs} in order, got {got}"
-            )
-        pos += len(expected_pairs)
-    with_amount = pos < len(tokens) and tokens[pos] == "A"
-    if with_amount:
-        pos += 1
-    if pos != len(tokens):
-        raise MalformedHeader(f"unrecognized trailing columns: {tokens[pos:]}")
-    kind = Kind.AMOUNT if symbol == "a" else Kind.PROPORTION
-    if kind is Kind.AMOUNT and not with_amount:
-        raise MalformedHeader("amount designs must carry the A column")
-    return kind, m, with_signs, with_amount
+    """The (kind, m, with_signs, with_amount) whose `_columns` is the header."""
+    shape = _HEADERS.get(",".join(t.strip() for t in line.split(",")))
+    if shape is None:
+        raise MalformedHeader(
+            f"header {line.strip()!r} is not x1..xm or a1..am, then z12.. in pair "
+            f"order for an expanded design, then A (always present for amounts)"
+        )
+    return shape
 
 
 def read_design(text: str) -> Design:

@@ -28,10 +28,10 @@ import numpy as np
 from .core import Design, Kind
 from .errors import (
     InvalidDimension,
+    InvalidParameter,
     KindMismatch,
     MissingAmount,
     MissingPwo,
-    RankDeficient,
     UnsupportedReduction,
 )
 from .oofa import pwo_pairs
@@ -41,11 +41,9 @@ __all__ = [
     "Term",
     "ModelSpec",
     "ModelMatrix",
-    "OlsFit",
     "build_spec",
     "model_matrix",
     "coded_model_matrix",
-    "fit_ols",
 ]
 
 _AMOUNT_KINDS = frozenset({"eq3", "eq4", "eq7", "eq8"})
@@ -79,7 +77,7 @@ class ModelKind(Enum):
         for member in cls:
             if key in (member.value, member.name.lower()):
                 return member
-        raise UnsupportedReduction(f"unknown model kind {text!r}; expected eq1..eq8")
+        raise InvalidParameter(f"unknown model kind {text!r}; expected eq1..eq8")
 
 
 @dataclass(frozen=True)
@@ -262,9 +260,8 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     else:
         if design.kind is not Kind.PROPORTION:
             raise KindMismatch(f"{spec.kind.value} needs a proportion design")
-        missing = [i for i, run in enumerate(design.runs, 1) if run.amount is None]
-        if missing:
-            raise MissingAmount(f"runs {missing[:5]} carry no total-amount level")
+        if not design.has_amounts:
+            raise MissingAmount(f"{spec.kind.value} needs total-amount levels; the design carries none")
     if spec.kind.has_pwo and not design.is_expanded:
         raise MissingPwo("spec has sign terms but the design carries no orderings")
 
@@ -312,44 +309,3 @@ def coded_model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     yields the same coded matrix in any amount units.
     """
     return _matrix(design, spec, _code_column)
-
-
-@dataclass(frozen=True, eq=False)
-class OlsFit:
-    coef: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    df_resid: int
-    sse: float
-    sigma2: float
-
-
-def _as_array(X) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(X, ModelMatrix):
-        return X.X, X.col_labels
-    arr = np.asarray(X, dtype=float)
-    return arr, tuple(str(j) for j in range(arr.shape[1]))
-
-
-def fit_ols(X, y) -> OlsFit:
-    """Least squares through an SVD factorization, with an explicit rank
-    check that names the columns involved in any deficiency."""
-    arr, labels = _as_array(X)
-    y = np.asarray(y, dtype=float)
-    n, p = arr.shape
-    if n < p:
-        raise RankDeficient(f"N={n} rows cannot identify p={p} coefficients")
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    tol = s[0] * max(n, p) * np.finfo(float).eps if s[0] > 0 else 0.0
-    rank = int((s > tol).sum())
-    if rank < p:
-        null_mass = np.abs(vt[rank:]).max(axis=0)
-        suspects = [labels[j] for j in np.nonzero(null_mass > 0.5 * null_mass.max())[0]]
-        raise RankDeficient(f"rank {rank} < p={p}; deficient columns include {suspects}")
-    coef = (vt.T * (1.0 / s)) @ (u.T @ y)
-    fitted = arr @ coef
-    residuals = y - fitted
-    sse = float(residuals @ residuals)
-    df = n - p
-    sigma2 = sse / df if df > 0 else float("nan")
-    return OlsFit(coef=coef, fitted=fitted, residuals=residuals, df_resid=df, sse=sse, sigma2=sigma2)

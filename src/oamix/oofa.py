@@ -120,10 +120,10 @@ def oofa_expand(design: Design) -> Design:
     """
     if design.m < 2:
         raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
+    if design.is_expanded:
+        raise AlreadyExpanded("design already carries orderings")
     runs = []
     for run in design.runs:
-        if run.pwo is not None:
-            raise AlreadyExpanded("design already carries orderings")
         # permutations of a support of size 0 or 1 is that support alone
         for ordering in permutations(run.point.support()):
             runs.append(replace(run, pwo=pwo_from_ordering(run.point, ordering)))
@@ -136,7 +136,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     then all at the second, and so on."""
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("amount crossing applies to proportion designs")
-    if any(run.amount is not None for run in design.runs):
+    if design.has_amounts:
         raise WrongKind("design already carries amount levels")
     coerced = tuple(as_fraction(v) for v in levels)
     if not coerced:
@@ -160,8 +160,7 @@ def scale_amounts(design: Design, a_max) -> Design:
     runs = []
     for run in design.runs:
         point = DesignPoint(tuple(v * scale for v in run.point.values), Kind.AMOUNT)
-        amount = None if run.amount is None else run.amount * scale
-        runs.append(replace(run, point=point, amount=amount))
+        runs.append(replace(run, point=point, amount=run.amount * scale))
     return replace(design, runs=tuple(runs))
 
 
@@ -186,17 +185,11 @@ def validate_run(run: OofARun) -> None:
 
 
 def validate_design(design: Design) -> None:
-    """Check a design built in code: every run has the design's m and kind,
-    its runs are all expanded or all unexpanded, and each run passes
-    `validate_run`, whose errors are prefixed ``run N:``.  Every design
-    `read_design` returns already passes it."""
-    if len({run.pwo is None for run in design.runs}) > 1:
-        raise WrongKind("design mixes expanded and unexpanded runs")
+    """Check each run of a design built in code with `validate_run`, whose
+    errors are prefixed ``run N:``.  The design's shape (m, kind, and which
+    of signs and A its runs carry) is checked when the Design is built.
+    Every design `read_design` returns already passes it."""
     for idx, run in enumerate(design.runs, start=1):
-        if run.point.m != design.m:
-            raise WrongKind(f"run {idx} has {run.point.m} components, design says {design.m}")
-        if run.point.kind is not design.kind:
-            raise WrongKind(f"run {idx} kind {run.point.kind} disagrees with design kind")
         try:
             validate_run(run)
         except OamixError as exc:

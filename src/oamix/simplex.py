@@ -67,7 +67,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     dropped = frozenset(int(c) for c in drop)
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("projection applies to proportion designs")
-    if any(run.pwo is not None for run in design.runs):
+    if design.is_expanded:
         raise AlreadyExpanded("project the base design before attaching orderings")
     if any(c < 1 or c > design.m for c in dropped):
         raise InvalidDimension(f"drop columns {sorted(dropped)} out of range 1..{design.m}")

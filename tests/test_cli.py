@@ -81,11 +81,8 @@ def test_fds_seeded_byte_identical(tmp_path):
     outs = []
     for name in ("f1.txt", "f2.txt"):
         path = tmp_path / name
-        args = ["fds", "--model", "eq8", "--samples", "5000", "--seed", "7",
-                "--input", str(exp), "--out", str(path)]
-        if name == "f2.txt":
-            args += ["--workers", "4"]
-        assert main(args) == 0
+        assert main(["fds", "--model", "eq8", "--samples", "5000", "--seed", "7",
+                     "--input", str(exp), "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -134,7 +131,7 @@ def test_demo_writes_artifacts(tmp_path, capsys):
         (["fds", "--model", "eq6", "--amounts", "3:x"], "table3"),
         (["fds", "--model", "eq6", "--amounts", "5:1"], "table3"),
         (["fds", "--model", "eq6", "--amounts", "5"], "table3"),
-        (["fds", "--model", "eq6", "--workers", "0"], "table3"),
+        (["evaluate", "--model", "eq9"], "table3"),
         (["evaluate", "--model", "eq6", "--alpha", "1.5"], "table3"),
         (["evaluate", "--model", "eq6", "--alpha", "0"], "table3"),
         (["evaluate", "--model", "eq6", "--signal", "nan"], "table3"),
@@ -207,6 +204,50 @@ def test_imports_leave_scipy_stats_and_integrate_unloaded():
         "import sys, oamix, oamix.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg') "
         "if m in sys.modules))"
+    )
+    src = str(Path(oamix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("model", ["eq3", "eq4", "eq7", "eq8"])
+def test_evaluate_writes_strict_json(tmp_path, capsys, model):
+    path = tmp_path / "table5.csv"
+    path.write_text(write_design(reference_design("table5")))
+    assert main(["evaluate", "--model", model, "--input", str(path)]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    # the intercept column is constant, so its R^2 is undefined
+    assert data["terms"][0]["label"] == "1" and data["terms"][0]["r2"] is None
+
+
+def test_demo_reports_are_strict_json(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo", "paper", "--out", str(out), "--samples", "1000", "--seed", "7"]) == 0
+    _strict_json((out / "example1_report.json").read_text())
+    rep2 = _strict_json((out / "example2_report.json").read_text())
+    assert rep2["terms"][0]["r2"] is None
+
+
+def test_fds_and_matrix_leave_scipy_unloaded(tmp_path):
+    design = tmp_path / "table5.csv"
+    design.write_text(write_design(reference_design("table5")))
+    commands = [
+        ["fds", "--model", "eq8", "--samples", "1000", "--input", str(design), "--out", str(tmp_path / "f.txt")],
+        ["matrix", "--model", "eq8", "--input", str(design), "--out", str(tmp_path / "m.csv")],
+    ]
+    code = (
+        "import sys; from oamix.cli import main; "
+        f"assert all(main(argv) == 0 for argv in {commands!r}); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = str(Path(oamix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

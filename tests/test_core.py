@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oamix import DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
-from oamix.errors import NegativeEntry, SumNotOne, TotalExceedsMax, WrongKind
+from oamix import Design, DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
+from oamix.errors import NegativeEntry, SumNotOne, WrongKind
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -32,11 +32,11 @@ def test_validate_point_negative():
 
 
 def test_validate_amount_bound():
-    p = P("1/4", "1/4", "1/4", kind=Kind.AMOUNT)
-    validate_point(p)
-    validate_point(p, a_max=1)
-    with pytest.raises(TotalExceedsMax):
-        validate_point(p, a_max="1/2")
+    # amounts need only be nonnegative; their total has no bound
+    validate_point(P("1/4", "1/4", "1/4", kind=Kind.AMOUNT))
+    validate_point(P(500, 0, 0, kind=Kind.AMOUNT))
+    with pytest.raises(NegativeEntry):
+        validate_point(P(1, -1, 0, kind=Kind.AMOUNT))
 
 
 def test_total_amount_examples():
@@ -82,3 +82,38 @@ def test_amount_scaling_keeps_total_exact():
 
 def test_run_records_its_order_only_as_signs():
     assert [f.name for f in fields(OofARun)] == ["point", "pwo", "amount"]
+
+
+HALF = P("1/2", "1/2")
+HALF_AMOUNT = P("1/2", "1/2", kind=Kind.AMOUNT)
+
+
+@pytest.mark.parametrize(
+    "kind, runs, first_bad",
+    [
+        # once written without sign columns, dropping run 1's signs
+        (Kind.PROPORTION, (OofARun(HALF, pwo=(1,)), OofARun(HALF)), 2),
+        # once written as x1,x2,A / 1/2,1/2,1 / 1/2,1/2,None
+        (Kind.PROPORTION, (OofARun(HALF, amount=1), OofARun(HALF)), 2),
+        (Kind.AMOUNT, (OofARun(HALF_AMOUNT, amount=1), OofARun(HALF_AMOUNT)), 2),
+        # once written as a1,a2,A / 1/2,1/2,None
+        (Kind.AMOUNT, (OofARun(HALF_AMOUNT),), 1),
+        (Kind.PROPORTION, (OofARun(HALF), OofARun(P(1, 0, 0))), 2),
+        (Kind.PROPORTION, (OofARun(HALF), OofARun(HALF_AMOUNT, amount=1)), 2),
+    ],
+    ids=["mixed_signs", "mixed_amounts", "amount_run_without_A", "first_amount_run_without_A",
+         "wrong_m", "wrong_kind"],
+)
+def test_design_shape_faults_raise_wrong_kind(kind, runs, first_bad):
+    with pytest.raises(WrongKind, match=f"^run {first_bad} has "):
+        Design(m=2, kind=kind, runs=runs)
+
+
+def test_design_shape_flags():
+    plain = Design(2, Kind.PROPORTION, (OofARun(HALF),))
+    assert not plain.is_expanded and not plain.has_amounts and plain.amount_levels == ()
+    crossed = Design(2, Kind.PROPORTION, (OofARun(HALF, pwo=(1,), amount=3), OofARun(HALF, pwo=(-1,), amount=1)))
+    assert crossed.is_expanded and crossed.has_amounts and crossed.amount_levels == (1, 3)
+    # an amount design carries A even with no runs to carry it
+    empty = Design(2, Kind.AMOUNT, ())
+    assert empty.has_amounts and not empty.is_expanded and empty.amount_levels == ()

@@ -32,7 +32,7 @@ from oamix.errors import (
     RowLengthMismatch,
     SumNotOne,
 )
-from oamix.io import format_value, round_half_up
+from oamix.io import _columns, _parse_header, format_value, round_half_up
 
 
 def test_format_value_rational():
@@ -143,6 +143,11 @@ def test_read_malformed_headers():
         "",
         "x1,x2,x3,A",  # a header with no rows
         "a1,a2,z12,A",
+        "x1,x2,x3,z12,z13",  # an incomplete pair set
+        "x1,x2,z12,A,A",
+        "x1,x2,A,z12",  # A comes last
+        "a1,x2,A",
+        "x1,x2,x3,x4,x5,x6,x7,x8,x9,x10",  # pair labels cover 9 components
     ):
         with pytest.raises(MalformedHeader):
             read_design(header + "\n")
@@ -260,3 +265,13 @@ def test_rounded_display_of_thirds_is_rejected(request, name, decimals):
     display = write_design(request.getfixturevalue(name), decimals=decimals)
     with pytest.raises(SumNotOne):
         read_design(display)
+
+
+def test_header_grammar_is_the_writers():
+    # every header the writer can emit reads back as the shape it came from
+    for kind in Kind:
+        for m in range(2, 10):
+            for signs in (False, True):
+                for amount in (False, True) if kind is Kind.PROPORTION else (True,):
+                    header = ",".join(_columns(kind, m, signs, amount))
+                    assert _parse_header(header) == (kind, m, signs, amount)
