@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NegativeEntry, SumNotOne, WrongKind
+from .errors import InvalidDimension, NegativeEntry, SumNotOne, WrongKind
 
 __all__ = [
     "Kind",
@@ -89,7 +89,7 @@ class OofARun:
 
     def __post_init__(self):
         if self.pwo is not None:
-            object.__setattr__(self, "pwo", tuple(int(z) for z in self.pwo))
+            object.__setattr__(self, "pwo", tuple(map(int, self.pwo)))
         if self.amount is not None:
             object.__setattr__(self, "amount", as_fraction(self.amount))
 
@@ -101,7 +101,9 @@ class Design:
     Every run has the design's `m` and `kind`; either all runs carry a sign
     vector or none does; either all carry a total amount A or none does,
     and all runs of an amount design do.  A run that breaks the shape
-    raises WrongKind naming the first such run.
+    raises WrongKind naming the first such run.  Sign vectors need two
+    components, so a design with m < 2 whose runs carry them raises
+    InvalidDimension.
     """
 
     m: int
@@ -116,6 +118,8 @@ class Design:
             got = (run.point.m, run.point.kind, run.pwo is not None, run.amount is not None)
             if got != shape:
                 raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
+        if self.m < 2 and self.is_expanded:
+            raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -328,13 +328,11 @@ class FdsCurve:
         return float(self.variances[i])
 
     def to_text(self) -> str:
-        lines = [
-            f"# fds seed={self.seed} samples={self.n_samples} "
-            f"policy={self.policy} signs={self.sign_policy}",
-        ]
-        for frac, v in zip(self.fractions, self.variances):
-            lines.append(f"{frac:.6f} {v:.10e}")
-        return "\n".join(lines) + "\n"
+        header = f"# fds seed={self.seed} samples={self.n_samples} policy={self.policy} signs={self.sign_policy}\n"
+        pairs = np.empty(2 * self.n_samples)
+        pairs[0::2] = self.fractions
+        pairs[1::2] = self.variances
+        return header + ("%.6f %.10e\n" * self.n_samples) % tuple(pairs.tolist())
 
 
 def fds_curve(

@@ -16,7 +16,8 @@ half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
 are display artifacts.  `read_design`, the one reader the library and the
 CLI share, parses each token as an exact decimal fraction and accepts a
-row only when its run passes ``oofa.validate_run``, so it rejects a
+row only when its run passes the checks of ``oofa.validate_run``, each
+distinct point and sign pattern checked once per file, so it rejects a
 display file of thirds rounded to 0.33 (proportions no longer summing to
 1) and an amount row whose rounded A differs from the sum of its rounded
 amounts.
@@ -32,7 +33,7 @@ from itertools import product
 
 from .core import Design, DesignPoint, Kind, OofARun
 from .errors import BadPwoValue, MalformedHeader, OamixError, RowLengthMismatch, located
-from .oofa import pwo_pairs, validate_run
+from .oofa import _check_run, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -57,6 +58,9 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
     return Fraction(q, scale)
 
 
+_NO_ROWS = "design file has a header but no rows"
+
+
 def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[str]:
     """The header of a design file: the one statement of its grammar."""
     symbol = "a" if kind is Kind.AMOUNT else "x"
@@ -69,9 +73,13 @@ def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[st
 
 
 def write_design(design: Design, decimals: int | None = None) -> str:
-    """Serialize a design; deterministic column order, newline-terminated."""
+    """Serialize a design; deterministic column order, newline-terminated.
+
+    A design with no runs is refused, as the reader refuses its text."""
     if design.m > 9:
         raise MalformedHeader("the file format covers up to 9 components")
+    if not design.runs:
+        raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
     lines = [",".join(_columns(design.kind, design.m, with_signs, with_amount))]
     for run in design.runs:
@@ -110,11 +118,14 @@ def read_design(text: str) -> Design:
     Rational files reproduce the written design exactly, and every design
     returned passes ``validate_design``.  The reader checks the format
     (the header, the width of each row, readable values, integer signs)
-    and then each row's run with ``oofa.validate_run``: entries
-    nonnegative, proportions summing to exactly 1, A nonnegative and, in
-    an amount design, equal to the row's sum of amounts, and signs induced
-    by some addition order.  An error in a row names its physical line as
-    ``line N: ...`` and keeps its class (sign-order faults are
+    and then each row's run with the checks of ``oofa.validate_run``:
+    entries nonnegative, proportions summing to exactly 1, A nonnegative
+    and, in an amount design, equal to the row's sum of amounts, and signs
+    induced by some addition order.  Rows whose component cells have the
+    same text share one point, and rows whose sign cells have the same text
+    share one sign tuple, so each distinct point and sign pattern is decoded
+    and checked once per call.  An error in a row names its physical line
+    as ``line N: ...`` and keeps its class (sign-order faults are
     InconsistentPwoRow).
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
@@ -122,10 +133,13 @@ def read_design(text: str) -> Design:
         raise MalformedHeader("empty design file")
     kind, m, with_signs, with_amount = _parse_header(lines[0][1])
     if len(lines) == 1:
-        raise MalformedHeader("design file has a header but no rows")
+        raise MalformedHeader(_NO_ROWS)
     n_pairs = len(pwo_pairs(m)) if with_signs else 0
     width = m + n_pairs + (1 if with_amount else 0)
     parsed: dict[str, Fraction] = {}
+    points: dict[tuple[str, ...], DesignPoint] = {}
+    sign_tuples: dict[tuple[str, ...], tuple[int, ...]] = {}
+    seen: dict = {}
 
     def decode(cell: str) -> Fraction:
         if cell not in parsed:
@@ -141,14 +155,25 @@ def read_design(text: str) -> Design:
             cells = line.split(",")
             if len(cells) != width:
                 raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
-            row = [decode(c.strip()) for c in cells]
-            signs = row[m : m + n_pairs]
-            if any(z.denominator != 1 for z in signs):
-                raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, signs))}")
-            point = DesignPoint(tuple(row[:m]), kind)
-            run = OofARun(point, pwo=signs if with_signs else None,
-                          amount=row[-1] if with_amount else None)
-            validate_run(run)
+            comp_text = tuple(cells[:m])
+            point = points.get(comp_text)
+            if point is None:
+                point = DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind)
+                points[comp_text] = point
+            pwo = None
+            if with_signs:
+                sign_text = tuple(cells[m : m + n_pairs])
+                pwo = sign_tuples.get(sign_text)
+                if pwo is None:
+                    signs = [decode(c.strip()) for c in sign_text]
+            amount = decode(cells[-1].strip()) if with_amount else None
+            # every cell is read before the signs are judged
+            if with_signs and pwo is None:
+                if any(z.denominator != 1 for z in signs):
+                    raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, signs))}")
+                pwo = sign_tuples[sign_text] = tuple(int(z) for z in signs)
+            run = OofARun(point, pwo=pwo, amount=amount)
+            _check_run(run, seen)
         except OamixError as exc:
             raise located(f"line {row_no}", exc) from exc
         runs.append(run)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+
 import numpy as np
 
 from .core import Design, Kind
@@ -233,20 +235,31 @@ class ModelMatrix:
 def term_columns(spec: ModelSpec, comps, signs, amounts) -> np.ndarray:
     """The n x p matrix of model vectors f(x) at n points given as float arrays:
     `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
-    applied, and `amounts` (n,).  Column arithmetic is ones * comps**p * z *
-    amounts**t, in that order, for design matrices and FDS rows alike."""
+    applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
+    amounts**t, in that order, for design matrices and FDS rows alike; the
+    product before the amount power is formed once per term and reused for
+    every power t.  The matrix is C-ordered."""
     pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
-    cols = []
-    for term in spec.terms:
-        c = np.ones(comps.shape[0])
-        for i, p in term.comp_powers:
-            c = c * comps[:, i - 1] ** p
-        if term.pwo_pair is not None:
-            c = c * signs[:, pair_col[term.pwo_pair]]
-        if term.amount_power:
-            c = c * amounts ** term.amount_power
-        cols.append(c)
-    return np.column_stack(cols)
+    X = np.empty((comps.shape[0], spec.p))
+    products: dict = {}
+    powers: dict = {}
+    for col, term in enumerate(spec.terms):
+        key = (term.comp_powers, term.pwo_pair)
+        if key not in products:
+            factors = [comps[:, i - 1] ** p for i, p in term.comp_powers]
+            if term.pwo_pair is not None:
+                factors.append(signs[:, pair_col[term.pwo_pair]])
+            products[key] = reduce(np.multiply, factors) if factors else None
+        c, t = products[key], term.amount_power
+        if t and t not in powers:
+            powers[t] = amounts ** t
+        if c is None:
+            X[:, col] = powers[t] if t else 1.0
+        elif t:
+            np.multiply(c, powers[t], out=X[:, col])
+        else:
+            X[:, col] = c
+    return X
 
 
 def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:

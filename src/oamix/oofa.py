@@ -168,29 +168,53 @@ def validate_run(run: OofARun) -> None:
     """Raise unless one run is valid: its point satisfies its kind, a
     total-amount tag A is nonnegative and, for an amount run, equals the
     sum of its amounts, and its signs are induced by some addition order of
-    its support.  The one run check of `read_design` and `validate_design`.
+    its support.  The one run check of `read_design` and `validate_design`,
+    which share its work between the runs of one call (see `_check_run`).
+    """
+    _check_run(run, {})
+
+
+def _check_run(run: OofARun, seen: dict) -> None:
+    """`validate_run` with a memo `seen` kept for one pass over many runs.
+
+    Each distinct point object is checked once: `validate_point`, its
+    support and, for an amount point, its exact total; the entry under
+    ``id(point)`` holds the point, so the id cannot be reused while `seen`
+    lives.  Each distinct (support, signs) pair has its order checked once.
+    Only passed checks are recorded, so the first faulty run still raises.
+    Every run still has its A checked against 0 and against its total, and
+    its sign vector's length against its m.
     """
     point = run.point
-    validate_point(point)
+    known = seen.get(id(point))
+    if known is None:
+        validate_point(point)
+        total = total_amount(point) if point.kind is Kind.AMOUNT else None
+        known = seen[id(point)] = (point, point.support(), total)
+    _, support, total = known
     if run.amount is not None and run.amount < 0:
         raise NegativeEntry(f"total amount A is negative: {run.amount}")
-    if point.kind is Kind.AMOUNT:
-        total = total_amount(point)
-        if run.amount != total:
-            raise AmountMismatch(f"A is {run.amount} but the amounts sum to {total}")
+    if point.kind is Kind.AMOUNT and run.amount != total:
+        raise AmountMismatch(f"A is {run.amount} but the amounts sum to {total}")
     if run.pwo is not None:
         if len(run.pwo) != point.m * (point.m - 1) // 2:
             raise InconsistentPwo(f"{len(run.pwo)} signs for the pairs of {point.m} components")
-        ordering_from_pwo(point.support(), run.pwo)
+        key = (support, run.pwo)
+        if key not in seen:
+            ordering_from_pwo(support, run.pwo)
+            seen[key] = None
 
 
 def validate_design(design: Design) -> None:
     """Check each run of a design built in code with `validate_run`, whose
-    errors are prefixed ``run N:``.  The design's shape (m, kind, and which
-    of signs and A its runs carry) is checked when the Design is built.
-    Every design `read_design` returns already passes it."""
+    errors are prefixed ``run N:``.  One memo serves the whole call, so each
+    distinct point object and each distinct sign pattern of a support is
+    checked once, however many runs repeat it.  The design's shape (m,
+    kind, and which of signs and A its runs carry) is checked when the
+    Design is built.  Every design `read_design` returns already passes it."""
+    seen: dict = {}
     for idx, run in enumerate(design.runs, start=1):
         try:
-            validate_run(run)
+            _check_run(run, seen)
         except OamixError as exc:
             raise located(f"run {idx}", exc) from exc

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oamix import Design, DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
-from oamix.errors import NegativeEntry, SumNotOne, WrongKind
+from oamix import Design, DesignPoint, Kind, OofARun, as_fraction, oofa_expand, total_amount, validate_point
+from oamix.errors import InvalidDimension, NegativeEntry, SumNotOne, WrongKind
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -117,3 +117,14 @@ def test_design_shape_flags():
     # an amount design carries A even with no runs to carry it
     empty = Design(2, Kind.AMOUNT, ())
     assert empty.has_amounts and not empty.is_expanded and empty.amount_levels == ()
+
+
+def test_one_component_design_refuses_signs():
+    # the file format has no sign columns for m = 1, so such a design could
+    # not read back as itself; oofa_expand refuses m = 1 with the same error
+    vertex = P(1)
+    with pytest.raises(InvalidDimension, match="addition orders need m >= 2") as built:
+        Design(1, Kind.PROPORTION, (OofARun(vertex, pwo=()),))
+    with pytest.raises(InvalidDimension) as expanded:
+        oofa_expand(Design(1, Kind.PROPORTION, (OofARun(vertex),)))
+    assert str(built.value) == str(expanded.value)

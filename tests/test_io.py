@@ -11,6 +11,7 @@ from oamix import (
     Design,
     DesignPoint,
     Kind,
+    OamixError,
     OofARun,
     cross_amounts,
     oofa_expand,
@@ -21,6 +22,7 @@ from oamix import (
     simplex_centroid,
     simplex_lattice,
     validate_design,
+    validate_run,
     write_design,
 )
 from oamix.errors import (
@@ -31,6 +33,7 @@ from oamix.errors import (
     NegativeEntry,
     RowLengthMismatch,
     SumNotOne,
+    located,
 )
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
@@ -275,3 +278,97 @@ def test_header_grammar_is_the_writers():
                 for amount in (False, True) if kind is Kind.PROPORTION else (True,):
                     header = ",".join(_columns(kind, m, signs, amount))
                     assert _parse_header(header) == (kind, m, signs, amount)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_empty_design_is_refused_both_ways(kind):
+    # the writer refuses what the reader would refuse, with the same words
+    with pytest.raises(MalformedHeader) as written:
+        write_design(Design(2, kind, ()))
+    header = ",".join(_columns(kind, 2, False, kind is Kind.AMOUNT))
+    with pytest.raises(MalformedHeader) as read:
+        read_design(header + "\n")
+    assert str(written.value) == str(read.value) == "design file has a header but no rows"
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_one_component_design_round_trips(kind):
+    point = DesignPoint((Fraction(3, 2) if kind is Kind.AMOUNT else 1,), kind)
+    amount = Fraction(3, 2) if kind is Kind.AMOUNT else None
+    design = Design(1, kind, (OofARun(point, amount=amount), OofARun(point, amount=amount)))
+    assert read_design(write_design(design)) == design
+
+
+def test_shared_point_with_a_wrong_total_names_its_run():
+    # every run holds the same point object, so only the per-run A check
+    # can tell the third run from the first two
+    point = DesignPoint((Fraction(1, 2), Fraction(1, 2)), Kind.AMOUNT)
+    runs = (OofARun(point, amount=1), OofARun(point, amount=1), OofARun(point, amount=3), OofARun(point, amount=1))
+    design = Design(2, Kind.AMOUNT, runs)
+    assert len({id(run.point) for run in design.runs}) == 1
+    with pytest.raises(AmountMismatch, match="^run 3: A is 3 but the amounts sum to 1$"):
+        validate_design(design)
+    with pytest.raises(AmountMismatch, match="^line 4: A is 3 but the amounts sum to 1$"):
+        read_design(write_design(design))
+
+
+def test_cyclic_signs_in_the_last_level_block_name_their_run(table3):
+    # a crossed design repeats each point object once per level; put the
+    # only cyclic pattern in the last block, on a point earlier runs hold
+    runs = list(table3.runs)
+    idx = max(i for i, run in enumerate(runs) if len(run.point.support()) == 3)
+    runs[idx] = OofARun(runs[idx].point, pwo=(1, -1, 1), amount=runs[idx].amount)
+    design = Design(3, Kind.PROPORTION, tuple(runs))
+    assert sum(run.point is runs[idx].point for run in runs) == 18
+    assert idx >= 2 * len(runs) // 3
+    with pytest.raises(InconsistentPwoRow, match=f"^run {idx + 1}: "):
+        validate_design(design)
+    with pytest.raises(InconsistentPwoRow, match=f"^line {idx + 2}: "):
+        read_design(write_design(design))
+
+
+def _first_fault(design):
+    """(error class, 1-based run) of a plain loop of validate_run, or None."""
+    for idx, run in enumerate(design.runs, start=1):
+        try:
+            validate_run(run)
+        except OamixError as exc:
+            return type(located("run", exc)), idx
+    return None
+
+
+@st.composite
+def mutated_designs(draw):
+    """A built design with one run changed: its signs redrawn, its A
+    redrawn, or its point swapped for another run's point object."""
+    design = draw(built_designs())
+    runs = list(design.runs)
+    idx = draw(st.integers(0, len(runs) - 1))
+    run = runs[idx]
+    choices = ["point"] + (["signs"] if design.is_expanded else []) + (["amount"] if design.has_amounts else [])
+    what = draw(st.sampled_from(choices))
+    if what == "signs":
+        pwo = tuple(draw(st.lists(st.integers(-1, 1), min_size=len(run.pwo), max_size=len(run.pwo))))
+        runs[idx] = OofARun(run.point, pwo=pwo, amount=run.amount)
+    elif what == "amount":
+        amount = draw(st.fractions(min_value=-3, max_value=50, max_denominator=12))
+        runs[idx] = OofARun(run.point, pwo=run.pwo, amount=amount)
+    else:
+        other = runs[draw(st.integers(0, len(runs) - 1))]
+        runs[idx] = OofARun(other.point, pwo=run.pwo, amount=run.amount)
+    return Design(design.m, design.kind, tuple(runs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_designs())
+def test_memoized_checks_agree_with_a_plain_loop(design):
+    expected = _first_fault(design)
+    for check, where, offset in ((validate_design, "run", 0),
+                                 (lambda d: read_design(write_design(d)), "line", 1)):
+        if expected is None:
+            check(design)
+            continue
+        error, idx = expected
+        with pytest.raises(OamixError, match=f"^{where} {idx + offset}: ") as got:
+            check(design)
+        assert type(got.value) is error
