@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Real
 
-from .errors import InvalidDimension, NegativeEntry, SumNotOne, WrongKind
+from .errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind
 
 __all__ = [
     "Kind",
@@ -51,6 +52,29 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _as_signs(values) -> tuple[int, ...]:
+    """A sign vector as a tuple of ints.
+
+    Each entry must be a real number equal to an integer (``1``,
+    ``numpy.int64(-1)``, ``Fraction(1)``, ``1.0``); anything else, such as
+    ``1.7``, NaN or the string ``'-1'``, raises BadPwoValue.  A tuple of
+    ints comes back as it is.
+    """
+    values = tuple(values)
+    if all(type(z) is int for z in values):
+        return values
+    if not all(isinstance(z, Real) and _is_integer(z) for z in values):
+        raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, values))}")
+    return tuple(int(z) for z in values)
+
+
+def _is_integer(z: Real) -> bool:
+    try:
+        return int(z) == z
+    except (ValueError, OverflowError):  # NaN, infinities
+        return False
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     """A single blend: a vector of proportions or amounts."""
@@ -80,7 +104,9 @@ class OofARun:
     ``oofa.ordering_from_pwo(point.support(), pwo)`` recovers.  `amount` is
     the exact per-run total for amount-kind points, or the attached
     total-amount level for proportion points (None until one is attached).
-    ``oofa.validate_run`` states what makes a run valid.
+    ``oofa.validate_run`` states what makes a run valid.  Signs are stored
+    as ints; one that is not a number equal to an integer raises
+    BadPwoValue (see `_as_signs`).
     """
 
     point: DesignPoint
@@ -89,7 +115,7 @@ class OofARun:
 
     def __post_init__(self):
         if self.pwo is not None:
-            object.__setattr__(self, "pwo", tuple(map(int, self.pwo)))
+            object.__setattr__(self, "pwo", _as_signs(self.pwo))
         if self.amount is not None:
             object.__setattr__(self, "amount", as_fraction(self.amount))
 

@@ -111,10 +111,13 @@ class _Factor:
         self.log_det = float(2.0 * (np.log(s).sum() + np.log(scale).sum()))
         self._W = Vt.T / (s * scale[:, None])
 
-    def pv(self, F: np.ndarray) -> np.ndarray:
-        """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F."""
-        G = np.atleast_2d(np.asarray(F, dtype=float)) @ self._W
-        return np.einsum("ij,ij->i", G, G)
+    def pv(self, F: np.ndarray, out=None, work=None) -> np.ndarray:
+        """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F.
+
+        The product F W is written into `work` and the d_i into `out` when
+        they are given (arrays of F's shape and of its row count)."""
+        G = np.matmul(np.atleast_2d(np.asarray(F, dtype=float)), self._W, out=work)
+        return np.einsum("ij,ij->i", G, G, out=out)
 
     def inverse_diag(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self._W, self._W)
@@ -293,7 +296,7 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     return x, keys, signs, amounts
 
 
-def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts) -> np.ndarray:
+def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None) -> np.ndarray:
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
     j, k = np.array(pwo_pairs(spec.m)).T - 1
     if signs is None:
@@ -301,7 +304,7 @@ def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts) -> np.ndarray:
         # as a stable argsort of the keys would rank it
         signs = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0)
     signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
-    return term_columns(spec, comps, signs, amounts)
+    return term_columns(spec, comps, signs, amounts, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +365,10 @@ def fds_curve(
 
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple.
+    One call allocates one row buffer and one product buffer of the chunk's
+    shape (up to 8192 x p, C-ordered) and the n_samples result, and reuses
+    the two buffers for every chunk, so no chunk makes a large allocation;
+    the returned curve owns its array and shares no memory with another.
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
     does not depend on it.
@@ -375,12 +382,15 @@ def fds_curve(
     policy = amount_policy if amount_policy is not None else _default_policy(design)
     fac = _Factor(model_matrix(design, spec))
 
-    parts = []
-    for index in range((n_samples + _FDS_CHUNK - 1) // _FDS_CHUNK):
-        count = min(_FDS_CHUNK, n_samples - index * _FDS_CHUNK)
+    rows = np.empty((min(_FDS_CHUNK, n_samples), spec.p))
+    work = np.empty_like(rows)
+    variances = np.empty(n_samples)
+    for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
+        count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
-        parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
-    variances = np.sort(np.concatenate(parts))
+        F = _rows_from_samples(spec, x, keys, signs, amounts, out=rows[:count])
+        fac.pv(F, out=variances[start : start + count], work=work[:count])
+    variances.sort()
     return FdsCurve(
         variances=variances,
         n_samples=n_samples,

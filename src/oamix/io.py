@@ -31,8 +31,8 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .core import Design, DesignPoint, Kind, OofARun
-from .errors import BadPwoValue, MalformedHeader, OamixError, RowLengthMismatch, located
+from .core import Design, DesignPoint, Kind, OofARun, _as_signs
+from .errors import MalformedHeader, OamixError, RowLengthMismatch, located
 from .oofa import _check_run, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
@@ -169,9 +169,7 @@ def read_design(text: str) -> Design:
             amount = decode(cells[-1].strip()) if with_amount else None
             # every cell is read before the signs are judged
             if with_signs and pwo is None:
-                if any(z.denominator != 1 for z in signs):
-                    raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, signs))}")
-                pwo = sign_tuples[sign_text] = tuple(int(z) for z in signs)
+                pwo = sign_tuples[sign_text] = _as_signs(signs)
             run = OofARun(point, pwo=pwo, amount=amount)
             _check_run(run, seen)
         except OamixError as exc:

@@ -232,15 +232,16 @@ class ModelMatrix:
         return self.X.shape
 
 
-def term_columns(spec: ModelSpec, comps, signs, amounts) -> np.ndarray:
+def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray:
     """The n x p matrix of model vectors f(x) at n points given as float arrays:
     `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
     applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
     amounts**t, in that order, for design matrices and FDS rows alike; the
     product before the amount power is formed once per term and reused for
-    every power t.  The matrix is C-ordered."""
+    every power t.  The matrix is C-ordered; it is written into `out`, a
+    C-ordered (n, p) float array, when one is given, and returned."""
     pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
-    X = np.empty((comps.shape[0], spec.p))
+    X = np.empty((comps.shape[0], spec.p)) if out is None else out
     products: dict = {}
     powers: dict = {}
     for col, term in enumerate(spec.terms):

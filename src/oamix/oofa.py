@@ -11,6 +11,7 @@ amount designs to a physical maximum.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 from itertools import permutations
 from math import isqrt
 from typing import Iterable, Sequence
@@ -44,8 +45,10 @@ __all__ = [
 ]
 
 
+@cache
 def pwo_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (j, k) with 1 <= j < k <= m, lexicographic."""
+    """All pairs (j, k) with 1 <= j < k <= m, lexicographic.  The tuple is
+    immutable, so one per m is built and shared by every caller."""
     return tuple((j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1))
 
 

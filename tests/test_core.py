@@ -3,10 +3,11 @@
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oamix import Design, DesignPoint, Kind, OofARun, as_fraction, oofa_expand, total_amount, validate_point
-from oamix.errors import InvalidDimension, NegativeEntry, SumNotOne, WrongKind
+from oamix.errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -86,6 +87,28 @@ def test_run_records_its_order_only_as_signs():
 
 HALF = P("1/2", "1/2")
 HALF_AMOUNT = P("1/2", "1/2", kind=Kind.AMOUNT)
+
+
+@pytest.mark.parametrize(
+    "sign, want",
+    [(1, 1), (np.int64(-1), -1), (Fraction(1), 1), (1.0, 1)],
+    ids=["int", "numpy_int64", "fraction", "integral_float"],
+)
+def test_run_stores_integral_signs_as_int(sign, want):
+    run = OofARun(HALF, pwo=(sign,))
+    assert run.pwo == (want,) and type(run.pwo[0]) is int
+
+
+def test_run_keeps_a_tuple_of_int_signs():
+    signs = (1, -1, 1)
+    assert OofARun(P("1/3", "1/3", "1/3"), pwo=signs).pwo is signs
+
+
+@pytest.mark.parametrize("sign", [1.7, "-1", "x", float("nan")], ids=["fractional", "string", "text", "nan"])
+def test_run_refuses_non_integer_signs(sign):
+    # as the reader refuses a 1/2 sign cell
+    with pytest.raises(BadPwoValue, match="^sign entries must be integers, got "):
+        OofARun(HALF, pwo=(sign,))
 
 
 @pytest.mark.parametrize(

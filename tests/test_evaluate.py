@@ -33,8 +33,15 @@ from oamix.errors import (
     NoResidualDf,
     SingularInformation,
 )
-from oamix.evaluate import _nct_two_sided
-from oamix.models import coded_model_matrix
+from oamix.evaluate import (
+    _FDS_CHUNK,
+    _default_policy,
+    _Factor,
+    _nct_two_sided,
+    _rows_from_samples,
+    _sample_chunk,
+)
+from oamix.models import coded_model_matrix, term_columns
 
 from exact_terms import (
     design_cells,
@@ -356,6 +363,55 @@ def test_discrete_amounts_rejects_bad_levels(levels):
 def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
     curve = fds_curve(table3, spec6, n_samples=20000, seed=3, sign_policy=sign_policy)
     assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
+
+
+def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy):
+    """The FDS chunk loop with fresh arrays for every chunk, sorted after one
+    concatenate: the reference for `fds_curve`'s reused buffers."""
+    fac = _Factor(model_matrix(design, spec))
+    parts = []
+    for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
+        count = min(_FDS_CHUNK, n_samples - start)
+        x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
+        parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
+    return np.sort(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize(
+    "table, eq, discrete",
+    [("table3", "eq2", False), ("table3", "eq5", False), ("table3", "eq6", False),
+     ("table5", "eq8", False), ("table2", "eq8", True)],
+    ids=["table3-eq2", "table3-eq5", "table3-eq6", "table5-eq8", "table2-eq8-discrete-with-0"],
+)
+def test_fds_buffered_loop_matches_fresh_arrays(request, table, eq, discrete, sign_policy):
+    design = request.getfixturevalue(table)
+    spec = build_spec(eq, 3)
+    if discrete:
+        # table2's levels include 0, so the zero mask runs on some draws
+        policy = DiscreteAmounts(tuple(float(a) for a in design.amount_levels))
+        assert 0.0 in policy.levels
+    else:
+        policy = _default_policy(design)
+    for n in (100, _FDS_CHUNK - 1, _FDS_CHUNK, _FDS_CHUNK + 1, 2 * _FDS_CHUNK + 1):
+        got = fds_curve(design, spec, n, seed=5, amount_policy=policy, sign_policy=sign_policy)
+        want = _fresh_array_variances(design, spec, n, 5, policy, sign_policy)
+        assert np.array_equal(got.variances, want), (n, eq, sign_policy)
+
+
+def test_term_columns_writes_into_out(spec6):
+    x, _, signs, amounts = _sample_chunk(5, 0, 300, 3, ContinuousAmounts(0.5, 3.0), "continuous")
+    buf = np.empty((300, spec6.p))
+    assert term_columns(spec6, x, signs, amounts, out=buf) is buf
+    assert np.array_equal(buf, term_columns(spec6, x, signs, amounts))
+
+
+def test_fds_curves_own_their_arrays(table3, spec6):
+    a = fds_curve(table3, spec6, n_samples=1000, seed=1)
+    b = fds_curve(table3, spec6, n_samples=1000, seed=1)
+    assert np.array_equal(a.variances, b.variances)
+    assert a.variances.flags.owndata and b.variances.flags.owndata
+    assert not np.shares_memory(a.variances, b.variances)
 
 
 def test_evaluate_report_schema(table2, spec8):
