@@ -60,11 +60,18 @@ def _as_signs(values) -> tuple[int, ...]:
     ``1.7``, NaN or the string ``'-1'``, raises BadPwoValue.  A tuple of
     ints comes back as it is.
     """
+    return _as_ints(values, BadPwoValue, "sign")
+
+
+def _as_ints(values, error: type, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints, raising `error` about the `what`
+    entries unless each is a real number equal to an integer.  A tuple of
+    exact ints comes back as it is, unconverted."""
     values = tuple(values)
     if all(type(z) is int for z in values):
         return values
     if not all(isinstance(z, Real) and _is_integer(z) for z in values):
-        raise BadPwoValue(f"sign entries must be integers, got {','.join(map(str, values))}")
+        raise error(f"{what} entries must be integers, got {','.join(map(str, values))}")
     return tuple(int(z) for z in values)
 
 
@@ -73,6 +80,26 @@ def _is_integer(z: Real) -> bool:
         return int(z) == z
     except (ValueError, OverflowError):  # NaN, infinities
         return False
+
+
+def _distinct(objects) -> tuple[list[int], list]:
+    """The distinct objects of an iterable, by identity and in first-seen
+    order, and for each item the position of its object among them.
+
+    Work done on the distinct objects then costs a design's distinct
+    values, not its runs.  The list holds each object, so no id is reused
+    while the caller's one call runs.
+    """
+    slots: dict[int, int] = {}
+    distinct: list = []
+    index: list[int] = []
+    for obj in objects:
+        slot = slots.get(id(obj))
+        if slot is None:
+            slot = slots[id(obj)] = len(distinct)
+            distinct.append(obj)
+        index.append(slot)
+    return index, distinct
 
 
 @dataclass(frozen=True)

@@ -124,9 +124,10 @@ def read_design(text: str) -> Design:
     induced by some addition order.  Rows whose component cells have the
     same text share one point, and rows whose sign cells have the same text
     share one sign tuple, so each distinct point and sign pattern is decoded
-    and checked once per call.  An error in a row names its physical line
-    as ``line N: ...`` and keeps its class (sign-order faults are
-    InconsistentPwoRow).
+    and checked once per call.  Each distinct sign cell text is decoded to
+    an int once, so a new sign pattern costs lookups, not parsing.  An
+    error in a row names its physical line as ``line N: ...`` and keeps its
+    class (sign-order faults are InconsistentPwoRow).
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -139,6 +140,7 @@ def read_design(text: str) -> Design:
     parsed: dict[str, Fraction] = {}
     points: dict[tuple[str, ...], DesignPoint] = {}
     sign_tuples: dict[tuple[str, ...], tuple[int, ...]] = {}
+    sign_cells: dict[str, int | Fraction] = {}
     seen: dict = {}
 
     def decode(cell: str) -> Fraction:
@@ -148,6 +150,15 @@ def read_design(text: str) -> Design:
             except (ValueError, ZeroDivisionError):
                 raise MalformedHeader(f"unreadable value {cell!r}") from None
         return parsed[cell]
+
+    def decode_sign(cell: str) -> int | Fraction:
+        # an integer cell becomes an int, which `_as_signs` passes unconverted;
+        # any other value stays a Fraction for `_as_signs` to refuse
+        sign = sign_cells.get(cell)
+        if sign is None:
+            value = decode(cell.strip())
+            sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
+        return sign
 
     runs = []
     for row_no, line in lines[1:]:
@@ -165,7 +176,7 @@ def read_design(text: str) -> Design:
                 sign_text = tuple(cells[m : m + n_pairs])
                 pwo = sign_tuples.get(sign_text)
                 if pwo is None:
-                    signs = [decode(c.strip()) for c in sign_text]
+                    signs = tuple(decode_sign(c) for c in sign_text)
             amount = decode(cells[-1].strip()) if with_amount else None
             # every cell is read before the signs are judged
             if with_signs and pwo is None:

@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import Design, Kind
+from .core import Design, Kind, _distinct
 from .errors import (
     InvalidDimension,
     InvalidParameter,
@@ -263,9 +263,22 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     return X
 
 
+def _field_rows(design: Design, field: str, to_floats) -> np.ndarray:
+    """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
+    per run: `to_floats` converts each distinct object of the field once,
+    and the rows are gathered per run with one index array."""
+    index, distinct = _distinct(getattr(run, field) for run in design.runs)
+    return np.array([to_floats(value) for value in distinct], dtype=float)[index]
+
+
+def _point_floats(point) -> list[float]:
+    return [float(v) for v in point.values]
+
+
 def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
-    """Check the design against the spec, convert its exact values to float
-    once, apply `code` to the numeric amount factors, and build the terms."""
+    """Check the design against the spec, convert each distinct point, sign
+    tuple and amount tag of the design to float once, apply `code` to the
+    numeric amount factors, and build the terms."""
     if design.m != spec.m:
         raise KindMismatch(f"design has m={design.m}, spec has m={spec.m}")
     if spec.kind.uses_amounts:
@@ -279,14 +292,13 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     if spec.kind.has_pwo and not design.is_expanded:
         raise MissingPwo("spec has sign terms but the design carries no orderings")
 
-    n = len(design.runs)
-    comps = np.array([[float(v) for v in run.point.values] for run in design.runs]).reshape(n, spec.m)
-    signs = np.array([run.pwo for run in design.runs], dtype=float) if spec.kind.has_pwo else None
+    comps = _field_rows(design, "point", _point_floats).reshape(len(design.runs), spec.m)
+    signs = _field_rows(design, "pwo", tuple) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
         comps = np.column_stack([code(comps[:, i]) for i in range(spec.m)])
         amounts = None
     else:
-        amounts = code(np.array([float(run.amount) for run in design.runs]))
+        amounts = code(_field_rows(design, "amount", float))
     X = term_columns(spec, comps, signs, amounts)
     return ModelMatrix(X=X, col_labels=spec.labels)
 
@@ -295,8 +307,9 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     """Materialize the N x p model matrix for a design.
 
     The design's exact rational values (signs are exact integers) are
-    converted to float once, and the term products are taken in float, so
-    a cell is within an ulp or two of its exact value.
+    converted to float once per distinct point, sign tuple and amount tag
+    object, however many runs share it, and the term products are taken in
+    float, so a cell is within an ulp or two of its exact value.
     """
     return _matrix(design, spec, lambda col: col)
 

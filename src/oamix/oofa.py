@@ -10,13 +10,23 @@ amount designs to a physical maximum.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from itertools import permutations
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .core import Design, DesignPoint, Kind, OofARun, as_fraction, total_amount, validate_point
+from .core import (
+    Design,
+    DesignPoint,
+    Kind,
+    OofARun,
+    _as_ints,
+    _as_signs,
+    _distinct,
+    as_fraction,
+    total_amount,
+    validate_point,
+)
 from .errors import (
     AlreadyExpanded,
     AmountMismatch,
@@ -56,9 +66,10 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
     """Sign vector over pwo_pairs(point.m) induced by an addition order.
 
     `ordering` must be a permutation of the point's support; pairs with a
-    component outside the support are masked to 0.
+    component outside the support are masked to 0.  An entry that is not a
+    number equal to an integer raises OrderingSupportMismatch.
     """
-    ordering = tuple(int(c) for c in ordering)
+    ordering = _as_ints(ordering, OrderingSupportMismatch, "ordering")
     support = point.support()
     if tuple(sorted(ordering)) != support:
         raise OrderingSupportMismatch(
@@ -84,13 +95,15 @@ def _m_from_pairs(n_pairs: int) -> int:
 def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, ...]:
     """The unique permutation of `support` inducing the given sign vector.
 
-    Inverse of pwo_from_ordering.  Raises BadPwoValue for an entry other
-    than -1, 0 or +1, and InconsistentPwo when the signs violate zero
-    masking or cannot come from any total order (a cyclic pattern such as
-    z12=+1, z23=+1, z13=-1 on full support).
+    Inverse of pwo_from_ordering.  Raises BadPwoValue for a sign other
+    than -1, 0 or +1 (see ``core._as_signs``), OrderingSupportMismatch for
+    a support entry that is not a number equal to an integer, and
+    InconsistentPwo when the signs violate zero masking or cannot come from
+    any total order (a cyclic pattern such as z12=+1, z23=+1, z13=-1 on
+    full support).
     """
-    support = tuple(sorted(int(c) for c in support))
-    pwo = tuple(int(z) for z in pwo)
+    support = tuple(sorted(_as_ints(support, OrderingSupportMismatch, "support")))
+    pwo = _as_signs(pwo)
     if any(z not in (-1, 0, 1) for z in pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
     m = _m_from_pairs(len(pwo))
@@ -117,20 +130,27 @@ def oofa_expand(design: Design) -> Design:
 
     Orderings are enumerated in lexicographic order of the support indices;
     runs with s <= 1 pass through as a single run with an all-zero sign
-    vector.  Amount tags and coordinates are unchanged.  A design needs
-    two components to have sign factors (and a file with none could not
-    tell its expanded runs from unexpanded ones), so m = 1 is refused.
+    vector.  Amount tags and coordinates are unchanged, and the ordered
+    runs of a base run share its point.  The sign vectors of each distinct
+    support are computed once, so runs with the same support and ordering
+    share one sign tuple.  A design needs two components to have sign
+    factors (and a file with none could not tell its expanded runs from
+    unexpanded ones), so m = 1 is refused.
     """
     if design.m < 2:
         raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
     if design.is_expanded:
         raise AlreadyExpanded("design already carries orderings")
+    signs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     runs = []
     for run in design.runs:
-        # permutations of a support of size 0 or 1 is that support alone
-        for ordering in permutations(run.point.support()):
-            runs.append(replace(run, pwo=pwo_from_ordering(run.point, ordering)))
-    return replace(design, runs=tuple(runs))
+        support = run.point.support()
+        vectors = signs.get(support)
+        if vectors is None:
+            # permutations of a support of size 0 or 1 is that support alone
+            vectors = signs[support] = [pwo_from_ordering(run.point, o) for o in permutations(support)]
+        runs.extend(OofARun(run.point, pwo, run.amount) for pwo in vectors)
+    return Design(design.m, design.kind, tuple(runs))
 
 
 def cross_amounts(design: Design, levels: Iterable) -> Design:
@@ -148,23 +168,28 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         raise DuplicateLevel(f"amount levels contain duplicates: {coerced}")
     if any(v < 0 for v in coerced):
         raise NegativeEntry("amount levels must be nonnegative")
-    runs = tuple(replace(run, amount=level) for level in coerced for run in design.runs)
-    return replace(design, runs=runs)
+    runs = tuple(OofARun(run.point, run.pwo, level) for level in coerced for run in design.runs)
+    return Design(design.m, design.kind, runs)
 
 
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
-    are unchanged."""
+    are unchanged.  Each distinct point object and amount object is scaled
+    once, so runs that shared a point share its scaled point."""
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
     scale = as_fraction(a_max)
     if scale <= 0:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
-    runs = []
-    for run in design.runs:
-        point = DesignPoint(tuple(v * scale for v in run.point.values), Kind.AMOUNT)
-        runs.append(replace(run, point=point, amount=run.amount * scale))
-    return replace(design, runs=tuple(runs))
+    point_of, points = _distinct(run.point for run in design.runs)
+    amount_of, amounts = _distinct(run.amount for run in design.runs)
+    scaled_points = [DesignPoint(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
+    scaled_amounts = [amount * scale for amount in amounts]
+    runs = tuple(
+        OofARun(scaled_points[i], run.pwo, scaled_amounts[j])
+        for run, i, j in zip(design.runs, point_of, amount_of)
+    )
+    return Design(design.m, design.kind, runs)
 
 
 def validate_run(run: OofARun) -> None:

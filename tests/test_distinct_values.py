@@ -1,0 +1,192 @@
+"""A design's shared values cost what its distinct values cost.
+
+Construction and the reader let runs share one point, sign tuple and
+amount object; the model matrix and the design transforms convert or
+scale each distinct object once per call.  The outputs must not depend on
+the sharing: a design rebuilt with fresh objects in every run gives the
+same matrices, reports and designs.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oamix import (
+    Design,
+    DesignPoint,
+    Kind,
+    OofARun,
+    build_spec,
+    cross_amounts,
+    evaluate_design,
+    model_matrix,
+    oofa_expand,
+    project_columns,
+    read_design,
+    reference_design,
+    scale_amounts,
+    simplex_centroid,
+    simplex_lattice,
+    write_design,
+)
+from oamix.errors import OamixError
+from oamix.models import coded_model_matrix
+
+LEVELS = (Fraction(1, 2), Fraction(5, 4), Fraction(2))
+
+
+def fresh(design: Design) -> Design:
+    """The design rebuilt with new objects in every run: a new DesignPoint
+    of new Fractions, a new sign tuple and a new amount."""
+
+    def new(value: Fraction) -> Fraction:
+        return Fraction(value.numerator, value.denominator)
+
+    runs = tuple(
+        OofARun(
+            DesignPoint(tuple(new(v) for v in run.point.values), run.point.kind),
+            None if run.pwo is None else tuple(list(run.pwo)),
+            None if run.amount is None else new(run.amount),
+        )
+        for run in design.runs
+    )
+    again = Design(design.m, design.kind, runs)
+    for field in ("point", "pwo", "amount"):
+        values = [getattr(run, field) for run in again.runs]
+        if values[0] is not None:
+            assert len({id(v) for v in values}) == len(values)
+    return again
+
+
+@pytest.fixture(scope="module")
+def m6_bases():
+    return {
+        "lattice": simplex_lattice(6, 4),
+        "centroid": project_columns(simplex_centroid(6), {6}),
+    }
+
+
+@pytest.fixture(scope="module")
+def m6_designs(m6_bases):
+    crossed = cross_amounts(oofa_expand(m6_bases["lattice"]), LEVELS)
+    scaled = scale_amounts(oofa_expand(m6_bases["centroid"]), 500)
+    return {
+        "crossed": crossed,
+        "crossed_read": read_design(write_design(crossed)),
+        "scaled": scaled,
+        "scaled_read": read_design(write_design(scaled)),
+    }
+
+
+@pytest.fixture(scope="module")
+def designs(m6_designs):
+    tables = {name: reference_design(name) for name in ("table1", "table2", "table3", "table5")}
+    return {**tables, **m6_designs}
+
+
+DESIGN_NAMES = ("table1", "table2", "table3", "table5", "crossed", "crossed_read", "scaled", "scaled_read")
+
+
+def _outcome(build, design, spec):
+    try:
+        return build(design, spec).X
+    except OamixError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_model_matrices_do_not_depend_on_sharing(designs, name):
+    shared = designs[name]
+    unshared = fresh(shared)
+    built = 0
+    for k in range(1, 9):
+        for reduction in ("cyclic", "keep_all"):
+            spec = build_spec(f"eq{k}", shared.m, reduction)
+            for build in (model_matrix, coded_model_matrix):
+                want, got = _outcome(build, shared, spec), _outcome(build, unshared, spec)
+                if isinstance(want, np.ndarray):
+                    built += 1
+                    assert isinstance(got, np.ndarray) and np.array_equal(got, want), (k, reduction, build)
+                else:
+                    assert got is want
+    # every model needs total amounts, which table1 and table2 lack
+    assert built > 0 or not shared.has_amounts
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_reports_do_not_depend_on_sharing(designs, name):
+    shared = designs[name]
+    unshared = fresh(shared)
+    kinds = ("eq3", "eq4", "eq7", "eq8") if shared.kind is Kind.AMOUNT else ("eq1", "eq2", "eq5", "eq6")
+    for kind in kinds:
+        spec = build_spec(kind, shared.m)
+        for coding in ("coded", "raw"):
+            try:
+                want = evaluate_design(shared, spec, coding=coding)
+            except OamixError as exc:
+                with pytest.raises(type(exc)):
+                    evaluate_design(unshared, spec, coding=coding)
+                continue
+            got = evaluate_design(unshared, spec, coding=coding)
+            # JSON text, so that NaN entries compare equal
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), (kind, coding)
+
+
+def _transforms(m6_bases, m6_designs):
+    table1 = oofa_expand(simplex_lattice(3, 3))
+    table2 = oofa_expand(project_columns(simplex_centroid(4), {4}))
+    expanded_lattice = oofa_expand(m6_bases["lattice"])
+    expanded_centroid = oofa_expand(m6_bases["centroid"])
+    return [
+        (oofa_expand, simplex_lattice(3, 3)),
+        (oofa_expand, project_columns(simplex_centroid(4), {4})),
+        (oofa_expand, m6_bases["lattice"]),
+        (oofa_expand, m6_bases["centroid"]),
+        # runs crossed before expansion share their amount objects too
+        (oofa_expand, cross_amounts(simplex_lattice(3, 3), (Fraction(3, 4), Fraction(3)))),
+        (lambda d: cross_amounts(d, (Fraction(3, 4), Fraction(3, 2), Fraction(3))), table1),
+        (lambda d: cross_amounts(d, LEVELS), expanded_lattice),
+        (lambda d: scale_amounts(d, 500), table2),
+        (lambda d: scale_amounts(d, 500), expanded_centroid),
+        (lambda d: scale_amounts(d, Fraction(7, 3)), m6_designs["scaled_read"]),
+    ]
+
+
+def test_transforms_do_not_depend_on_sharing(m6_bases, m6_designs):
+    for transform, design in _transforms(m6_bases, m6_designs):
+        want, got = transform(design), transform(fresh(design))
+        assert got == want
+        assert write_design(got) == write_design(want)
+
+
+def test_model_matrix_converts_each_distinct_value_once(monkeypatch, m6_designs):
+    # the read-back crossed design holds 126 point objects of 6 components
+    # and 3 amount objects; signs are ints and need no Fraction conversion
+    design = m6_designs["crossed_read"]
+    assert len(design) == 2448
+    assert len({id(run.point) for run in design.runs}) == 126
+    calls = 0
+    to_float = Fraction.__float__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    spec = build_spec("eq5", 6)
+    for build in (model_matrix, coded_model_matrix):
+        calls = 0
+        build(design, spec)
+        assert 0 < calls <= 126 * 6 + 3, build
+
+
+def test_scale_shares_one_scaled_point_per_point(m6_bases):
+    expanded = oofa_expand(m6_bases["centroid"])
+    scaled = scale_amounts(expanded, 500)
+    assert len(scaled) == 651
+    assert len({id(run.point) for run in expanded.runs}) == 63
+    assert len({id(run.point) for run in scaled.runs}) == 63
+    assert len({id(run.amount) for run in scaled.runs}) == len({id(run.amount) for run in expanded.runs})

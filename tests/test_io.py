@@ -212,13 +212,46 @@ def test_round_trip_property(design):
         ("a1,a2,A\n1/2,1/2,7\n", AmountMismatch),
         # the first faulty row is reported, whatever faults come later
         ("x1,x2,z12\n1/2,0,1\n1/2,1/2,2\n", SumNotOne),
+        # every cell of a row is read before its signs are judged
+        ("x1,x2,z12,A\n1/2,1/2,1/2,A\n", MalformedHeader),
     ],
     ids=["negative_proportion", "negative_amount", "sum_half", "row_length",
-         "unreadable", "sign_half", "masking", "amount_total", "first_fault"],
+         "unreadable", "sign_half", "masking", "amount_total", "first_fault", "unreadable_after_bad_sign"],
 )
 def test_row_errors_keep_their_class_and_name_the_line(text, error):
     with pytest.raises(error, match="^line 2: "):
         read_design(text)
+
+
+_SEEN_SIGNS = "x1,x2,x3,z12,z13,z23,A\n1/3,1/3,1/3,1,1,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_SEEN_SIGNS + "1/3,1/3,1/3,1,1/2,1,1\n", BadPwoValue, "line 3: sign entries must be integers, got 1,1/2,1"),
+        (_SEEN_SIGNS + "1/3,1/3,1/3,1,1/2,1,A\n", MalformedHeader, "line 3: unreadable value 'A'"),
+    ],
+    ids=["bad_sign", "unreadable_wins"],
+)
+def test_bad_sign_among_seen_sign_cells(text, error, message):
+    # the row's other sign cells were decoded on line 2; the fault still
+    # names the whole sign vector, and an unreadable cell still wins
+    with pytest.raises(error) as got:
+        read_design(text)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "cell, sign",
+    [("1", 1), ("1.0", 1), ("+1", 1), ("2/2", 1), (" 1 ", 1), ("-1", -1), (" -1 ", -1), ("-1.0", -1), ("-2/2", -1)],
+)
+def test_sign_cells_read_as_ints(cell, sign):
+    # the ordering of (1, 2) is 1 before 2; cell text decides the sign only
+    design = read_design(f"x1,x2,z12\n1/2,1/2,{cell}\n1/2,1/2,{-sign}\n")
+    assert [run.pwo for run in design.runs] == [(sign,), (-sign,)]
+    assert all(type(z) is int for run in design.runs for z in run.pwo)
+    assert write_design(design) == f"x1,x2,z12\n1/2,1/2,{sign}\n1/2,1/2,{-sign}\n"
 
 
 def test_error_names_the_row_after_good_rows():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from oamix import (
 )
 from oamix.errors import (
     AlreadyExpanded,
+    BadPwoValue,
     DuplicateLevel,
     EmptyLevels,
     InconsistentPwo,
@@ -111,6 +113,32 @@ def test_ordering_from_pwo_masking_violations():
         ordering_from_pwo({1, 2}, (0, 0, 0))  # active pair must be nonzero
     with pytest.raises(InconsistentPwo):
         ordering_from_pwo({1}, (1, 0, 0))  # absent pair must be zero
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ordering_from_pwo((1, 2), (1.7,)), BadPwoValue),
+        (lambda: ordering_from_pwo((1, 2), ("-1",)), BadPwoValue),
+        (lambda: ordering_from_pwo((1.5, 2), (1,)), OrderingSupportMismatch),
+        (lambda: pwo_from_ordering(P("1/2", "1/2"), (1.9, 2.2)), OrderingSupportMismatch),
+        (lambda: pwo_from_ordering(P("1/2", "1/2"), ("1", "2")), OrderingSupportMismatch),
+    ],
+    ids=["fractional_sign", "string_sign", "fractional_support", "fractional_ordering", "string_ordering"],
+)
+def test_order_functions_refuse_non_integer_entries(call, error):
+    # a non-integer entry is refused, never truncated to a valid one
+    with pytest.raises(error, match="entries must be integers, got "):
+        call()
+
+
+def test_order_functions_accept_integral_numbers():
+    i64 = np.int64
+    assert ordering_from_pwo((i64(1), i64(2)), (i64(-1),)) == (2, 1)
+    assert ordering_from_pwo((1, 2), (Fraction(1),)) == (1, 2)
+    assert pwo_from_ordering(P("1/2", "1/2"), (i64(2), i64(1))) == (-1,)
+    assert all(type(c) is int for c in ordering_from_pwo((i64(1), i64(2)), (i64(1),)))
+    assert all(type(z) is int for z in pwo_from_ordering(P("1/2", "1/2"), (i64(1), i64(2))))
 
 
 def test_expand_lattice_21_runs(table1):
