@@ -28,7 +28,6 @@ from .evaluate import (
     fds_curve,
     fit_ols,
     g_efficiency,
-    information_matrix,
     leverages,
     power,
     prediction_variance,
@@ -75,7 +74,6 @@ __all__ = [
     "evaluate_design",
     "fds_curve",
     "g_efficiency",
-    "information_matrix",
     "leverages",
     "power",
     "prediction_variance",

@@ -28,11 +28,11 @@ from .errors import InvalidParameter, OamixError
 from .evaluate import (
     ContinuousAmounts,
     DiscreteAmounts,
-    _powers,
     evaluate_design,
     fds_curve,
+    power,
 )
-from .io import read_design, write_design
+from .io import _MAX_DECIMALS, read_design, write_design
 from .models import ModelKind, build_spec, coded_model_matrix, model_matrix
 from .oofa import cross_amounts, oofa_expand, scale_amounts
 from .simplex import project_columns, simplex_centroid, simplex_lattice
@@ -74,9 +74,16 @@ def _json(data: dict) -> str:
     return json.dumps(finite(data), indent=2, allow_nan=False) + "\n"
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {str(path)!r}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -85,8 +92,11 @@ def _decimals(fmt: str) -> int | None:
     if fmt == "rational":
         return None
     digits = fmt.removeprefix("decimals:")
-    if digits == fmt or not digits.isdecimal():
-        raise InvalidParameter(f"--format must be rational or decimals:K with K >= 0, got {fmt!r}")
+    # the length test keeps int() within Python's int-from-str digit limit
+    if digits == fmt or not (digits.isdecimal() and len(digits) <= 4 and int(digits) <= _MAX_DECIMALS):
+        raise InvalidParameter(
+            f"--format must be rational or decimals:K with 0 <= K <= {_MAX_DECIMALS}, got {fmt!r}"
+        )
     return int(digits)
 
 
@@ -218,10 +228,9 @@ def cmd_power(args) -> int:
     design = _read_stdin_design(args)
     spec = _spec_for(args, design)
     mm = coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
-    powers = _powers(mm, args.signal, args.alpha)
     rows = {
-        label: float(pw)
-        for label, pw in zip(mm.col_labels, powers)
+        label: power(mm, j, args.signal, args.alpha)
+        for j, label in enumerate(mm.col_labels)
         if not args.term or label == args.term
     }
     if args.term and not rows:
@@ -260,9 +269,12 @@ def cmd_demo(args) -> int:
         "example1_fds.txt": curve1.to_text(),
         "example2_fds.txt": curve2.to_text(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot make the output directory {str(out_dir)!r}: {exc}") from None
     for name, text in files.items():
-        (out_dir / name).write_text(text)
+        _write(out_dir / name, text)
 
     print(f"# oamix demo {args.suite} --out {out_dir} --samples {args.samples} --seed {args.seed}")
     print(f"example1: N={report1.n_runs} p={report1.n_params} "

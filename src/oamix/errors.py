@@ -4,6 +4,8 @@ Every contract violation raises a named subclass of OamixError so callers
 (and the CLI) can report the failure kind without string matching.
 """
 
+from numbers import Integral
+
 
 class OamixError(Exception):
     """Base class for all library errors."""
@@ -111,6 +113,20 @@ class InconsistentPwoRow(InconsistentPwo):
 
 class AmountMismatch(OamixError):
     pass
+
+
+def _int_in_range(name: str, value, least: int, most: int | None = None) -> int:
+    """`value` as an int when it is an integer, not a bool, in [least, most];
+    otherwise InvalidParameter naming `name`."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or value < least
+        or (most is not None and value > most)
+    ):
+        bound = f"from {least} to {most}" if most is not None else f">= {least}"
+        raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def located(where: str, exc: OamixError) -> OamixError:

@@ -5,7 +5,8 @@ M = X'X, leverages / prediction variances d(f) = f' M^{-1} f, G-efficiency
 100 p / (N max d), determinant criteria, per-term standard errors and
 multicollinearity R^2, two-sided t-test power, Monte Carlo fraction-of-
 design-space (FDS) curves, and least-squares fits.  Each X is factored
-once, by `_Factor`, and every quantity is read off that factor.
+once, by `_Factor`, and every quantity is read off that factor; a
+`ModelMatrix` keeps its factor across calls, a plain array does not.
 
 Prediction variances are reported unscaled (d = f' M^{-1} f); the N-scaled
 variant N*d is emitted alongside, clearly labeled.  Leverage-based criteria
@@ -27,12 +28,12 @@ from .errors import (
     MissingAmount,
     NoResidualDf,
     SingularInformation,
+    _int_in_range,
 )
 from .models import ModelMatrix, ModelSpec, coded_model_matrix, model_matrix, term_columns
 from .oofa import pwo_pairs
 
 __all__ = [
-    "information_matrix",
     "leverages",
     "prediction_variance",
     "g_efficiency",
@@ -57,19 +58,6 @@ SIGNAL_HALF_RANGE = 0.5
 _FDS_CHUNK = 8192
 
 
-def _as_array(X) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(X, ModelMatrix):
-        return X.X, X.col_labels
-    arr = np.asarray(X, dtype=float)
-    return arr, tuple(str(j) for j in range(arr.shape[1]))
-
-
-def information_matrix(X) -> np.ndarray:
-    """M = X'X, symmetric positive semidefinite."""
-    arr, _ = _as_array(X)
-    return arr.T @ arr
-
-
 class _Factor:
     """One factorization of X, with a reciprocal-condition gate.
 
@@ -84,8 +72,7 @@ class _Factor:
     log|X'X| = 2 (sum log S + sum log D).
     """
 
-    def __init__(self, X):
-        arr, labels = _as_array(X)
+    def __init__(self, arr: np.ndarray, labels: tuple[str, ...]):
         p = arr.shape[1]
         finite = np.isfinite(arr).all(axis=0)
         if not finite.all():
@@ -122,20 +109,36 @@ class _Factor:
     def inverse_diag(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self._W, self._W)
 
+    def r2(self) -> np.ndarray:
+        """R^2 of each column on the others: 1/[M^{-1}]_jj is the residual sum
+        of squares of column j, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN
+        where SST_j = 0."""
+        sst = np.sum((self.X - self.X.mean(axis=0)) ** 2, axis=0)
+        with np.errstate(divide="ignore"):
+            return np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * self.inverse_diag()))
+
     def solve(self, y: np.ndarray) -> np.ndarray:
         """M^{-1} X'y = W W'X'y: the least-squares coefficients for y."""
         return self._W @ (self._W.T @ (self.X.T @ y))
 
 
+def _factor(X) -> _Factor:
+    """The factor a `ModelMatrix` keeps, or a new one of an array."""
+    if isinstance(X, ModelMatrix):
+        return X._factor
+    arr = np.asarray(X, dtype=float)
+    return _Factor(arr, tuple(str(j) for j in range(arr.shape[1])))
+
+
 def leverages(X) -> np.ndarray:
     """Per-run prediction variances d_i = x_i' (X'X)^{-1} x_i; they sum to p."""
-    fac = _Factor(X)
+    fac = _factor(X)
     return fac.pv(fac.X)
 
 
 def prediction_variance(X, f) -> float:
     """Unscaled prediction variance d = f' (X'X)^{-1} f at a model vector f."""
-    return float(_Factor(X).pv(np.asarray(f, dtype=float))[0])
+    return float(_factor(X).pv(np.asarray(f, dtype=float))[0])
 
 
 def g_efficiency(p: int, n: int, max_pv: float) -> float:
@@ -155,10 +158,7 @@ def d_criteria(X) -> dict:
     An X whose equilibrated reciprocal condition is below 1e-10 raises
     SingularInformation, as every other criterion does.
     """
-    return _d_criteria(_Factor(X))
-
-
-def _d_criteria(fac: _Factor) -> dict:
+    fac = _factor(X)
     n, p = fac.X.shape
     logdet = fac.log_det
     per_param = math.exp(logdet / p)
@@ -174,27 +174,7 @@ def _d_criteria(fac: _Factor) -> dict:
 def std_errors(X) -> np.ndarray:
     """sqrt of the diagonal of (X'X)^{-1}: per-term standard errors at unit
     error variance."""
-    return np.sqrt(_Factor(X).inverse_diag())
-
-
-def _term_stats(fac: _Factor, signal_sd: float = 0.0, alpha: float = 0.05):
-    """Per-column SE, multicollinearity R^2 and power from one factor.
-
-    1/[M^{-1}]_jj is the residual sum of squares of column j regressed on
-    the others, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN where SST_j = 0.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not math.isfinite(signal_sd):
-        raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
-    n, p = fac.X.shape
-    inv_diag = fac.inverse_diag()
-    se = np.sqrt(inv_diag)
-    sst = np.sum((fac.X - fac.X.mean(axis=0)) ** 2, axis=0)
-    with np.errstate(divide="ignore"):
-        r2 = np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * inv_diag))
-    pw = _nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
-    return se, r2, pw
+    return np.sqrt(_factor(X).inverse_diag())
 
 
 def r2_multicollinearity(X, j: int) -> float:
@@ -204,31 +184,41 @@ def r2_multicollinearity(X, j: int) -> float:
     under positive diagonal rescaling of the columns.  A singular X raises
     SingularInformation.
     """
-    fac = _Factor(X)
+    fac = _factor(X)
     if fac.X.shape[1] < 2:
         raise ConstantColumn("need at least two columns")
-    r2 = _term_stats(fac)[1][j]
+    r2 = fac.r2()[j]
     if np.isnan(r2):
         raise ConstantColumn(f"column {fac.labels[j]} is constant")
     return float(r2)
 
 
+def _check_power_args(signal_sd: float, alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not math.isfinite(signal_sd):
+        raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
+
+
 def _nct_two_sided(delta, df: int, alpha: float):
-    """Two-sided t-test power at noncentrality delta (a scalar or an array)."""
+    """Two-sided t-test power at noncentrality delta (a scalar or an array).
+
+    Power is even in delta, so both tails are lower noncentral-t CDFs at
+    d = |delta|: the near tail P(T_d > t) = P(T_{-d} < -t), which scipy
+    evaluates at every d, plus the far tail P(T_d < -t).  scipy returns NaN
+    for the far tail at some d above about 6.1; there it is taken as 0.  It
+    is below Phi(-d) at any d, because T_d < 0 needs Z + d < 0, and at every
+    such NaN over df 1..1e5, alpha 0.01, 0.05, 0.2 and d in [0, 200] it is
+    below 4e-16, two units in the last place of a power near 1.
+    """
     from scipy import special  # only power needs scipy
 
+    d = np.abs(delta)
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
-    pw = 1.0 - special.nctdtr(df, delta, tcrit) + special.nctdtr(df, delta, -tcrit)
+    far = special.nctdtr(df, d, -tcrit)
+    pw = special.nctdtr(df, -d, -tcrit) + np.where(np.isnan(far), 0.0, far)
     # the central case is exact by construction
-    return np.where(np.asarray(delta) == 0.0, alpha, pw)[()]
-
-
-def _powers(X, signal_sd: float, alpha: float) -> np.ndarray:
-    """Power of every coefficient of X from one factorization."""
-    n, p = _as_array(X)[0].shape
-    if n - p < 1:
-        raise NoResidualDf(f"N - p = {n - p}; no residual degrees of freedom")
-    return _term_stats(_Factor(X), signal_sd, alpha)[2]
+    return np.where(d == 0.0, alpha, pw)[()]
 
 
 def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
@@ -240,7 +230,13 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
     This convention reproduces the reference designs' documented power
     columns for linear, sign, and interaction terms.
     """
-    return float(_powers(X, signal_sd, alpha)[j])
+    _check_power_args(signal_sd, alpha)
+    fac = _factor(X)
+    n, p = fac.X.shape
+    if n - p < 1:
+        raise NoResidualDf(f"N - p = {n - p}; no residual degrees of freedom")
+    se = np.sqrt(fac.inverse_diag())
+    return float(_nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se[j], n - p, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +369,13 @@ def fds_curve(
     serially (threads bought wall time only with more CPU), so the output
     does not depend on it.
     """
-    if n_samples < 100:
-        raise InvalidParameter(f"n_samples must be at least 100, got {n_samples}")
+    n_samples = _int_in_range("n_samples", n_samples, 100)
+    seed = _int_in_range("seed", seed, 0)
     if sign_policy not in ("orderings", "continuous"):
         raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
-    if workers < 1:
-        raise InvalidParameter(f"workers must be at least 1, got {workers}")
+    _int_in_range("workers", workers, 1)
     policy = amount_policy if amount_policy is not None else _default_policy(design)
-    fac = _Factor(model_matrix(design, spec))
+    fac = _factor(model_matrix(design, spec))
 
     rows = np.empty((min(_FDS_CHUNK, n_samples), spec.p))
     work = np.empty_like(rows)
@@ -454,13 +449,14 @@ def evaluate_design(
     """
     if coding not in ("coded", "raw"):
         raise InvalidParameter(f"coding must be 'coded' or 'raw', got {coding!r}")
+    _check_power_args(signal_sd, alpha)
     mm = model_matrix(design, spec)
-    fac = _Factor(mm)
     n, p = mm.X.shape
-    lev = fac.pv(mm.X)
+    lev = leverages(mm)
     max_pv = float(lev.max())
-    term_fac = fac if coding == "raw" else _Factor(coded_model_matrix(design, spec))
-    se, r2, pw = _term_stats(term_fac, signal_sd, alpha)
+    term = mm if coding == "raw" else coded_model_matrix(design, spec)
+    se = std_errors(term)
+    pw = _nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
     return EvalReport(
         n_runs=n,
         n_params=p,
@@ -468,14 +464,14 @@ def evaluate_design(
         avg_pv=float(lev.mean()),
         max_pv_n_scaled=max_pv * n,
         g_efficiency_pct=g_efficiency(p, n, max_pv),
-        d_criteria=_d_criteria(term_fac),
-        rcond=fac.rcond,
+        d_criteria=d_criteria(term),
+        rcond=_factor(mm).rcond,
         coding=coding,
         signal_sd=signal_sd,
         alpha=alpha,
         terms=tuple(
             TermStats(label=label, se=float(s), r2=float(r), power=float(w))
-            for label, s, r, w in zip(term_fac.labels, se, r2, pw)
+            for label, s, r, w in zip(term.col_labels, se, _factor(term).r2(), pw)
         ),
     )
 
@@ -501,7 +497,7 @@ def fit_ols(X, y) -> OlsFit:
     (N < p, or an equilibrated reciprocal condition below 1e-10) raises
     SingularInformation naming the near-null-space columns; a y that is not
     N finite values raises InvalidParameter."""
-    fac = _Factor(X)
+    fac = _factor(X)
     n, p = fac.X.shape
     y = np.asarray(y, dtype=float)
     if y.shape != (n,) or not np.isfinite(y).all():

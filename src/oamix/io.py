@@ -32,7 +32,7 @@ from importlib import resources
 from itertools import product
 
 from .core import Design, DesignPoint, Kind, OofARun, _as_signs
-from .errors import MalformedHeader, OamixError, RowLengthMismatch, located
+from .errors import MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
 from .oofa import _check_run, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
@@ -59,6 +59,8 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
 
 
 _NO_ROWS = "design file has a header but no rows"
+# far below the digits Python converts between int and str by default (4300)
+_MAX_DECIMALS = 1000
 
 
 def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[str]:
@@ -75,7 +77,10 @@ def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[st
 def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated.
 
-    A design with no runs is refused, as the reader refuses its text."""
+    `decimals`, when given, is an integer from 0 to 1000.  A design with no
+    runs is refused, as the reader refuses its text."""
+    if decimals is not None:
+        decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     if design.m > 9:
         raise MalformedHeader("the file format covers up to 9 components")
     if not design.runs:

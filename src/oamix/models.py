@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -224,12 +224,24 @@ def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModelMatrix:
+    """An N x p model matrix.  X is read-only, so the one factor that every
+    criterion reads, built on first use and kept, stays valid."""
+
     X: np.ndarray
     col_labels: tuple[str, ...]
+
+    def __post_init__(self):
+        self.X.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.X.shape
+
+    @cached_property
+    def _factor(self):
+        from .evaluate import _Factor  # evaluate imports this module
+
+        return _Factor(self.X, self.col_labels)
 
 
 def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray:

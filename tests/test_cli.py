@@ -139,6 +139,7 @@ def test_demo_writes_artifacts(tmp_path, capsys):
         (["power", "--model", "eq6", "--signal", "nan"], "table3"),
         (["power", "--model", "eq6", "--signal", "1", "--term", "nope"], "table3"),
         (["fds", "--model", "eq6", "--amounts", "discrete"], "table1"),
+        (["fds", "--model", "eq6", "--seed", "-1"], "table3"),
         (["project", "--drop", "abc"], "table1"),
         *(
             ([*command, "--format", fmt], table)
@@ -148,7 +149,7 @@ def test_demo_writes_artifacts(tmp_path, capsys):
                 (["cross", "--levels", "1"], "table1"),
                 (["scale", "--a-max", "2"], "table2"),
             )
-            for fmt in ("foo", "decimals:x", "decimals:-1")
+            for fmt in ("foo", "decimals:x", "decimals:-1", "decimals:100000")
         ),
     ],
     ids=lambda value: "_".join(value) if isinstance(value, list) else value,
@@ -166,13 +167,68 @@ def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
         ["--w", "2", "--format", "foo"],
         ["--w", "2", "--format", "decimals:x"],
         ["--w", "2", "--format", "decimals:-1"],
+        ["--w", "2", "--format", "decimals:100000"],
         [],
     ],
-    ids=["format_foo", "format_decimals_x", "format_decimals_-1", "lattice_without_w"],
+    ids=["format_foo", "format_decimals_x", "format_decimals_-1", "format_decimals_100000", "lattice_without_w"],
 )
 def test_generate_misuse_exits_2_with_named_error(capsys, argv):
     assert main(["generate", "--base", "lattice", "--m", "3", *argv]) == 2
     assert "error: InvalidParameter: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--base", "centroid", "--m", "3"],
+        ["project", "--drop", "3"],
+        ["expand"],
+        ["cross", "--levels", "1"],
+        ["scale", "--a-max", "2"],
+        ["matrix", "--model", "eq8"],
+        ["evaluate", "--model", "eq8"],
+        ["fds", "--model", "eq8", "--samples", "1000"],
+        ["power", "--model", "eq8", "--signal", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv):
+    inputs = {
+        "project": oamix.simplex_centroid(4),
+        "expand": oamix.simplex_lattice(3, 3),
+        "cross": reference_design("table1"),
+        "scale": reference_design("table2"),
+    }
+    design = tmp_path / "in.csv"
+    design.write_text(write_design(inputs.get(argv[0]) or reference_design("table5")))
+    out = tmp_path / "missing" / "x.json"
+    with_input = [] if argv[0] == "generate" else ["--input", str(design)]
+    assert main([*argv, *with_input, "--out", str(out)]) == 2
+    assert f"error: InvalidParameter: cannot write {str(out)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["under_a_file", "file_is_a_directory"])
+def test_demo_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, target):
+    blocker = tmp_path / "blocker"
+    if target == "under_a_file":
+        blocker.write_text("")
+        out, named = blocker / "demo", blocker / "demo"
+    else:
+        (blocker / "table1.csv").mkdir(parents=True)
+        out, named = blocker, blocker / "table1.csv"
+    assert main(["demo", "paper", "--out", str(out), "--samples", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameter: ") and repr(str(named)) in err
+
+
+def test_power_is_finite_for_strong_signals(tmp_path, capsys):
+    path = tmp_path / "table3.csv"
+    path.write_text(write_design(reference_design("table3")))
+    assert main(["power", "--model", "eq6", "--signal", "20", "--input", str(path)]) == 0
+    rows = _strict_json(capsys.readouterr().out)["power"]
+    assert all(isinstance(rows[label], float) for label in rows)
+    for label in ("x1", "x2", "x3"):
+        assert 0.99 < rows[label] <= 1.0
 
 
 def test_demo_failure_leaves_no_output(tmp_path, capsys):

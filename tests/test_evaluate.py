@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamix
 from oamix import (
     ContinuousAmounts,
     DiscreteAmounts,
@@ -13,8 +18,8 @@ from oamix import (
     d_criteria,
     evaluate_design,
     fds_curve,
+    fit_ols,
     g_efficiency,
-    information_matrix,
     leverages,
     model_matrix,
     oofa_expand,
@@ -52,11 +57,6 @@ from exact_terms import (
     exact_model_rows,
     nct_power_oracle,
 )
-
-
-def test_information_matrix_trivial():
-    assert np.array_equal(information_matrix(np.eye(3)), np.eye(3))
-    assert information_matrix(np.array([[1.0], [1.0]])).tolist() == [[2.0]]
 
 
 def test_prediction_variance_closed_form_identity_information():
@@ -192,15 +192,96 @@ def test_r2_closed_form_matches_lstsq(request, table, spec, coding):
             assert abs(term.r2 - lstsq_r2(X, j)) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def m6_scaled():
+    """The 651-run m = 6 companion design: the centroid projected to m = 5,
+    expanded and scaled to 500."""
+    return scale_amounts(oofa_expand(project_columns(simplex_centroid(6), {6})), 500)
+
+
 @pytest.mark.parametrize("coding", ["coded", "raw"])
-def test_report_agrees_bit_for_bit_with_public_criteria(table3, spec6, coding):
+def test_report_agrees_bit_for_bit_with_public_criteria(table3, table5, m6_scaled, coding):
     build = coded_model_matrix if coding == "coded" else model_matrix
-    term = build(table3, spec6)
-    report = evaluate_design(table3, spec6, signal_sd=0.5, coding=coding)
-    assert [t.se for t in report.terms] == std_errors(term).tolist()
-    for j, t in enumerate(report.terms):
-        assert t.r2 == r2_multicollinearity(term.X, j)
-        assert t.power == power(term, j, signal_sd=0.5)
+    for design, eq, signal in ((table3, "eq6", 0.5), (table5, "eq8", 2.0), (m6_scaled, "eq8", 2.0)):
+        spec = build_spec(eq, design.m)
+        term = build(design, spec)
+        report = evaluate_design(design, spec, signal_sd=signal, coding=coding)
+        assert [t.se for t in report.terms] == std_errors(term).tolist()
+        assert report.d_criteria == d_criteria(term)
+        for j, t in enumerate(report.terms):
+            if math.isnan(t.r2):
+                with pytest.raises(ConstantColumn):
+                    r2_multicollinearity(term, j)
+            else:
+                assert t.r2 == r2_multicollinearity(term, j) == r2_multicollinearity(term.X, j)
+            assert t.power == power(term, j, signal_sd=signal)
+
+
+def test_model_matrix_is_read_only(table3, spec6):
+    for mm in (model_matrix(table3, spec6), coded_model_matrix(table3, spec6)):
+        with pytest.raises(ValueError):
+            mm.X[0, 0] = 1.0
+
+
+@pytest.fixture
+def factors_built(monkeypatch):
+    """A counter of the `_Factor`s built while a test runs."""
+    count = [0]
+    init = _Factor.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Factor, "__init__", counting)
+    return count
+
+
+def _call_every_criterion(X, n, p):
+    leverages(X)
+    prediction_variance(X, np.ones(p))
+    std_errors(X)
+    d_criteria(X)
+    fit_ols(X, np.arange(n, dtype=float))
+    for j in range(p):
+        try:
+            r2_multicollinearity(X, j)
+        except ConstantColumn:
+            pass
+        power(X, j, signal_sd=2.0)
+
+
+def test_one_factor_per_model_matrix(table5, spec8, factors_built):
+    mm = coded_model_matrix(table5, spec8)
+    n, p = mm.shape
+    _call_every_criterion(mm, n, p)
+    assert factors_built[0] == 1
+    factors_built[0] = 0
+    _call_every_criterion(mm.X, n, p)
+    # an array is factored by each call: 5 whole-matrix calls, then R^2 and
+    # power for each column
+    assert factors_built[0] == 5 + 2 * p
+
+
+@pytest.mark.parametrize("coding, built", [("raw", 1), ("coded", 2)])
+def test_evaluate_design_factors_each_matrix_once(table3, spec6, factors_built, coding, built):
+    evaluate_design(table3, spec6, coding=coding)
+    assert factors_built[0] == built
+
+
+def test_r2_leaves_scipy_unloaded():
+    code = (
+        "import sys, oamix; from oamix.models import coded_model_matrix; "
+        "d = oamix.reference_design('table5'); mm = coded_model_matrix(d, oamix.build_spec('eq8', 3)); "
+        "[oamix.r2_multicollinearity(mm, j) for j in range(1, 16)]; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(oamix.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
@@ -234,8 +315,26 @@ def test_power_no_residual_df():
         power(np.eye(4), 0, signal_sd=1.0)
 
 
+def test_power_is_even_in_signal(table2, spec8):
+    X = coded_model_matrix(table2, spec8)
+    for j in (1, 4, 9):
+        for k in (0.5, 2.0, 20.0, 400.0):
+            assert power(X, j, signal_sd=-k) == power(X, j, signal_sd=k)
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 15, 27, 100, 1000, 2406, 53604, 100000])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_nct_power_finite_and_monotone_for_strong_signals(df, alpha):
+    # scipy's far-tail CDF is NaN at some noncentralities above ~6.1
+    delta = np.linspace(0.0, 200.0, 4001)
+    pw = _nct_two_sided(delta, df, alpha)
+    assert np.isfinite(pw).all()
+    assert pw[0] == alpha and np.all(np.diff(pw) >= 0.0)
+    assert pw[-1] <= 1.0
+
+
 @pytest.mark.parametrize("df", [5, 15, 27, 51])
-@pytest.mark.parametrize("delta", [0.3, 0.694, 1.0, 1.59, 2.5])
+@pytest.mark.parametrize("delta", [0.3, 0.694, 1.0, 1.59, 2.5, 8.5, 10, 16, 30])
 def test_nct_power_matches_integration_oracle(df, delta):
     assert _nct_two_sided(delta, df, 0.05) == pytest.approx(
         nct_power_oracle(delta, df, 0.05), abs=1e-6
@@ -334,10 +433,21 @@ def test_fds_rejects_small_samples(table5, spec8):
         fds_curve(table5, spec8, n_samples=10, seed=1)
 
 
-@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"sign_policy": "random"}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"workers": 0},
+        {"sign_policy": "random"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"n_samples": 1000.0},
+        {"n_samples": "1000"},
+    ],
+)
 def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
     with pytest.raises(InvalidParameter):
-        fds_curve(table5, spec8, n_samples=1000, seed=1, **kwargs)
+        fds_curve(table5, spec8, **{"n_samples": 1000, "seed": 1, **kwargs})
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0)])
@@ -368,7 +478,7 @@ def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
 def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy):
     """The FDS chunk loop with fresh arrays for every chunk, sorted after one
     concatenate: the reference for `fds_curve`'s reused buffers."""
-    fac = _Factor(model_matrix(design, spec))
+    fac = model_matrix(design, spec)._factor
     parts = []
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)

@@ -29,6 +29,7 @@ from oamix.errors import (
     AmountMismatch,
     BadPwoValue,
     InconsistentPwoRow,
+    InvalidParameter,
     MalformedHeader,
     NegativeEntry,
     RowLengthMismatch,
@@ -67,6 +68,12 @@ def test_write_table2_run_rational(table2):
 def test_write_table5_run_display(table5):
     text = write_design(table5, decimals=1)
     assert "166.7,0,166.7,0,1,0,333.3" in text.splitlines()
+
+
+@pytest.mark.parametrize("decimals", [-1, 1.5, True, 1001, "2"])
+def test_write_rejects_bad_decimals(table1, decimals):
+    with pytest.raises(InvalidParameter, match="decimals"):
+        write_design(table1, decimals=decimals)
 
 
 def test_write_table1_display_matches_reference_tokens(table1):
