@@ -146,6 +146,21 @@ class OofARun:
         if self.amount is not None:
             object.__setattr__(self, "amount", as_fraction(self.amount))
 
+    @classmethod
+    def _of(cls, point: DesignPoint, pwo: tuple[int, ...] | None, amount: Fraction | None) -> OofARun:
+        """A run of fields already in stored form: a tuple of ints (or None)
+        and a Fraction (or None).  It skips `__post_init__`, so runs that
+        share a checked sign tuple are not scanned again one by one; only
+        the library's own constructors, which hold such fields, call it."""
+        run = object.__new__(cls)
+        # attribute by attribute, as the generated __init__ does: writing
+        # through __dict__ would give each run an unshared, larger dict
+        assign = object.__setattr__
+        assign(run, "point", point)
+        assign(run, "pwo", pwo)
+        assign(run, "amount", amount)
+        return run
+
 
 @dataclass(frozen=True)
 class Design:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,13 +110,16 @@ class _Factor:
     def inverse_diag(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self._W, self._W)
 
+    @cached_property
     def r2(self) -> np.ndarray:
         """R^2 of each column on the others: 1/[M^{-1}]_jj is the residual sum
         of squares of column j, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN
-        where SST_j = 0."""
+        where SST_j = 0.  Computed once per factor; the array is read-only."""
         sst = np.sum((self.X - self.X.mean(axis=0)) ** 2, axis=0)
         with np.errstate(divide="ignore"):
-            return np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * self.inverse_diag()))
+            r2 = np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * self.inverse_diag()))
+        r2.flags.writeable = False
+        return r2
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """M^{-1} X'y = W W'X'y: the least-squares coefficients for y."""
@@ -182,12 +186,16 @@ def r2_multicollinearity(X, j: int) -> float:
 
     The total sum of squares is taken about the column mean.  Invariant
     under positive diagonal rescaling of the columns.  A singular X raises
-    SingularInformation.
+    SingularInformation, and a `j` that is not an integer from 0 to p - 1
+    raises InvalidParameter.  A `ModelMatrix` computes every column's R^2
+    once, on first use.
     """
     fac = _factor(X)
-    if fac.X.shape[1] < 2:
+    p = fac.X.shape[1]
+    if p < 2:
         raise ConstantColumn("need at least two columns")
-    r2 = fac.r2()[j]
+    j = _int_in_range("j", j, 0, p - 1)
+    r2 = fac.r2[j]
     if np.isnan(r2):
         raise ConstantColumn(f"column {fac.labels[j]} is constant")
     return float(r2)
@@ -228,13 +236,15 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
     noncentrality is delta = (SIGNAL_HALF_RANGE * k) / SE_j with
     SIGNAL_HALF_RANGE = 0.5; the residual degrees of freedom are N - p.
     This convention reproduces the reference designs' documented power
-    columns for linear, sign, and interaction terms.
+    columns for linear, sign, and interaction terms.  A `j` that is not an
+    integer from 0 to p - 1 raises InvalidParameter.
     """
     _check_power_args(signal_sd, alpha)
     fac = _factor(X)
     n, p = fac.X.shape
     if n - p < 1:
         raise NoResidualDf(f"N - p = {n - p}; no residual degrees of freedom")
+    j = _int_in_range("j", j, 0, p - 1)
     se = np.sqrt(fac.inverse_diag())
     return float(_nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se[j], n - p, alpha))
 
@@ -471,7 +481,7 @@ def evaluate_design(
         alpha=alpha,
         terms=tuple(
             TermStats(label=label, se=float(s), r2=float(r), power=float(w))
-            for label, s, r, w in zip(term.col_labels, se, _factor(term).r2(), pw)
+            for label, s, r, w in zip(term.col_labels, se, _factor(term).r2, pw)
         ),
     )
 

@@ -14,13 +14,15 @@ Values are exact rational strings (``1/3``) by default and round-trip
 losslessly.  ``decimals=k`` renders a display variant: values are rounded
 half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
-are display artifacts.  `read_design`, the one reader the library and the
-CLI share, parses each token as an exact decimal fraction and accepts a
-row only when its run passes the checks of ``oofa.validate_run``, each
-distinct point and sign pattern checked once per file, so it rejects a
-display file of thirds rounded to 0.33 (proportions no longer summing to
-1) and an amount row whose rounded A differs from the sum of its rounded
-amounts.
+are display artifacts.  `write_design` renders each distinct point, sign
+tuple and amount object of a design once and joins the pieces of each
+run.  `read_design`, the one reader the library and the CLI share, parses
+each token as an exact decimal fraction and accepts a row only when its
+run passes the checks of ``oofa.validate_run``, each distinct point and
+sign pattern checked once per file, and a row that repeats an earlier
+row's text up to its A reading only its A.  So it rejects a display file
+of thirds rounded to 0.33 (proportions no longer summing to 1) and an
+amount row whose rounded A differs from the sum of its rounded amounts.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -31,7 +33,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .core import Design, DesignPoint, Kind, OofARun, _as_signs
+from .core import Design, DesignPoint, Kind, OofARun, _as_signs, _distinct
 from .errors import MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
 from .oofa import _check_run, pwo_pairs
 
@@ -39,7 +41,16 @@ __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
 
 def format_value(value: Fraction, decimals: int | None) -> str:
-    """Render one exact value: rational text, or half-up rounded decimals."""
+    """Render one exact value: rational text, or half-up rounded decimals.
+
+    `decimals`, when given, is an integer from 0 to 1000."""
+    if decimals is not None:
+        decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
+    return _format_value(value, decimals)
+
+
+def _format_value(value: Fraction, decimals: int | None) -> str:
+    """`format_value` for a `decimals` already checked."""
     if decimals is None:
         return str(value)
     scale = 10 ** decimals
@@ -77,8 +88,11 @@ def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[st
 def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated.
 
-    `decimals`, when given, is an integer from 0 to 1000.  A design with no
-    runs is refused, as the reader refuses its text."""
+    `decimals`, when given, is an integer from 0 to 1000, checked once per
+    call.  Each distinct point, sign tuple and amount object is rendered
+    once, so runs that share them (as expanded and crossed runs do) cost a
+    join, not a formatting of every cell.  A design with no runs is
+    refused, as the reader refuses its text."""
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     if design.m > 9:
@@ -86,15 +100,26 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     if not design.runs:
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
-    lines = [",".join(_columns(design.kind, design.m, with_signs, with_amount))]
-    for run in design.runs:
-        cells = [format_value(v, decimals) for v in run.point.values]
-        if with_signs:
-            cells += [str(z) for z in run.pwo]
-        if with_amount:
-            cells.append(format_value(run.amount, decimals))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+
+    def point_text(point: DesignPoint) -> str:
+        return ",".join(_format_value(v, decimals) for v in point.values)
+
+    runs = design.runs
+    pieces = [_rendered([run.point for run in runs], point_text)]
+    if with_signs:
+        pieces.append(_rendered([run.pwo for run in runs], lambda pwo: ",".join(map(str, pwo))))
+    if with_amount:
+        pieces.append(_rendered([run.amount for run in runs], lambda amount: _format_value(amount, decimals)))
+    header = ",".join(_columns(design.kind, design.m, with_signs, with_amount))
+    return "\n".join([header, *map(",".join, zip(*pieces))]) + "\n"
+
+
+def _rendered(objects: list, render) -> list[str]:
+    """`render` of each object, called once per distinct object (by
+    identity, through `core._distinct`)."""
+    index, distinct = _distinct(objects)
+    texts = [render(obj) for obj in distinct]
+    return [texts[i] for i in index]
 
 
 # every header the format admits, keyed by its text: a one-component
@@ -130,9 +155,12 @@ def read_design(text: str) -> Design:
     same text share one point, and rows whose sign cells have the same text
     share one sign tuple, so each distinct point and sign pattern is decoded
     and checked once per call.  Each distinct sign cell text is decoded to
-    an int once, so a new sign pattern costs lookups, not parsing.  An
-    error in a row names its physical line as ``line N: ...`` and keeps its
-    class (sign-order faults are InconsistentPwoRow).
+    an int once, so a new sign pattern costs lookups, not parsing.  A row
+    whose text up to its last comma (the whole row when there is no A
+    column) equals an accepted earlier row's has that row's cell count,
+    point and sign tuple, so only its A is decoded and checked.  An error
+    in a row names its physical line as ``line N: ...`` and keeps its class
+    (sign-order faults are InconsistentPwoRow).
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -149,12 +177,13 @@ def read_design(text: str) -> Design:
     seen: dict = {}
 
     def decode(cell: str) -> Fraction:
-        if cell not in parsed:
+        value = parsed.get(cell)
+        if value is None:
             try:
-                parsed[cell] = Fraction(cell)
+                value = parsed[cell] = Fraction(cell)
             except (ValueError, ZeroDivisionError):
                 raise MalformedHeader(f"unreadable value {cell!r}") from None
-        return parsed[cell]
+        return value
 
     def decode_sign(cell: str) -> int | Fraction:
         # an integer cell becomes an int, which `_as_signs` passes unconverted;
@@ -165,31 +194,43 @@ def read_design(text: str) -> Design:
             sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
         return sign
 
+    # each accepted row's text up to its last comma (the whole row without
+    # an A column), with its checked point and sign tuple; a row repeating
+    # one has the same width and cells before its A, so only A is left
+    heads: dict[str, tuple[DesignPoint, tuple[int, ...] | None]] = {}
     runs = []
     for row_no, line in lines[1:]:
+        head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
+        known = heads.get(head)
         try:
-            cells = line.split(",")
-            if len(cells) != width:
-                raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
-            comp_text = tuple(cells[:m])
-            point = points.get(comp_text)
-            if point is None:
-                point = DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind)
-                points[comp_text] = point
-            pwo = None
-            if with_signs:
-                sign_text = tuple(cells[m : m + n_pairs])
-                pwo = sign_tuples.get(sign_text)
-                if pwo is None:
-                    signs = tuple(decode_sign(c) for c in sign_text)
-            amount = decode(cells[-1].strip()) if with_amount else None
-            # every cell is read before the signs are judged
-            if with_signs and pwo is None:
-                pwo = sign_tuples[sign_text] = _as_signs(signs)
-            run = OofARun(point, pwo=pwo, amount=amount)
+            if known is not None:
+                point, pwo = known
+                amount = decode(a_cell.strip()) if with_amount else None
+            else:
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
+                comp_text = tuple(cells[:m])
+                point = points.get(comp_text)
+                if point is None:
+                    point = DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind)
+                    points[comp_text] = point
+                pwo = None
+                if with_signs:
+                    sign_text = tuple(cells[m : m + n_pairs])
+                    pwo = sign_tuples.get(sign_text)
+                    if pwo is None:
+                        signs = tuple(decode_sign(c) for c in sign_text)
+                amount = decode(cells[-1].strip()) if with_amount else None
+                # every cell is read before the signs are judged
+                if with_signs and pwo is None:
+                    pwo = sign_tuples[sign_text] = _as_signs(signs)
+            run = OofARun._of(point, pwo, amount)
             _check_run(run, seen)
         except OamixError as exc:
             raise located(f"line {row_no}", exc) from exc
+        if known is None:
+            heads[head] = (point, pwo)
         runs.append(run)
     return Design(m=m, kind=kind, runs=tuple(runs))
 

@@ -103,7 +103,12 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
     full support).
     """
     support = tuple(sorted(_as_ints(support, OrderingSupportMismatch, "support")))
-    pwo = _as_signs(pwo)
+    return _ordering_from_pwo(support, _as_signs(pwo))
+
+
+def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
+    """`ordering_from_pwo` of an ascending support and a sign vector that
+    are already tuples of ints, as a point's support and a run's signs are."""
     if any(z not in (-1, 0, 1) for z in pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
     m = _m_from_pairs(len(pwo))
@@ -149,7 +154,7 @@ def oofa_expand(design: Design) -> Design:
         if vectors is None:
             # permutations of a support of size 0 or 1 is that support alone
             vectors = signs[support] = [pwo_from_ordering(run.point, o) for o in permutations(support)]
-        runs.extend(OofARun(run.point, pwo, run.amount) for pwo in vectors)
+        runs.extend(OofARun._of(run.point, pwo, run.amount) for pwo in vectors)
     return Design(design.m, design.kind, tuple(runs))
 
 
@@ -168,7 +173,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         raise DuplicateLevel(f"amount levels contain duplicates: {coerced}")
     if any(v < 0 for v in coerced):
         raise NegativeEntry("amount levels must be nonnegative")
-    runs = tuple(OofARun(run.point, run.pwo, level) for level in coerced for run in design.runs)
+    runs = tuple(OofARun._of(run.point, run.pwo, level) for level in coerced for run in design.runs)
     return Design(design.m, design.kind, runs)
 
 
@@ -186,7 +191,7 @@ def scale_amounts(design: Design, a_max) -> Design:
     scaled_points = [DesignPoint(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
     scaled_amounts = [amount * scale for amount in amounts]
     runs = tuple(
-        OofARun(scaled_points[i], run.pwo, scaled_amounts[j])
+        OofARun._of(scaled_points[i], run.pwo, scaled_amounts[j])
         for run, i, j in zip(design.runs, point_of, amount_of)
     )
     return Design(design.m, design.kind, runs)
@@ -206,31 +211,38 @@ def _check_run(run: OofARun, seen: dict) -> None:
     """`validate_run` with a memo `seen` kept for one pass over many runs.
 
     Each distinct point object is checked once: `validate_point`, its
-    support and, for an amount point, its exact total; the entry under
-    ``id(point)`` holds the point, so the id cannot be reused while `seen`
-    lives.  Each distinct (support, signs) pair has its order checked once.
-    Only passed checks are recorded, so the first faulty run still raises.
-    Every run still has its A checked against 0 and against its total, and
-    its sign vector's length against its m.
+    support and, for an amount point, its exact total.  Its A is checked
+    once per (point, amount) object pair, and its signs once per (point,
+    sign tuple) object pair, falling back to one order check per distinct
+    (support, signs) content.  Every entry keyed by ids holds the objects
+    it keys by, so no id is reused while `seen` lives; an amount (a
+    Fraction or None) and a sign tuple are never one object, so their keys
+    cannot meet.  Only passed checks are recorded, so the first faulty run
+    still raises.
     """
-    point = run.point
+    point, amount, pwo = run.point, run.amount, run.pwo
     known = seen.get(id(point))
     if known is None:
         validate_point(point)
         total = total_amount(point) if point.kind is Kind.AMOUNT else None
         known = seen[id(point)] = (point, point.support(), total)
     _, support, total = known
-    if run.amount is not None and run.amount < 0:
-        raise NegativeEntry(f"total amount A is negative: {run.amount}")
-    if point.kind is Kind.AMOUNT and run.amount != total:
-        raise AmountMismatch(f"A is {run.amount} but the amounts sum to {total}")
-    if run.pwo is not None:
-        if len(run.pwo) != point.m * (point.m - 1) // 2:
-            raise InconsistentPwo(f"{len(run.pwo)} signs for the pairs of {point.m} components")
-        key = (support, run.pwo)
+    key = (id(point), id(amount))
+    if key not in seen:
+        if amount is not None and amount < 0:
+            raise NegativeEntry(f"total amount A is negative: {amount}")
+        if point.kind is Kind.AMOUNT and amount != total:
+            raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
+        seen[key] = amount
+    if pwo is not None:
+        key = (id(point), id(pwo))
         if key not in seen:
-            ordering_from_pwo(support, run.pwo)
-            seen[key] = None
+            if len(pwo) != point.m * (point.m - 1) // 2:
+                raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
+            if (support, pwo) not in seen:
+                _ordering_from_pwo(support, pwo)
+                seen[support, pwo] = None
+            seen[key] = pwo
 
 
 def validate_design(design: Design) -> None:

@@ -104,7 +104,9 @@ def test_run_keeps_a_tuple_of_int_signs():
     assert OofARun(P("1/3", "1/3", "1/3"), pwo=signs).pwo is signs
 
 
-@pytest.mark.parametrize("sign", [1.7, "-1", "x", float("nan")], ids=["fractional", "string", "text", "nan"])
+@pytest.mark.parametrize(
+    "sign", [1.7, Fraction(1, 2), "-1", "x", float("nan")], ids=["fractional", "half", "string", "text", "nan"]
+)
 def test_run_refuses_non_integer_signs(sign):
     # as the reader refuses a 1/2 sign cell
     with pytest.raises(BadPwoValue, match="^sign entries must be integers, got "):

@@ -29,8 +29,10 @@ from oamix import (
     scale_amounts,
     simplex_centroid,
     simplex_lattice,
+    validate_design,
     write_design,
 )
+from oamix import core, io, oofa
 from oamix.errors import OamixError
 from oamix.models import coded_model_matrix
 
@@ -190,3 +192,53 @@ def test_scale_shares_one_scaled_point_per_point(m6_bases):
     assert len({id(run.point) for run in expanded.runs}) == 63
     assert len({id(run.point) for run in scaled.runs}) == 63
     assert len({id(run.amount) for run in scaled.runs}) == len({id(run.amount) for run in expanded.runs})
+
+
+def _count_calls(monkeypatch, name: str, *modules) -> list[int]:
+    """Count the calls of the function `name` made through any of
+    `modules`; the list's one item is the count so far."""
+    calls = [0]
+    for module in modules:
+
+        def counted(*args, original=getattr(module, name)):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("decimals", [None, 4])
+@pytest.mark.parametrize("name", ["crossed", "crossed_read"])
+def test_write_renders_each_distinct_value_once(monkeypatch, m6_designs, name, decimals):
+    # 126 point objects of 6 components and 3 amount objects: each value is
+    # rendered by `io._format_value` once, not once per cell (2448 * 7)
+    design = m6_designs[name]
+    assert len(design) == 2448
+    want = write_design(design, decimals)
+    calls = _count_calls(monkeypatch, "_format_value", io)
+    assert write_design(design, decimals) == want
+    assert 0 < calls[0] <= 126 * 6 + 3
+
+
+def test_read_scans_each_distinct_sign_vector_once(monkeypatch, m6_designs):
+    # 511 distinct sign vectors; a per-run scan of stored signs made 3991
+    # calls: one per run and two per order check
+    design = m6_designs["crossed"]
+    text = write_design(design)
+    calls = _count_calls(monkeypatch, "_as_ints", core, oofa)
+    assert read_design(text) == design
+    assert 0 < calls[0] <= len({run.pwo for run in design.runs})
+
+
+@pytest.mark.parametrize("name", ["crossed", "scaled"])
+def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, name):
+    design = m6_designs[name]
+    patterns = len({(run.point.support(), run.pwo) for run in design.runs})
+    text = write_design(design)
+    calls = _count_calls(monkeypatch, "_ordering_from_pwo", oofa)
+    back = read_design(text)
+    assert 0 < calls[0] <= patterns
+    calls[0] = 0
+    validate_design(back)
+    assert 0 < calls[0] <= patterns

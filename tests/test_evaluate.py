@@ -298,6 +298,22 @@ def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
             evaluate_design(table2, spec8, signal_sd=signal)
 
 
+@pytest.mark.parametrize(
+    "criterion",
+    [lambda X, j: power(X, j, signal_sd=2.0), r2_multicollinearity],
+    ids=["power", "r2_multicollinearity"],
+)
+@pytest.mark.parametrize("as_array", [False, True], ids=["model_matrix", "array"])
+def test_column_index_must_name_a_column(table3, spec6, criterion, as_array):
+    mm = coded_model_matrix(table3, spec6)
+    X = mm.X if as_array else mm
+    p = mm.X.shape[1]
+    for j in (-1, p, 99, 1.5, True, "0"):
+        with pytest.raises(InvalidParameter, match=f"^j must be an integer from 0 to {p - 1}"):
+            criterion(X, j)
+    assert criterion(X, np.int64(p - 1)) == criterion(X, p - 1)
+
+
 def test_power_null_equals_alpha(table2, spec8):
     X = model_matrix(table2, spec8)
     for alpha in (0.01, 0.05, 0.2):

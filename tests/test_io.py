@@ -38,6 +38,8 @@ from oamix.errors import (
 )
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
+from test_distinct_values import fresh
+
 
 def test_format_value_rational():
     assert format_value(Fraction(1, 3), None) == "1/3"
@@ -74,6 +76,12 @@ def test_write_table5_run_display(table5):
 def test_write_rejects_bad_decimals(table1, decimals):
     with pytest.raises(InvalidParameter, match="decimals"):
         write_design(table1, decimals=decimals)
+
+
+@pytest.mark.parametrize("decimals", [-1, 1.5, True])
+def test_format_value_rejects_bad_decimals(decimals):
+    with pytest.raises(InvalidParameter, match="^decimals must be an integer from 0 to 1000"):
+        format_value(Fraction(1, 3), decimals)
 
 
 def test_write_table1_display_matches_reference_tokens(table1):
@@ -206,6 +214,31 @@ def test_round_trip_property(design):
     validate_design(again)
 
 
+def per_cell_write(design: Design, decimals: int | None) -> str:
+    """The reference writer: every cell of every run formatted on its own."""
+    lines = [",".join(_columns(design.kind, design.m, design.is_expanded, design.has_amounts))]
+    for run in design.runs:
+        cells = [format_value(v, decimals) for v in run.point.values]
+        if design.is_expanded:
+            cells += [str(z) for z in run.pwo]
+        if design.has_amounts:
+            cells.append(format_value(run.amount, decimals))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(built_designs())
+def test_writer_matches_a_per_cell_reference(design):
+    # the writer renders each distinct object once; neither sharing nor
+    # its absence may change a byte
+    unshared = fresh(design)
+    for decimals in (None, 0, 1, 2, 3, 4, 5, 6):
+        want = per_cell_write(design, decimals)
+        assert write_design(design, decimals) == want
+        assert write_design(unshared, decimals) == want
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -247,6 +280,30 @@ def test_bad_sign_among_seen_sign_cells(text, error, message):
     with pytest.raises(error) as got:
         read_design(text)
     assert str(got.value) == message
+
+
+_HEAD = "x1,x2,x3,z12,z13,z23,A\n1/3,1/3,1/3,1,1,1,1\n"
+_AMOUNT_HEAD = "a1,a2,a3,z12,z13,z23,A\n1,1,1,1,1,1,3\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_HEAD + "1/3,1/3,1/3,1,1,1,-1\n", NegativeEntry, "line 3: total amount A is negative: -1"),
+        (_HEAD + "1/3,1/3,1/3,1,1,1,x\n", MalformedHeader, "line 3: unreadable value 'x'"),
+        (_AMOUNT_HEAD + "1,1,1,1,1,1,4\n", AmountMismatch, "line 3: A is 4 but the amounts sum to 3"),
+        (_HEAD + "1/3,1/3,1/3,1,1,1,1,1\n", RowLengthMismatch, "line 3: expected 7 values, got 8"),
+        ("x1,x2,z12\n1/2,1/2,1\n1/2,1/2,1,1\n", RowLengthMismatch, "line 3: expected 3 values, got 4"),
+        ("a1,A\n2,2\n2,-2\n", NegativeEntry, "line 3: total amount A is negative: -2"),
+    ],
+    ids=["negative_a", "unreadable_a", "amount_total", "extra_cell", "extra_cell_no_a", "one_component"],
+)
+def test_row_repeating_an_earlier_head_checks_its_a_and_width(text, error, message):
+    # line 3 repeats line 2's cells up to its A, which the reader checked
+    # once; the rest of the row is still read and checked
+    with pytest.raises(error) as got:
+        read_design(text)
+    assert type(got.value) is error and str(got.value) == message
 
 
 @pytest.mark.parametrize(
