@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -254,6 +255,11 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool and not NaN."""
+    return isinstance(value, Real) and not isinstance(value, bool) and value == value
+
+
 @dataclass(frozen=True)
 class ContinuousAmounts:
     """Sample the total amount uniformly on [lo, hi]."""
@@ -262,19 +268,28 @@ class ContinuousAmounts:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0 <= self.lo <= self.hi):
-            raise InvalidParameter(f"amount range needs finite 0 <= lo <= hi, got {self.lo}:{self.hi}")
+        lo, hi = self.lo, self.hi
+        if not (all(_is_real(v) and math.isfinite(v) for v in (lo, hi)) and 0 <= lo <= hi):
+            raise InvalidParameter(f"amount range needs real finite 0 <= lo <= hi, got {lo!r}:{hi!r}")
 
 
 @dataclass(frozen=True)
 class DiscreteAmounts:
-    """Sample the total amount uniformly over a fixed level set."""
+    """Sample the total amount uniformly over a fixed level set, kept as a
+    tuple so the policy is hashable."""
 
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.levels or not all(math.isfinite(a) and a >= 0 for a in self.levels):
-            raise InvalidParameter(f"amount levels need a nonempty set of finite values >= 0, got {self.levels}")
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            levels = None
+        if not levels or not all(_is_real(a) and math.isfinite(a) and a >= 0 for a in levels):
+            raise InvalidParameter(
+                f"amount levels need a nonempty set of real finite values >= 0, got {self.levels!r}"
+            )
+        object.__setattr__(self, "levels", levels)
 
 
 def _default_policy(design: Design) -> ContinuousAmounts:
@@ -303,13 +318,21 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
 
 
 def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None) -> np.ndarray:
+    """The model rows of one chunk of samples, written into `out` (an
+    F-ordered (n, p) array) or into a fresh array of that layout, so BLAS
+    sees one layout for every chunk whether or not a buffer is reused."""
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
     j, k = np.array(pwo_pairs(spec.m)).T - 1
     if signs is None:
         # j before k when its key is smaller; a tie goes to the lower index,
         # as a stable argsort of the keys would rank it
         signs = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0)
-    signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
+    if not comps.all():
+        # zero masking; where every component is present the masks are all
+        # ones and would change no sign
+        signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
+    if out is None:
+        out = np.empty((spec.p, len(amounts))).T
     return term_columns(spec, comps, signs, amounts, out=out)
 
 
@@ -329,10 +352,17 @@ class FdsCurve:
         return np.arange(1, s + 1) / s
 
     def fraction_below(self, value: float) -> float:
-        """Fraction of sampled space with prediction variance < value."""
+        """Fraction of sampled space with prediction variance < value, a
+        real number that is not NaN."""
+        if not _is_real(value):
+            raise InvalidParameter(f"value must be a real number, not NaN, got {value!r}")
         return float(np.searchsorted(self.variances, value, side="left")) / self.n_samples
 
     def quantile(self, fraction: float) -> float:
+        """The smallest sampled variance with at least `fraction` of the
+        samples at or below it; `fraction` is a real number in [0, 1]."""
+        if not (_is_real(fraction) and 0 <= fraction <= 1):
+            raise InvalidParameter(f"fraction must be a real number in [0, 1], got {fraction!r}")
         i = min(self.n_samples - 1, max(0, int(math.ceil(fraction * self.n_samples)) - 1))
         return float(self.variances[i])
 
@@ -370,11 +400,15 @@ def fds_curve(
     majority-below-the-design-maximum claims hold.
 
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
-    curve is bit-identical for a given (seed, n_samples, policies) tuple.
-    One call allocates one row buffer and one product buffer of the chunk's
-    shape (up to 8192 x p, C-ordered) and the n_samples result, and reuses
-    the two buffers for every chunk, so no chunk makes a large allocation;
-    the returned curve owns its array and shares no memory with another.
+    curve is bit-identical for a given (seed, n_samples, policies) tuple on
+    one BLAS build (another build may pick other kernels and move the last
+    bits).  One call allocates one flat row buffer of p * min(8192,
+    n_samples) floats, one C-ordered product buffer of the chunk's shape
+    and the n_samples result, and reuses the two buffers for every chunk,
+    so no chunk makes a large allocation.  Each chunk's rows are a
+    column-contiguous (F-ordered) view of the row buffer, so each model
+    column is written with one contiguous store; the returned curve owns
+    its array and shares no memory with another.
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
     does not depend on it.
@@ -384,16 +418,22 @@ def fds_curve(
     if sign_policy not in ("orderings", "continuous"):
         raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
     _int_in_range("workers", workers, 1)
+    if amount_policy is not None and not isinstance(amount_policy, (ContinuousAmounts, DiscreteAmounts)):
+        raise InvalidParameter(
+            f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {amount_policy!r}"
+        )
     policy = amount_policy if amount_policy is not None else _default_policy(design)
     fac = _factor(model_matrix(design, spec))
 
-    rows = np.empty((min(_FDS_CHUNK, n_samples), spec.p))
-    work = np.empty_like(rows)
+    chunk = min(_FDS_CHUNK, n_samples)
+    rows = np.empty(spec.p * chunk)
+    work = np.empty((chunk, spec.p))
     variances = np.empty(n_samples)
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
-        F = _rows_from_samples(spec, x, keys, signs, amounts, out=rows[:count])
+        out = rows[: spec.p * count].reshape(spec.p, count).T
+        F = _rows_from_samples(spec, x, keys, signs, amounts, out=out)
         fac.pv(F, out=variances[start : start + count], work=work[:count])
     variances.sort()
     return FdsCurve(

@@ -250,8 +250,11 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
     amounts**t, in that order, for design matrices and FDS rows alike; the
     product before the amount power is formed once per term and reused for
-    every power t.  The matrix is C-ordered; it is written into `out`, a
-    C-ordered (n, p) float array, when one is given, and returned."""
+    every power t; a power of 1 uses the column itself, which is exact.
+    The matrix is written into `out`, an (n, p) float array of either
+    order, when one is given, and returned; otherwise it is a new C-ordered
+    array.  In an F-ordered `out`, as the FDS sampler passes, every column
+    write is one contiguous store, and the cells are the same bits."""
     pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
     X = np.empty((comps.shape[0], spec.p)) if out is None else out
     products: dict = {}
@@ -259,13 +262,13 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     for col, term in enumerate(spec.terms):
         key = (term.comp_powers, term.pwo_pair)
         if key not in products:
-            factors = [comps[:, i - 1] ** p for i, p in term.comp_powers]
+            factors = [comps[:, i - 1] if p == 1 else comps[:, i - 1] ** p for i, p in term.comp_powers]
             if term.pwo_pair is not None:
                 factors.append(signs[:, pair_col[term.pwo_pair]])
             products[key] = reduce(np.multiply, factors) if factors else None
         c, t = products[key], term.amount_power
         if t and t not in powers:
-            powers[t] = amounts ** t
+            powers[t] = amounts if t == 1 else amounts ** t
         if c is None:
             X[:, col] = powers[t] if t else 1.0
         elif t:

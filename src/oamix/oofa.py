@@ -75,9 +75,15 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
         raise OrderingSupportMismatch(
             f"ordering {ordering} is not a permutation of the support {support}"
         )
+    return _pwo_from_ordering(point.m, ordering)
+
+
+def _pwo_from_ordering(m: int, ordering: tuple[int, ...]) -> tuple[int, ...]:
+    """`pwo_from_ordering` of an ordering that is already a tuple of ints
+    permuting a known support of m components, as `oofa_expand`'s are."""
     pos = {c: i for i, c in enumerate(ordering)}
     out = []
-    for j, k in pwo_pairs(point.m):
+    for j, k in pwo_pairs(m):
         if j in pos and k in pos:
             out.append(1 if pos[j] < pos[k] else -1)
         else:
@@ -153,7 +159,7 @@ def oofa_expand(design: Design) -> Design:
         vectors = signs.get(support)
         if vectors is None:
             # permutations of a support of size 0 or 1 is that support alone
-            vectors = signs[support] = [pwo_from_ordering(run.point, o) for o in permutations(support)]
+            vectors = signs[support] = [_pwo_from_ordering(design.m, o) for o in permutations(support)]
         runs.extend(OofARun._of(run.point, pwo, run.amount) for pwo in vectors)
     return Design(design.m, design.kind, tuple(runs))
 

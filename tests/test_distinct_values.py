@@ -9,6 +9,7 @@ same matrices, reports and designs.
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oamix import (
     model_matrix,
     oofa_expand,
     project_columns,
+    pwo_from_ordering,
     read_design,
     reference_design,
     scale_amounts,
@@ -206,6 +208,24 @@ def _count_calls(monkeypatch, name: str, *modules) -> list[int]:
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_expand_orders_each_support_once(monkeypatch, m6_bases):
+    # 126 base runs; the public, checking `pwo_from_ordering` made 2580
+    # calls over 5 expands, each taking the point's support again
+    base = m6_bases["lattice"]
+    want = Design(base.m, base.kind, tuple(
+        OofARun(run.point, pwo_from_ordering(run.point, ordering), run.amount)
+        for run in base.runs
+        for ordering in permutations(run.point.support())
+    ))
+    public = _count_calls(monkeypatch, "pwo_from_ordering", oofa)
+    supports = _count_calls(monkeypatch, "support", DesignPoint)
+    got = oofa_expand(base)
+    assert public[0] == 0
+    assert supports[0] == len(base) == 126
+    assert got == want
+    assert write_design(got) == write_design(want)
 
 
 @pytest.mark.parametrize("decimals", [None, 4])

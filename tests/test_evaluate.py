@@ -47,6 +47,7 @@ from oamix.evaluate import (
     _sample_chunk,
 )
 from oamix.models import coded_model_matrix, term_columns
+from oamix.oofa import pwo_pairs
 
 from exact_terms import (
     design_cells,
@@ -459,6 +460,8 @@ def test_fds_rejects_small_samples(table5, spec8):
         {"seed": True},
         {"n_samples": 1000.0},
         {"n_samples": "1000"},
+        {"amount_policy": "x"},
+        {"amount_policy": (0.5, 3.0)},
     ],
 )
 def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
@@ -466,16 +469,54 @@ def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
         fds_curve(table5, spec8, **{"n_samples": 1000, "seed": 1, **kwargs})
 
 
-@pytest.mark.parametrize("lo, hi", [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0), ("0", "1"), (0.0, None), (True, 2.0)],
+)
 def test_continuous_amounts_rejects_bad_range(lo, hi):
     with pytest.raises(InvalidParameter):
         ContinuousAmounts(lo, hi)
 
 
-@pytest.mark.parametrize("levels", [(), (float("nan"),), (-5.0,)], ids=["empty", "nan", "negative"])
+@pytest.mark.parametrize(
+    "levels",
+    [(), (float("nan"),), (-5.0,), ("a",), (1.0, None), 5, "12"],
+    ids=["empty", "nan", "negative", "text", "none", "not_iterable", "string"],
+)
 def test_discrete_amounts_rejects_bad_levels(levels):
     with pytest.raises(InvalidParameter):
         DiscreteAmounts(levels)
+
+
+def test_discrete_amounts_keeps_its_levels_as_a_tuple():
+    policy = DiscreteAmounts([1.0, 2.0])
+    assert policy.levels == (1.0, 2.0)
+    assert hash(policy) == hash(DiscreteAmounts((1.0, 2.0)))
+
+
+@pytest.mark.parametrize("fraction", [2.0, -1.0, -1e-12, float("nan"), "0.5", None, True])
+def test_fds_quantile_rejects_bad_fractions(table5, spec8, fraction):
+    curve = fds_curve(table5, spec8, n_samples=1000, seed=1)
+    with pytest.raises(InvalidParameter):
+        curve.quantile(fraction)
+
+
+@pytest.mark.parametrize("value", [float("nan"), "1", None])
+def test_fds_fraction_below_rejects_bad_values(table5, spec8, value):
+    curve = fds_curve(table5, spec8, n_samples=1000, seed=1)
+    with pytest.raises(InvalidParameter):
+        curve.fraction_below(value)
+
+
+def test_fds_quantile_and_fraction_below_at_the_ends(table5, spec8):
+    curve = fds_curve(table5, spec8, n_samples=1000, seed=1)
+    v = curve.variances
+    assert curve.quantile(0) == curve.quantile(0.0005) == v[0]
+    assert curve.quantile(1) == v[-1]
+    assert curve.quantile(0.5) == v[499]
+    assert curve.fraction_below(float("inf")) == 1.0
+    assert curve.fraction_below(-float("inf")) == 0.0
+    assert curve.fraction_below(v[500]) == 0.5
 
 
 @pytest.mark.parametrize(
@@ -525,11 +566,65 @@ def test_fds_buffered_loop_matches_fresh_arrays(request, table, eq, discrete, si
         assert np.array_equal(got.variances, want), (n, eq, sign_policy)
 
 
-def test_term_columns_writes_into_out(spec6):
+def test_term_columns_writes_into_out():
     x, _, signs, amounts = _sample_chunk(5, 0, 300, 3, ContinuousAmounts(0.5, 3.0), "continuous")
-    buf = np.empty((300, spec6.p))
-    assert term_columns(spec6, x, signs, amounts, out=buf) is buf
-    assert np.array_equal(buf, term_columns(spec6, x, signs, amounts))
+    for eq in [f"eq{i}" for i in range(1, 9)]:
+        spec = build_spec(eq, 3)
+        comps = x * amounts[:, None] if spec.kind.uses_amounts else x
+        fresh = term_columns(spec, comps, signs, amounts)
+        assert fresh.flags.c_contiguous
+        for order in ("C", "F"):
+            buf = np.empty((300, spec.p), order=order)
+            assert term_columns(spec, comps, signs, amounts, out=buf) is buf
+            assert np.array_equal(buf, fresh), (eq, order)
+
+
+def _c_ordered_variances(design, spec, n_samples, seed, policy, sign_policy):
+    """The FDS chunk loop with C-ordered rows and the zero mask applied to
+    every chunk: the reference for `fds_curve`'s column-contiguous rows."""
+    fac = model_matrix(design, spec)._factor
+    j, k = np.array(pwo_pairs(spec.m)).T - 1
+    parts = []
+    for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
+        count = min(_FDS_CHUNK, n_samples - start)
+        x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
+        comps = x * amounts[:, None] if spec.kind.uses_amounts else x
+        if signs is None:
+            signs = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0)
+        signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
+        parts.append(fac.pv(term_columns(spec, comps, signs, amounts)))
+    return np.sort(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["continuous-amounts", "discrete-amounts"])
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize("eq", [f"eq{i}" for i in range(1, 9)])
+def test_fds_matches_c_ordered_rows(table2, table3, table5, eq, sign_policy, discrete):
+    spec = build_spec(eq, 3)
+    design = table5 if spec.kind.uses_amounts else table3
+    if discrete:
+        # table2's levels include 0, so amount models see zero-masked draws
+        design = table2 if spec.kind.uses_amounts else design
+        policy = DiscreteAmounts(tuple(float(a) for a in design.amount_levels))
+    else:
+        policy = _default_policy(design)
+    for n in (100, _FDS_CHUNK + 1, 3 * _FDS_CHUNK + 5):
+        got = fds_curve(design, spec, n, seed=5, amount_policy=policy, sign_policy=sign_policy).variances
+        want = _c_ordered_variances(design, spec, n, 5, policy, sign_policy)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"n={n}")
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+def test_fds_rows_at_zero_amount_have_zero_signs(table2, spec8, sign_policy):
+    policy = DiscreteAmounts(tuple(float(a) for a in table2.amount_levels))
+    assert 0.0 in policy.levels
+    x, keys, signs, amounts = _sample_chunk(2, 0, 1000, 3, policy, sign_policy)
+    rows = _rows_from_samples(spec8, x, keys, signs, amounts)
+    sign_cols = [c for c, term in enumerate(spec8.terms) if term.pwo_pair is not None]
+    at_zero = amounts == 0
+    assert 0 < at_zero.sum() < 1000
+    assert np.all(rows[np.ix_(at_zero, sign_cols)] == 0)
+    assert np.all(rows[np.ix_(~at_zero, sign_cols)] != 0)
 
 
 def test_fds_curves_own_their_arrays(table3, spec6):
