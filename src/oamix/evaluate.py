@@ -58,6 +58,7 @@ RCOND_FLOOR = 1e-10
 # a signal of k error SDs is read as a +-k/2 half-range (see `power`)
 SIGNAL_HALF_RANGE = 0.5
 _FDS_CHUNK = 8192
+_FDS_BLOCK = 2048
 
 
 class _Factor:
@@ -202,10 +203,18 @@ def r2_multicollinearity(X, j: int) -> float:
     return float(r2)
 
 
+def _is_finite(value) -> bool:
+    """`math.isfinite(value)`, false as well for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_power_args(signal_sd: float, alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not math.isfinite(signal_sd):
+    if not _is_finite(signal_sd):
         raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
 
 
@@ -269,7 +278,7 @@ class ContinuousAmounts:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
-        if not (all(_is_real(v) and math.isfinite(v) for v in (lo, hi)) and 0 <= lo <= hi):
+        if not (all(_is_real(v) and _is_finite(v) for v in (lo, hi)) and 0 <= lo <= hi):
             raise InvalidParameter(f"amount range needs real finite 0 <= lo <= hi, got {lo!r}:{hi!r}")
 
 
@@ -285,7 +294,7 @@ class DiscreteAmounts:
             levels = tuple(self.levels)
         except TypeError:
             levels = None
-        if not levels or not all(_is_real(a) and math.isfinite(a) and a >= 0 for a in levels):
+        if not levels or not all(_is_real(a) and _is_finite(a) and a >= 0 for a in levels):
             raise InvalidParameter(
                 f"amount levels need a nonempty set of real finite values >= 0, got {self.levels!r}"
             )
@@ -299,12 +308,29 @@ def _default_policy(design: Design) -> ContinuousAmounts:
     return ContinuousAmounts(lo=min(levels), hi=max(levels))
 
 
-def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str):
+def _row_sums(e: np.ndarray) -> np.ndarray:
+    """`e.sum(axis=1)` with its bits.  numpy adds a row of up to 7 values
+    left to right, which whole-column adds repeat without its per-row cost;
+    from 8 values on it adds in 8 pairwise lanes, so its sum is kept."""
+    if e.shape[1] > 7:
+        return e.sum(axis=1)
+    s = e[:, 0].copy()
+    for c in range(1, e.shape[1]):
+        s += e[:, c]
+    return s
+
+
+def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str, draws=None):
+    """One chunk's proportions x and order keys, each (n, m), continuous
+    signs (or None) and amounts.  x and keys are drawn into the two flat
+    buffers of `draws`, each of at least n * m floats, when it is given;
+    the stream and the bits do not depend on it."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    e_buf, key_buf = draws if draws is not None else (np.empty(n * m), np.empty(n * m))
     # exponential spacings: normalized iid exponentials are uniform on the simplex
-    e = rng.standard_exponential((n, m))
-    x = e / e.sum(axis=1, keepdims=True)
-    keys = rng.random((n, m))
+    x = rng.standard_exponential(out=e_buf[: n * m].reshape(n, m))
+    x /= _row_sums(x)[:, None]
+    keys = rng.random(out=key_buf[: n * m].reshape(n, m))
     if sign_policy == "continuous":
         signs = rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2))
     else:
@@ -317,23 +343,55 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     return x, keys, signs, amounts
 
 
-def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None) -> np.ndarray:
+def _pair_signs(m: int, comps, keys, signs, z):
+    """The sign factors of one chunk in `pwo_pairs` order: drawn from the
+    keys when `signs` is None, and masked to zero where a component of the
+    pair is zero.  Each pair is written into its column of `z` (an F-ordered
+    (n, pairs) array) or of a fresh one; continuous signs with no zero
+    component are returned as given."""
+    # where every component is present the zero masks are all ones and
+    # would change no sign
+    masked = not comps.all()
+    if signs is not None and not masked:
+        return signs
+    pairs = np.array(pwo_pairs(m)) - 1
+    if z is None:
+        z = np.empty((len(pairs), len(comps))).T
+    for c, (j, k) in enumerate(pairs):
+        if signs is None:
+            # j before k when its key is smaller; a tie goes to the lower
+            # index, as a stable argsort of the keys would rank it
+            np.subtract(1.0, 2.0 * (keys[:, j] > keys[:, k]), out=z[:, c])
+        else:
+            z[:, c] = signs[:, c]
+        if masked:
+            z[:, c] *= comps[:, j] != 0
+            z[:, c] *= comps[:, k] != 0
+    return z
+
+
+def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=None) -> np.ndarray:
     """The model rows of one chunk of samples, written into `out` (an
     F-ordered (n, p) array) or into a fresh array of that layout, so BLAS
-    sees one layout for every chunk whether or not a buffer is reused."""
+    sees one layout for every chunk whether or not a buffer is reused.
+    `z` is the sign buffer of `_pair_signs`; a model without order factors
+    uses no signs."""
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
-    j, k = np.array(pwo_pairs(spec.m)).T - 1
-    if signs is None:
-        # j before k when its key is smaller; a tie goes to the lower index,
-        # as a stable argsort of the keys would rank it
-        signs = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0)
-    if not comps.all():
-        # zero masking; where every component is present the masks are all
-        # ones and would change no sign
-        signs = signs * (comps[:, j] != 0) * (comps[:, k] != 0)
+    if spec.kind.has_pwo:
+        signs = _pair_signs(spec.m, comps, keys, signs, z)
     if out is None:
         out = np.empty((spec.p, len(amounts))).T
     return term_columns(spec, comps, signs, amounts, out=out)
+
+
+def _blocks(count: int):
+    """Row blocks of at most `_FDS_BLOCK` rows covering range(count); a
+    one-row tail joins the block before it, since numpy hands a one-row
+    product to gemv, whose bits can differ from gemm's."""
+    edges = list(range(0, count, _FDS_BLOCK)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges, edges[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,13 +460,20 @@ def fds_curve(
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple on
     one BLAS build (another build may pick other kernels and move the last
-    bits).  One call allocates one flat row buffer of p * min(8192,
-    n_samples) floats, one C-ordered product buffer of the chunk's shape
-    and the n_samples result, and reuses the two buffers for every chunk,
-    so no chunk makes a large allocation.  Each chunk's rows are a
-    column-contiguous (F-ordered) view of the row buffer, so each model
-    column is written with one contiguous store; the returned curve owns
-    its array and shares no memory with another.
+    bits).  One call allocates the n_samples result and, for chunks of
+    c = min(8192, n_samples) samples, buffers it reuses for every chunk:
+    two of c * m floats that the exponentials and the order keys are
+    drawn into, an F-ordered (c, pairs) sign buffer, one flat row buffer
+    of p * c floats and a C-ordered product buffer of min(2049, c) rows,
+    so no chunk makes a large allocation.  An n_samples too large to
+    allocate raises InvalidParameter.  Each chunk's rows are built once,
+    as a column-contiguous (F-ordered) view of the row buffer, so each
+    model column is written with one contiguous store; their products are
+    then formed in blocks of 2048 rows, whose product buffer stays in a
+    2 MB L2 cache at p = 36.  A one-row tail joins the block before it:
+    numpy hands a one-row product to gemv, whose bits can differ from
+    gemm's.  The returned curve owns its array and shares no memory with
+    another.
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
     does not depend on it.
@@ -424,17 +489,24 @@ def fds_curve(
         )
     policy = amount_policy if amount_policy is not None else _default_policy(design)
     fac = _factor(model_matrix(design, spec))
+    try:
+        variances = np.empty(n_samples)
+    except (ValueError, MemoryError):
+        raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
 
+    m, p = spec.m, spec.p
     chunk = min(_FDS_CHUNK, n_samples)
-    rows = np.empty(spec.p * chunk)
-    work = np.empty((chunk, spec.p))
-    variances = np.empty(n_samples)
+    draws = (np.empty(chunk * m), np.empty(chunk * m))
+    z = np.empty((m * (m - 1) // 2, chunk)).T
+    rows = np.empty(p * chunk)
+    work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
-        x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
-        out = rows[: spec.p * count].reshape(spec.p, count).T
-        F = _rows_from_samples(spec, x, keys, signs, amounts, out=out)
-        fac.pv(F, out=variances[start : start + count], work=work[:count])
+        x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws)
+        out = rows[: p * count].reshape(p, count).T
+        F = _rows_from_samples(spec, x, keys, signs, amounts, out=out, z=z[:count])
+        for lo, hi in _blocks(count):
+            fac.pv(F[lo:hi], out=variances[start + lo : start + hi], work=work[: hi - lo])
     variances.sort()
     return FdsCurve(
         variances=variances,

@@ -128,6 +128,7 @@ def test_demo_writes_artifacts(tmp_path, capsys):
         (["cross", "--levels", "1/0"], "table1"),
         (["scale", "--a-max", "x"], "table2"),
         (["fds", "--model", "eq6", "--samples", "50"], "table3"),
+        (["fds", "--model", "eq6", "--samples", str(10**20)], "table3"),
         (["fds", "--model", "eq6", "--amounts", "3:x"], "table3"),
         (["fds", "--model", "eq6", "--amounts", "5:1"], "table3"),
         (["fds", "--model", "eq6", "--amounts", "5"], "table3"),

@@ -15,6 +15,7 @@ from oamix import (
     ContinuousAmounts,
     DiscreteAmounts,
     build_spec,
+    cross_amounts,
     d_criteria,
     evaluate_design,
     fds_curve,
@@ -29,6 +30,7 @@ from oamix import (
     r2_multicollinearity,
     scale_amounts,
     simplex_centroid,
+    simplex_lattice,
     std_errors,
 )
 from oamix.errors import (
@@ -39,10 +41,14 @@ from oamix.errors import (
     SingularInformation,
 )
 from oamix.evaluate import (
+    _FDS_BLOCK,
     _FDS_CHUNK,
+    _blocks,
     _default_policy,
     _Factor,
     _nct_two_sided,
+    _pair_signs,
+    _row_sums,
     _rows_from_samples,
     _sample_chunk,
 )
@@ -292,7 +298,7 @@ def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
             power(X, 1, signal_sd=1.0, alpha=alpha)
         with pytest.raises(InvalidParameter):
             evaluate_design(table2, spec8, alpha=alpha)
-    for signal in (float("nan"), float("inf")):
+    for signal in (float("nan"), float("inf"), 10**400):
         with pytest.raises(InvalidParameter):
             power(X, 1, signal_sd=signal)
         with pytest.raises(InvalidParameter):
@@ -450,6 +456,12 @@ def test_fds_rejects_small_samples(table5, spec8):
         fds_curve(table5, spec8, n_samples=10, seed=1)
 
 
+def test_fds_rejects_a_sample_count_too_large_to_hold(table3, spec6):
+    # numpy refuses 10**20 floats before it takes any memory
+    with pytest.raises(InvalidParameter, match="n_samples"):
+        fds_curve(table3, spec6, 10**20, 1)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -471,7 +483,8 @@ def test_fds_rejects_bad_arguments(table5, spec8, kwargs):
 
 @pytest.mark.parametrize(
     "lo, hi",
-    [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0), ("0", "1"), (0.0, None), (True, 2.0)],
+    [(5.0, 1.0), (-1.0, 2.0), (0.0, float("inf")), (float("nan"), 1.0), ("0", "1"), (0.0, None), (True, 2.0),
+     (0, 10**400)],
 )
 def test_continuous_amounts_rejects_bad_range(lo, hi):
     with pytest.raises(InvalidParameter):
@@ -480,8 +493,8 @@ def test_continuous_amounts_rejects_bad_range(lo, hi):
 
 @pytest.mark.parametrize(
     "levels",
-    [(), (float("nan"),), (-5.0,), ("a",), (1.0, None), 5, "12"],
-    ids=["empty", "nan", "negative", "text", "none", "not_iterable", "string"],
+    [(), (float("nan"),), (-5.0,), ("a",), (1.0, None), 5, "12", (10**400,)],
+    ids=["empty", "nan", "negative", "text", "none", "not_iterable", "string", "int_too_large_for_a_float"],
 )
 def test_discrete_amounts_rejects_bad_levels(levels):
     with pytest.raises(InvalidParameter):
@@ -544,26 +557,113 @@ def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy):
     return np.sort(np.concatenate(parts))
 
 
+@pytest.fixture(scope="module")
+def m6_crossed():
+    return cross_amounts(oofa_expand(simplex_lattice(6, 4)), ["1/2", "5/4", "2"])
+
+
+@pytest.fixture(scope="module")
+def m8_crossed():
+    return cross_amounts(oofa_expand(simplex_lattice(8, 2)), ["1/2", "5/4", "2"])
+
+
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
 @pytest.mark.parametrize(
-    "table, eq, discrete",
-    [("table3", "eq2", False), ("table3", "eq5", False), ("table3", "eq6", False),
-     ("table5", "eq8", False), ("table2", "eq8", True)],
-    ids=["table3-eq2", "table3-eq5", "table3-eq6", "table5-eq8", "table2-eq8-discrete-with-0"],
+    "table, eq, m, discrete",
+    [("table3", "eq2", 3, False), ("table3", "eq5", 3, False), ("table3", "eq6", 3, False),
+     ("table5", "eq8", 3, False), ("table2", "eq8", 3, True), ("m6_crossed", "eq5", 6, False),
+     ("m8_crossed", "eq5", 8, False)],
+    ids=["table3-eq2", "table3-eq5", "table3-eq6", "table5-eq8", "table2-eq8-discrete-with-0", "m6-eq5", "m8-eq5"],
 )
-def test_fds_buffered_loop_matches_fresh_arrays(request, table, eq, discrete, sign_policy):
+def test_fds_buffered_loop_matches_fresh_arrays(request, table, eq, m, discrete, sign_policy):
     design = request.getfixturevalue(table)
-    spec = build_spec(eq, 3)
+    spec = build_spec(eq, m)
     if discrete:
         # table2's levels include 0, so the zero mask runs on some draws
         policy = DiscreteAmounts(tuple(float(a) for a in design.amount_levels))
         assert 0.0 in policy.levels
     else:
         policy = _default_policy(design)
-    for n in (100, _FDS_CHUNK - 1, _FDS_CHUNK, _FDS_CHUNK + 1, 2 * _FDS_CHUNK + 1):
+    sizes = (100, _FDS_BLOCK - 1, _FDS_BLOCK, _FDS_BLOCK + 1, _FDS_CHUNK - 1, _FDS_CHUNK, _FDS_CHUNK + 1,
+             _FDS_CHUNK + _FDS_BLOCK + 1, 2 * _FDS_CHUNK + 1)
+    for n in sizes:
         got = fds_curve(design, spec, n, seed=5, amount_policy=policy, sign_policy=sign_policy)
         want = _fresh_array_variances(design, spec, n, 5, policy, sign_policy)
         assert np.array_equal(got.variances, want), (n, eq, sign_policy)
+
+
+def _reference_sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str):
+    """The FDS sampler with fresh arrays and numpy's row sums: the reference
+    for `_sample_chunk`'s buffers and column adds."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    e = rng.standard_exponential((n, m))
+    x = e / e.sum(axis=1, keepdims=True)
+    keys = rng.random((n, m))
+    if sign_policy == "continuous":
+        signs = rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2))
+    else:
+        signs = None
+    if isinstance(policy, DiscreteAmounts):
+        levels = np.asarray(policy.levels, dtype=float)
+        amounts = levels[rng.integers(0, len(levels), n)]
+    else:
+        amounts = rng.uniform(policy.lo, policy.hi, n)
+    return x, keys, signs, amounts
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize(
+    "policy",
+    [ContinuousAmounts(0.5, 3.0), DiscreteAmounts((0.75, 1.5, 3.0)), DiscreteAmounts((0.0, 250.0, 500.0))],
+    ids=["continuous", "discrete", "discrete-with-0"],
+)
+@pytest.mark.parametrize("m", range(2, 10))
+def test_sample_chunk_matches_fresh_reference(m, policy, sign_policy):
+    draws = (np.empty(_FDS_CHUNK * m), np.empty(_FDS_CHUNK * m))
+    for index, n in ((0, _FDS_CHUNK), (3, 1), (5, 777)):
+        want = _reference_sample_chunk(11, index, n, m, policy, sign_policy)
+        for buffers in (None, draws):
+            got = _sample_chunk(11, index, n, m, policy, sign_policy, buffers)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or _same_bits(a, b), (m, index, n)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_row_sums_match_numpy_sum(m):
+    rng = np.random.default_rng(m)
+    # a wide spread of magnitudes, so a different order of adds would round differently
+    e = rng.standard_exponential((20000, m)) * 10.0 ** rng.uniform(-8, 8, (20000, m))
+    assert _same_bits(_row_sums(e), e.sum(axis=1))
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize("m", [2, 3, 6, 9])
+def test_pair_signs_match_where_and_masks(m, sign_policy):
+    policy = DiscreteAmounts((0.0, 1.0, 2.0))
+    x, keys, signs, amounts = _sample_chunk(4, 0, 3000, m, policy, sign_policy)
+    j, k = np.array(pwo_pairs(m)).T - 1
+    want = np.where(keys[:, j] <= keys[:, k], 1.0, -1.0) if signs is None else signs
+    assert _same_bits(_pair_signs(m, x, keys, signs, None), want)
+    comps = x * amounts[:, None]
+    want = want * (comps[:, j] != 0) * (comps[:, k] != 0)
+    z = np.empty((len(j), 3000)).T
+    got = _pair_signs(m, comps, keys, signs, z)
+    assert got is z and _same_bits(got, want)
+    assert np.all(got[amounts == 0] == 0)
+
+
+def test_blocks_join_a_one_row_tail():
+    b = _FDS_BLOCK
+    assert list(_blocks(1)) == [(0, 1)]
+    assert list(_blocks(b)) == [(0, b)]
+    assert list(_blocks(b + 1)) == [(0, b + 1)]
+    assert list(_blocks(b + 2)) == [(0, b), (b, b + 2)]
+    assert list(_blocks(2 * b + 1)) == [(0, b), (b, 2 * b + 1)]
+    assert list(_blocks(_FDS_CHUNK)) == [(i, i + b) for i in range(0, _FDS_CHUNK, b)]
 
 
 def test_term_columns_writes_into_out():
