@@ -32,7 +32,7 @@ from .evaluate import (
     fds_curve,
     power,
 )
-from .io import _MAX_DECIMALS, read_design, write_design
+from .io import _MAX_DECIMALS, _check_components, read_design, write_design
 from .models import ModelKind, build_spec, coded_model_matrix, model_matrix
 from .oofa import cross_amounts, oofa_expand, scale_amounts
 from .simplex import project_columns, simplex_centroid, simplex_lattice
@@ -46,14 +46,14 @@ _MODEL_HELP = (
 )
 
 
-def _read_stdin_design(args) -> "Design":
-    if args.input:
-        try:
-            text = Path(args.input).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidParameter(f"cannot read --input {args.input!r}: {exc}") from None
-    else:
-        text = sys.stdin.read()
+def _read_design(args) -> "Design":
+    """The design in the file --input names, or on stdin without one; a
+    source that cannot be read or decoded raises InvalidParameter naming it."""
+    source = f"--input {args.input!r}" if args.input else "stdin"
+    try:
+        text = Path(args.input).read_text() if args.input else sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"cannot read {source}: {exc}") from None
     return read_design(text)
 
 
@@ -81,13 +81,6 @@ def _write(path: Path, text: str) -> None:
         raise InvalidParameter(f"cannot write {str(path)!r}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write(Path(out), text)
-    else:
-        sys.stdout.write(text)
-
-
 def _decimals(fmt: str) -> int | None:
     if fmt == "rational":
         return None
@@ -100,54 +93,51 @@ def _decimals(fmt: str) -> int | None:
     return int(digits)
 
 
-def _add_io_args(p, with_input=True):
-    if with_input:
+def _add_shared(p, *, reads=True, build=None, model=False, coding=None):
+    """Declare the flags subcommands share: --model and --reduction, --coding
+    with this command's default (listed first), --input unless the command
+    reads no design, and --out.  A construction command passes its builder,
+    (args, design) -> Design, and gets --format and the run-and-write step."""
+    if model:
+        p.add_argument("--model", required=True, help=_MODEL_HELP)
+        p.add_argument("--reduction", default="cyclic", choices=("cyclic", "keep_all"))
+    if coding:
+        p.add_argument("--coding", default=coding, choices=(coding, "raw" if coding == "coded" else "coded"))
+    if reads:
         p.add_argument("--input", "-i", help="design file (default: stdin)")
     p.add_argument("--out", "-o", help="output path (default: stdout)")
+    if build:
+        p.add_argument(
+            "--format",
+            default="rational",
+            help="value rendering: rational (default, lossless) or decimals:K",
+        )
+        p.set_defaults(func=_construct, build=build)
 
 
-def _add_format_arg(p):
-    p.add_argument(
-        "--format",
-        default="rational",
-        help="value rendering: rational (default, lossless) or decimals:K",
-    )
-
-
-def _spec_for(args, design):
-    kind = ModelKind.parse(args.model)
-    return build_spec(kind, design.m, reduction=args.reduction)
-
-
-def cmd_generate(args) -> int:
+def _construct(args) -> str:
+    """The one run-and-write step of generate, project, expand, cross and
+    scale: check --format, read the input design (generate has none), then
+    render the design the command's builder makes of it."""
     decimals = _decimals(args.format)
-    if args.base == "lattice":
-        if args.w is None:
-            raise InvalidParameter("lattice base needs --w")
-        design = simplex_lattice(args.m, args.w)
-    else:
-        design = simplex_centroid(args.m)
-    _emit(write_design(design, decimals=decimals), args.out)
-    return 0
+    design = _read_design(args) if "input" in args else None
+    return write_design(args.build(args, design), decimals=decimals)
 
 
-def cmd_project(args) -> int:
-    decimals = _decimals(args.format)
-    design = _read_stdin_design(args)
+def _generate(args, _) -> "Design":
+    if args.base == "lattice" and args.w is None:
+        raise InvalidParameter("lattice base needs --w")
+    # checked before building: a centroid on m components has 2**m - 1 runs
+    _check_components(args.m)
+    return simplex_lattice(args.m, args.w) if args.base == "lattice" else simplex_centroid(args.m)
+
+
+def _project(args, design) -> "Design":
     try:
         drop = {int(tok) for tok in args.drop.split(",") if tok.strip()}
     except ValueError:
         raise InvalidParameter(f"--drop needs comma-separated column numbers, got {args.drop!r}") from None
-    out = project_columns(design, drop)
-    _emit(write_design(out, decimals=decimals), args.out)
-    return 0
-
-
-def cmd_expand(args) -> int:
-    decimals = _decimals(args.format)
-    design = _read_stdin_design(args)
-    _emit(write_design(oofa_expand(design), decimals=decimals), args.out)
-    return 0
+    return project_columns(design, drop)
 
 
 def _exact(text: str, flag: str):
@@ -157,42 +147,34 @@ def _exact(text: str, flag: str):
         raise InvalidParameter(f"{flag} needs exact numbers such as 3/4 or 0.75, got {text!r}") from None
 
 
-def cmd_cross(args) -> int:
-    decimals = _decimals(args.format)
-    design = _read_stdin_design(args)
+def _cross(args, design) -> "Design":
     levels = [_exact(tok, "--levels") for tok in args.levels.split(",") if tok.strip()]
-    out = cross_amounts(design, levels)
-    _emit(write_design(out, decimals=decimals), args.out)
-    return 0
+    return cross_amounts(design, levels)
 
 
-def cmd_scale(args) -> int:
-    decimals = _decimals(args.format)
-    design = _read_stdin_design(args)
-    out = scale_amounts(design, _exact(args.a_max, "--a-max"))
-    _emit(write_design(out, decimals=decimals), args.out)
-    return 0
+def _spec(args, design):
+    return build_spec(args.model, design.m, reduction=args.reduction)
 
 
-def cmd_matrix(args) -> int:
-    design = _read_stdin_design(args)
-    spec = _spec_for(args, design)
-    mm = coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
+def _matrix(args, design):
+    spec = _spec(args, design)
+    return coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
+
+
+def cmd_matrix(args) -> str:
+    mm = _matrix(args, _read_design(args))
     lines = [",".join(mm.col_labels)]
     for row in mm.X:
         lines.append(",".join(f"{v:.12g}" for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_evaluate(args) -> int:
-    design = _read_stdin_design(args)
-    spec = _spec_for(args, design)
+def cmd_evaluate(args) -> str:
+    design = _read_design(args)
     report = evaluate_design(
-        design, spec, signal_sd=args.signal, alpha=args.alpha, coding=args.coding
+        design, _spec(args, design), signal_sd=args.signal, alpha=args.alpha, coding=args.coding
     )
-    _emit(_json(report.to_dict()), args.out)
-    return 0
+    return _json(report.to_dict())
 
 
 def _amount_policy(args, design):
@@ -209,25 +191,21 @@ def _amount_policy(args, design):
     return ContinuousAmounts(lo, hi)
 
 
-def cmd_fds(args) -> int:
-    design = _read_stdin_design(args)
-    spec = _spec_for(args, design)
+def cmd_fds(args) -> str:
+    design = _read_design(args)
     curve = fds_curve(
         design,
-        spec,
+        _spec(args, design),
         n_samples=args.samples,
         seed=args.seed,
         amount_policy=_amount_policy(args, design),
         sign_policy=args.signs,
     )
-    _emit(curve.to_text(), args.out)
-    return 0
+    return curve.to_text()
 
 
-def cmd_power(args) -> int:
-    design = _read_stdin_design(args)
-    spec = _spec_for(args, design)
-    mm = coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
+def cmd_power(args) -> str:
+    mm = _matrix(args, _read_design(args))
     rows = {
         label: power(mm, j, args.signal, args.alpha)
         for j, label in enumerate(mm.col_labels)
@@ -235,24 +213,17 @@ def cmd_power(args) -> int:
     }
     if args.term and not rows:
         raise InvalidParameter(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
-    _emit(_json({"signal_sd": args.signal, "alpha": args.alpha, "power": rows}), args.out)
-    return 0
+    return _json({"signal_sd": args.signal, "alpha": args.alpha, "power": rows})
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> None:
+    """Write the demo files into the --out directory and a summary to stdout."""
     out_dir = Path(args.out or os.environ.get("OAMIX_OUT", "oamix-demo"))
 
     table1 = oofa_expand(simplex_lattice(3, 3))
     table2 = oofa_expand(project_columns(simplex_centroid(4), {4}))
     table3 = cross_amounts(table1, [Fraction(3, 4), Fraction(3, 2), Fraction(3)])
     table5 = scale_amounts(table2, 500)
-
-    spec6 = build_spec(ModelKind.OOFA_MA_FULL, 3)
-    spec8 = build_spec(ModelKind.OOFA_CA_FULL, 3)
-    report1 = evaluate_design(table3, spec6, signal_sd=0.5, alpha=0.05)
-    report2 = evaluate_design(table5, spec8, signal_sd=2.0, alpha=0.05)
-    curve1 = fds_curve(table3, spec6, n_samples=args.samples, seed=args.seed)
-    curve2 = fds_curve(table5, spec8, n_samples=args.samples, seed=args.seed)
 
     # everything is computed before the first file is written, so a failure
     # leaves no partial output directory
@@ -264,11 +235,16 @@ def cmd_demo(args) -> int:
         "table1_display.csv": write_design(table1, decimals=2),
         "table3_display.csv": write_design(table3, decimals=2),
         "table5_display.csv": write_design(table5, decimals=1),
-        "example1_report.json": _json(report1.to_dict()),
-        "example2_report.json": _json(report2.to_dict()),
-        "example1_fds.txt": curve1.to_text(),
-        "example2_fds.txt": curve2.to_text(),
     }
+    reports = {}
+    for name, design, kind, signal in (
+        ("example1", table3, ModelKind.OOFA_MA_FULL, 0.5),
+        ("example2", table5, ModelKind.OOFA_CA_FULL, 2.0),
+    ):
+        spec = build_spec(kind, 3)
+        reports[name] = evaluate_design(design, spec, signal_sd=signal, alpha=0.05)
+        files[f"{name}_report.json"] = _json(reports[name].to_dict())
+        files[f"{name}_fds.txt"] = fds_curve(design, spec, n_samples=args.samples, seed=args.seed).to_text()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -277,14 +253,11 @@ def cmd_demo(args) -> int:
         _write(out_dir / name, text)
 
     print(f"# oamix demo {args.suite} --out {out_dir} --samples {args.samples} --seed {args.seed}")
-    print(f"example1: N={report1.n_runs} p={report1.n_params} "
-          f"max_pv={report1.max_pv:.4f} avg_pv={report1.avg_pv:.4f} "
-          f"g_efficiency_pct={report1.g_efficiency_pct:.2f}")
-    print(f"example2: N={report2.n_runs} p={report2.n_params} "
-          f"max_pv={report2.max_pv:.4f} avg_pv={report2.avg_pv:.4f} "
-          f"g_efficiency_pct={report2.g_efficiency_pct:.2f}")
+    for name, report in reports.items():
+        print(f"{name}: N={report.n_runs} p={report.n_params} "
+              f"max_pv={report.max_pv:.4f} avg_pv={report.avg_pv:.4f} "
+              f"g_efficiency_pct={report.g_efficiency_pct:.2f}")
     print(f"wrote {out_dir}/table1.csv table2.csv table3.csv table5.csv + reports + fds curves")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,52 +272,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=("lattice", "centroid"), required=True)
     p.add_argument("--m", type=int, required=True, help="number of components")
     p.add_argument("--w", type=int, help="lattice degree (lattice base only)")
-    _add_io_args(p, with_input=False)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_generate)
+    _add_shared(p, reads=False, build=_generate)
 
     p = sub.add_parser("project", help="delete columns, reinterpreting rows as amounts")
     p.add_argument("--drop", required=True, help="comma-separated 1-based columns to delete")
-    _add_io_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_project)
+    _add_shared(p, build=_project)
 
     p = sub.add_parser("expand", help="expand each run over all orderings of its support")
-    _add_io_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_expand)
+    _add_shared(p, build=lambda _, design: oofa_expand(design))
 
     p = sub.add_parser("cross", help="cross a proportion design with total-amount levels")
     p.add_argument("--levels", required=True, help="comma-separated exact levels, e.g. 0.75,1.5,3")
-    _add_io_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_cross)
+    _add_shared(p, build=_cross)
 
     p = sub.add_parser("scale", help="scale an amount design to a physical maximum")
     p.add_argument("--a-max", dest="a_max", required=True, help="positive exact scale, e.g. 500")
-    _add_io_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=cmd_scale)
+    _add_shared(p, build=lambda args, design: scale_amounts(design, _exact(args.a_max, "--a-max")))
 
     p = sub.add_parser("matrix", help="materialize the model matrix as CSV")
-    p.add_argument("--model", required=True, help=_MODEL_HELP)
-    p.add_argument("--reduction", default="cyclic", choices=("cyclic", "keep_all"))
-    p.add_argument("--coding", default="raw", choices=("raw", "coded"))
-    _add_io_args(p)
+    _add_shared(p, model=True, coding="raw")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("evaluate", help="criteria report (JSON)")
-    p.add_argument("--model", required=True, help=_MODEL_HELP)
-    p.add_argument("--reduction", default="cyclic", choices=("cyclic", "keep_all"))
-    p.add_argument("--coding", default="coded", choices=("coded", "raw"))
+    _add_shared(p, model=True, coding="coded")
     p.add_argument("--signal", type=float, default=2.0, help="signal size in error SDs")
     p.add_argument("--alpha", type=float, default=0.05)
-    _add_io_args(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("fds", help="fraction-of-design-space curve (two-column text)")
-    p.add_argument("--model", required=True, help=_MODEL_HELP)
-    p.add_argument("--reduction", default="cyclic", choices=("cyclic", "keep_all"))
+    _add_shared(p, model=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
@@ -353,17 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous (design range), discrete (design levels), or LO:HI",
     )
     p.add_argument("--signs", default="orderings", choices=("orderings", "continuous"))
-    _add_io_args(p)
     p.set_defaults(func=cmd_fds)
 
     p = sub.add_parser("power", help="two-sided t-test power per term (JSON)")
-    p.add_argument("--model", required=True, help=_MODEL_HELP)
-    p.add_argument("--reduction", default="cyclic", choices=("cyclic", "keep_all"))
-    p.add_argument("--coding", default="coded", choices=("coded", "raw"))
+    _add_shared(p, model=True, coding="coded")
     p.add_argument("--term", help="report a single term label (default: all terms)")
     p.add_argument("--signal", type=float, required=True, help="signal size in error SDs")
     p.add_argument("--alpha", type=float, default=0.05)
-    _add_io_args(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("demo", help="regenerate the bundled reference designs and reports")
@@ -380,12 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a command returns its output text, written here to --out or
+        # stdout; demo writes its own files and returns None
+        text = args.func(args)
+        if text is not None:
+            if args.out:
+                _write(Path(args.out), text)
+            else:
+                sys.stdout.write(text)
     except OamixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
+    return 0
 
 
 if __name__ == "__main__":

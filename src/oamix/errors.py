@@ -115,18 +115,20 @@ class AmountMismatch(OamixError):
     pass
 
 
-def _int_in_range(name: str, value, least: int, most: int | None = None) -> int:
+def _int_in_range(name: str, value, least: int | None = None, most: int | None = None) -> int:
     """`value` as an int when it is an integer, not a bool, in [least, most];
-    otherwise InvalidParameter naming `name`."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Integral)
-        or value < least
-        or (most is not None and value > most)
-    ):
-        bound = f"from {least} to {most}" if most is not None else f">= {least}"
-        raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
-    return int(value)
+    otherwise InvalidParameter naming `name`.  Without `least` only the type
+    is checked, for a caller that names its own out-of-range error."""
+    if not isinstance(value, bool) and isinstance(value, Integral):
+        if least is None or (least <= value and (most is None or value <= most)):
+            return int(value)
+    if least is None:
+        bound = ""
+    elif most is None:
+        bound = f" >= {least}"
+    else:
+        bound = f" from {least} to {most}"
+    raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def located(where: str, exc: OamixError) -> OamixError:

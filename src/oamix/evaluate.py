@@ -129,10 +129,17 @@ class _Factor:
 
 
 def _factor(X) -> _Factor:
-    """The factor a `ModelMatrix` keeps, or a new one of an array."""
+    """The factor a `ModelMatrix` keeps, or a new one of an array.  An array
+    that is not 2-D and numeric with at least one column raises
+    InvalidParameter."""
     if isinstance(X, ModelMatrix):
         return X._factor
-    arr = np.asarray(X, dtype=float)
+    try:
+        arr = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter("X must be a numeric array") from None
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise InvalidParameter(f"X must be 2-D with at least one column, got shape {arr.shape}")
     return _Factor(arr, tuple(str(j) for j in range(arr.shape[1])))
 
 
@@ -143,8 +150,17 @@ def leverages(X) -> np.ndarray:
 
 
 def prediction_variance(X, f) -> float:
-    """Unscaled prediction variance d = f' (X'X)^{-1} f at a model vector f."""
-    return float(_factor(X).pv(np.asarray(f, dtype=float))[0])
+    """Unscaled prediction variance d = f' (X'X)^{-1} f at a model vector f;
+    an f that is not p finite values raises InvalidParameter."""
+    fac = _factor(X)
+    p = fac.X.shape[1]
+    try:
+        f = np.asarray(f, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"f needs {p} finite values") from None
+    if f.shape != (p,) or not np.isfinite(f).all():
+        raise InvalidParameter(f"f needs {p} finite values, got shape {f.shape}")
+    return float(fac.pv(f)[0])
 
 
 def g_efficiency(p: int, n: int, max_pv: float) -> float:

@@ -70,6 +70,8 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
 
 
 _NO_ROWS = "design file has a header but no rows"
+# pair labels use single digits
+_MAX_COMPONENTS = 9
 # far below the digits Python converts between int and str by default (4300)
 _MAX_DECIMALS = 1000
 
@@ -85,6 +87,12 @@ def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[st
     return cols
 
 
+def _check_components(m: int) -> None:
+    """MalformedHeader when the file format cannot hold m components."""
+    if m > _MAX_COMPONENTS:
+        raise MalformedHeader(f"the file format covers up to {_MAX_COMPONENTS} components")
+
+
 def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated.
 
@@ -95,8 +103,7 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     refused, as the reader refuses its text."""
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
-    if design.m > 9:
-        raise MalformedHeader("the file format covers up to 9 components")
+    _check_components(design.m)
     if not design.runs:
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
@@ -126,7 +133,7 @@ def _rendered(objects: list, render) -> list[str]:
 # design has no sign columns, and an amount design always carries A
 _HEADERS = {
     ",".join(_columns(kind, m, with_signs, with_amount)): (kind, m, with_signs, with_amount)
-    for kind, m, with_signs, with_amount in product(Kind, range(1, 10), (False, True), (False, True))
+    for kind, m, with_signs, with_amount in product(Kind, range(1, _MAX_COMPONENTS + 1), (False, True), (False, True))
     if (m > 1 or not with_signs) and (with_amount or kind is Kind.PROPORTION)
 }
 

@@ -21,6 +21,7 @@ list of (component, pair) entries is also accepted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -35,6 +36,7 @@ from .errors import (
     MissingAmount,
     MissingPwo,
     UnsupportedReduction,
+    _int_in_range,
 )
 from .oofa import pwo_pairs
 
@@ -138,14 +140,17 @@ def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], 
                 if i in (j, k):
                     out.append((i, (j, k)))
         return tuple(out)
-    if isinstance(reduction, str):
+    if isinstance(reduction, str) or not isinstance(reduction, Iterable):
         raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
     out = []
     seen = set()
     for entry in reduction:
-        i, pair = entry
-        i = int(i)
-        j, k = sorted(int(c) for c in pair)
+        try:
+            i, (j, k) = entry
+        except (TypeError, ValueError):
+            raise UnsupportedReduction(f"a reduction entry is (component, (j, k)), got {entry!r}") from None
+        i, j, k = (_int_in_range("reduction component", c) for c in (i, j, k))
+        j, k = sorted((j, k))
         if not (1 <= j < k <= m) or not (1 <= i <= m):
             raise UnsupportedReduction(f"interaction ({i}, ({j},{k})) out of range for m={m}")
         if i not in (j, k):
@@ -186,9 +191,11 @@ def _interactions(pairs, t=0):
 def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
     """Deterministic term list for one of the eight model families.
 
-    `reduction` applies only to eq6/eq8 and defaults to cyclic pairing.
+    `reduction` applies only to eq6/eq8 and defaults to cyclic pairing; a
+    custom one is a list of (component, (j, k)) entries of integers.
     """
     kind = ModelKind.parse(kind)
+    m = _int_in_range("m", m)
     if m < 2:
         raise InvalidDimension(f"need m >= 2, got m={m}")
     terms: list[Term] = []

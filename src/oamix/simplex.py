@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import Design, DesignPoint, Kind, OofARun
-from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind
+from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
 
@@ -30,6 +30,7 @@ def simplex_lattice(m: int, w: int) -> Design:
     Points are emitted in ascending lexicographic order of the coordinate
     tuple; the count is binom(m+w-1, w).
     """
+    m, w = _int_in_range("m", m), _int_in_range("w", w)
     if m < 2 or w < 1:
         raise InvalidDimension(f"need m >= 2 and w >= 1, got m={m}, w={w}")
     runs = tuple(
@@ -45,6 +46,7 @@ def simplex_centroid(m: int) -> Design:
     Subsets are ordered by size, then lexicographically; the count is
     2**m - 1, ending at the overall centroid (1/m, ..., 1/m).
     """
+    m = _int_in_range("m", m)
     if m < 2:
         raise InvalidDimension(f"need m >= 2, got m={m}")
     runs = []
@@ -64,7 +66,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     A pure column selection: duplicates created by the projection are kept,
     and deduplication is left to the caller.
     """
-    dropped = frozenset(int(c) for c in drop)
+    dropped = frozenset(_int_in_range("drop column", c) for c in drop)
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("projection applies to proportion designs")
     if design.is_expanded:

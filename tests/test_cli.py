@@ -1,5 +1,7 @@
 """CLI pipelines, demo artifacts, and determinism."""
 
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 
 import oamix
 from oamix import read_design, reference_design, write_design
-from oamix.cli import main
+from oamix.cli import build_parser, main
 
 
 def test_generate_expand_pipeline(tmp_path):
@@ -311,3 +313,130 @@ def test_fds_and_matrix_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_undecodable_stdin_exits_2_naming_stdin(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"x1,x2\n\xff,1\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["expand"]) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidParameter: cannot read stdin: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--base", "centroid", "--m", "40"], ["--base", "lattice", "--m", "10", "--w", "1"]],
+    ids=["centroid_40", "lattice_10"],
+)
+def test_generate_refuses_more_than_9_components_before_building(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("the base design was built")
+
+    monkeypatch.setattr("oamix.cli.simplex_centroid", refuse)
+    monkeypatch.setattr("oamix.cli.simplex_lattice", refuse)
+    assert main(["generate", *argv]) == 2
+    assert capsys.readouterr().err == "error: MalformedHeader: the file format covers up to 9 components\n"
+
+
+MODEL_HELP = (
+    "model family: eq1 linear mixture-amount, eq2 quadratic mixture-amount, "
+    "eq3 linear component-amount, eq4 quadratic component-amount, "
+    "eq5 eq1 plus order factors, eq6 eq2 plus order factors and reduced "
+    "order interactions, eq7 eq3 plus order factors, eq8 eq4 plus order "
+    "factors and reduced order interactions"
+)
+FORMAT_HELP = "value rendering: rational (default, lossless) or decimals:K"
+# (flags, dest, default, type, choices, required, help) of each option
+INPUT = (("--input", "-i"), "input", None, None, None, False, "design file (default: stdin)")
+OUT = (("--out", "-o"), "out", None, None, None, False, "output path (default: stdout)")
+MODEL = (("--model",), "model", None, None, None, True, MODEL_HELP)
+REDUCTION = (("--reduction",), "reduction", "cyclic", None, ("cyclic", "keep_all"), False, None)
+FORMAT = (("--format",), "format", "rational", None, None, False, FORMAT_HELP)
+PARSER_SURFACE = {
+    "generate": [
+        (("--base",), "base", None, None, ("lattice", "centroid"), True, None),
+        FORMAT,
+        (("--m",), "m", None, "int", None, True, "number of components"),
+        OUT,
+        (("--w",), "w", None, "int", None, False, "lattice degree (lattice base only)"),
+    ],
+    "project": [
+        (("--drop",), "drop", None, None, None, True, "comma-separated 1-based columns to delete"),
+        FORMAT,
+        INPUT,
+        OUT,
+    ],
+    "expand": [
+        FORMAT,
+        INPUT,
+        OUT,
+    ],
+    "cross": [
+        FORMAT,
+        INPUT,
+        (("--levels",), "levels", None, None, None, True, "comma-separated exact levels, e.g. 0.75,1.5,3"),
+        OUT,
+    ],
+    "scale": [
+        (("--a-max",), "a_max", None, None, None, True, "positive exact scale, e.g. 500"),
+        FORMAT,
+        INPUT,
+        OUT,
+    ],
+    "matrix": [
+        (("--coding",), "coding", "raw", None, ("raw", "coded"), False, None),
+        INPUT,
+        MODEL,
+        OUT,
+        REDUCTION,
+    ],
+    "evaluate": [
+        (("--alpha",), "alpha", 0.05, "float", None, False, None),
+        (("--coding",), "coding", "coded", None, ("coded", "raw"), False, None),
+        INPUT,
+        MODEL,
+        OUT,
+        REDUCTION,
+        (("--signal",), "signal", 2.0, "float", None, False, "signal size in error SDs"),
+    ],
+    "fds": [
+        (("--amounts",), "amounts", "continuous", None, None, False, "continuous (design range), discrete (design levels), or LO:HI"),
+        INPUT,
+        MODEL,
+        OUT,
+        REDUCTION,
+        (("--samples",), "samples", 100000, "int", None, False, None),
+        (("--seed",), "seed", 7, "int", None, False, None),
+        (("--signs",), "signs", "orderings", None, ("orderings", "continuous"), False, None),
+    ],
+    "power": [
+        (("--alpha",), "alpha", 0.05, "float", None, False, None),
+        (("--coding",), "coding", "coded", None, ("coded", "raw"), False, None),
+        INPUT,
+        MODEL,
+        OUT,
+        REDUCTION,
+        (("--signal",), "signal", None, "float", None, True, "signal size in error SDs"),
+        (("--term",), "term", None, None, None, False, "report a single term label (default: all terms)"),
+    ],
+    "demo": [
+        (("--out",), "out", None, None, None, False, "output directory (default: $OAMIX_OUT or ./oamix-demo)"),
+        (("--samples",), "samples", 100000, "int", None, False, None),
+        (("--seed",), "seed", 7, "int", None, False, None),
+        ((), "suite", "paper", None, ("paper",), False, "demo suite name (default: paper)"),
+    ],
+}
+
+
+def test_parser_surface_is_pinned():
+    """Every subcommand's options, with their flags, dest, default, type,
+    choices, required flag and help text; --help may list them in any order."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(PARSER_SURFACE)
+    for name, expected in PARSER_SURFACE.items():
+        options = [
+            (tuple(a.option_strings), a.dest, a.default, a.type and a.type.__name__, a.choices, a.required, a.help)
+            for a in subparsers.choices[name]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert sorted(options, key=lambda row: row[1]) == expected, name

@@ -321,6 +321,58 @@ def test_column_index_must_name_a_column(table3, spec6, criterion, as_array):
     assert criterion(X, np.int64(p - 1)) == criterion(X, p - 1)
 
 
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        leverages,
+        std_errors,
+        d_criteria,
+        lambda X: r2_multicollinearity(X, 0),
+        lambda X: power(X, 0, signal_sd=2.0),
+        lambda X: fit_ols(X, np.ones(4)),
+        lambda X: prediction_variance(X, np.ones(2)),
+    ],
+    ids=["leverages", "std_errors", "d_criteria", "r2_multicollinearity", "power", "fit_ols",
+         "prediction_variance"],
+)
+@pytest.mark.parametrize(
+    "X, message",
+    [
+        (np.ones(4), r"X must be 2-D with at least one column, got shape \(4,\)"),
+        (np.ones((4, 2, 2)), r"X must be 2-D with at least one column, got shape \(4, 2, 2\)"),
+        (np.ones((4, 0)), r"X must be 2-D with at least one column, got shape \(4, 0\)"),
+        ([["a", "b"]] * 4, "X must be a numeric array"),
+        ([[1.0, 2.0], [1.0]], "X must be a numeric array"),
+    ],
+    ids=["1-D", "3-D", "no_columns", "strings", "ragged"],
+)
+def test_array_criteria_reject_malformed_arrays(criterion, X, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        criterion(X)
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (np.ones(2), r"f needs 3 finite values, got shape \(2,\)"),
+        (np.ones(4), r"f needs 3 finite values, got shape \(4,\)"),
+        ([1.0, float("nan"), 1.0], r"f needs 3 finite values, got shape \(3,\)"),
+        ([1.0, float("inf"), 1.0], r"f needs 3 finite values, got shape \(3,\)"),
+        (np.ones((2, 3)), r"f needs 3 finite values, got shape \(2, 3\)"),
+        (["a", "b", "c"], "f needs 3 finite values"),
+    ],
+    ids=["short", "long", "nan", "inf", "two_rows", "strings"],
+)
+@pytest.mark.parametrize("as_model_matrix", [False, True], ids=["array", "model_matrix"])
+def test_prediction_variance_needs_p_finite_values(f, message, as_model_matrix):
+    X = np.eye(3)
+    if as_model_matrix:
+        X = oamix.ModelMatrix(X, ("a", "b", "c"))
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        prediction_variance(X, f)
+    assert prediction_variance(X, [1.0, 2.0, 2.0]) == 9.0
+
+
 def test_power_null_equals_alpha(table2, spec8):
     X = model_matrix(table2, spec8)
     for alpha in (0.01, 0.05, 0.2):

@@ -136,6 +136,27 @@ def test_matrix_kind_checks(table1, table2, table3, spec6, spec8):
         model_matrix(cross_amounts(base, [1]), spec6)
 
 
+@pytest.mark.parametrize(
+    "kind, m, reduction, error, message",
+    [
+        ("eq5", 3.5, "cyclic", InvalidParameter, "m must be an integer, got 3.5"),
+        ("eq6", True, "cyclic", InvalidParameter, "m must be an integer, got True"),
+        ("eq6", 3, [(1.5, (1, 2))], InvalidParameter, "reduction component must be an integer, got 1.5"),
+        ("eq8", 3, [(1, (1, 2.0))], InvalidParameter, "reduction component must be an integer, got 2.0"),
+        ("eq8", 3, [(True, (1, 2))], InvalidParameter, "reduction component must be an integer, got True"),
+        ("eq6", 3, [5], UnsupportedReduction, r"a reduction entry is \(component, \(j, k\)\), got 5"),
+        ("eq6", 3, [(1, (1,))], UnsupportedReduction, r"a reduction entry is \(component, \(j, k\)\), got \(1, \(1,\)\)"),
+        ("eq6", 3, [(1, (1, 2, 3))], UnsupportedReduction, "a reduction entry is"),
+        ("eq6", 3, 5, UnsupportedReduction, "unknown reduction rule 5"),
+    ],
+    ids=["m_3.5", "m_True", "component_1.5", "pair_2.0", "component_True", "entry_int", "pair_of_one",
+         "pair_of_three", "rule_int"],
+)
+def test_build_spec_checks_its_integer_arguments(kind, m, reduction, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build_spec(kind, m, reduction=reduction)
+
+
 def test_build_spec_rejects_small_m():
     from oamix.errors import InvalidDimension
 

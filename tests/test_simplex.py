@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from oamix import Kind, project_columns, simplex_centroid, simplex_lattice
-from oamix.errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind
+from oamix.errors import AlreadyExpanded, DropAllColumns, InvalidDimension, InvalidParameter, WrongKind
 from oamix.oofa import oofa_expand
 
 
@@ -145,3 +145,21 @@ def test_projection_errors():
         project_columns(project_columns(base, {3}), {1})
     with pytest.raises(AlreadyExpanded):
         project_columns(oofa_expand(base), {3})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: simplex_lattice(3.5, 2), "m must be an integer, got 3.5"),
+        (lambda: simplex_lattice(3, True), "w must be an integer, got True"),
+        (lambda: simplex_lattice(3, 2.0), "w must be an integer, got 2.0"),
+        (lambda: simplex_centroid("3"), "m must be an integer, got '3'"),
+        (lambda: project_columns(simplex_centroid(4), {1.5}), "drop column must be an integer, got 1.5"),
+        (lambda: project_columns(simplex_centroid(4), {True}), "drop column must be an integer, got True"),
+        (lambda: project_columns(simplex_centroid(4), {"x"}), "drop column must be an integer, got 'x'"),
+    ],
+    ids=["lattice_m_3.5", "lattice_w_True", "lattice_w_2.0", "centroid_m_str", "drop_1.5", "drop_True", "drop_str"],
+)
+def test_integer_arguments_must_be_integers(build, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        build()
