@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from numbers import Real
+from operator import attrgetter
 
 from .errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind
 
@@ -80,26 +82,6 @@ def _is_integer(z: Real) -> bool:
         return int(z) == z
     except (ValueError, OverflowError):  # NaN, infinities
         return False
-
-
-def _distinct(objects) -> tuple[list[int], list]:
-    """The distinct objects of an iterable, by identity and in first-seen
-    order, and for each item the position of its object among them.
-
-    Work done on the distinct objects then costs a design's distinct
-    values, not its runs.  The list holds each object, so no id is reused
-    while the caller's one call runs.
-    """
-    slots: dict[int, int] = {}
-    distinct: list = []
-    index: list[int] = []
-    for obj in objects:
-        slot = slots.get(id(obj))
-        if slot is None:
-            slot = slots[id(obj)] = len(distinct)
-            distinct.append(obj)
-        index.append(slot)
-    return index, distinct
 
 
 @dataclass(frozen=True)
@@ -172,6 +154,11 @@ class Design:
     raises WrongKind naming the first such run.  Sign vectors need two
     components, so a design with m < 2 whose runs carry them raises
     InvalidDimension.
+
+    Runs may share point, sign tuple and amount objects.  A design indexes
+    its distinct objects once, on first use, for every layer that converts,
+    renders, scales or checks it, so it costs what its distinct values
+    cost; the index takes no part in `==` or `hash`.
     """
 
     m: int
@@ -205,7 +192,25 @@ class Design:
     @property
     def amount_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct per-run totals (empty when none are attached)."""
-        return tuple(sorted({run.amount for run in self.runs})) if self.has_amounts else ()
+        return tuple(sorted(set(self._index["amount"][0]))) if self.has_amounts else ()
+
+    @cached_property
+    def _index(self) -> dict[str, tuple[tuple, tuple[int, ...]]]:
+        """For each run field, its distinct objects by identity in
+        first-seen order and each run's slot among them."""
+        index = {}
+        for field in ("point", "pwo", "amount"):
+            slots: dict[int, int] = {}
+            distinct = []
+            run_slots = []
+            for obj in map(attrgetter(field), self.runs):
+                slot = slots.get(id(obj))
+                if slot is None:
+                    slot = slots[id(obj)] = len(distinct)
+                    distinct.append(obj)
+                run_slots.append(slot)
+            index[field] = (tuple(distinct), tuple(run_slots))
+        return index
 
 
 def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:

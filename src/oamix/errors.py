@@ -131,6 +131,15 @@ def _int_in_range(name: str, value, least: int | None = None, most: int | None =
     raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _iterable(name: str, value):
+    """An iterator over `value`, or InvalidParameter naming `name` when it
+    cannot be iterated."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be iterable, got {value!r}") from None
+
+
 def located(where: str, exc: OamixError) -> OamixError:
     """`exc` with its message prefixed by `where` (``line 5``, ``run 3``),
     keeping its class; InconsistentPwo becomes InconsistentPwoRow."""

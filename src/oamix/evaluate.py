@@ -32,7 +32,7 @@ from .errors import (
     SingularInformation,
     _int_in_range,
 )
-from .models import ModelMatrix, ModelSpec, coded_model_matrix, model_matrix, term_columns
+from .models import ModelMatrix, ModelSpec, _checked_matrix, coded_model_matrix, model_matrix, term_columns
 from .oofa import pwo_pairs
 
 __all__ = [
@@ -129,18 +129,11 @@ class _Factor:
 
 
 def _factor(X) -> _Factor:
-    """The factor a `ModelMatrix` keeps, or a new one of an array.  An array
-    that is not 2-D and numeric with at least one column raises
-    InvalidParameter."""
+    """The factor a `ModelMatrix` keeps, or a new one of an array that
+    passes ``models._checked_matrix``."""
     if isinstance(X, ModelMatrix):
         return X._factor
-    try:
-        arr = np.asarray(X, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameter("X must be a numeric array") from None
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise InvalidParameter(f"X must be 2-D with at least one column, got shape {arr.shape}")
-    return _Factor(arr, tuple(str(j) for j in range(arr.shape[1])))
+    return _Factor(*_checked_matrix(X))
 
 
 def leverages(X) -> np.ndarray:
@@ -637,7 +630,10 @@ def fit_ols(X, y) -> OlsFit:
     N finite values raises InvalidParameter."""
     fac = _factor(X)
     n, p = fac.X.shape
-    y = np.asarray(y, dtype=float)
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"y needs {n} finite values") from None
     if y.shape != (n,) or not np.isfinite(y).all():
         raise InvalidParameter(f"y needs {n} finite values, got shape {y.shape}")
     coef = fac.solve(y)

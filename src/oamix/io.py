@@ -15,7 +15,7 @@ losslessly.  ``decimals=k`` renders a display variant: values are rounded
 half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
 are display artifacts.  `write_design` renders each distinct point, sign
-tuple and amount object of a design once and joins the pieces of each
+tuple and amount of a design once and joins the pieces of each
 run.  `read_design`, the one reader the library and the CLI share, parses
 each token as an exact decimal fraction and accepts a row only when its
 run passes the checks of ``oofa.validate_run``, each distinct point and
@@ -33,8 +33,8 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .core import Design, DesignPoint, Kind, OofARun, _as_signs, _distinct
-from .errors import MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
+from .core import Design, DesignPoint, Kind, OofARun, _as_signs
+from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
 from .oofa import _check_run, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
@@ -97,10 +97,9 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated.
 
     `decimals`, when given, is an integer from 0 to 1000, checked once per
-    call.  Each distinct point, sign tuple and amount object is rendered
-    once, so runs that share them (as expanded and crossed runs do) cost a
-    join, not a formatting of every cell.  A design with no runs is
-    refused, as the reader refuses its text."""
+    call.  Each distinct point, sign tuple and amount of the design is
+    rendered once, so a run costs a join, not a formatting of every cell.
+    A design with no runs is refused, as the reader refuses its text."""
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     _check_components(design.m)
@@ -111,22 +110,20 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     def point_text(point: DesignPoint) -> str:
         return ",".join(_format_value(v, decimals) for v in point.values)
 
-    runs = design.runs
-    pieces = [_rendered([run.point for run in runs], point_text)]
+    pieces = [_rendered(design, "point", point_text)]
     if with_signs:
-        pieces.append(_rendered([run.pwo for run in runs], lambda pwo: ",".join(map(str, pwo))))
+        pieces.append(_rendered(design, "pwo", lambda pwo: ",".join(map(str, pwo))))
     if with_amount:
-        pieces.append(_rendered([run.amount for run in runs], lambda amount: _format_value(amount, decimals)))
+        pieces.append(_rendered(design, "amount", lambda amount: _format_value(amount, decimals)))
     header = ",".join(_columns(design.kind, design.m, with_signs, with_amount))
     return "\n".join([header, *map(",".join, zip(*pieces))]) + "\n"
 
 
-def _rendered(objects: list, render) -> list[str]:
-    """`render` of each object, called once per distinct object (by
-    identity, through `core._distinct`)."""
-    index, distinct = _distinct(objects)
+def _rendered(design: Design, field: str, render) -> list[str]:
+    """One run field's text per run, `render` called once per distinct object."""
+    distinct, slots = design._index[field]
     texts = [render(obj) for obj in distinct]
-    return [texts[i] for i in index]
+    return [texts[i] for i in slots]
 
 
 # every header the format admits, keyed by its text: a one-component
@@ -161,7 +158,7 @@ def read_design(text: str) -> Design:
     induced by some addition order.  Rows whose component cells have the
     same text share one point, and rows whose sign cells have the same text
     share one sign tuple, so each distinct point and sign pattern is decoded
-    and checked once per call.  Each distinct sign cell text is decoded to
+    and checked once per file.  Each distinct sign cell text is decoded to
     an int once, so a new sign pattern costs lookups, not parsing.  A row
     whose text up to its last comma (the whole row when there is no A
     column) equals an accepted earlier row's has that row's cell count,
@@ -182,6 +179,7 @@ def read_design(text: str) -> Design:
     sign_tuples: dict[tuple[str, ...], tuple[int, ...]] = {}
     sign_cells: dict[str, int | Fraction] = {}
     seen: dict = {}
+    orders: set = set()
 
     def decode(cell: str) -> Fraction:
         value = parsed.get(cell)
@@ -201,18 +199,18 @@ def read_design(text: str) -> Design:
             sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
         return sign
 
-    # each accepted row's text up to its last comma (the whole row without
-    # an A column), with its checked point and sign tuple; a row repeating
-    # one has the same width and cells before its A, so only A is left
-    heads: dict[str, tuple[DesignPoint, tuple[int, ...] | None]] = {}
+    # each accepted row's text up to its last comma (the whole row without an
+    # A column) -> its checked point, sign tuple and their cell texts, which
+    # key the run checks; a repeat has the same cells before its A
+    heads: dict[str, tuple] = {}
     runs = []
     for row_no, line in lines[1:]:
         head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
+        a_text = a_cell.strip()
         known = heads.get(head)
         try:
             if known is not None:
-                point, pwo = known
-                amount = decode(a_cell.strip()) if with_amount else None
+                amount = decode(a_text) if with_amount else None
             else:
                 cells = line.split(",")
                 if len(cells) != width:
@@ -222,28 +220,35 @@ def read_design(text: str) -> Design:
                 if point is None:
                     point = DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind)
                     points[comp_text] = point
-                pwo = None
+                pwo = sign_text = None
                 if with_signs:
                     sign_text = tuple(cells[m : m + n_pairs])
                     pwo = sign_tuples.get(sign_text)
                     if pwo is None:
                         signs = tuple(decode_sign(c) for c in sign_text)
-                amount = decode(cells[-1].strip()) if with_amount else None
+                amount = decode(a_text) if with_amount else None
                 # every cell is read before the signs are judged
                 if with_signs and pwo is None:
                     pwo = sign_tuples[sign_text] = _as_signs(signs)
+                known = (point, pwo, comp_text, sign_text)
+            point, pwo, comp_text, sign_text = known
             run = OofARun._of(point, pwo, amount)
-            _check_run(run, seen)
+            _check_run(run, (comp_text, sign_text, a_text), seen, orders)
         except OamixError as exc:
             raise located(f"line {row_no}", exc) from exc
-        if known is None:
-            heads[head] = (point, pwo)
+        heads[head] = known
         runs.append(run)
     return Design(m=m, kind=kind, runs=tuple(runs))
 
 
+_TABLES = ("table1", "table2", "table3", "table5")
+
+
 def reference_design(name: str) -> Design:
     """Load one of the packaged reference designs: table1, table2, table3,
-    or table5 (rational fixtures regenerated by ``oamix demo``)."""
+    or table5 (rational fixtures regenerated by ``oamix demo``).  Any other
+    name raises InvalidParameter."""
+    if not (isinstance(name, str) and name in _TABLES):
+        raise InvalidParameter(f"reference design must be one of {', '.join(_TABLES)}, got {name!r}")
     path = resources.files("oamix").joinpath(f"data/{name}.csv")
     return read_design(path.read_text(encoding="utf-8"))

@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import Design, Kind, _distinct
+from .core import Design, Kind
 from .errors import (
     InvalidDimension,
     InvalidParameter,
@@ -37,6 +37,7 @@ from .errors import (
     MissingPwo,
     UnsupportedReduction,
     _int_in_range,
+    _iterable,
 )
 from .oofa import pwo_pairs
 
@@ -238,7 +239,10 @@ class ModelMatrix:
     col_labels: tuple[str, ...]
 
     def __post_init__(self):
-        self.X.flags.writeable = False
+        X, labels = _checked_matrix(self.X, self.col_labels)
+        X.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "col_labels", labels)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -249,6 +253,23 @@ class ModelMatrix:
         from .evaluate import _Factor  # evaluate imports this module
 
         return _Factor(self.X, self.col_labels)
+
+
+def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """X as a 2-D float array with at least one column, and one label per
+    column: `labels`, or the column numbers when None.  Anything else raises
+    InvalidParameter."""
+    try:
+        arr = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter("X must be a numeric array") from None
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise InvalidParameter(f"X must be 2-D with at least one column, got shape {arr.shape}")
+    p = arr.shape[1]
+    labels = tuple(map(str, range(p))) if labels is None else tuple(_iterable("col_labels", labels))
+    if len(labels) != p:
+        raise InvalidParameter(f"X has {p} columns but {len(labels)} labels")
+    return arr, labels
 
 
 def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray:
@@ -288,9 +309,9 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
 def _field_rows(design: Design, field: str, to_floats) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
     per run: `to_floats` converts each distinct object of the field once,
-    and the rows are gathered per run with one index array."""
-    index, distinct = _distinct(getattr(run, field) for run in design.runs)
-    return np.array([to_floats(value) for value in distinct], dtype=float)[index]
+    and the rows are gathered per run by its slot."""
+    distinct, slots = design._index[field]
+    return np.array([to_floats(value) for value in distinct], dtype=float).take(slots, axis=0)
 
 
 def _point_floats(point) -> list[float]:
@@ -330,7 +351,7 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
 
     The design's exact rational values (signs are exact integers) are
     converted to float once per distinct point, sign tuple and amount tag
-    object, however many runs share it, and the term products are taken in
+    of the design (see ``core.Design``), and the term products are taken in
     float, so a cell is within an ulp or two of its exact value.
     """
     return _matrix(design, spec, lambda col: col)

@@ -22,7 +22,6 @@ from .core import (
     OofARun,
     _as_ints,
     _as_signs,
-    _distinct,
     as_fraction,
     total_amount,
     validate_point,
@@ -35,11 +34,13 @@ from .errors import (
     EmptyLevels,
     InconsistentPwo,
     InvalidDimension,
+    InvalidParameter,
     NegativeEntry,
     NonPositiveScale,
     OamixError,
     OrderingSupportMismatch,
     WrongKind,
+    _iterable,
     located,
 )
 
@@ -167,12 +168,14 @@ def oofa_expand(design: Design) -> Design:
 def cross_amounts(design: Design, levels: Iterable) -> Design:
     """Replicate the whole design once per total-amount level, tagging each
     run with its level.  Output is level-major: all runs at the first level,
-    then all at the second, and so on."""
+    then all at the second, and so on.  A level is an int, a Fraction or
+    exact text such as ``'3/4'``; a bool, a float or unreadable text raises
+    InvalidParameter."""
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("amount crossing applies to proportion designs")
     if design.has_amounts:
         raise WrongKind("design already carries amount levels")
-    coerced = tuple(as_fraction(v) for v in levels)
+    coerced = tuple(map(_level, _iterable("levels", levels)))
     if not coerced:
         raise EmptyLevels("need at least one amount level")
     if len(set(coerced)) != len(coerced):
@@ -183,17 +186,27 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     return Design(design.m, design.kind, runs)
 
 
+def _level(value) -> Fraction:
+    """One amount level as an exact Fraction, or InvalidParameter naming it."""
+    if not isinstance(value, bool):
+        try:
+            return as_fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InvalidParameter(f"amount level must be an int, a Fraction or exact text, got {value!r}")
+
+
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
-    are unchanged.  Each distinct point object and amount object is scaled
-    once, so runs that shared a point share its scaled point."""
+    are unchanged.  Each distinct point and amount is scaled once, so runs
+    that shared a point share its scaled point."""
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
     scale = as_fraction(a_max)
     if scale <= 0:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
-    point_of, points = _distinct(run.point for run in design.runs)
-    amount_of, amounts = _distinct(run.amount for run in design.runs)
+    points, point_of = design._index["point"]
+    amounts, amount_of = design._index["amount"]
     scaled_points = [DesignPoint(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
     scaled_amounts = [amount * scale for amount in amounts]
     runs = tuple(
@@ -210,57 +223,54 @@ def validate_run(run: OofARun) -> None:
     its support.  The one run check of `read_design` and `validate_design`,
     which share its work between the runs of one call (see `_check_run`).
     """
-    _check_run(run, {})
+    _check_run(run, (None, None, None), {}, set())
 
 
-def _check_run(run: OofARun, seen: dict) -> None:
-    """`validate_run` with a memo `seen` kept for one pass over many runs.
+def _check_run(run: OofARun, keys: tuple, seen: dict, orders: set) -> None:
+    """`validate_run` with memos kept for one pass over many runs.
 
-    Each distinct point object is checked once: `validate_point`, its
-    support and, for an amount point, its exact total.  Its A is checked
-    once per (point, amount) object pair, and its signs once per (point,
-    sign tuple) object pair, falling back to one order check per distinct
-    (support, signs) content.  Every entry keyed by ids holds the objects
-    it keys by, so no id is reused while `seen` lives; an amount (a
-    Fraction or None) and a sign tuple are never one object, so their keys
-    cannot meet.  Only passed checks are recorded, so the first faulty run
-    still raises.
+    `keys` holds the run's (point, signs, amount) keys from the caller, equal
+    only where runs hold the same value.  Each point is checked once per key
+    (`validate_point`, its support, an amount point's total), its A once
+    per amount key, and its signs once per sign key, with one order check
+    per (support, signs) content in `orders`.  Only passed checks are
+    recorded, so the first faulty run still raises.
     """
-    point, amount, pwo = run.point, run.amount, run.pwo
-    known = seen.get(id(point))
+    point, pwo, amount = run.point, run.pwo, run.amount
+    point_key, pwo_key, amount_key = keys
+    known = seen.get(point_key)
     if known is None:
         validate_point(point)
         total = total_amount(point) if point.kind is Kind.AMOUNT else None
-        known = seen[id(point)] = (point, point.support(), total)
-    _, support, total = known
-    key = (id(point), id(amount))
-    if key not in seen:
+        known = seen[point_key] = (point.support(), total, set(), set())
+    support, total, amounts_seen, signs_seen = known
+    if amount_key not in amounts_seen:
         if amount is not None and amount < 0:
             raise NegativeEntry(f"total amount A is negative: {amount}")
         if point.kind is Kind.AMOUNT and amount != total:
             raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
-        seen[key] = amount
-    if pwo is not None:
-        key = (id(point), id(pwo))
-        if key not in seen:
-            if len(pwo) != point.m * (point.m - 1) // 2:
-                raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
-            if (support, pwo) not in seen:
-                _ordering_from_pwo(support, pwo)
-                seen[support, pwo] = None
-            seen[key] = pwo
+        amounts_seen.add(amount_key)
+    if pwo is not None and pwo_key not in signs_seen:
+        if len(pwo) != point.m * (point.m - 1) // 2:
+            raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
+        if (support, pwo) not in orders:
+            _ordering_from_pwo(support, pwo)
+            orders.add((support, pwo))
+        signs_seen.add(pwo_key)
 
 
 def validate_design(design: Design) -> None:
     """Check each run of a design built in code with `validate_run`, whose
-    errors are prefixed ``run N:``.  One memo serves the whole call, so each
-    distinct point object and each distinct sign pattern of a support is
-    checked once, however many runs repeat it.  The design's shape (m,
-    kind, and which of signs and A its runs carry) is checked when the
-    Design is built.  Every design `read_design` returns already passes it."""
+    errors are prefixed ``run N:``.  Each distinct point, and each distinct
+    sign pattern of a support, is checked once per call, however many runs
+    repeat it.  The design's shape (m, kind, and which of signs and A its
+    runs carry) is checked when the Design is built.  Every design
+    `read_design` returns already passes it."""
     seen: dict = {}
-    for idx, run in enumerate(design.runs, start=1):
+    orders: set = set()
+    slots = zip(*(design._index[field][1] for field in ("point", "pwo", "amount")))
+    for idx, (run, keys) in enumerate(zip(design.runs, slots), start=1):
         try:
-            _check_run(run, seen)
+            _check_run(run, keys, seen, orders)
         except OamixError as exc:
             raise located(f"run {idx}", exc) from exc

@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import Design, DesignPoint, Kind, OofARun
-from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range
+from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range, _iterable
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
 
@@ -66,7 +66,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     A pure column selection: duplicates created by the projection are kept,
     and deduplication is left to the caller.
     """
-    dropped = frozenset(_int_in_range("drop column", c) for c in drop)
+    dropped = frozenset(_int_in_range("drop column", c) for c in _iterable("drop", drop))
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("projection applies to proportion designs")
     if design.is_expanded:

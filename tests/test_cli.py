@@ -117,6 +117,9 @@ def test_demo_writes_artifacts(tmp_path, capsys):
                  "example1_report.json", "example2_report.json",
                  "example1_fds.txt", "example2_fds.txt"):
         assert (out / name).exists(), name
+    data = Path(oamix.__file__).resolve().parent / "data"
+    for name in ("table1.csv", "table2.csv", "table3.csv", "table5.csv"):
+        assert (out / name).read_bytes() == (data / name).read_bytes(), name
     rep2 = json.loads((out / "example2_report.json").read_text())
     assert rep2["g_efficiency_pct"] == pytest.approx(53.79, abs=0.3)
     printed = capsys.readouterr().out

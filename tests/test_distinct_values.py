@@ -1,18 +1,23 @@
 """A design's shared values cost what its distinct values cost.
 
 Construction and the reader let runs share one point, sign tuple and
-amount object; the model matrix and the design transforms convert or
-scale each distinct object once per call.  The outputs must not depend on
+amount object; a design indexes its distinct objects once, and the model
+matrix, the writer, the checks and the design transforms convert, render,
+check or scale each distinct object once.  The outputs must not depend on
 the sharing: a design rebuilt with fresh objects in every run gives the
 same matrices, reports and designs.
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamix import (
     Design,
@@ -22,6 +27,7 @@ from oamix import (
     build_spec,
     cross_amounts,
     evaluate_design,
+    fds_curve,
     model_matrix,
     oofa_expand,
     project_columns,
@@ -62,6 +68,29 @@ def fresh(design: Design) -> Design:
         if values[0] is not None:
             assert len({id(v) for v in values}) == len(values)
     return again
+
+
+@st.composite
+def built_designs(draw):
+    """A lattice or centroid base, maybe projected to amounts, maybe expanded
+    over orderings, then maybe crossed with amount levels or scaled."""
+    m = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        design = simplex_lattice(m, draw(st.integers(1, 3)))
+    else:
+        design = simplex_centroid(m)
+    if draw(st.booleans()):
+        design = project_columns(design, draw(st.sets(st.integers(1, m), min_size=1, max_size=m - 1)))
+    if design.m >= 2 and draw(st.booleans()):
+        design = oofa_expand(design)
+    if draw(st.booleans()):
+        if design.kind is Kind.AMOUNT:
+            scale = draw(st.fractions(min_value=Fraction(1, 12), max_value=500, max_denominator=12))
+            design = scale_amounts(design, scale)
+        else:
+            levels = st.fractions(min_value=0, max_value=50, max_denominator=12)
+            design = cross_amounts(design, draw(st.lists(levels, min_size=1, max_size=3, unique=True)))
+    return design
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +291,62 @@ def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, n
     calls[0] = 0
     validate_design(back)
     assert 0 < calls[0] <= patterns
+
+
+def assert_index_names_each_run_value(design: Design) -> None:
+    for field in ("point", "pwo", "amount"):
+        distinct, slots = design._index[field]
+        assert len(slots) == len(design.runs)
+        for run, slot in zip(design.runs, slots):
+            assert distinct[slot] is getattr(run, field)
+        assert len({id(obj) for obj in distinct}) == len(distinct)
+
+
+def _round_trip(design: Design) -> Design:
+    return pickle.loads(pickle.dumps(design))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(built_designs())
+def test_index_names_each_run_value(design):
+    # copies made before and after the index is built, which carry it
+    before = [fresh(design), copy.deepcopy(design), _round_trip(design)]
+    assert_index_names_each_run_value(design)
+    after = [copy.deepcopy(design), _round_trip(design)]
+    for again in before + after:
+        assert again == design
+        assert_index_names_each_run_value(again)
+
+
+def test_index_is_built_once_per_design(monkeypatch, m6_designs):
+    design = read_design(write_design(m6_designs["crossed"]))
+    assert len(design) == 2448
+    index = Design.__dict__["_index"]
+    builds = 0
+
+    def counted(self, build=index.func):
+        nonlocal builds
+        builds += 1
+        return build(self)
+
+    monkeypatch.setattr(index, "func", counted)
+    spec = build_spec("eq5", 6)
+    write_design(design)
+    validate_design(design)
+    evaluate_design(design, spec, coding="raw")
+    evaluate_design(design, spec, coding="coded")
+    fds_curve(design, spec, 1000, seed=1)
+    assert builds == 1
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_index_takes_no_part_in_equality(designs, name):
+    design = read_design(write_design(designs[name]))
+    twin = read_design(write_design(designs[name]))
+    assert "_index" not in vars(design)
+    before = hash(design)
+    assert design == twin
+    assert_index_names_each_run_value(design)
+    assert "_index" in vars(design) and "_index" not in vars(twin)
+    assert hash(design) == before == hash(twin)
+    assert design == twin and twin == design

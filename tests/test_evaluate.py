@@ -331,9 +331,10 @@ def test_column_index_must_name_a_column(table3, spec6, criterion, as_array):
         lambda X: power(X, 0, signal_sd=2.0),
         lambda X: fit_ols(X, np.ones(4)),
         lambda X: prediction_variance(X, np.ones(2)),
+        lambda X: oamix.ModelMatrix(X, ("a", "b")),
     ],
     ids=["leverages", "std_errors", "d_criteria", "r2_multicollinearity", "power", "fit_ols",
-         "prediction_variance"],
+         "prediction_variance", "ModelMatrix"],
 )
 @pytest.mark.parametrize(
     "X, message",
@@ -349,6 +350,20 @@ def test_column_index_must_name_a_column(table3, spec6, criterion, as_array):
 def test_array_criteria_reject_malformed_arrays(criterion, X, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         criterion(X)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("a",), "X has 2 columns but 1 labels"),
+        (("a", "b", "c"), "X has 2 columns but 3 labels"),
+        (2, "col_labels must be iterable, got 2"),
+    ],
+    ids=["too_few", "too_many", "not_iterable"],
+)
+def test_model_matrix_needs_one_label_per_column(labels, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        oamix.ModelMatrix(np.ones((3, 2)), labels)
 
 
 @pytest.mark.parametrize(

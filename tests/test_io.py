@@ -13,12 +13,9 @@ from oamix import (
     Kind,
     OamixError,
     OofARun,
-    cross_amounts,
-    oofa_expand,
     ordering_from_pwo,
     project_columns,
     read_design,
-    scale_amounts,
     simplex_centroid,
     simplex_lattice,
     validate_design,
@@ -38,7 +35,7 @@ from oamix.errors import (
 )
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
-from test_distinct_values import fresh
+from test_distinct_values import built_designs, fresh
 
 
 def test_format_value_rational():
@@ -181,29 +178,6 @@ def test_amount_read_checks_the_total_column():
     with pytest.raises(AmountMismatch):
         read_design("a1,a2,A\n1/2,1/2,7\n")
     assert read_design("a1,a2,A\n1/2,1/2,1\n").runs[0].amount == 1
-
-
-@st.composite
-def built_designs(draw):
-    """A lattice or centroid base, maybe projected to amounts, maybe expanded
-    over orderings, then maybe crossed with amount levels or scaled."""
-    m = draw(st.integers(2, 5))
-    if draw(st.booleans()):
-        design = simplex_lattice(m, draw(st.integers(1, 3)))
-    else:
-        design = simplex_centroid(m)
-    if draw(st.booleans()):
-        design = project_columns(design, draw(st.sets(st.integers(1, m), min_size=1, max_size=m - 1)))
-    if design.m >= 2 and draw(st.booleans()):
-        design = oofa_expand(design)
-    if draw(st.booleans()):
-        if design.kind is Kind.AMOUNT:
-            scale = draw(st.fractions(min_value=Fraction(1, 12), max_value=500, max_denominator=12))
-            design = scale_amounts(design, scale)
-        else:
-            levels = st.fractions(min_value=0, max_value=50, max_denominator=12)
-            design = cross_amounts(design, draw(st.lists(levels, min_size=1, max_size=3, unique=True)))
-    return design
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -226,8 +226,8 @@ def test_fit_ols_more_params_than_rows():
         fit_ols(np.ones((2, 3)), [1.0, 2.0])
 
 
-@pytest.mark.parametrize("y", [[1.0, 2.0], [1.0, float("nan"), 2.0], [[1.0, 2.0, 3.0]]],
-                         ids=["short", "nan", "two_dimensional"])
+@pytest.mark.parametrize("y", [[1.0, 2.0], [1.0, float("nan"), 2.0], [[1.0, 2.0, 3.0]], ["a", "b", "c"]],
+                         ids=["short", "nan", "two_dimensional", "strings"])
 def test_fit_ols_rejects_a_bad_response(y):
     with pytest.raises(InvalidParameter, match="y needs 3 finite values"):
         fit_ols(np.eye(3), y)

@@ -31,6 +31,7 @@ from oamix.errors import (
     EmptyLevels,
     InconsistentPwo,
     InvalidDimension,
+    InvalidParameter,
     NegativeEntry,
     NonPositiveScale,
     OrderingSupportMismatch,
@@ -212,6 +213,23 @@ def test_cross_errors(table1, table2, table3):
         cross_amounts(table2, [1])  # amount designs cannot be crossed
     with pytest.raises(WrongKind):
         cross_amounts(table3, [1])  # already carries levels
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        (1, "levels must be iterable, got 1"),
+        ([True], "amount level must be an int, a Fraction or exact text, got True"),
+        ([0.1], "amount level must be an int, a Fraction or exact text, got 0.1"),
+        (["x"], "amount level must be an int, a Fraction or exact text, got 'x'"),
+        ([1, None], "amount level must be an int, a Fraction or exact text, got None"),
+    ],
+    ids=["not_iterable", "bool", "float", "unreadable_text", "None"],
+)
+def test_cross_refuses_bad_levels(table1, levels, message):
+    # a bool is never taken as the level 1
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        cross_amounts(table1, levels)
 
 
 def test_scale_amounts_table5(table2, table5):

@@ -11,6 +11,8 @@ from oamix import (
     reference_design,
     write_design,
 )
+from oamix import io
+from oamix.errors import InvalidParameter
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table5"])
@@ -19,6 +21,13 @@ def test_fixture_equals_fresh_construction(name, table1, table2, table3, table5)
     packaged = reference_design(name)
     assert packaged == fresh
     assert write_design(packaged) == write_design(fresh)
+
+
+@pytest.mark.parametrize("name", ["nope", None, 3, "../table1"], ids=["unknown", "None", "int", "path"])
+def test_unknown_reference_design_is_refused_before_reading(monkeypatch, name):
+    monkeypatch.setattr(io, "resources", None)  # any look at package data fails
+    with pytest.raises(InvalidParameter, match="^reference design must be one of table1, table2, table3, table5, got "):
+        reference_design(name)
 
 
 def test_fixture_evaluation_reproduces_statistics(spec6, spec8):

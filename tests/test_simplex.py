@@ -157,8 +157,10 @@ def test_projection_errors():
         (lambda: project_columns(simplex_centroid(4), {1.5}), "drop column must be an integer, got 1.5"),
         (lambda: project_columns(simplex_centroid(4), {True}), "drop column must be an integer, got True"),
         (lambda: project_columns(simplex_centroid(4), {"x"}), "drop column must be an integer, got 'x'"),
+        (lambda: project_columns(simplex_centroid(4), 4), "drop must be iterable, got 4"),
     ],
-    ids=["lattice_m_3.5", "lattice_w_True", "lattice_w_2.0", "centroid_m_str", "drop_1.5", "drop_True", "drop_str"],
+    ids=["lattice_m_3.5", "lattice_w_True", "lattice_w_2.0", "centroid_m_str", "drop_1.5", "drop_True", "drop_str",
+         "drop_not_iterable"],
 )
 def test_integer_arguments_must_be_integers(build, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
