@@ -18,7 +18,7 @@ from functools import cached_property
 from numbers import Real
 from operator import attrgetter
 
-from .errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind
+from .errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind, _iterable
 
 __all__ = [
     "Kind",
@@ -67,9 +67,11 @@ def _as_signs(values) -> tuple[int, ...]:
 
 def _as_ints(values, error: type, what: str) -> tuple[int, ...]:
     """`values` as a tuple of ints, raising `error` about the `what`
-    entries unless each is a real number equal to an integer.  A tuple of
-    exact ints comes back as it is, unconverted."""
-    values = tuple(values)
+    entries unless each is a real number equal to an integer, and
+    InvalidParameter unless `values` is iterable.  A tuple of exact ints
+    comes back as it is, unconverted."""
+    if not isinstance(values, tuple):
+        values = tuple(_iterable(what, values))
     if all(type(z) is int for z in values):
         return values
     if not all(isinstance(z, Real) and _is_integer(z) for z in values):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Real
+from statistics import NormalDist
 
 import numpy as np
 
@@ -220,32 +221,184 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool and not NaN."""
+    return isinstance(value, Real) and not isinstance(value, bool) and value == value
+
+
 def _check_power_args(signal_sd: float, alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
         raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not _is_finite(signal_sd):
+    if not (_is_real(signal_sd) and _is_finite(signal_sd)):
         raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
 
 
+# Gamma(b + 1/2) / Gamma(b) = sqrt(b) (1 + sum_i a_i / b^i) for large b
+_HALF_RATIO_SERIES = (-1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304)
+# most terms one beta series may sum (see `_nct_two_sided` for the alphas
+# that need more)
+_BETA_TERMS_CAP = 1 << 22
+# below this alpha the t quantile is solved on the tail P(|T| > c) itself
+_SMALL_ALPHA = 1e-3
+# most Poisson weights formed at once
+_WINDOW_CELLS = 1 << 18
+
+
+def _half_gamma_ratio(df: int) -> float:
+    """Gamma((df + 1)/2) / Gamma(df/2): the exact product of (k + 1)/k over
+    k = 1 or 2, ..., df - 2 below df = 128, and from there the series in
+    1/b, b = df/2, which is within 3e-16 at b = 64 and closer beyond."""
+    if df >= 128:
+        b = df / 2
+        s = 0.0
+        for a in reversed(_HALF_RATIO_SERIES):
+            s = (s + a) / b
+        return math.sqrt(b) * (1.0 + s)
+    r = 1.0 / math.sqrt(math.pi) if df % 2 else math.sqrt(math.pi) / 2.0
+    for k in range(2 - df % 2, df - 1, 2):
+        r *= (k + 1) / k
+    return r
+
+
+def _t_terms(c: float, df: int) -> tuple[float, float, float]:
+    """x = c^2/(c^2 + df), 1 - x, and t = I_x(1/2, df/2) - I_x(3/2, df/2)
+    = 2 c f(c) for the central t density f with df degrees of freedom."""
+    c2 = c * c
+    x, y = c2 / (c2 + df), df / (c2 + df)
+    # x^(1/2) (1 - x)^b Gamma(b + 1/2) / (Gamma(3/2) Gamma(b)), b = df/2
+    t = 2.0 / math.sqrt(math.pi) * _half_gamma_ratio(df) * math.sqrt(x) * math.exp(-0.5 * df * math.log1p(c2 / df))
+    return x, y, t
+
+
+def _beta_series(z: float, p: float, q: float, t: float, top: int) -> np.ndarray:
+    """I_z(p + j, q) for j = 0, ..., top, given t = I_z(p, q) - I_z(p + 1, q);
+    shorter where the rest lie below 2^-60.
+
+    The differences t_j = I_z(p + j, q) - I_z(p + j + 1, q) are positive,
+    with t_{j+1} = t_j z (p + q + j)/(p + 1 + j), and I_z(p + j, q) -> 0,
+    so each value is the sum of the terms from t_j on, added smallest
+    first.  Terms are made in blocks until the rest, bounded by a geometric
+    series, is below 2^-53 of the value at `top`, or below 2^-60 before
+    `top` is reached; the values keep their relative accuracy down to that
+    2^-60."""
+    blocks, k, size, from_top = [], 0, 64, 0.0
+    while True:
+        i = np.arange(k, k + size, dtype=float)
+        ratio = z * (i + (p + q)) / (i + (p + 1.0))
+        terms = np.empty(size)
+        terms[0] = t
+        np.cumprod(ratio[:-1], out=terms[1:])
+        terms[1:] *= t
+        blocks.append(terms)
+        if k + size > top:
+            from_top += float(terms[max(top - k, 0) :].sum())
+        k += size
+        t = terms[-1] * ratio[-1]
+        # the ratios fall to z when q > 1 and rise to it when q < 1
+        rho = max(float(ratio[-1]), z)
+        if rho < 1.0:
+            rest = t / (1.0 - rho)
+            if rest <= 2.0**-53 * from_top or (k <= top and rest <= 2.0**-60):
+                break
+        if k >= _BETA_TERMS_CAP:
+            raise InvalidParameter(
+                f"power needs more than {_BETA_TERMS_CAP} incomplete-beta terms at x = {float(z):.9g}; "
+                "alpha is too small for these residual degrees of freedom"
+            )
+        size = min(2 * size, 1 << 16)
+    terms = np.concatenate(blocks)
+    values = np.cumsum(terms[::-1])[::-1][: top + 1]
+    return values[: np.count_nonzero(values)]
+
+
+@lru_cache(maxsize=64)
+def _t_critical(df: int, alpha: float) -> float:
+    """c with P(|T| > c) = alpha for a central t with df degrees of freedom.
+
+    Closed forms at df 1 and 2.  Otherwise Newton from the Cornish-Fisher
+    expansion about the normal quantile, on P(|T| > c) = 1 - I_x(1/2, b)
+    or, below alpha = 1e-3, on P(|T| > c) = I_{1-x}(b, 1/2) so that alpha
+    keeps its relative accuracy; x = c^2/(c^2 + df), b = df/2.  The
+    derivative is -2 f(c) = -t/c (`_t_terms`).  The tail is convex in
+    c > 0, so from the first step on the iterates rise to the root."""
+    if df == 1:
+        return 1.0 / math.tan(math.pi * alpha / 2.0)
+    if df == 2:
+        return (1.0 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha)))
+    z = -NormalDist().inv_cdf(max(alpha / 2.0, 1e-300))
+    z2 = z * z
+    c = z * (
+        1.0
+        + (z2 + 1.0) / (4.0 * df)
+        + ((5.0 * z2 + 16.0) * z2 + 3.0) / (96.0 * df**2)
+        + (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / (384.0 * df**3)
+        + ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / (92160.0 * df**4)
+    )
+    for _ in range(100):
+        x, y, t = _t_terms(c, df)
+        if not t > 0.0:
+            break
+        if alpha < _SMALL_ALPHA:
+            tail = _beta_series(y, df / 2.0, 0.5, t / df, 0)[0]
+        else:
+            tail = 1.0 - _beta_series(x, 0.5, df / 2.0, t, 0)[0]
+        step = (tail - alpha) * c / t
+        c = max(c + step, 0.5 * c)
+        if abs(step) <= 1e-13 * c:
+            return c
+    raise InvalidParameter(f"alpha={alpha!r} is too small for power at {df} residual df")
+
+
 def _nct_two_sided(delta, df: int, alpha: float):
-    """Two-sided t-test power at noncentrality delta (a scalar or an array).
+    """Two-sided t-test power at noncentrality delta (a scalar or an array)
+    with df residual degrees of freedom, from numpy and `math` alone.
 
-    Power is even in delta, so both tails are lower noncentral-t CDFs at
-    d = |delta|: the near tail P(T_d > t) = P(T_{-d} < -t), which scipy
-    evaluates at every d, plus the far tail P(T_d < -t).  scipy returns NaN
-    for the far tail at some d above about 6.1; there it is taken as 0.  It
-    is below Phi(-d) at any d, because T_d < 0 needs Z + d < 0, and at every
-    such NaN over df 1..1e5, alpha 0.01, 0.05, 0.2 and d in [0, 200] it is
-    below 4e-16, two units in the last place of a power near 1.
+    For a t statistic T with noncentrality d, T^2 is noncentral F(1, df,
+    d^2): a Poisson(mu = d^2/2) mixture over j of beta variables with
+    P(T^2 < c^2 | j) = I_x(j + 1/2, df/2), x = c^2/(c^2 + df).  So
+
+        power = 1 - sum_j Pois(j; mu) I_x(j + 1/2, df/2),
+
+    with c the two-sided critical value (`_t_critical`).  The beta
+    sequence does not depend on d and is made once per call
+    (`_beta_series`).  Each d sums the j within 10 sqrt(mu) + 34 of the
+    Poisson mode, with weights built by ratios from the window's first j
+    and normalized to sum to 1; the Poisson mass outside that window is
+    below 1e-21.  Every term is positive, so 1 - power keeps its relative
+    accuracy down to an absolute 1e-18, and power is non-decreasing in
+    |d|, exactly alpha at d = 0 and finite for every d.  Over df 1..2411,
+    alpha 0.01..0.2 and d in [0, 12] it agrees with scipy's `stdtrit` and
+    `nctdtr` to 1e-12.  An alpha below about 2e-3 at one residual df, 5e-6
+    at two or 1e-7 at three needs more than 2^22 series terms and raises
+    InvalidParameter.
     """
-    from scipy import special  # only power needs scipy
-
-    d = np.abs(delta)
-    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
-    far = special.nctdtr(df, d, -tcrit)
-    pw = special.nctdtr(df, -d, -tcrit) + np.where(np.isnan(far), 0.0, far)
-    # the central case is exact by construction
-    return np.where(d == 0.0, alpha, pw)[()]
+    d = np.abs(np.asarray(delta, dtype=float))
+    mu = np.minimum(0.5 * d * d, 2.0**62).ravel()  # power is 1.0 long before the cap
+    c = _t_critical(df, alpha)
+    mode = np.floor(mu)
+    half = np.ceil(10.0 * np.sqrt(mu)) + 34.0
+    end = mode + half
+    inside = mu > 0
+    x, _, t = _t_terms(c, df)
+    top = int(min(end.max(where=inside, initial=0.0), _BETA_TERMS_CAP))
+    seq = _beta_series(x, 0.5, df / 2.0, t, top)  # I_x(j + 1/2, df/2)
+    padded = np.append(seq, 0.0)  # the sequence is 0 past its end
+    lo = np.maximum(mode - half, 0.0)
+    span = end - lo
+    live = np.flatnonzero(inside & (lo < seq.size))
+    tail = np.where(np.isnan(mu), np.nan, 0.0)  # 1 - power; 0 where the window holds only zeros
+    while live.size:
+        rows = live[:256]
+        while rows.size > 1 and rows.size * span[rows].max() > _WINDOW_CELLS:
+            rows = rows[: rows.size // 2]
+        live = live[rows.size :]
+        start, width = lo[rows].astype(np.int64), int(span[rows].max()) + 1
+        # Pois(start + i)/Pois(start), i = 0..width - 1
+        weights = np.ones((rows.size, width))
+        np.cumprod(mu[rows, None] / (start[:, None] + np.arange(1, width)), axis=1, out=weights[:, 1:])
+        window = padded[np.minimum(start[:, None] + np.arange(width), seq.size)]
+        tail[rows] = np.einsum("ij,ij->i", weights, window) / weights.sum(axis=1)
+    return np.where(d == 0.0, alpha, 1.0 - tail.reshape(d.shape))[()]
 
 
 def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
@@ -271,11 +424,6 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
 # ---------------------------------------------------------------------------
 # FDS sampling
 # ---------------------------------------------------------------------------
-
-
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool and not NaN."""
-    return isinstance(value, Real) and not isinstance(value, bool) and value == value
 
 
 @dataclass(frozen=True)

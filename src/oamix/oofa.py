@@ -175,7 +175,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         raise WrongKind("amount crossing applies to proportion designs")
     if design.has_amounts:
         raise WrongKind("design already carries amount levels")
-    coerced = tuple(map(_level, _iterable("levels", levels)))
+    coerced = tuple(_exact_amount("amount level", level) for level in _iterable("levels", levels))
     if not coerced:
         raise EmptyLevels("need at least one amount level")
     if len(set(coerced)) != len(coerced):
@@ -186,14 +186,15 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     return Design(design.m, design.kind, runs)
 
 
-def _level(value) -> Fraction:
-    """One amount level as an exact Fraction, or InvalidParameter naming it."""
+def _exact_amount(what: str, value) -> Fraction:
+    """An amount level or scale as an exact Fraction, or InvalidParameter
+    naming `what` and the value; a bool is never taken as 0 or 1."""
     if not isinstance(value, bool):
         try:
             return as_fraction(value)
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-    raise InvalidParameter(f"amount level must be an int, a Fraction or exact text, got {value!r}")
+    raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {value!r}")
 
 
 def scale_amounts(design: Design, a_max) -> Design:
@@ -202,7 +203,7 @@ def scale_amounts(design: Design, a_max) -> Design:
     that shared a point share its scaled point."""
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
-    scale = as_fraction(a_max)
+    scale = _exact_amount("scale", a_max)
     if scale <= 0:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
     points, point_of = design._index["point"]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oamix
 from oamix import (
@@ -51,6 +52,7 @@ from oamix.evaluate import (
     _row_sums,
     _rows_from_samples,
     _sample_chunk,
+    _t_critical,
 )
 from oamix.models import coded_model_matrix, term_columns
 from oamix.oofa import pwo_pairs
@@ -292,16 +294,17 @@ def test_r2_leaves_scipy_unloaded():
 
 
 def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
+    # a bool is not taken as 0 or 1, and text or None is no number
     X = coded_model_matrix(table2, spec8)
-    for alpha in (0.0, 1.0, -0.1, 1.5, float("nan")):
-        with pytest.raises(InvalidParameter):
+    for alpha in (0.0, 1.0, -0.1, 1.5, float("nan"), "x", True, None):
+        with pytest.raises(InvalidParameter, match="^alpha must lie in"):
             power(X, 1, signal_sd=1.0, alpha=alpha)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="^alpha must lie in"):
             evaluate_design(table2, spec8, alpha=alpha)
-    for signal in (float("nan"), float("inf"), 10**400):
-        with pytest.raises(InvalidParameter):
+    for signal in (float("nan"), float("inf"), 10**400, "x", True, None):
+        with pytest.raises(InvalidParameter, match="^signal must be a finite number"):
             power(X, 1, signal_sd=signal)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="^signal must be a finite number"):
             evaluate_design(table2, spec8, signal_sd=signal)
 
 
@@ -415,12 +418,48 @@ def test_power_is_even_in_signal(table2, spec8):
 @pytest.mark.parametrize("df", [1, 2, 5, 15, 27, 100, 1000, 2406, 53604, 100000])
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
 def test_nct_power_finite_and_monotone_for_strong_signals(df, alpha):
-    # scipy's far-tail CDF is NaN at some noncentralities above ~6.1
+    # far past the noncentralities (above ~6.1) where scipy's far-tail
+    # nctdtr returns NaN
     delta = np.linspace(0.0, 200.0, 4001)
     pw = _nct_two_sided(delta, df, alpha)
     assert np.isfinite(pw).all()
     assert pw[0] == alpha and np.all(np.diff(pw) >= 0.0)
     assert pw[-1] <= 1.0
+
+
+def scipy_nct_two_sided(delta, df, alpha):
+    """Two-sided power and critical value from scipy's `stdtrit` and two
+    `nctdtr` calls: the near tail P(T_d > t) = P(T_{-d} < -t) plus the far
+    tail P(T_d < -t), which scipy returns as NaN at some d above about 6.1
+    and which is then below 4e-16."""
+    d = np.abs(delta)
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    far = special.nctdtr(df, d, -tcrit)
+    pw = special.nctdtr(df, -d, -tcrit) + np.where(np.isnan(far), 0.0, far)
+    return np.where(d == 0.0, alpha, pw), tcrit
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 15, 27, 51, 100, 615, 1000, 2406, 2411])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_nct_power_matches_scipy(df, alpha):
+    delta = np.linspace(0.0, 12.0, 61)
+    expected, tcrit = scipy_nct_two_sided(delta, df, alpha)
+    assert np.abs(_nct_two_sided(delta, df, alpha) - expected).max() <= 1e-12
+    assert abs(_t_critical(df, alpha) - tcrit) <= 1e-12 * tcrit
+
+
+@pytest.mark.parametrize("df", [3, 27, 2406, 100000])
+@pytest.mark.parametrize("alpha", [1e-4, 1e-8, 1e-12])
+def test_t_critical_keeps_small_alphas_relative_accuracy(df, alpha):
+    # scipy's stdtrit takes 1 - alpha/2, which keeps only about 1e-16/alpha
+    # of alpha's relative accuracy; its tail stdtr keeps it all
+    assert 2.0 * special.stdtr(df, -_t_critical(df, alpha)) == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("df, alpha", [(1, 1e-3), (2, 1e-6), (3, 1e-8)])
+def test_nct_power_refuses_alphas_its_series_cannot_reach(df, alpha):
+    with pytest.raises(InvalidParameter, match="^power needs more than 4194304 incomplete-beta terms"):
+        _nct_two_sided(2.0, df, alpha)
 
 
 @pytest.mark.parametrize("df", [5, 15, 27, 51])

@@ -257,6 +257,36 @@ def test_scale_identity_and_errors(table1, table2):
         scale_amounts(table1, 500)
 
 
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (True, "scale must be an int, a Fraction or exact text, got True"),
+        (1.5, "scale must be an int, a Fraction or exact text, got 1.5"),
+        (None, "scale must be an int, a Fraction or exact text, got None"),
+        ("x", "scale must be an int, a Fraction or exact text, got 'x'"),
+    ],
+    ids=["bool", "float", "None", "unreadable_text"],
+)
+def test_scale_refuses_bad_scales(table2, scale, message):
+    # a bool is never taken as the scale 1
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        scale_amounts(table2, scale)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pwo_from_ordering(P("1/2", "1/2", 0), None), "ordering must be iterable, got None"),
+        (lambda: pwo_from_ordering(P("1/2", "1/2", 0), 5), "ordering must be iterable, got 5"),
+        (lambda: ordering_from_pwo(None, (1, 0, 0)), "support must be iterable, got None"),
+    ],
+    ids=["ordering_None", "ordering_int", "support_None"],
+)
+def test_orderings_and_supports_must_be_iterable(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
 # -- property tests -----------------------------------------------------------
 
 amount_points = st.lists(
