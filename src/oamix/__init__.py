@@ -17,32 +17,7 @@ from .core import (
     validate_point,
 )
 from .errors import OamixError
-from .evaluate import (
-    ContinuousAmounts,
-    DiscreteAmounts,
-    EvalReport,
-    FdsCurve,
-    OlsFit,
-    d_criteria,
-    evaluate_design,
-    fds_curve,
-    fit_ols,
-    g_efficiency,
-    leverages,
-    power,
-    prediction_variance,
-    r2_multicollinearity,
-    std_errors,
-)
 from .io import read_design, reference_design, write_design
-from .models import (
-    ModelKind,
-    ModelMatrix,
-    ModelSpec,
-    Term,
-    build_spec,
-    model_matrix,
-)
 from .oofa import (
     cross_amounts,
     oofa_expand,
@@ -56,6 +31,51 @@ from .oofa import (
 from .simplex import project_columns, simplex_centroid, simplex_lattice
 
 __version__ = "0.1.0"
+
+# The model and evaluation names load numpy, which the construction steps
+# never need, so they are imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ContinuousAmounts",
+            "DiscreteAmounts",
+            "EvalReport",
+            "FdsCurve",
+            "OlsFit",
+            "d_criteria",
+            "evaluate_design",
+            "fds_curve",
+            "fit_ols",
+            "g_efficiency",
+            "leverages",
+            "power",
+            "prediction_variance",
+            "r2_multicollinearity",
+            "std_errors",
+        ),
+        "evaluate",
+    ),
+    **dict.fromkeys(("ModelKind", "ModelMatrix", "ModelSpec", "Term", "build_spec", "model_matrix"), "models"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name, name if name in ("evaluate", "models") else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    # what dir() listed when every submodule was imported eagerly
+    names = set(globals()) - {"_LAZY", "__getattr__", "__dir__"}
+    return sorted(names | set(_LAZY) | {"evaluate", "models"})
+
 
 __all__ = [
     "Design",

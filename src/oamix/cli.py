@@ -25,17 +25,12 @@ from pathlib import Path
 from . import __version__
 from .core import as_fraction
 from .errors import InvalidParameter, OamixError
-from .evaluate import (
-    ContinuousAmounts,
-    DiscreteAmounts,
-    evaluate_design,
-    fds_curve,
-    power,
-)
 from .io import _MAX_DECIMALS, _check_components, read_design, write_design
-from .models import ModelKind, build_spec, coded_model_matrix, model_matrix
 from .oofa import cross_amounts, oofa_expand, scale_amounts
 from .simplex import project_columns, simplex_centroid, simplex_lattice
+
+# `evaluate` and `models` load numpy, so only the commands that fit a model
+# import them: generate, project, expand, cross and scale start without it.
 
 _MODEL_HELP = (
     "model family: eq1 linear mixture-amount, eq2 quadratic mixture-amount, "
@@ -153,10 +148,14 @@ def _cross(args, design) -> "Design":
 
 
 def _spec(args, design):
+    from .models import build_spec
+
     return build_spec(args.model, design.m, reduction=args.reduction)
 
 
 def _matrix(args, design):
+    from .models import coded_model_matrix, model_matrix
+
     spec = _spec(args, design)
     return coded_model_matrix(design, spec) if args.coding == "coded" else model_matrix(design, spec)
 
@@ -170,6 +169,8 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_evaluate(args) -> str:
+    from .evaluate import evaluate_design
+
     design = _read_design(args)
     report = evaluate_design(
         design, _spec(args, design), signal_sd=args.signal, alpha=args.alpha, coding=args.coding
@@ -178,6 +179,8 @@ def cmd_evaluate(args) -> str:
 
 
 def _amount_policy(args, design):
+    from .evaluate import ContinuousAmounts, DiscreteAmounts
+
     if args.amounts == "continuous":
         return None  # library default: continuous over the design's level range
     if args.amounts == "discrete":
@@ -192,6 +195,8 @@ def _amount_policy(args, design):
 
 
 def cmd_fds(args) -> str:
+    from .evaluate import fds_curve
+
     design = _read_design(args)
     curve = fds_curve(
         design,
@@ -205,6 +210,8 @@ def cmd_fds(args) -> str:
 
 
 def cmd_power(args) -> str:
+    from .evaluate import power
+
     mm = _matrix(args, _read_design(args))
     rows = {
         label: power(mm, j, args.signal, args.alpha)
@@ -218,6 +225,9 @@ def cmd_power(args) -> str:
 
 def cmd_demo(args) -> None:
     """Write the demo files into the --out directory and a summary to stdout."""
+    from .evaluate import evaluate_design, fds_curve
+    from .models import ModelKind, build_spec
+
     out_dir = Path(args.out or os.environ.get("OAMIX_OUT", "oamix-demo"))
 
     table1 = oofa_expand(simplex_lattice(3, 3))

@@ -17,7 +17,7 @@ on whether amounts are expressed in unit or physical scales.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from numbers import Real
 from statistics import NormalDist
@@ -368,9 +368,10 @@ def _nct_two_sided(delta, df: int, alpha: float):
     accuracy down to an absolute 1e-18, and power is non-decreasing in
     |d|, exactly alpha at d = 0 and finite for every d.  Over df 1..2411,
     alpha 0.01..0.2 and d in [0, 12] it agrees with scipy's `stdtrit` and
-    `nctdtr` to 1e-12.  An alpha below about 2e-3 at one residual df, 5e-6
-    at two or 1e-7 at three needs more than 2^22 series terms and raises
-    InvalidParameter.
+    `nctdtr` to 1e-12.  At two residual df the sequence is the closed form
+    I_x(j + 1/2, 1) = x^(j + 1/2), so every alpha is reached there.  An
+    alpha below about 2e-3 at one residual df or 1e-7 at three needs more
+    than 2^22 series terms and raises InvalidParameter.
     """
     d = np.abs(np.asarray(delta, dtype=float))
     mu = np.minimum(0.5 * d * d, 2.0**62).ravel()  # power is 1.0 long before the cap
@@ -379,9 +380,16 @@ def _nct_two_sided(delta, df: int, alpha: float):
     half = np.ceil(10.0 * np.sqrt(mu)) + 34.0
     end = mode + half
     inside = mu > 0
-    x, _, t = _t_terms(c, df)
+    x, y, t = _t_terms(c, df)
     top = int(min(end.max(where=inside, initial=0.0), _BETA_TERMS_CAP))
-    seq = _beta_series(x, 0.5, df / 2.0, t, top)  # I_x(j + 1/2, df/2)
+    if df == 2:
+        # I_x(j + 1/2, 1) = x^(j + 1/2), taken from log x = log1p(-y) so that
+        # an x near 1 keeps its accuracy, and cut where it falls below 2^-60
+        log_x = math.log1p(-y)
+        stop = 60.0 * math.log(2.0) / -log_x if log_x < 0.0 else math.inf
+        seq = np.exp(np.arange(0.5, min(top + 1, math.ceil(stop))) * log_x)
+    else:
+        seq = _beta_series(x, 0.5, df / 2.0, t, top)  # I_x(j + 1/2, df/2)
     padded = np.append(seq, 0.0)  # the sequence is 0 past its end
     lo = np.maximum(mode - half, 0.0)
     span = end - lo
@@ -541,6 +549,95 @@ def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=Non
     return term_columns(spec, comps, signs, amounts, out=out)
 
 
+def _amount_degree(spec: ModelSpec) -> int:
+    """T when the spec's terms are one list of terms in proportions and
+    signs repeated, in consecutive blocks, for amount powers t = 0, ..., T
+    with T >= 1, as eq1, eq2, eq5 and eq6 are; 0 otherwise.  A model in
+    component amounts never qualifies: its terms take the amounts apart."""
+    top = max(term.amount_power for term in spec.terms)
+    q, rest = divmod(spec.p, top + 1)
+    if spec.kind.uses_amounts or not top or rest:
+        return 0
+    base = spec.terms[:q]
+    for t in range(top + 1):
+        if spec.terms[t * q : (t + 1) * q] != tuple(replace(term, amount_power=t) for term in base):
+            return 0
+    return top
+
+
+def _value_ids(objects, key) -> np.ndarray:
+    """For each of a design field's distinct objects, the first-seen number
+    of its value, so equal values built as different objects share one."""
+    ids: dict = {}
+    return np.array([ids.setdefault(key(obj), len(ids)) for obj in objects], dtype=np.intp)
+
+
+def _point_value(point) -> tuple[tuple[int, int], ...]:
+    """A point's values as (numerator, denominator) pairs: a Fraction is kept
+    in lowest terms, so the pairs are its value, and ints hash faster."""
+    return tuple((v.numerator, v.denominator) for v in point.values)
+
+
+def _crossed_base(design: Design) -> np.ndarray | None:
+    """The runs at the first run's amount level when every level holds the
+    same multiset of base runs (point values and sign tuple), else None.
+    Values are compared once per distinct object of the design's index, so
+    two equal designs built from different objects give the same answer."""
+    index = design._index
+    points, point_slots = index["point"]
+    signs, sign_slots = index["pwo"]
+    amounts, amount_slots = index["amount"]
+    base = _value_ids(points, _point_value).take(point_slots) * len(signs)
+    base += _value_ids(signs, lambda pwo: pwo).take(sign_slots)
+    level = _value_ids(amounts, lambda amount: amount).take(amount_slots)
+    counts = np.bincount(level)
+    if counts.min() != counts.max():
+        return None
+    groups = base[np.lexsort((base, level))].reshape(counts.size, -1)
+    if not (groups == groups[0]).all():
+        return None
+    return np.flatnonzero(level == 0)
+
+
+def _amount_powers(amounts: np.ndarray, degree: int, out=None) -> np.ndarray:
+    """The (n, degree + 1) matrix of 1, A, ..., A^degree, each power taken as
+    `term_columns` takes it, written into `out` when one is given."""
+    V = np.empty((amounts.size, degree + 1)) if out is None else out
+    V[:, 0] = 1.0
+    for t in range(1, degree + 1):
+        V[:, t] = amounts if t == 1 else amounts**t
+    return V
+
+
+def _product_factors(design: Design, spec: ModelSpec, fac: _Factor):
+    """(base spec, its factor, amount factor, degree T) when FDS variances
+    factor as d_base(x, z) d_A(A), else None.
+
+    That holds when the spec's terms are a base list times the powers of A
+    (`_amount_degree`) and the design crosses one multiset of base runs with
+    its amount levels (`_crossed_base`): X is then X_A (x) X_base up to the
+    order of its rows, so M^{-1} = M_A^{-1} (x) M_base^{-1} and every model
+    vector f = v(A) (x) f_base gives f' M^{-1} f = d_A(A) d_base.  X_base is
+    the t = 0 columns of the first level's rows of the full X, and X_A the
+    levels x (T + 1) Vandermonde matrix of the design's levels."""
+    degree = _amount_degree(spec)
+    if not degree:
+        return None
+    runs = _crossed_base(design)
+    if runs is None:
+        return None
+    q = spec.p // (degree + 1)
+    base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
+    levels = np.array([float(a) for a in design.amount_levels])
+    amount_labels = tuple(f"A^{t}" for t in range(degree + 1))
+    return (
+        base,
+        _Factor(fac.X[runs, :q], base.labels),
+        _Factor(_amount_powers(levels, degree), amount_labels),
+        degree,
+    )
+
+
 def _blocks(count: int):
     """Row blocks of at most `_FDS_BLOCK` rows covering range(count); a
     one-row tail joins the block before it, since numpy hands a one-row
@@ -631,6 +728,20 @@ def fds_curve(
     numpy hands a one-row product to gemv, whose bits can differ from
     gemm's.  The returned curve owns its array and shares no memory with
     another.
+
+    A mixture-amount spec whose terms are one base list times A^t for
+    t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one whose amount
+    levels each hold the same multiset of base runs (point values and
+    sign tuple, compared by value), takes a product path.  There
+    M^{-1} = M_A^{-1} (x) M_base^{-1}, so each variance is exactly
+    d_base(x, z) d_A(A), with d_base from the q = p/(T + 1) base columns
+    and d_A from the T + 1 powers of A; it agrees with the full product to
+    rounding (within 1e-13 relative on the paper's designs).  The full
+    model matrix is still built and factored first, so its gate and errors
+    are those of every other path; the row and product buffers are then q
+    wide, not p, and d_A takes two (c, T + 1) buffers and one of c floats.
+    Any other spec or design takes the full rows.
+
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
     does not depend on it.
@@ -651,19 +762,29 @@ def fds_curve(
     except (ValueError, MemoryError):
         raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
 
-    m, p = spec.m, spec.p
+    product = _product_factors(design, spec, fac)
+    if product is None:
+        row_spec, degree = spec, 0
+    else:
+        row_spec, fac, amount_fac, degree = product
+    m, p = spec.m, row_spec.p
     chunk = min(_FDS_CHUNK, n_samples)
     draws = (np.empty(chunk * m), np.empty(chunk * m))
     z = np.empty((m * (m - 1) // 2, chunk)).T
     rows = np.empty(p * chunk)
     work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
+    if degree:
+        (powers, powers_work), d_amount = np.empty((2, chunk, degree + 1)), np.empty(chunk)
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws)
         out = rows[: p * count].reshape(p, count).T
-        F = _rows_from_samples(spec, x, keys, signs, amounts, out=out, z=z[:count])
+        F = _rows_from_samples(row_spec, x, keys, signs, amounts, out=out, z=z[:count])
         for lo, hi in _blocks(count):
             fac.pv(F[lo:hi], out=variances[start + lo : start + hi], work=work[: hi - lo])
+        if degree:
+            V = _amount_powers(amounts, degree, out=powers[:count])
+            variances[start : start + count] *= amount_fac.pv(V, out=d_amount[:count], work=powers_work[:count])
     variances.sort()
     return FdsCurve(
         variances=variances,

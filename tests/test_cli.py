@@ -333,6 +333,49 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == str([0] * len(commands)), out.stderr
 
 
+def test_construction_subcommands_import_no_numpy(tmp_path):
+    # with sys.modules["numpy"] = None, any import of numpy raises
+    # ImportError, so a construction step that loads it fails here
+    table1, table2 = str(tmp_path / "table1.csv"), str(tmp_path / "table2.csv")
+    Path(table1).write_text(write_design(reference_design("table1")))
+    Path(table2).write_text(write_design(reference_design("table2")))
+    centroid, projected = str(tmp_path / "centroid.csv"), str(tmp_path / "projected.csv")
+    commands = [
+        ["generate", "--base", "centroid", "--m", "4", "--out", centroid],
+        ["project", "--drop", "4", "--input", centroid, "--out", projected],
+        ["expand", "--input", projected, "--out", str(tmp_path / "expanded.csv")],
+        ["cross", "--levels", "0.75,1.5,3", "--input", table1, "--out", str(tmp_path / "crossed.csv")],
+        ["scale", "--a-max", "500", "--input", table2, "--out", str(tmp_path / "scaled.csv")],
+    ]
+    code = (
+        "import sys; sys.modules['numpy'] = None; from oamix.cli import main; "
+        f"print([main(argv) for argv in {commands!r}])"
+    )
+    src = str(Path(oamix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str([0] * len(commands)), out.stderr
+    assert Path(tmp_path / "crossed.csv").read_text() == write_design(reference_design("table3"))
+    assert Path(tmp_path / "scaled.csv").read_text() == write_design(reference_design("table5"))
+
+
+def test_package_names_are_the_same_before_and_after_they_load():
+    # the evaluation and model names load on first access, and dir() lists
+    # them before and after
+    code = (
+        "import sys, oamix; before = dir(oamix); loaded = 'numpy' in sys.modules; "
+        "[getattr(oamix, name) for name in oamix.__all__]; "
+        "print(loaded, before == dir(oamix), all(name in before for name in oamix.__all__))"
+    )
+    src = str(Path(oamix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["False", "True", "True"], out.stderr
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        oamix.nope
+
+
 def test_undecodable_stdin_exits_2_naming_stdin(monkeypatch, capsys):
     stdin = io.TextIOWrapper(io.BytesIO(b"x1,x2\n\xff,1\n"), encoding="utf-8", errors="strict")
     monkeypatch.setattr(sys, "stdin", stdin)

@@ -167,6 +167,23 @@ def test_reports_do_not_depend_on_sharing(designs, name):
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), (kind, coding)
 
 
+@pytest.mark.parametrize(
+    "name, kind", [("table3", "eq6"), ("table3", "eq5"), ("crossed", "eq5"), ("crossed_read", "eq6")]
+)
+def test_fds_does_not_depend_on_sharing(designs, name, kind):
+    # whether a design is crossed is decided by value, so equal designs
+    # built from other objects take the same product path, bit for bit
+    from oamix.evaluate import _product_factors
+
+    shared = designs[name]
+    unshared = fresh(shared)
+    spec = build_spec(kind, shared.m)
+    for design in (shared, unshared):
+        assert _product_factors(design, spec, model_matrix(design, spec)._factor) is not None
+    want = fds_curve(shared, spec, 3000, seed=4).variances
+    assert np.array_equal(fds_curve(unshared, spec, 3000, seed=4).variances, want)
+
+
 def _transforms(m6_bases, m6_designs):
     table1 = oofa_expand(simplex_lattice(3, 3))
     table2 = oofa_expand(project_columns(simplex_centroid(4), {4}))

@@ -34,6 +34,7 @@ from oamix import (
     simplex_lattice,
     std_errors,
 )
+from oamix.core import Design, OofARun
 from oamix.errors import (
     ConstantColumn,
     InvalidParameter,
@@ -47,8 +48,10 @@ from oamix.evaluate import (
     _blocks,
     _default_policy,
     _Factor,
+    _amount_powers,
     _nct_two_sided,
     _pair_signs,
+    _product_factors,
     _row_sums,
     _rows_from_samples,
     _sample_chunk,
@@ -456,10 +459,17 @@ def test_t_critical_keeps_small_alphas_relative_accuracy(df, alpha):
     assert 2.0 * special.stdtr(df, -_t_critical(df, alpha)) == pytest.approx(alpha, rel=1e-12)
 
 
-@pytest.mark.parametrize("df, alpha", [(1, 1e-3), (2, 1e-6), (3, 1e-8)])
+@pytest.mark.parametrize("df, alpha", [(1, 1e-3), (3, 1e-8)])
 def test_nct_power_refuses_alphas_its_series_cannot_reach(df, alpha):
     with pytest.raises(InvalidParameter, match="^power needs more than 4194304 incomplete-beta terms"):
         _nct_two_sided(2.0, df, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-9])
+def test_nct_power_at_two_df_takes_every_alpha(alpha):
+    # I_x(j + 1/2, 1) = x^(j + 1/2) in closed form, so no series limits alpha
+    expected, _ = scipy_nct_two_sided(2.0, 2, alpha)
+    assert _nct_two_sided(2.0, 2, alpha) == pytest.approx(expected, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("df", [5, 15, 27, 51])
@@ -641,8 +651,8 @@ def test_fds_quantile_and_fraction_below_at_the_ends(table5, spec8):
 @pytest.mark.parametrize(
     "sign_policy, digest",
     [
-        ("orderings", "c20f27087ede8f46a52ef9ae7daca8d81dc1cdf8a3d74e0f51ab2faaa98fd7d7"),
-        ("continuous", "ec41b4d34f9845da57089e64ec991783af5a6e75502e6ceabd5b8ba3882ffbd3"),
+        ("orderings", "720aa3902ef35408a9dcb867fbdad8d1dfc6ec89045223174d731186808f1342"),
+        ("continuous", "62fb88ca4b8305ae3e3b27ee6c0584832cfc746504c7b901301682fc96b86336"),
     ],
     ids=["orderings", "continuous"],
 )
@@ -651,15 +661,23 @@ def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
     assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
 
 
-def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy):
+def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, general=False):
     """The FDS chunk loop with fresh arrays for every chunk, sorted after one
-    concatenate: the reference for `fds_curve`'s reused buffers."""
+    concatenate: the reference for `fds_curve`'s reused buffers.  Where the
+    variances factor (`_product_factors`) each is d_base d_A, unless
+    `general` asks for the full model rows and factor."""
     fac = model_matrix(design, spec)._factor
+    product = None if general else _product_factors(design, spec, fac)
     parts = []
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
-        parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
+        if product is None:
+            parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
+        else:
+            base, base_fac, amount_fac, degree = product
+            d_base = base_fac.pv(_rows_from_samples(base, x, keys, signs, amounts))
+            parts.append(d_base * amount_fac.pv(_amount_powers(amounts, degree)))
     return np.sort(np.concatenate(parts))
 
 
@@ -671,6 +689,13 @@ def m6_crossed():
 @pytest.fixture(scope="module")
 def m8_crossed():
     return cross_amounts(oofa_expand(simplex_lattice(8, 2)), ["1/2", "5/4", "2"])
+
+
+@pytest.fixture(scope="module")
+def crossed_with_zero(table1):
+    # base runs 1..4 twice, and an amount level of 0, where d_A is M_A^{-1}[0, 0]
+    replicated = Design(table1.m, table1.kind, table1.runs + table1.runs[:4])
+    return cross_amounts(replicated, ["0", "1", "5/2"])
 
 
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
@@ -804,10 +829,21 @@ def _c_ordered_variances(design, spec, n_samples, seed, policy, sign_policy):
 
 @pytest.mark.parametrize("discrete", [False, True], ids=["continuous-amounts", "discrete-amounts"])
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
-@pytest.mark.parametrize("eq", [f"eq{i}" for i in range(1, 9)])
-def test_fds_matches_c_ordered_rows(table2, table3, table5, eq, sign_policy, discrete):
-    spec = build_spec(eq, 3)
-    design = table5 if spec.kind.uses_amounts else table3
+@pytest.mark.parametrize(
+    "eq, crossed",
+    [pytest.param(f"eq{i}", None, id=f"eq{i}") for i in range(1, 9)]
+    + [
+        pytest.param(eq, name, id=f"{name}-{eq}")
+        for name in ("m6_crossed", "crossed_with_zero")
+        for eq in ("eq5", "eq6")
+    ],
+)
+def test_fds_matches_c_ordered_rows(request, table2, table3, table5, eq, crossed, sign_policy, discrete):
+    # the mixture-amount cases on table3, m6_crossed and crossed_with_zero
+    # take the product path d_base d_A; the reference takes the full factor
+    design = request.getfixturevalue(crossed) if crossed else table3
+    spec = build_spec(eq, design.m)
+    design = table5 if spec.kind.uses_amounts else design
     if discrete:
         # table2's levels include 0, so amount models see zero-masked draws
         design = table2 if spec.kind.uses_amounts else design
@@ -818,6 +854,59 @@ def test_fds_matches_c_ordered_rows(table2, table3, table5, eq, sign_policy, dis
         got = fds_curve(design, spec, n, seed=5, amount_policy=policy, sign_policy=sign_policy).variances
         want = _c_ordered_variances(design, spec, n, 5, policy, sign_policy)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"n={n}")
+
+
+def _without_run(design, i):
+    return Design(design.m, design.kind, design.runs[:i] + design.runs[i + 1 :])
+
+
+def _level_moved(design):
+    # in a design of three levels, the first level's first run and the
+    # second level's last run trade amounts: every level keeps its run
+    # count, not its multiset
+    runs = list(design.runs)
+    n = len(runs) // 3
+    runs[0], runs[2 * n - 1] = (
+        OofARun(runs[0].point, runs[0].pwo, runs[2 * n - 1].amount),
+        OofARun(runs[2 * n - 1].point, runs[2 * n - 1].pwo, runs[0].amount),
+    )
+    return Design(design.m, design.kind, tuple(runs))
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize(
+    "name, eq",
+    [("table3-one-run-dropped", "eq6"), ("table3-one-run-dropped", "eq5"), ("table3-level-moved", "eq6"),
+     ("table5", "eq8")],
+)
+def test_fds_off_the_product_path_is_the_general_loop(table3, table5, name, eq, sign_policy):
+    # a design that is not crossed, or a spec whose terms are no base list
+    # times the powers of A, keeps the full model rows and factor
+    designs = {
+        "table3-one-run-dropped": _without_run(table3, 5),
+        "table3-level-moved": _level_moved(table3),
+        "table5": table5,
+    }
+    design, spec = designs[name], build_spec(eq, 3)
+    fac = model_matrix(design, spec)._factor
+    assert _product_factors(design, spec, fac) is None
+    policy = _default_policy(design)
+    for n in (100, _FDS_CHUNK + 1):
+        got = fds_curve(design, spec, n, seed=5, sign_policy=sign_policy).variances
+        assert _same_bits(got, _fresh_array_variances(design, spec, n, 5, policy, sign_policy, general=True))
+
+
+@pytest.mark.parametrize("eq", ["eq1", "eq2", "eq5", "eq6"])
+def test_table3_leverages_are_level_times_base_leverages(table1, table3, eq):
+    # table3 is table1 at each of three levels, level-major, so X is
+    # X_A (x) X_base and each leverage is a level's times a base run's
+    spec = build_spec(eq, 3)
+    degree = 1 if eq in ("eq1", "eq5") else 2
+    q = spec.p // (degree + 1)
+    levels = np.array([float(a) for a in table3.amount_levels])
+    x_base = model_matrix(table3, spec).X[: len(table1), :q]
+    want = np.kron(leverages(_amount_powers(levels, degree)), leverages(x_base))
+    np.testing.assert_allclose(leverages(model_matrix(table3, spec)), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
