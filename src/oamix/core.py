@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from numbers import Real
 from operator import attrgetter
 
@@ -158,9 +159,12 @@ class Design:
     InvalidDimension.
 
     Runs may share point, sign tuple and amount objects.  A design indexes
-    its distinct objects once, on first use, for every layer that converts,
-    renders, scales or checks it, so it costs what its distinct values
-    cost; the index takes no part in `==` or `hash`.
+    its distinct objects once for every layer that converts, renders,
+    scales or checks it, so it costs what its distinct values cost; the
+    index takes no part in `==` or `hash`.  A design built by calling
+    `Design` walks its runs for the index on first use.  The library's
+    constructors and `read_design` hold the index as they make the runs, so
+    the designs they return are born with it (`Design._of`).
     """
 
     m: int
@@ -177,6 +181,24 @@ class Design:
                 raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
         if self.m < 2 and self.is_expanded:
             raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
+
+    @classmethod
+    def _of(cls, m: int, kind: Kind, runs: tuple[OofARun, ...], index: dict) -> Design:
+        """A design of runs known to share one shape, born with its index.
+
+        It skips `__post_init__`'s walk over the runs and stores `index` as
+        `_index` would build it: for each run field, the distinct objects by
+        identity in first-seen order and each run's slot among them.  Only
+        the library's own constructors, which make the runs and so hold
+        both, call it."""
+        design = object.__new__(cls)
+        assign = object.__setattr__
+        assign(design, "m", m)
+        assign(design, "kind", kind)
+        assign(design, "runs", runs)
+        # where the cached property would keep it
+        design.__dict__["_index"] = index
+        return design
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -221,18 +243,27 @@ def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:
 
 def validate_point(point: DesignPoint) -> None:
     """Raise unless the point satisfies its kind's constraints: entries are
-    nonnegative, and proportions sum to exactly 1."""
+    nonnegative, and proportions sum to exactly 1.  Signs are read from the
+    numerators and the sum is taken exactly over one common denominator."""
     for i, v in enumerate(point.values, start=1):
-        if v < 0:
+        if v.numerator < 0:
             raise NegativeEntry(f"component {i} is negative: {v}")
     if point.kind is Kind.PROPORTION:
-        total = sum(point.values, Fraction(0))
-        if total != 1:
-            raise SumNotOne(f"proportions sum to {total}, expected exactly 1")
+        numerator, denominator = _exact_sum(point.values)
+        if numerator != denominator:
+            raise SumNotOne(f"proportions sum to {Fraction(numerator, denominator)}, expected exactly 1")
 
 
 def total_amount(point: DesignPoint) -> Fraction:
     """Exact total of an amount-kind point."""
     if point.kind is not Kind.AMOUNT:
         raise WrongKind("total_amount applies to amount-kind points")
-    return sum(point.values, Fraction(0))
+    return Fraction(*_exact_sum(point.values))
+
+
+def _exact_sum(values: tuple[Fraction, ...]) -> tuple[int, int]:
+    """The sum of `values` as a numerator over the least common denominator,
+    not reduced: one integer sum, where adding Fractions one by one would
+    reduce every partial sum."""
+    denominator = lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (denominator // v.denominator) for v in values), denominator

@@ -30,6 +30,7 @@ from .errors import (
     InvalidParameter,
     MissingAmount,
     NoResidualDf,
+    OamixError,
     SingularInformation,
     _int_in_range,
 )
@@ -609,17 +610,21 @@ def _amount_powers(amounts: np.ndarray, degree: int, out=None) -> np.ndarray:
     return V
 
 
-def _product_factors(design: Design, spec: ModelSpec, fac: _Factor):
+def _product_factors(design: Design, spec: ModelSpec, X: np.ndarray):
     """(base spec, its factor, amount factor, degree T) when FDS variances
     factor as d_base(x, z) d_A(A), else None.
 
     That holds when the spec's terms are a base list times the powers of A
     (`_amount_degree`) and the design crosses one multiset of base runs with
-    its amount levels (`_crossed_base`): X is then X_A (x) X_base up to the
-    order of its rows, so M^{-1} = M_A^{-1} (x) M_base^{-1} and every model
-    vector f = v(A) (x) f_base gives f' M^{-1} f = d_A(A) d_base.  X_base is
-    the t = 0 columns of the first level's rows of the full X, and X_A the
-    levels x (T + 1) Vandermonde matrix of the design's levels."""
+    its amount levels (`_crossed_base`): the full model matrix X is then
+    X_A (x) X_base up to the order of its rows, so
+    M^{-1} = M_A^{-1} (x) M_base^{-1} and every model vector
+    f = v(A) (x) f_base gives f' M^{-1} f = d_A(A) d_base.  X_base is the
+    t = 0 columns of the first level's rows of X, and X_A the levels x
+    (T + 1) Vandermonde matrix of the design's levels.  The equilibrated
+    X is the Kronecker product of the two equilibrated factors, so its
+    reciprocal condition is the product of theirs.  A small factor raises
+    as `_Factor` does."""
     degree = _amount_degree(spec)
     if not degree:
         return None
@@ -632,7 +637,7 @@ def _product_factors(design: Design, spec: ModelSpec, fac: _Factor):
     amount_labels = tuple(f"A^{t}" for t in range(degree + 1))
     return (
         base,
-        _Factor(fac.X[runs, :q], base.labels),
+        _Factor(X[runs, :q], base.labels),
         _Factor(_amount_powers(levels, degree), amount_labels),
         degree,
     )
@@ -737,9 +742,12 @@ def fds_curve(
     d_base(x, z) d_A(A), with d_base from the q = p/(T + 1) base columns
     and d_A from the T + 1 powers of A; it agrees with the full product to
     rounding (within 1e-13 relative on the paper's designs).  The full
-    model matrix is still built and factored first, so its gate and errors
-    are those of every other path; the row and product buffers are then q
-    wide, not p, and d_A takes two (c, T + 1) buffers and one of c floats.
+    model matrix is still built, and the gate reads the product of the two
+    small factors' reciprocal conditions, which is the full matrix's; only
+    when that product is below 1e-10 or a small factor raises is the full
+    matrix factored, so the gate's errors are those of every other path.
+    The row and product buffers are then q wide, not p, and d_A takes two
+    (c, T + 1) buffers and one of c floats.
     Any other spec or design takes the full rows.
 
     `workers` must be at least 1 and is otherwise unused: the chunks run
@@ -756,17 +764,23 @@ def fds_curve(
             f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {amount_policy!r}"
         )
     policy = amount_policy if amount_policy is not None else _default_policy(design)
-    fac = _factor(model_matrix(design, spec))
+    mm = model_matrix(design, spec)
+    try:
+        product = _product_factors(design, spec, mm.X)
+    except OamixError:
+        _factor(mm)  # the full factor's gate raises first, as on every path
+        raise
+    if product is None:
+        row_spec, fac, degree = spec, _factor(mm), 0
+    else:
+        row_spec, fac, amount_fac, degree = product
+        if fac.rcond * amount_fac.rcond < RCOND_FLOOR:
+            _factor(mm)
     try:
         variances = np.empty(n_samples)
     except (ValueError, MemoryError):
         raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
 
-    product = _product_factors(design, spec, fac)
-    if product is None:
-        row_spec, degree = spec, 0
-    else:
-        row_spec, fac, amount_fac, degree = product
     m, p = spec.m, row_spec.p
     chunk = min(_FDS_CHUNK, n_samples)
     draws = (np.empty(chunk * m), np.empty(chunk * m))

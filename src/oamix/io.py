@@ -19,8 +19,8 @@ tuple and amount of a design once and joins the pieces of each
 run.  `read_design`, the one reader the library and the CLI share, parses
 each token as an exact decimal fraction and accepts a row only when its
 run passes the checks of ``oofa.validate_run``, each distinct point and
-sign pattern checked once per file, and a row that repeats an earlier
-row's text up to its A reading only its A.  So it rejects a display file
+sign pattern checked once per file, and a row that repeats an accepted
+row's text up to its A looking up only its A.  So it rejects a display file
 of thirds rounded to 0.33 (proportions no longer summing to 1) and an
 amount row whose rounded A differs from the sum of its rounded amounts.
 
@@ -35,7 +35,7 @@ from itertools import product
 
 from .core import Design, DesignPoint, Kind, OofARun, _as_signs
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
-from .oofa import _check_run, pwo_pairs
+from .oofa import _check_amount, _check_signs, _point_facts, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -156,15 +156,20 @@ def read_design(text: str) -> Design:
     entries nonnegative, proportions summing to exactly 1, A nonnegative
     and, in an amount design, equal to the row's sum of amounts, and signs
     induced by some addition order.  Rows whose component cells have the
-    same text share one point, and rows whose sign cells have the same text
-    share one sign tuple, so each distinct point and sign pattern is decoded
-    and checked once per file.  Each distinct sign cell text is decoded to
-    an int once, so a new sign pattern costs lookups, not parsing.  A row
-    whose text up to its last comma (the whole row when there is no A
-    column) equals an accepted earlier row's has that row's cell count,
-    point and sign tuple, so only its A is decoded and checked.  An error
-    in a row names its physical line as ``line N: ...`` and keeps its class
-    (sign-order faults are InconsistentPwoRow).
+    same text share one point, rows whose sign cells have the same text
+    share one sign tuple, and rows whose A cells have the same text share
+    one amount, so each distinct point and sign pattern is decoded and
+    checked once per file.  Each distinct sign cell text is decoded to an
+    int once, so a new sign pattern costs lookups, not parsing.
+
+    A row is read per head, its text up to its last comma (the whole row
+    when there is no A column).  A row whose head repeats an accepted
+    row's has that row's cell count, point and sign tuple, and costs one
+    lookup of its A text among those already accepted with that point;
+    only an A text new to the point is decoded and checked.  The returned
+    design is born with its index, its slots keyed by the cell texts.  An
+    error in a row names its physical line as ``line N: ...`` and keeps its
+    class (sign-order faults are InconsistentPwoRow).
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -175,11 +180,7 @@ def read_design(text: str) -> Design:
     n_pairs = len(pwo_pairs(m)) if with_signs else 0
     width = m + n_pairs + (1 if with_amount else 0)
     parsed: dict[str, Fraction] = {}
-    points: dict[tuple[str, ...], DesignPoint] = {}
-    sign_tuples: dict[tuple[str, ...], tuple[int, ...]] = {}
     sign_cells: dict[str, int | Fraction] = {}
-    seen: dict = {}
-    orders: set = set()
 
     def decode(cell: str) -> Fraction:
         value = parsed.get(cell)
@@ -199,46 +200,78 @@ def read_design(text: str) -> Design:
             sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
         return sign
 
-    # each accepted row's text up to its last comma (the whole row without an
-    # A column) -> its checked point, sign tuple and their cell texts, which
-    # key the run checks; a repeat has the same cells before its A
-    heads: dict[str, tuple] = {}
-    runs = []
+    # the distinct values by slot, and the cell texts that key each slot;
+    # a file without sign or A columns has one slot of None for them
+    points: list[DesignPoint] = []
+    point_slots: dict[tuple[str, ...], int] = {}
+    signs: list[tuple[int, ...] | None] = [] if with_signs else [None]
+    sign_slots: dict[tuple[str, ...], int] = {}
+    amounts: list[Fraction | None] = []
+    amount_slots: dict[str, int] = {}
+    # by point slot: the point's checked support and total, and the A texts
+    # accepted with it, each mapped to its amount slot
+    facts: list[tuple | None] = []
+    accepted: list[dict[str, int]] = []
+    # each accepted row's head -> its point and sign slots
+    heads: dict[str, tuple[int, int]] = {}
+    orders: set = set()
+    # each row's point, sign and amount slots
+    rows: list[tuple[int, int, int]] = []
     for row_no, line in lines[1:]:
         head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
         a_text = a_cell.strip()
         known = heads.get(head)
         try:
-            if known is not None:
-                amount = decode(a_text) if with_amount else None
-            else:
+            if known is None:
                 cells = line.split(",")
                 if len(cells) != width:
                     raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
                 comp_text = tuple(cells[:m])
-                point = points.get(comp_text)
-                if point is None:
-                    point = DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind)
-                    points[comp_text] = point
-                pwo = sign_text = None
+                i = point_slots.get(comp_text)
+                if i is None:
+                    i = point_slots[comp_text] = len(points)
+                    points.append(DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind))
+                    facts.append(None)
+                    accepted.append({})
+                j, sign_values = 0, None
                 if with_signs:
                     sign_text = tuple(cells[m : m + n_pairs])
-                    pwo = sign_tuples.get(sign_text)
-                    if pwo is None:
-                        signs = tuple(decode_sign(c) for c in sign_text)
-                amount = decode(a_text) if with_amount else None
+                    j = sign_slots.get(sign_text)
+                    if j is None:
+                        sign_values = tuple(map(decode_sign, sign_text))
+            else:
+                i, j = known
+            k = accepted[i].get(a_text)
+            amount = decode(a_text) if k is None and with_amount else None
+            if known is None:
                 # every cell is read before the signs are judged
-                if with_signs and pwo is None:
-                    pwo = sign_tuples[sign_text] = _as_signs(signs)
-                known = (point, pwo, comp_text, sign_text)
-            point, pwo, comp_text, sign_text = known
-            run = OofARun._of(point, pwo, amount)
-            _check_run(run, (comp_text, sign_text, a_text), seen, orders)
+                if sign_values is not None:
+                    j = sign_slots[sign_text] = len(signs)
+                    signs.append(_as_signs(sign_values))
+                if facts[i] is None:
+                    facts[i] = _point_facts(points[i])
+            if k is None:
+                _check_amount(points[i], facts[i][1], amount)
+                k = amount_slots.get(a_text)
+                if k is None:
+                    k = amount_slots[a_text] = len(amounts)
+                    amounts.append(amount)
+                accepted[i][a_text] = k
+            if known is None:
+                if with_signs:
+                    _check_signs(points[i], facts[i][0], signs[j], orders)
+                heads[head] = (i, j)
         except OamixError as exc:
             raise located(f"line {row_no}", exc) from exc
-        heads[head] = known
-        runs.append(run)
-    return Design(m=m, kind=kind, runs=tuple(runs))
+        rows.append((i, j, k))
+    runs = tuple(OofARun._of(points[i], signs[j], amounts[k]) for i, j, k in rows)
+    point_of, sign_of, amount_of = zip(*rows)
+    index = {
+        "point": (tuple(points), point_of),
+        "pwo": (tuple(signs), sign_of),
+        "amount": (tuple(amounts), amount_of),
+    }
+    return Design._of(m, kind, runs, index)
 
 
 _TABLES = ("table1", "table2", "table3", "table5")

@@ -10,6 +10,7 @@ amount designs to a physical maximum.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import isqrt
@@ -76,20 +77,26 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
         raise OrderingSupportMismatch(
             f"ordering {ordering} is not a permutation of the support {support}"
         )
-    return _pwo_from_ordering(point.m, ordering)
+    return _pwo_from_orderings(point.m, support, (ordering,))[0]
 
 
-def _pwo_from_ordering(m: int, ordering: tuple[int, ...]) -> tuple[int, ...]:
-    """`pwo_from_ordering` of an ordering that is already a tuple of ints
-    permuting a known support of m components, as `oofa_expand`'s are."""
-    pos = {c: i for i, c in enumerate(ordering)}
+def _pwo_from_orderings(m: int, support: tuple[int, ...], orderings) -> list[tuple[int, ...]]:
+    """`pwo_from_ordering` of each of `orderings`, tuples of ints that
+    permute the ascending `support` of m components, as `oofa_expand`'s
+    are.  Only the pairs within the support are visited per ordering; the
+    others stay 0."""
+    within = [(at, j, k) for at, (j, k) in enumerate(pwo_pairs(m)) if j in support and k in support]
+    signs = [0] * (m * (m - 1) // 2)
+    rank = [0] * (m + 1)
     out = []
-    for j, k in pwo_pairs(m):
-        if j in pos and k in pos:
-            out.append(1 if pos[j] < pos[k] else -1)
-        else:
-            out.append(0)
-    return tuple(out)
+    for ordering in orderings:
+        for r, c in enumerate(ordering):
+            rank[c] = r
+        # every ordering of the support writes every pair within it
+        for at, j, k in within:
+            signs[at] = 1 if rank[j] < rank[k] else -1
+        out.append(tuple(signs))
+    return out
 
 
 def _m_from_pairs(n_pairs: int) -> int:
@@ -113,18 +120,20 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
     return _ordering_from_pwo(support, _as_signs(pwo))
 
 
+_SIGN_VALUES = frozenset((-1, 0, 1))
+
+
 def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
     """`ordering_from_pwo` of an ascending support and a sign vector that
     are already tuples of ints, as a point's support and a run's signs are."""
-    if any(z not in (-1, 0, 1) for z in pwo):
+    if not _SIGN_VALUES.issuperset(pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
     m = _m_from_pairs(len(pwo))
     if support and support[-1] > m:
         raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
-    active = set(support)
-    wins = {c: 0 for c in support}
+    wins = dict.fromkeys(support, 0)
     for (j, k), z in zip(pwo_pairs(m), pwo):
-        if j in active and k in active:
+        if j in wins and k in wins:
             if z == 0:
                 raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
             wins[j if z == 1 else k] += 1
@@ -134,7 +143,7 @@ def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[
     # transitive exactly when its win counts are all distinct
     if len(set(wins.values())) != len(support):
         raise InconsistentPwo("sign pattern is not induced by any addition order")
-    return tuple(sorted(support, key=lambda c: -wins[c]))
+    return tuple(sorted(support, key=wins.__getitem__, reverse=True))
 
 
 def oofa_expand(design: Design) -> Design:
@@ -153,16 +162,32 @@ def oofa_expand(design: Design) -> Design:
         raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
     if design.is_expanded:
         raise AlreadyExpanded("design already carries orderings")
-    signs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    runs = []
-    for run in design.runs:
-        support = run.point.support()
-        vectors = signs.get(support)
-        if vectors is None:
+    points, point_of = design._index["point"]
+    amounts, amount_of = design._index["amount"]
+    supports = [point.support() for point in points]
+    # each support's sign tuples get the next slots as they are made, which
+    # is the order the expanded runs first hold them in
+    slots_of: dict[tuple[int, ...], range] = {}
+    signs: list[tuple[int, ...]] = []
+    runs, run_points, run_signs, run_amounts = [], [], [], []
+    for i, k in zip(point_of, amount_of):
+        support = supports[i]
+        slots = slots_of.get(support)
+        if slots is None:
+            start = len(signs)
             # permutations of a support of size 0 or 1 is that support alone
-            vectors = signs[support] = [_pwo_from_ordering(design.m, o) for o in permutations(support)]
-        runs.extend(OofARun._of(run.point, pwo, run.amount) for pwo in vectors)
-    return Design(design.m, design.kind, tuple(runs))
+            signs += _pwo_from_orderings(design.m, support, permutations(support))
+            slots = slots_of[support] = range(start, len(signs))
+        runs.extend(OofARun._of(points[i], signs[j], amounts[k]) for j in slots)
+        run_points += [i] * len(slots)
+        run_signs += slots
+        run_amounts += [k] * len(slots)
+    index = {
+        "point": (points, tuple(run_points)),
+        "pwo": (tuple(signs), tuple(run_signs)),
+        "amount": (amounts, tuple(run_amounts)),
+    }
+    return Design._of(design.m, design.kind, tuple(runs), index)
 
 
 def cross_amounts(design: Design, levels: Iterable) -> Design:
@@ -183,7 +208,16 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     if any(v < 0 for v in coerced):
         raise NegativeEntry("amount levels must be nonnegative")
     runs = tuple(OofARun._of(run.point, run.pwo, level) for level in coerced for run in design.runs)
-    return Design(design.m, design.kind, runs)
+    points, point_of = design._index["point"]
+    signs, sign_of = design._index["pwo"]
+    # each level repeats the parent's point and sign slots; levels are
+    # distinct values, so distinct objects, numbered in order
+    index = {
+        "point": (points, point_of * len(coerced)),
+        "pwo": (signs, sign_of * len(coerced)),
+        "amount": (coerced if runs else (), tuple(k for k in range(len(coerced)) for _ in design.runs)),
+    }
+    return Design._of(design.m, design.kind, runs, index)
 
 
 def _exact_amount(what: str, value) -> Fraction:
@@ -214,64 +248,91 @@ def scale_amounts(design: Design, a_max) -> Design:
         OofARun._of(scaled_points[i], run.pwo, scaled_amounts[j])
         for run, i, j in zip(design.runs, point_of, amount_of)
     )
-    return Design(design.m, design.kind, runs)
+    # one new object per distinct object, so the parent's slots carry over
+    index = {
+        "point": (tuple(scaled_points), point_of),
+        "pwo": design._index["pwo"],
+        "amount": (tuple(scaled_amounts), amount_of),
+    }
+    return Design._of(design.m, design.kind, runs, index)
 
 
 def validate_run(run: OofARun) -> None:
     """Raise unless one run is valid: its point satisfies its kind, a
     total-amount tag A is nonnegative and, for an amount run, equals the
     sum of its amounts, and its signs are induced by some addition order of
-    its support.  The one run check of `read_design` and `validate_design`,
-    which share its work between the runs of one call (see `_check_run`).
+    its support.  The one statement of a valid run: `read_design` and
+    `validate_design` make the same three checks in the same order, each
+    once per distinct point, (point, A) pair and (point, signs) pair.
     """
-    _check_run(run, (None, None, None), {}, set())
+    support, total = _point_facts(run.point)
+    _check_amount(run.point, total, run.amount)
+    if run.pwo is not None:
+        _check_signs(run.point, support, run.pwo, set())
 
 
-def _check_run(run: OofARun, keys: tuple, seen: dict, orders: set) -> None:
-    """`validate_run` with memos kept for one pass over many runs.
+def _point_facts(point: DesignPoint) -> tuple[tuple[int, ...], Fraction | None]:
+    """`validate_point`, then the point's support and, for an amount point,
+    its exact total: what the checks of its A and its signs read."""
+    validate_point(point)
+    return point.support(), total_amount(point) if point.kind is Kind.AMOUNT else None
 
-    `keys` holds the run's (point, signs, amount) keys from the caller, equal
-    only where runs hold the same value.  Each point is checked once per key
-    (`validate_point`, its support, an amount point's total), its A once
-    per amount key, and its signs once per sign key, with one order check
-    per (support, signs) content in `orders`.  Only passed checks are
-    recorded, so the first faulty run still raises.
-    """
-    point, pwo, amount = run.point, run.pwo, run.amount
-    point_key, pwo_key, amount_key = keys
-    known = seen.get(point_key)
-    if known is None:
-        validate_point(point)
-        total = total_amount(point) if point.kind is Kind.AMOUNT else None
-        known = seen[point_key] = (point.support(), total, set(), set())
-    support, total, amounts_seen, signs_seen = known
-    if amount_key not in amounts_seen:
-        if amount is not None and amount < 0:
-            raise NegativeEntry(f"total amount A is negative: {amount}")
-        if point.kind is Kind.AMOUNT and amount != total:
-            raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
-        amounts_seen.add(amount_key)
-    if pwo is not None and pwo_key not in signs_seen:
-        if len(pwo) != point.m * (point.m - 1) // 2:
-            raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
-        if (support, pwo) not in orders:
-            _ordering_from_pwo(support, pwo)
-            orders.add((support, pwo))
-        signs_seen.add(pwo_key)
+
+def _check_amount(point: DesignPoint, total: Fraction | None, amount: Fraction | None) -> None:
+    """A run's A check, given its point's total from `_point_facts`."""
+    if amount is not None and amount < 0:
+        raise NegativeEntry(f"total amount A is negative: {amount}")
+    if point.kind is Kind.AMOUNT and amount != total:
+        raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
+
+
+def _check_signs(point: DesignPoint, support: tuple[int, ...], pwo: tuple[int, ...], orders: set) -> None:
+    """A run's sign check, given its point's support; `orders` holds the
+    (support, signs) contents whose order check has passed in this call."""
+    if len(pwo) != point.m * (point.m - 1) // 2:
+        raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
+    if (support, pwo) not in orders:
+        _ordering_from_pwo(support, pwo)
+        orders.add((support, pwo))
 
 
 def validate_design(design: Design) -> None:
     """Check each run of a design built in code with `validate_run`, whose
-    errors are prefixed ``run N:``.  Each distinct point, and each distinct
-    sign pattern of a support, is checked once per call, however many runs
-    repeat it.  The design's shape (m, kind, and which of signs and A its
-    runs carry) is checked when the Design is built.  Every design
-    `read_design` returns already passes it."""
-    seen: dict = {}
+    errors are prefixed ``run N:``.
+
+    A run's checks read only its point, its (point, A) pair and its
+    (point, signs) pair, so only the first run of each distinct one, by
+    the design's index, is checked, in run order: the first faulty run is
+    still the one named.  Each sign pattern of a support has its order
+    checked once per call.  The design's shape (m, kind, and which of
+    signs and A its runs carry) is checked when the Design is built.
+    Every design `read_design` returns already passes it."""
+    index = design._index
+    points, point_of = index["point"]
+    signs, sign_of = index["pwo"]
+    amounts, amount_of = index["amount"]
+    first_amount = _first_runs(zip(point_of, amount_of))
+    first_signs = _first_runs(zip(point_of, sign_of)) if design.is_expanded else {}
+    facts: dict[int, tuple] = {}
     orders: set = set()
-    slots = zip(*(design._index[field][1] for field in ("point", "pwo", "amount")))
-    for idx, (run, keys) in enumerate(zip(design.runs, slots), start=1):
+    # a point's first run is the first run of one of its (point, A) pairs
+    for n in sorted({*first_amount.values(), *first_signs.values()}):
+        i, j, k = point_of[n], sign_of[n], amount_of[n]
+        point = points[i]
         try:
-            _check_run(run, keys, seen, orders)
+            if i not in facts:
+                facts[i] = _point_facts(point)
+            support, total = facts[i]
+            if first_amount[i, k] == n:
+                _check_amount(point, total, amounts[k])
+            if first_signs.get((i, j)) == n:
+                _check_signs(point, support, signs[j], orders)
         except OamixError as exc:
-            raise located(f"run {idx}", exc) from exc
+            raise located(f"run {n + 1}", exc) from exc
+
+
+def _first_runs(keys) -> dict:
+    """Each key's first position (0-based) in `keys`."""
+    keys = list(keys)
+    # a later assignment wins, so walking backwards leaves the first
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))

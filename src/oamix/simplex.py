@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import Design, DesignPoint, Kind, OofARun
+from .core import Design, DesignPoint, Kind, OofARun, total_amount
 from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range, _iterable
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
@@ -33,11 +33,8 @@ def simplex_lattice(m: int, w: int) -> Design:
     m, w = _int_in_range("m", m), _int_in_range("w", w)
     if m < 2 or w < 1:
         raise InvalidDimension(f"need m >= 2 and w >= 1, got m={m}, w={w}")
-    runs = tuple(
-        OofARun(DesignPoint(tuple(Fraction(k, w) for k in comp), Kind.PROPORTION))
-        for comp in _compositions(w, m)
-    )
-    return Design(m=m, kind=Kind.PROPORTION, runs=runs)
+    points = [DesignPoint(tuple(Fraction(k, w) for k in comp), Kind.PROPORTION) for comp in _compositions(w, m)]
+    return _one_run_per_point(m, Kind.PROPORTION, points)
 
 
 def simplex_centroid(m: int) -> Design:
@@ -49,14 +46,14 @@ def simplex_centroid(m: int) -> Design:
     m = _int_in_range("m", m)
     if m < 2:
         raise InvalidDimension(f"need m >= 2, got m={m}")
-    runs = []
+    points = []
     for size in range(1, m + 1):
         share = Fraction(1, size)
         for subset in combinations(range(1, m + 1), size):
             chosen = set(subset)
             values = tuple(share if i in chosen else Fraction(0) for i in range(1, m + 1))
-            runs.append(OofARun(DesignPoint(values, Kind.PROPORTION)))
-    return Design(m=m, kind=Kind.PROPORTION, runs=tuple(runs))
+            points.append(DesignPoint(values, Kind.PROPORTION))
+    return _one_run_per_point(m, Kind.PROPORTION, points)
 
 
 def project_columns(design: Design, drop: Iterable[int]) -> Design:
@@ -76,9 +73,20 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     if len(dropped) >= design.m:
         raise DropAllColumns(f"cannot drop all {design.m} columns")
     keep = [i for i in range(1, design.m + 1) if i not in dropped]
-    runs = []
-    for run in design.runs:
-        values = tuple(run.point.values[i - 1] for i in keep)
-        point = DesignPoint(values, Kind.AMOUNT)
-        runs.append(OofARun(point, amount=sum(values, Fraction(0))))
-    return Design(m=len(keep), kind=Kind.AMOUNT, runs=tuple(runs))
+    points = [DesignPoint(tuple(run.point.values[i - 1] for i in keep), Kind.AMOUNT) for run in design.runs]
+    return _one_run_per_point(len(keep), Kind.AMOUNT, points, [total_amount(point) for point in points])
+
+
+def _one_run_per_point(m: int, kind: Kind, points: list[DesignPoint], amounts: list | None = None) -> Design:
+    """A design of one run per point, born with its index: each point, and
+    each amount when given, is a new object, so run i holds slot i."""
+    n = len(points)
+    slots = tuple(range(n))
+    none = ((None,) if n else (), (0,) * n)
+    index = {
+        "point": (tuple(points), slots),
+        "pwo": none,
+        "amount": none if amounts is None else (tuple(amounts), slots),
+    }
+    runs = tuple(OofARun._of(point, None, None if amounts is None else amounts[i]) for i, point in enumerate(points))
+    return Design._of(m, kind, runs, index)

@@ -41,7 +41,7 @@ from oamix import (
     write_design,
 )
 from oamix import core, io, oofa
-from oamix.errors import OamixError
+from oamix.errors import OamixError, located
 from oamix.models import coded_model_matrix
 
 LEVELS = (Fraction(1, 2), Fraction(5, 4), Fraction(2))
@@ -179,7 +179,7 @@ def test_fds_does_not_depend_on_sharing(designs, name, kind):
     unshared = fresh(shared)
     spec = build_spec(kind, shared.m)
     for design in (shared, unshared):
-        assert _product_factors(design, spec, model_matrix(design, spec)._factor) is not None
+        assert _product_factors(design, spec, model_matrix(design, spec).X) is not None
     want = fds_curve(shared, spec, 3000, seed=4).variances
     assert np.array_equal(fds_curve(unshared, spec, 3000, seed=4).variances, want)
 
@@ -335,9 +335,10 @@ def test_index_names_each_run_value(design):
         assert_index_names_each_run_value(again)
 
 
-def test_index_is_built_once_per_design(monkeypatch, m6_designs):
-    design = read_design(write_design(m6_designs["crossed"]))
-    assert len(design) == 2448
+def test_index_is_built_once_per_design(monkeypatch):
+    # every design the constructors and the reader return is born with its
+    # index, so no layer walks its runs for it; only a design built in code
+    # walks them, once, on first use
     index = Design.__dict__["_index"]
     builds = 0
 
@@ -347,23 +348,176 @@ def test_index_is_built_once_per_design(monkeypatch, m6_designs):
         return build(self)
 
     monkeypatch.setattr(index, "func", counted)
+    crossed = cross_amounts(oofa_expand(simplex_lattice(6, 4)), LEVELS)
+    scaled = scale_amounts(oofa_expand(project_columns(simplex_centroid(6), {6})), 500)
+    design = read_design(write_design(crossed))
+    assert len(design) == 2448
     spec = build_spec("eq5", 6)
     write_design(design)
     validate_design(design)
+    validate_design(crossed)
     evaluate_design(design, spec, coding="raw")
     evaluate_design(design, spec, coding="coded")
     fds_curve(design, spec, 1000, seed=1)
+    validate_design(read_design(write_design(scaled)))
+    assert builds == 0
+    for born in (crossed, scaled, design):
+        assert "_index" in vars(born)
+    Design(design.m, design.kind, design.runs)._index
     assert builds == 1
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_index_takes_no_part_in_equality(designs, name):
     design = read_design(write_design(designs[name]))
-    twin = read_design(write_design(designs[name]))
-    assert "_index" not in vars(design)
+    # the same runs in a design built in code, which has no index until used
+    twin = Design(design.m, design.kind, design.runs)
+    assert "_index" in vars(design) and "_index" not in vars(twin)
     before = hash(design)
     assert design == twin
     assert_index_names_each_run_value(design)
-    assert "_index" in vars(design) and "_index" not in vars(twin)
+    assert_index_names_each_run_value(twin)
+    assert "_index" in vars(twin)
     assert hash(design) == before == hash(twin)
     assert design == twin and twin == design
+    assert read_design(write_design(designs[name])) == design
+
+
+def assert_born_with_the_walked_index(design: Design) -> None:
+    """The index a design was born with is the one a walk over its runs
+    builds: the same distinct objects by identity, in the same order, and
+    the same slots."""
+    assert "_index" in vars(design)
+    walked = Design(design.m, design.kind, design.runs)._index
+    for field in ("point", "pwo", "amount"):
+        (born, born_slots), (want, want_slots) = design._index[field], walked[field]
+        assert type(born) is tuple and type(born_slots) is tuple, field
+        assert born_slots == want_slots, field
+        assert len(born) == len(want) and all(a is b for a, b in zip(born, want)), field
+
+
+@st.composite
+def transformed_designs(draw):
+    """A lattice or centroid base, maybe projected to amounts, then one to
+    three steps drawn from those that apply: expand, cross, scale and a
+    write-and-read; every design made on the way."""
+    m = draw(st.integers(2, 4))
+    design = simplex_lattice(m, draw(st.integers(1, 3))) if draw(st.booleans()) else simplex_centroid(m)
+    made = [design]
+    if draw(st.booleans()):
+        design = project_columns(design, draw(st.sets(st.integers(1, m), min_size=1, max_size=m - 1)))
+        made.append(design)
+    levels = st.lists(st.fractions(min_value=0, max_value=50, max_denominator=12), min_size=1, max_size=3, unique=True)
+    scales = st.fractions(min_value=Fraction(1, 12), max_value=500, max_denominator=12)
+    steps = {
+        "expand": lambda d: oofa_expand(d),
+        "cross": lambda d: cross_amounts(d, draw(levels)),
+        "scale": lambda d: scale_amounts(d, draw(scales)),
+        "read": lambda d: read_design(write_design(d)),
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        apply = ["read"]
+        if design.m >= 2 and not design.is_expanded:
+            apply.append("expand")
+        if design.kind is Kind.PROPORTION and not design.has_amounts:
+            apply.append("cross")
+        if design.kind is Kind.AMOUNT:
+            apply.append("scale")
+        design = steps[draw(st.sampled_from(apply))](design)
+        made.append(design)
+    return made
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformed_designs())
+def test_born_index_is_the_walked_index(made):
+    for design in made:
+        assert_born_with_the_walked_index(design)
+        assert_born_with_the_walked_index(read_design(write_design(design)))
+
+
+_SMALL = {
+    "table1": lambda: reference_design("table1"),
+    "table3": lambda: reference_design("table3"),
+    "table5": lambda: reference_design("table5"),
+    "lattice(4,2) crossed": lambda: cross_amounts(oofa_expand(simplex_lattice(4, 2)), LEVELS),
+}
+
+
+def _corrupt(draw, design: Design) -> Design:
+    """`design` with one run corrupted at a drawn position: a negative
+    entry in its point, an A that is negative or that another run's point
+    sums to, a zero sign between two present components, or a cyclic sign
+    pattern, as the run admits."""
+    runs = list(design.runs)
+    n = draw(st.integers(0, len(runs) - 1))
+    run = runs[n]
+    support = run.point.support()
+    faults = ["point"]
+    if run.amount is not None:
+        faults.append("A")
+    if run.pwo is not None and len(support) >= 2:
+        faults.append("zero sign")
+    if run.pwo is not None and len(support) >= 3:
+        faults.append("cycle")
+    fault = draw(st.sampled_from(faults))
+    point, pwo, amount = run.point, run.pwo, run.amount
+    if fault == "point":
+        point = DesignPoint((-1 - point.values[0],) + point.values[1:], point.kind)
+    elif fault == "A" and point.kind is Kind.AMOUNT:
+        # an amount another run holds, usually of another point: the pair is new
+        others = [r.amount for r in runs if r.amount != amount]
+        amount = draw(st.sampled_from(others)) if others else amount + 1
+    elif fault == "A":
+        amount = -1 - amount
+    else:
+        pairs = oofa.pwo_pairs(design.m)
+        order = oofa.ordering_from_pwo(support, pwo)
+        # 'zero sign' zeroes the pair of the first two added; 'cycle' flips
+        # the first and third, which leaves the first before the second
+        # before the third and the third before the first
+        a, b = (order[0], order[1]) if fault == "zero sign" else (order[0], order[2])
+        at = pairs.index((min(a, b), max(a, b)))
+        pwo = pwo[:at] + ((0 if fault == "zero sign" else -pwo[at]),) + pwo[at + 1 :]
+    runs[n] = OofARun(point, pwo, amount)
+    return Design(design.m, design.kind, tuple(runs))
+
+
+def _first_fault(design: Design) -> tuple[int, OamixError]:
+    """The 1-based number and error of the first run `validate_run` refuses."""
+    for n, run in enumerate(design.runs, start=1):
+        try:
+            oofa.validate_run(run)
+        except OamixError as exc:
+            return n, exc
+    raise AssertionError("no faulty run")
+
+
+def _assert_located(call, where: str, exc: OamixError) -> None:
+    want = located(where, exc)
+    with pytest.raises(OamixError) as got:
+        call()
+    assert type(got.value) is type(want) and str(got.value) == str(want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SMALL)), st.data())
+def test_checks_name_the_first_faulty_run(name, data):
+    # validate_design checks one run per distinct point and pair; it and
+    # the reader must still name the run validate_run refuses first
+    bad = _corrupt(data.draw, _SMALL[name]())
+    n, exc = _first_fault(bad)
+    _assert_located(lambda: validate_design(bad), f"run {n}", exc)
+    _assert_located(lambda: read_design(write_design(bad)), f"line {n + 1}", exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_born_index_names_the_first_faulty_run(data):
+    # a corrupted base expanded and crossed: validate_design reads the
+    # index the design was born with
+    base = _corrupt(data.draw, simplex_lattice(4, 2))
+    crossed = cross_amounts(oofa_expand(base), LEVELS)
+    assert "_index" in vars(crossed)
+    n, exc = _first_fault(crossed)
+    _assert_located(lambda: validate_design(crossed), f"run {n}", exc)

@@ -667,7 +667,7 @@ def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, g
     variances factor (`_product_factors`) each is d_base d_A, unless
     `general` asks for the full model rows and factor."""
     fac = model_matrix(design, spec)._factor
-    product = None if general else _product_factors(design, spec, fac)
+    product = None if general else _product_factors(design, spec, fac.X)
     parts = []
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
@@ -856,6 +856,49 @@ def test_fds_matches_c_ordered_rows(request, table2, table3, table5, eq, crossed
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"n={n}")
 
 
+_CROSSED_CASES = [pytest.param(eq, None, id=f"table3-{eq}") for eq in ("eq1", "eq2", "eq5", "eq6")] + [
+    pytest.param(eq, name, id=f"{name}-{eq}") for name in ("m6_crossed", "crossed_with_zero") for eq in ("eq5", "eq6")
+]
+
+
+@pytest.mark.parametrize("eq, crossed", _CROSSED_CASES)
+def test_product_rcond_is_the_full_factors(request, table3, eq, crossed):
+    # the crossed cases of test_fds_matches_c_ordered_rows: the product path
+    # gates on rcond_A * rcond_base, the full equilibrated matrix's rcond
+    design = request.getfixturevalue(crossed) if crossed else table3
+    spec = build_spec(eq, design.m)
+    mm = model_matrix(design, spec)
+    _, base_fac, amount_fac, _ = _product_factors(design, spec, mm.X)
+    assert base_fac.rcond * amount_fac.rcond == pytest.approx(mm._factor.rcond, rel=1e-9, abs=0)
+
+
+def test_product_path_factors_only_the_small_matrices(monkeypatch, table3, spec6):
+    made = []
+    init = _Factor.__init__
+
+    def counted(self, arr, labels):
+        made.append(arr.shape)
+        init(self, arr, labels)
+
+    monkeypatch.setattr(_Factor, "__init__", counted)
+    fds_curve(table3, spec6, 100, seed=1)
+    assert made == [(21, 12), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "runs, levels", [(slice(None), ["1", "2"]), (slice(5), ["1", "2", "3"])], ids=["two-levels", "five-base-runs"]
+)
+def test_singular_crossed_design_fails_as_the_full_factor(table1, spec6, runs, levels):
+    # two levels cannot carry A^2, and five base runs cannot carry the 12
+    # base terms: a small factor raises, and the error is the full matrix's
+    design = cross_amounts(Design(table1.m, table1.kind, table1.runs[runs]), levels)
+    with pytest.raises(SingularInformation) as want:
+        leverages(model_matrix(design, spec6))
+    with pytest.raises(SingularInformation) as got:
+        fds_curve(design, spec6, 100, seed=1)
+    assert str(got.value) == str(want.value)
+
+
 def _without_run(design, i):
     return Design(design.m, design.kind, design.runs[:i] + design.runs[i + 1 :])
 
@@ -888,8 +931,7 @@ def test_fds_off_the_product_path_is_the_general_loop(table3, table5, name, eq, 
         "table5": table5,
     }
     design, spec = designs[name], build_spec(eq, 3)
-    fac = model_matrix(design, spec)._factor
-    assert _product_factors(design, spec, fac) is None
+    assert _product_factors(design, spec, model_matrix(design, spec).X) is None
     policy = _default_policy(design)
     for n in (100, _FDS_CHUNK + 1):
         got = fds_curve(design, spec, n, seed=5, sign_policy=sign_policy).variances
