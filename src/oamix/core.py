@@ -136,7 +136,8 @@ class OofARun:
         """A run of fields already in stored form: a tuple of ints (or None)
         and a Fraction (or None).  It skips `__post_init__`, so runs that
         share a checked sign tuple are not scanned again one by one; only
-        the library's own constructors, which hold such fields, call it."""
+        a design stored as its index, whose objects are in that form, calls
+        it to make its runs."""
         run = object.__new__(cls)
         # attribute by attribute, as the generated __init__ does: writing
         # through __dict__ would give each run an unshared, larger dict
@@ -162,9 +163,12 @@ class Design:
     its distinct objects once for every layer that converts, renders,
     scales or checks it, so it costs what its distinct values cost; the
     index takes no part in `==` or `hash`.  A design built by calling
-    `Design` walks its runs for the index on first use.  The library's
-    constructors and `read_design` hold the index as they make the runs, so
-    the designs they return are born with it (`Design._of`).
+    `Design` holds its runs and walks them for the index on first use.
+    The library's constructors and `read_design` make the index and no
+    runs: the index is the storage of the designs they return
+    (`Design._of`), and their runs are built from it on the first
+    `.runs`, `==`, `hash` or `repr`.  Two threads that build them at once
+    both get the tuple stored first.
     """
 
     m: int
@@ -174,44 +178,69 @@ class Design:
     def __post_init__(self):
         runs = tuple(self.runs)
         object.__setattr__(self, "runs", runs)
-        shape = (self.m, self.kind, self.is_expanded, self.has_amounts)
+        # the shape from the first run: a design built in code has no index
+        # until a layer asks for it
+        expanded = bool(runs) and runs[0].pwo is not None
+        shape = (self.m, self.kind, expanded, self.kind is Kind.AMOUNT or (bool(runs) and runs[0].amount is not None))
         for idx, run in enumerate(runs, start=1):
             got = (run.point.m, run.point.kind, run.pwo is not None, run.amount is not None)
             if got != shape:
                 raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
-        if self.m < 2 and self.is_expanded:
+        if self.m < 2 and expanded:
             raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
 
     @classmethod
-    def _of(cls, m: int, kind: Kind, runs: tuple[OofARun, ...], index: dict) -> Design:
-        """A design of runs known to share one shape, born with its index.
+    def _of(cls, m: int, kind: Kind, index: dict) -> Design:
+        """A design of one shape stored as its index, with no runs.
 
-        It skips `__post_init__`'s walk over the runs and stores `index` as
-        `_index` would build it: for each run field, the distinct objects by
-        identity in first-seen order and each run's slot among them.  Only
-        the library's own constructors, which make the runs and so hold
-        both, call it."""
+        `index` is what `_index` would build from the runs: for each run
+        field, the distinct objects by identity in first-seen order and
+        each run's slot among them.  It is the design's storage, and it
+        skips `__post_init__`'s walk; the runs are made from it on the
+        first `.runs`, `==`, `hash` or `repr` (see `__getattr__`).  Only
+        the library's own constructors, which hold the slots of a valid
+        shape, call it."""
         design = object.__new__(cls)
         assign = object.__setattr__
         assign(design, "m", m)
         assign(design, "kind", kind)
-        assign(design, "runs", runs)
         # where the cached property would keep it
         design.__dict__["_index"] = index
         return design
 
+    def __getattr__(self, name: str):
+        """The runs of a design stored as its index, made on first access:
+        one run per slot triple, sharing the index's objects.  Only a
+        missing `runs` is answered here; the tuple is kept, and when two
+        threads build it at once both return the one stored first."""
+        index = self.__dict__.get("_index") if name == "runs" else None
+        if index is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        (points, point_of), (signs, sign_of), (amounts, amount_of) = index["point"], index["pwo"], index["amount"]
+        runs = tuple(
+            map(
+                OofARun._of,
+                map(points.__getitem__, point_of),
+                map(signs.__getitem__, sign_of),
+                map(amounts.__getitem__, amount_of),
+            )
+        )
+        return self.__dict__.setdefault("runs", runs)
+
     def __len__(self) -> int:
-        return len(self.runs)
+        return len(self._index["point"][1])
 
     @property
     def is_expanded(self) -> bool:
         """True when the runs carry the sign vectors of addition orders."""
-        return bool(self.runs) and self.runs[0].pwo is not None
+        signs = self._index["pwo"][0]
+        return bool(signs) and signs[0] is not None
 
     @property
     def has_amounts(self) -> bool:
         """True when the runs carry a total amount A, as amount runs always do."""
-        return self.kind is Kind.AMOUNT or (bool(self.runs) and self.runs[0].amount is not None)
+        amounts = self._index["amount"][0]
+        return self.kind is Kind.AMOUNT or (bool(amounts) and amounts[0] is not None)
 
     @property
     def amount_levels(self) -> tuple[Fraction, ...]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .core import Design, DesignPoint, Kind, OofARun, _as_signs
+from .core import Design, DesignPoint, Kind, _as_signs
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
 from .oofa import _check_amount, _check_signs, _point_facts, pwo_pairs
 
@@ -103,7 +103,7 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     _check_components(design.m)
-    if not design.runs:
+    if not len(design):
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
 
@@ -167,7 +167,8 @@ def read_design(text: str) -> Design:
     row's has that row's cell count, point and sign tuple, and costs one
     lookup of its A text among those already accepted with that point;
     only an A text new to the point is decoded and checked.  The returned
-    design is born with its index, its slots keyed by the cell texts.  An
+    design is stored as its index, its slots keyed by the cell texts, and
+    makes its runs only when they are asked for.  An
     error in a row names its physical line as ``line N: ...`` and keeps its
     class (sign-order faults are InconsistentPwoRow).
     """
@@ -216,7 +217,9 @@ def read_design(text: str) -> Design:
     heads: dict[str, tuple[int, int]] = {}
     orders: set = set()
     # each row's point, sign and amount slots
-    rows: list[tuple[int, int, int]] = []
+    point_of: list[int] = []
+    sign_of: list[int] = []
+    amount_of: list[int] = []
     for row_no, line in lines[1:]:
         head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
         a_text = a_cell.strip()
@@ -263,15 +266,15 @@ def read_design(text: str) -> Design:
                 heads[head] = (i, j)
         except OamixError as exc:
             raise located(f"line {row_no}", exc) from exc
-        rows.append((i, j, k))
-    runs = tuple(OofARun._of(points[i], signs[j], amounts[k]) for i, j, k in rows)
-    point_of, sign_of, amount_of = zip(*rows)
+        point_of.append(i)
+        sign_of.append(j)
+        amount_of.append(k)
     index = {
-        "point": (tuple(points), point_of),
-        "pwo": (tuple(signs), sign_of),
-        "amount": (tuple(amounts), amount_of),
+        "point": (tuple(points), tuple(point_of)),
+        "pwo": (tuple(signs), tuple(sign_of)),
+        "amount": (tuple(amounts), tuple(amount_of)),
     }
-    return Design._of(m, kind, runs, index)
+    return Design._of(m, kind, index)
 
 
 _TABLES = ("table1", "table2", "table3", "table5")

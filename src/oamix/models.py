@@ -335,7 +335,7 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     if spec.kind.has_pwo and not design.is_expanded:
         raise MissingPwo("spec has sign terms but the design carries no orderings")
 
-    comps = _field_rows(design, "point", _point_floats).reshape(len(design.runs), spec.m)
+    comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
     signs = _field_rows(design, "pwo", tuple) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
         comps = np.column_stack([code(comps[:, i]) for i in range(spec.m)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -111,12 +111,14 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
 
     Inverse of pwo_from_ordering.  Raises BadPwoValue for a sign other
     than -1, 0 or +1 (see ``core._as_signs``), OrderingSupportMismatch for
-    a support entry that is not a number equal to an integer, and
-    InconsistentPwo when the signs violate zero masking or cannot come from
-    any total order (a cyclic pattern such as z12=+1, z23=+1, z13=-1 on
-    full support).
+    a support entry that is not a number equal to an integer, is below 1
+    or is repeated, and InconsistentPwo when the signs violate zero masking
+    or cannot come from any total order (a cyclic pattern such as z12=+1,
+    z23=+1, z13=-1 on full support).
     """
     support = tuple(sorted(_as_ints(support, OrderingSupportMismatch, "support")))
+    if support and (support[0] < 1 or len(set(support)) != len(support)):
+        raise OrderingSupportMismatch(f"support {support} must be distinct component indices from 1")
     return _ordering_from_pwo(support, _as_signs(pwo))
 
 
@@ -125,25 +127,34 @@ _SIGN_VALUES = frozenset((-1, 0, 1))
 
 def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
     """`ordering_from_pwo` of an ascending support and a sign vector that
-    are already tuples of ints, as a point's support and a run's signs are."""
+    are already tuples of ints, as a point's support and a run's signs are:
+    the support's entries distinct and from 1.  Presence and win counts are
+    kept in lists indexed by component."""
     if not _SIGN_VALUES.issuperset(pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
     m = _m_from_pairs(len(pwo))
     if support and support[-1] > m:
         raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
-    wins = dict.fromkeys(support, 0)
+    present = [False] * (m + 1)
+    for c in support:
+        present[c] = True
+    wins = [0] * (m + 1)
     for (j, k), z in zip(pwo_pairs(m), pwo):
-        if j in wins and k in wins:
+        if present[j] and present[k]:
             if z == 0:
                 raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
             wins[j if z == 1 else k] += 1
         elif z != 0:
             raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
     # the signs make a tournament on the support, and a tournament is
-    # transitive exactly when its win counts are all distinct
-    if len(set(wins.values())) != len(support):
+    # transitive exactly when its win counts are all distinct: then they
+    # are 0..s-1, and the component with w wins is added at s - 1 - w
+    order = [0] * len(support)
+    for c in support:
+        order[len(support) - 1 - wins[c]] = c
+    if 0 in order:
         raise InconsistentPwo("sign pattern is not induced by any addition order")
-    return tuple(sorted(support, key=wins.__getitem__, reverse=True))
+    return tuple(order)
 
 
 def oofa_expand(design: Design) -> Design:
@@ -169,7 +180,7 @@ def oofa_expand(design: Design) -> Design:
     # is the order the expanded runs first hold them in
     slots_of: dict[tuple[int, ...], range] = {}
     signs: list[tuple[int, ...]] = []
-    runs, run_points, run_signs, run_amounts = [], [], [], []
+    run_points, run_signs, run_amounts = [], [], []
     for i, k in zip(point_of, amount_of):
         support = supports[i]
         slots = slots_of.get(support)
@@ -178,7 +189,6 @@ def oofa_expand(design: Design) -> Design:
             # permutations of a support of size 0 or 1 is that support alone
             signs += _pwo_from_orderings(design.m, support, permutations(support))
             slots = slots_of[support] = range(start, len(signs))
-        runs.extend(OofARun._of(points[i], signs[j], amounts[k]) for j in slots)
         run_points += [i] * len(slots)
         run_signs += slots
         run_amounts += [k] * len(slots)
@@ -187,7 +197,7 @@ def oofa_expand(design: Design) -> Design:
         "pwo": (tuple(signs), tuple(run_signs)),
         "amount": (amounts, tuple(run_amounts)),
     }
-    return Design._of(design.m, design.kind, tuple(runs), index)
+    return Design._of(design.m, design.kind, index)
 
 
 def cross_amounts(design: Design, levels: Iterable) -> Design:
@@ -207,17 +217,17 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         raise DuplicateLevel(f"amount levels contain duplicates: {coerced}")
     if any(v < 0 for v in coerced):
         raise NegativeEntry("amount levels must be nonnegative")
-    runs = tuple(OofARun._of(run.point, run.pwo, level) for level in coerced for run in design.runs)
     points, point_of = design._index["point"]
     signs, sign_of = design._index["pwo"]
+    n = len(point_of)
     # each level repeats the parent's point and sign slots; levels are
     # distinct values, so distinct objects, numbered in order
     index = {
         "point": (points, point_of * len(coerced)),
         "pwo": (signs, sign_of * len(coerced)),
-        "amount": (coerced if runs else (), tuple(k for k in range(len(coerced)) for _ in design.runs)),
+        "amount": (coerced if n else (), tuple(chain.from_iterable(repeat(k, n) for k in range(len(coerced))))),
     }
-    return Design._of(design.m, design.kind, runs, index)
+    return Design._of(design.m, design.kind, index)
 
 
 def _exact_amount(what: str, value) -> Fraction:
@@ -244,17 +254,13 @@ def scale_amounts(design: Design, a_max) -> Design:
     amounts, amount_of = design._index["amount"]
     scaled_points = [DesignPoint(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
     scaled_amounts = [amount * scale for amount in amounts]
-    runs = tuple(
-        OofARun._of(scaled_points[i], run.pwo, scaled_amounts[j])
-        for run, i, j in zip(design.runs, point_of, amount_of)
-    )
     # one new object per distinct object, so the parent's slots carry over
     index = {
         "point": (tuple(scaled_points), point_of),
         "pwo": design._index["pwo"],
         "amount": (tuple(scaled_amounts), amount_of),
     }
-    return Design._of(design.m, design.kind, runs, index)
+    return Design._of(design.m, design.kind, index)
 
 
 def validate_run(run: OofARun) -> None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import Design, DesignPoint, Kind, OofARun, total_amount
+from .core import Design, DesignPoint, Kind, total_amount
 from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range, _iterable
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
@@ -34,7 +34,7 @@ def simplex_lattice(m: int, w: int) -> Design:
     if m < 2 or w < 1:
         raise InvalidDimension(f"need m >= 2 and w >= 1, got m={m}, w={w}")
     points = [DesignPoint(tuple(Fraction(k, w) for k in comp), Kind.PROPORTION) for comp in _compositions(w, m)]
-    return _one_run_per_point(m, Kind.PROPORTION, points)
+    return _one_run_per_point(m, points)
 
 
 def simplex_centroid(m: int) -> Design:
@@ -53,7 +53,7 @@ def simplex_centroid(m: int) -> Design:
             chosen = set(subset)
             values = tuple(share if i in chosen else Fraction(0) for i in range(1, m + 1))
             points.append(DesignPoint(values, Kind.PROPORTION))
-    return _one_run_per_point(m, Kind.PROPORTION, points)
+    return _one_run_per_point(m, points)
 
 
 def project_columns(design: Design, drop: Iterable[int]) -> Design:
@@ -61,32 +61,36 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     amounts; each run's total becomes its amount level.
 
     A pure column selection: duplicates created by the projection are kept,
-    and deduplication is left to the caller.
+    and deduplication is left to the caller.  Each distinct point of the
+    design is projected once, so runs that shared a point share its
+    projection and its total.
     """
     dropped = frozenset(_int_in_range("drop column", c) for c in _iterable("drop", drop))
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("projection applies to proportion designs")
     if design.is_expanded:
         raise AlreadyExpanded("project the base design before attaching orderings")
+    if design.has_amounts:
+        raise WrongKind("project the base design before crossing amounts")
     if any(c < 1 or c > design.m for c in dropped):
         raise InvalidDimension(f"drop columns {sorted(dropped)} out of range 1..{design.m}")
     if len(dropped) >= design.m:
         raise DropAllColumns(f"cannot drop all {design.m} columns")
     keep = [i for i in range(1, design.m + 1) if i not in dropped]
-    points = [DesignPoint(tuple(run.point.values[i - 1] for i in keep), Kind.AMOUNT) for run in design.runs]
-    return _one_run_per_point(len(keep), Kind.AMOUNT, points, [total_amount(point) for point in points])
-
-
-def _one_run_per_point(m: int, kind: Kind, points: list[DesignPoint], amounts: list | None = None) -> Design:
-    """A design of one run per point, born with its index: each point, and
-    each amount when given, is a new object, so run i holds slot i."""
-    n = len(points)
-    slots = tuple(range(n))
-    none = ((None,) if n else (), (0,) * n)
+    points, point_of = design._index["point"]
+    projected = tuple(DesignPoint(tuple(point.values[i - 1] for i in keep), Kind.AMOUNT) for point in points)
     index = {
-        "point": (tuple(points), slots),
-        "pwo": none,
-        "amount": none if amounts is None else (tuple(amounts), slots),
+        "point": (projected, point_of),
+        "pwo": design._index["pwo"],
+        # one new total per projected point, so the point slots carry over
+        "amount": (tuple(map(total_amount, projected)), point_of),
     }
-    runs = tuple(OofARun._of(point, None, None if amounts is None else amounts[i]) for i, point in enumerate(points))
-    return Design._of(m, kind, runs, index)
+    return Design._of(len(keep), Kind.AMOUNT, index)
+
+
+def _one_run_per_point(m: int, points: list[DesignPoint]) -> Design:
+    """A proportion base design of one run per point, as its index: each
+    point is a new object, so run i holds slot i."""
+    n = len(points)
+    none = ((None,) if n else (), (0,) * n)
+    return Design._of(m, Kind.PROPORTION, {"point": (tuple(points), tuple(range(n))), "pwo": none, "amount": none})

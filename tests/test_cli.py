@@ -167,6 +167,15 @@ def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
     assert "error: InvalidParameter: " in capsys.readouterr().err
 
 
+def test_project_of_a_crossed_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "crossed.csv"
+    path.write_text(write_design(oamix.cross_amounts(oamix.simplex_lattice(3, 2), [1, 2])))
+    assert main(["project", "--drop", "3", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: WrongKind: project the base design before crossing amounts")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

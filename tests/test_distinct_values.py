@@ -11,6 +11,8 @@ same matrices, reports and designs.
 import copy
 import json
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -40,7 +42,7 @@ from oamix import (
     validate_design,
     write_design,
 )
-from oamix import core, io, oofa
+from oamix import cli, core, io, oofa
 from oamix.errors import OamixError, located
 from oamix.models import coded_model_matrix
 
@@ -367,6 +369,102 @@ def test_index_is_built_once_per_design(monkeypatch):
     assert builds == 1
 
 
+def test_no_stage_makes_a_run(monkeypatch, tmp_path):
+    # the constructors and the reader store a design as its index, and no
+    # library layer or CLI stage asks for its runs: they are made only on
+    # the first `.runs`
+    made = 0
+    make, init = OofARun.__dict__["_of"].__func__, OofARun.__init__
+
+    def counted_of(cls, *fields):
+        nonlocal made
+        made += 1
+        return make(cls, *fields)
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OofARun, "_of", classmethod(counted_of))
+    monkeypatch.setattr(OofARun, "__init__", counted_init)
+    # the ops of one pass of the scale benchmark workload
+    crossed = cross_amounts(oofa_expand(simplex_lattice(6, 4)), LEVELS)
+    back = read_design(write_design(crossed))
+    validate_design(back)
+    evaluate_design(back, build_spec("eq5", 6))
+    scaled = scale_amounts(oofa_expand(project_columns(simplex_centroid(6), {6})), 500)
+    evaluate_design(read_design(write_design(scaled)), build_spec("eq8", 5))
+    fds_curve(crossed, build_spec("eq5", 6), 1000, seed=1)
+    stages = [
+        ["generate", "--base", "centroid", "--m", "6"],
+        ["project", "--drop", "6"],
+        ["expand"],
+        ["cross", "--levels", "0.5,1.25,2"],
+        ["scale", "--a-max", "500"],
+        ["evaluate", "--model", "eq5"],
+    ]
+    inputs = {"project": simplex_centroid(6), "expand": simplex_lattice(6, 4),
+              "cross": oofa_expand(simplex_lattice(6, 4)), "scale": scaled, "evaluate": crossed}
+    for argv in stages:
+        if argv[0] in inputs:
+            source = tmp_path / f"{argv[0]}_in.csv"
+            source.write_text(write_design(inputs[argv[0]]))
+            argv = [*argv, "--input", str(source)]
+        assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}_out.csv")]) == 0
+    assert made == 0
+    for design in (crossed, back, scaled):
+        assert "runs" not in vars(design)
+        runs = design.runs
+        assert made == len(design) and type(runs) is tuple and len(runs) == len(design)
+        assert design.runs is runs and made == len(design)
+        made = 0
+
+
+def test_threads_that_make_the_runs_at_once_get_one_tuple():
+    # more threads than cores, switching as often as the interpreter allows,
+    # each asking a design stored as its index for its runs at the same time
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            design = cross_amounts(oofa_expand(simplex_lattice(4, 2)), LEVELS)
+            start = threading.Barrier(8)
+            got = []
+
+            def ask():
+                start.wait(timeout=10)
+                got.append(design.runs)
+
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8 and all(runs is design.runs for runs in got)
+            assert len(design.runs) == len(design)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_stored_as_its_index(design: Design) -> None:
+    """A design the library made holds no runs until they are asked for:
+    its shape, its pickle and its deep copy come from its index alone, and
+    once made its runs give it the `==`, `hash` and `repr` of a design
+    built in code of the same runs."""
+    assert "runs" not in vars(design)
+    shape = (len(design), design.is_expanded, design.has_amounts, design.amount_levels)
+    copies = (pickle.loads(pickle.dumps(design)), copy.deepcopy(design))
+    assert all("runs" not in vars(d) for d in (design, *copies))
+    twin = Design(design.m, design.kind, design.runs)
+    assert (len(twin), twin.is_expanded, twin.has_amounts, twin.amount_levels) == shape
+    assert design == twin and twin == design
+    assert hash(design) == hash(twin) and repr(design) == repr(twin)
+    for again in copies:
+        assert again == design and hash(again) == hash(design)
+
+
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_index_takes_no_part_in_equality(designs, name):
     design = read_design(write_design(designs[name]))
@@ -432,8 +530,10 @@ def transformed_designs(draw):
 @given(transformed_designs())
 def test_born_index_is_the_walked_index(made):
     for design in made:
-        assert_born_with_the_walked_index(design)
-        assert_born_with_the_walked_index(read_design(write_design(design)))
+        back = read_design(write_design(design))
+        for born in (design, back):
+            assert_stored_as_its_index(born)
+            assert_born_with_the_walked_index(born)
 
 
 _SMALL = {

@@ -1,5 +1,6 @@
 """Orderings, sign vectors, expansion, crossing, scaling."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -96,6 +97,17 @@ def test_ordering_from_pwo_accepts_exactly_the_induced_signs(m):
                 else:
                     with pytest.raises(InconsistentPwo):
                         ordering_from_pwo(support, z)
+
+
+@pytest.mark.parametrize(
+    "support, pwo",
+    [((0,), (0,)), ((-3,), (0, 0, 0)), ((1, 1), (0,))],
+    ids=["zero", "negative", "repeated"],
+)
+def test_ordering_from_pwo_refuses_a_support_that_is_not_component_indices(support, pwo):
+    message = f"support {tuple(sorted(support))} must be distinct component indices from 1"
+    with pytest.raises(OrderingSupportMismatch, match=f"^{re.escape(message)}$"):
+        ordering_from_pwo(support, pwo)
 
 
 def test_only_six_patterns_are_transitive():

@@ -8,7 +8,7 @@ import pytest
 
 from oamix import Kind, project_columns, simplex_centroid, simplex_lattice
 from oamix.errors import AlreadyExpanded, DropAllColumns, InvalidDimension, InvalidParameter, WrongKind
-from oamix.oofa import oofa_expand
+from oamix.oofa import cross_amounts, oofa_expand
 
 
 def brute_force_lattice_points(m, w):
@@ -145,6 +145,14 @@ def test_projection_errors():
         project_columns(project_columns(base, {3}), {1})
     with pytest.raises(AlreadyExpanded):
         project_columns(oofa_expand(base), {3})
+
+
+def test_projection_refuses_a_crossed_design():
+    # projecting would turn each run's total into its A, and the crossed
+    # levels would be lost: the same runs again at every level
+    crossed = cross_amounts(simplex_lattice(3, 2), [1, 2])
+    with pytest.raises(WrongKind, match="^project the base design before crossing amounts$"):
+        project_columns(crossed, {3})
 
 
 @pytest.mark.parametrize(
