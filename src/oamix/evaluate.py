@@ -756,7 +756,7 @@ def fds_curve(
     """
     n_samples = _int_in_range("n_samples", n_samples, 100)
     seed = _int_in_range("seed", seed, 0)
-    if sign_policy not in ("orderings", "continuous"):
+    if not (isinstance(sign_policy, str) and sign_policy in ("orderings", "continuous")):
         raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
     _int_in_range("workers", workers, 1)
     if amount_policy is not None and not isinstance(amount_policy, (ContinuousAmounts, DiscreteAmounts)):
@@ -861,7 +861,7 @@ def evaluate_design(
     `coding="raw"` uses the design's own units.  Standard errors assume
     unit error variance.
     """
-    if coding not in ("coded", "raw"):
+    if not (isinstance(coding, str) and coding in ("coded", "raw")):
         raise InvalidParameter(f"coding must be 'coded' or 'raw', got {coding!r}")
     _check_power_args(signal_sd, alpha)
     mm = model_matrix(design, spec)

@@ -17,12 +17,12 @@ half-up to k decimal places, with exact integers printed bare (``0``,
 are display artifacts.  `write_design` renders each distinct point, sign
 tuple and amount of a design once and joins the pieces of each
 run.  `read_design`, the one reader the library and the CLI share, parses
-each token as an exact decimal fraction and accepts a row only when its
-run passes the checks of ``oofa.validate_run``, each distinct point and
-sign pattern checked once per file, and a row that repeats an accepted
-row's text up to its A looking up only its A.  So it rejects a display file
-of thirds rounded to 0.33 (proportions no longer summing to 1) and an
-amount row whose rounded A differs from the sum of its rounded amounts.
+each distinct cell text once, as an exact decimal fraction, into the
+design's index; it checks no run itself, but runs the one check walk of
+``validate_design`` over that index, so a file is accepted only when every
+run passes ``oofa.validate_run``.  So it rejects a display file of thirds
+rounded to 0.33 (proportions no longer summing to 1) and an amount row
+whose rounded A differs from the sum of its rounded amounts.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -35,7 +35,7 @@ from itertools import product
 
 from .core import Design, DesignPoint, Kind, _as_signs
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
-from .oofa import _check_amount, _check_signs, _point_facts, pwo_pairs
+from .oofa import _check_index, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -147,31 +147,31 @@ def _parse_header(line: str) -> tuple[Kind, int, bool, bool]:
 
 
 def read_design(text: str) -> Design:
-    """Parse and check a design file: the one reader of library and CLI.
+    """Parse a design file, then check its runs: the one reader of library
+    and CLI.
 
     Rational files reproduce the written design exactly, and every design
-    returned passes ``validate_design``.  The reader checks the format
+    returned passes ``validate_design``.  The reader parses the format
     (the header, the width of each row, readable values, integer signs)
-    and then each row's run with the checks of ``oofa.validate_run``:
-    entries nonnegative, proportions summing to exactly 1, A nonnegative
-    and, in an amount design, equal to the row's sum of amounts, and signs
-    induced by some addition order.  Rows whose component cells have the
-    same text share one point, rows whose sign cells have the same text
-    share one sign tuple, and rows whose A cells have the same text share
-    one amount, so each distinct point and sign pattern is decoded and
-    checked once per file.  Each distinct sign cell text is decoded to an
-    int once, so a new sign pattern costs lookups, not parsing.
-
-    A row is read per head, its text up to its last comma (the whole row
-    when there is no A column).  A row whose head repeats an accepted
-    row's has that row's cell count, point and sign tuple, and costs one
-    lookup of its A text among those already accepted with that point;
-    only an A text new to the point is decoded and checked.  The returned
-    design is stored as its index, its slots keyed by the cell texts, and
-    makes its runs only when they are asked for.  An
-    error in a row names its physical line as ``line N: ...`` and keeps its
-    class (sign-order faults are InconsistentPwoRow).
+    into the design's index: rows whose component cells have the same text
+    share one point, rows whose sign cells have the same text share one
+    sign tuple, and rows whose A cells have the same text share one amount,
+    so each distinct value is decoded once per file.  Each distinct sign
+    cell text is decoded to an int once, and a row whose head (its text up
+    to its last comma, or the whole row when there is no A column) repeats
+    an earlier row's reuses that row's point and sign slots and costs one
+    lookup of its A text.  Parsing stops at the first format fault.  One
+    walk, that of ``validate_design``, then checks the rows before it, so
+    each distinct point, (point, A) pair and (point, signs) pair is
+    checked once, and the format fault is raised only when those rows
+    pass.  An error names the physical line of the first faulty row as
+    ``line N: ...`` and keeps its class (sign-order faults are
+    InconsistentPwoRow).  The returned design is stored as its index and
+    makes its runs only when they are asked for.  A `text` that is not a
+    str raises InvalidParameter.
     """
+    if not isinstance(text, str):
+        raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise MalformedHeader("empty design file")
@@ -209,21 +209,18 @@ def read_design(text: str) -> Design:
     sign_slots: dict[tuple[str, ...], int] = {}
     amounts: list[Fraction | None] = []
     amount_slots: dict[str, int] = {}
-    # by point slot: the point's checked support and total, and the A texts
-    # accepted with it, each mapped to its amount slot
-    facts: list[tuple | None] = []
-    accepted: list[dict[str, int]] = []
-    # each accepted row's head -> its point and sign slots
+    # each parsed row's head -> its point and sign slots
     heads: dict[str, tuple[int, int]] = {}
-    orders: set = set()
     # each row's point, sign and amount slots
     point_of: list[int] = []
     sign_of: list[int] = []
     amount_of: list[int] = []
+    fault = None
     for row_no, line in lines[1:]:
         head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
         a_text = a_cell.strip()
         known = heads.get(head)
+        sign_values = None
         try:
             if known is None:
                 cells = line.split(",")
@@ -234,9 +231,7 @@ def read_design(text: str) -> Design:
                 if i is None:
                     i = point_slots[comp_text] = len(points)
                     points.append(DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind))
-                    facts.append(None)
-                    accepted.append({})
-                j, sign_values = 0, None
+                j = 0
                 if with_signs:
                     sign_text = tuple(cells[m : m + n_pairs])
                     j = sign_slots.get(sign_text)
@@ -244,28 +239,19 @@ def read_design(text: str) -> Design:
                         sign_values = tuple(map(decode_sign, sign_text))
             else:
                 i, j = known
-            k = accepted[i].get(a_text)
-            amount = decode(a_text) if k is None and with_amount else None
-            if known is None:
-                # every cell is read before the signs are judged
-                if sign_values is not None:
-                    j = sign_slots[sign_text] = len(signs)
-                    signs.append(_as_signs(sign_values))
-                if facts[i] is None:
-                    facts[i] = _point_facts(points[i])
+            k = amount_slots.get(a_text)
             if k is None:
-                _check_amount(points[i], facts[i][1], amount)
-                k = amount_slots.get(a_text)
-                if k is None:
-                    k = amount_slots[a_text] = len(amounts)
-                    amounts.append(amount)
-                accepted[i][a_text] = k
-            if known is None:
-                if with_signs:
-                    _check_signs(points[i], facts[i][0], signs[j], orders)
-                heads[head] = (i, j)
+                k = amount_slots[a_text] = len(amounts)
+                amounts.append(decode(a_text) if with_amount else None)
+            # every cell is read before the signs are judged
+            if sign_values is not None:
+                j = sign_slots[sign_text] = len(signs)
+                signs.append(_as_signs(sign_values))
         except OamixError as exc:
-            raise located(f"line {row_no}", exc) from exc
+            fault = row_no, exc
+            break
+        if known is None:
+            heads[head] = (i, j)
         point_of.append(i)
         sign_of.append(j)
         amount_of.append(k)
@@ -274,6 +260,12 @@ def read_design(text: str) -> Design:
         "pwo": (tuple(signs), tuple(sign_of)),
         "amount": (tuple(amounts), tuple(amount_of)),
     }
+    # the rows before a format fault are checked first, so the first
+    # faulty line is the one named; run n is on line lines[n + 1]
+    _check_index(index, lambda n: f"line {lines[n + 1][0]}")
+    if fault is not None:
+        row_no, exc = fault
+        raise located(f"line {row_no}", exc) from exc
     return Design._of(m, kind, index)
 
 

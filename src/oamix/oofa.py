@@ -267,78 +267,70 @@ def validate_run(run: OofARun) -> None:
     """Raise unless one run is valid: its point satisfies its kind, a
     total-amount tag A is nonnegative and, for an amount run, equals the
     sum of its amounts, and its signs are induced by some addition order of
-    its support.  The one statement of a valid run: `read_design` and
-    `validate_design` make the same three checks in the same order, each
-    once per distinct point, (point, A) pair and (point, signs) pair.
-    """
-    support, total = _point_facts(run.point)
-    _check_amount(run.point, total, run.amount)
-    if run.pwo is not None:
-        _check_signs(run.point, support, run.pwo, set())
-
-
-def _point_facts(point: DesignPoint) -> tuple[tuple[int, ...], Fraction | None]:
-    """`validate_point`, then the point's support and, for an amount point,
-    its exact total: what the checks of its A and its signs read."""
-    validate_point(point)
-    return point.support(), total_amount(point) if point.kind is Kind.AMOUNT else None
-
-
-def _check_amount(point: DesignPoint, total: Fraction | None, amount: Fraction | None) -> None:
-    """A run's A check, given its point's total from `_point_facts`."""
-    if amount is not None and amount < 0:
-        raise NegativeEntry(f"total amount A is negative: {amount}")
-    if point.kind is Kind.AMOUNT and amount != total:
-        raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
-
-
-def _check_signs(point: DesignPoint, support: tuple[int, ...], pwo: tuple[int, ...], orders: set) -> None:
-    """A run's sign check, given its point's support; `orders` holds the
-    (support, signs) contents whose order check has passed in this call."""
-    if len(pwo) != point.m * (point.m - 1) // 2:
-        raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
-    if (support, pwo) not in orders:
-        _ordering_from_pwo(support, pwo)
-        orders.add((support, pwo))
+    its support.  The error is raised unprefixed; a `run` that is not an
+    OofARun raises InvalidParameter."""
+    if not isinstance(run, OofARun):
+        raise InvalidParameter(f"run must be an OofARun, got {type(run).__name__}")
+    _check_index({"point": ((run.point,), (0,)), "pwo": ((run.pwo,), (0,)), "amount": ((run.amount,), (0,))}, None)
 
 
 def validate_design(design: Design) -> None:
-    """Check each run of a design built in code with `validate_run`, whose
-    errors are prefixed ``run N:``.
+    """Check each run of a design with `validate_run`, whose errors are
+    prefixed ``run N:``, through its index (see `_check_index`).  The
+    design's shape (m, kind, and which of signs and A its runs carry) is
+    checked when the Design is built.  A `design` that is not a Design
+    raises InvalidParameter."""
+    if not isinstance(design, Design):
+        raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
+    _check_index(design._index, lambda n: f"run {n + 1}")
 
-    A run's checks read only its point, its (point, A) pair and its
-    (point, signs) pair, so only the first run of each distinct one, by
-    the design's index, is checked, in run order: the first faulty run is
-    still the one named.  Each sign pattern of a support has its order
-    checked once per call.  The design's shape (m, kind, and which of
-    signs and A its runs carry) is checked when the Design is built.
-    Every design `read_design` returns already passes it."""
-    index = design._index
+
+def _check_index(index: dict, where) -> None:
+    """The one statement of a valid run (see `validate_run`), applied to
+    the runs of a design index.  A run's checks read only its point, its
+    (point, A) pair and its (point, signs) pair, so only the first run of
+    each distinct one is checked, in run order: the first faulty run is
+    the one named.  Each (support, signs) content has its order checked
+    once per call.  An error in run n (0-based) is prefixed by `where(n)`
+    (see ``errors.located``), or raised unchanged when `where` is None."""
     points, point_of = index["point"]
     signs, sign_of = index["pwo"]
     amounts, amount_of = index["amount"]
     first_amount = _first_runs(zip(point_of, amount_of))
-    first_signs = _first_runs(zip(point_of, sign_of)) if design.is_expanded else {}
+    first_signs = _first_runs(zip(point_of, sign_of)) if signs and signs[0] is not None else set()
+    # by point slot: its support and, for an amount point, its exact total
     facts: dict[int, tuple] = {}
     orders: set = set()
     # a point's first run is the first run of one of its (point, A) pairs
-    for n in sorted({*first_amount.values(), *first_signs.values()}):
+    for n in sorted(first_amount | first_signs):
         i, j, k = point_of[n], sign_of[n], amount_of[n]
         point = points[i]
         try:
             if i not in facts:
-                facts[i] = _point_facts(point)
+                validate_point(point)
+                facts[i] = point.support(), total_amount(point) if point.kind is Kind.AMOUNT else None
             support, total = facts[i]
-            if first_amount[i, k] == n:
-                _check_amount(point, total, amounts[k])
-            if first_signs.get((i, j)) == n:
-                _check_signs(point, support, signs[j], orders)
+            if n in first_amount:
+                amount = amounts[k]
+                if amount is not None and amount < 0:
+                    raise NegativeEntry(f"total amount A is negative: {amount}")
+                if point.kind is Kind.AMOUNT and amount != total:
+                    raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
+            if n in first_signs:
+                pwo = signs[j]
+                if len(pwo) != point.m * (point.m - 1) // 2:
+                    raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
+                if (support, pwo) not in orders:
+                    _ordering_from_pwo(support, pwo)
+                    orders.add((support, pwo))
         except OamixError as exc:
-            raise located(f"run {n + 1}", exc) from exc
+            if where is None:
+                raise
+            raise located(where(n), exc) from exc
 
 
-def _first_runs(keys) -> dict:
-    """Each key's first position (0-based) in `keys`."""
+def _first_runs(keys) -> set[int]:
+    """The position (0-based) of each key's first run in `keys`."""
     keys = list(keys)
     # a later assignment wins, so walking backwards leaves the first
-    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return set(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())

@@ -311,6 +311,19 @@ def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
             evaluate_design(table2, spec8, signal_sd=signal)
 
 
+# an array is refused by name, not by numpy's ambiguous truth value
+@pytest.mark.parametrize("coding", [np.ones(3), None], ids=["array", "None"])
+def test_evaluate_design_refuses_a_coding_that_is_not_text(table3, spec6, coding):
+    with pytest.raises(InvalidParameter, match="^coding must be 'coded' or 'raw', got "):
+        evaluate_design(table3, spec6, coding=coding)
+
+
+@pytest.mark.parametrize("sign_policy", [np.ones(3), None], ids=["array", "None"])
+def test_fds_refuses_a_sign_policy_that_is_not_text(table3, spec6, sign_policy):
+    with pytest.raises(InvalidParameter, match="^sign_policy must be 'orderings' or 'continuous', got "):
+        fds_curve(table3, spec6, 100, 1, sign_policy=sign_policy)
+
+
 @pytest.mark.parametrize(
     "criterion",
     [lambda X, j: power(X, j, signal_sd=2.0), r2_multicollinearity],

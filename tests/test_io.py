@@ -25,6 +25,7 @@ from oamix import (
 from oamix.errors import (
     AmountMismatch,
     BadPwoValue,
+    InconsistentPwo,
     InconsistentPwoRow,
     InvalidParameter,
     MalformedHeader,
@@ -310,6 +311,62 @@ def test_negative_total_amount_is_rejected():
 
 def _run(values, kind=Kind.PROPORTION, pwo=None, amount=None):
     return OofARun(DesignPoint(values, kind), pwo=pwo, amount=amount)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # a validity fault, then a format fault on a later line
+        ("x1,x2\n1/4,1/4\n1,zero\n", SumNotOne, "line 2: proportions sum to 1/2, expected exactly 1"),
+        ("x1,x2,x3,z12,z13,z23,A\n1/3,1/3,1/3,1,-1,1,1\n1/3,1/3,1/3,1,1,1\n", InconsistentPwoRow,
+         "line 2: sign pattern is not induced by any addition order"),
+        ("a1,a2,A\n1,1,2\n\n1,1,3\n1,1,2,2\n", AmountMismatch, "line 4: A is 3 but the amounts sum to 2"),
+        # a format fault, then a validity fault on a later line
+        ("x1,x2\n1,zero\n1/4,1/4\n", MalformedHeader, "line 2: unreadable value 'zero'"),
+        ("x1,x2,z12,A\n1/2,1/2,1/2,1\n1/2,1/2,0,1\n", BadPwoValue, "line 2: sign entries must be integers, got 1/2"),
+        ("x1,x2,A\n1,0,1\n\n1,0\n1,0,-1\n", RowLengthMismatch, "line 4: expected 3 values, got 2"),
+    ],
+    ids=["sum_then_unreadable", "cyclic_then_width", "total_then_width",
+         "unreadable_then_sum", "sign_value_then_masking", "width_then_negative_a"],
+)
+def test_first_faulty_line_is_named_whichever_fault_comes_second(text, error, message):
+    # format faults and validity faults on different lines: the earlier
+    # line's fault is raised, with its class and its message
+    with pytest.raises(OamixError) as got:
+        read_design(text)
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (_run(("1/3",) * 3, pwo=(1, -1, 1)), InconsistentPwo, "sign pattern is not induced by any addition order"),
+        (_run((1, 0), amount=-1), NegativeEntry, "total amount A is negative: -1"),
+        (_run(("1/4", "1/4")), SumNotOne, "proportions sum to 1/2, expected exactly 1"),
+    ],
+    ids=["cyclic_signs", "negative_total", "sum_half"],
+)
+def test_validate_run_raises_the_bare_error(run, error, message):
+    # no "run 1:" prefix, and sign-order faults keep their plain class
+    with pytest.raises(OamixError) as got:
+        validate_run(run)
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: read_design(None), "design text must be a str, got NoneType"),
+        (lambda: read_design(b"x1,x2\n1,0\n"), "design text must be a str, got bytes"),
+        (lambda: validate_design(None), "design must be a Design, got NoneType"),
+        (lambda: validate_design([]), "design must be a Design, got list"),
+        (lambda: validate_run(None), "run must be an OofARun, got NoneType"),
+    ],
+    ids=["read_None", "read_bytes", "validate_design_None", "validate_design_list", "validate_run_None"],
+)
+def test_reader_and_checks_refuse_the_wrong_type(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize(
