@@ -19,7 +19,7 @@ from math import lcm
 from numbers import Real
 from operator import attrgetter
 
-from .errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind, _iterable
+from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind, _iterable
 
 __all__ = [
     "Kind",
@@ -37,6 +37,17 @@ class Kind(Enum):
 
     PROPORTION = "proportion"
     AMOUNT = "amount"
+
+
+def _as_kind(kind) -> Kind:
+    """A Kind, or the Kind whose value `kind` is (``'proportion'`` or
+    ``'amount'``); anything else raises InvalidParameter."""
+    if type(kind) is Kind:
+        return kind
+    try:
+        return Kind(kind)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"kind must be a Kind, 'proportion' or 'amount', got {kind!r}") from None
 
 
 def as_fraction(value) -> Fraction:
@@ -89,13 +100,15 @@ def _is_integer(z: Real) -> bool:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """A single blend: a vector of proportions or amounts."""
+    """A single blend: a vector of proportions or amounts.  `kind` is a Kind
+    or its value as text, stored as the Kind."""
 
     values: tuple[Fraction, ...]
     kind: Kind
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        object.__setattr__(self, "kind", _as_kind(self.kind))
 
     @property
     def m(self) -> int:
@@ -116,9 +129,10 @@ class OofARun:
     ``oofa.ordering_from_pwo(point.support(), pwo)`` recovers.  `amount` is
     the exact per-run total for amount-kind points, or the attached
     total-amount level for proportion points (None until one is attached).
-    ``oofa.validate_run`` states what makes a run valid.  Signs are stored
-    as ints; one that is not a number equal to an integer raises
-    BadPwoValue (see `_as_signs`).
+    ``oofa.validate_run`` states what makes a run valid.  A point that is
+    not a DesignPoint raises InvalidParameter.  Signs are stored as ints;
+    one that is not a number equal to an integer raises BadPwoValue (see
+    `_as_signs`).
     """
 
     point: DesignPoint
@@ -126,6 +140,8 @@ class OofARun:
     amount: Fraction | None = None
 
     def __post_init__(self):
+        if not isinstance(self.point, DesignPoint):
+            raise InvalidParameter(f"point must be a DesignPoint, got {type(self.point).__name__}")
         if self.pwo is not None:
             object.__setattr__(self, "pwo", _as_signs(self.pwo))
         if self.amount is not None:
@@ -163,7 +179,8 @@ class Design:
     its distinct objects once for every layer that converts, renders,
     scales or checks it, so it costs what its distinct values cost; the
     index takes no part in `==` or `hash`.  A design built by calling
-    `Design` holds its runs and walks them for the index on first use.
+    `Design` holds its runs and walks them for the index on first use; its
+    `kind` may be given as the Kind's value as text.
     The library's constructors and `read_design` make the index and no
     runs: the index is the storage of the designs they return
     (`Design._of`), and their runs are built from it on the first
@@ -176,6 +193,7 @@ class Design:
     runs: tuple[OofARun, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _as_kind(self.kind))
         runs = tuple(self.runs)
         object.__setattr__(self, "runs", runs)
         # the shape from the first run: a design built in code has no index

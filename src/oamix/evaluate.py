@@ -7,6 +7,10 @@ multicollinearity R^2, two-sided t-test power, Monte Carlo fraction-of-
 design-space (FDS) curves, and least-squares fits.  Each X is factored
 once, by `_Factor`, and every quantity is read off that factor; a
 `ModelMatrix` keeps its factor across calls, a plain array does not.
+`evaluate_design` and `fds_curve` on a crossed mixture-amount design
+(`_crossed_factors`) factor only X_A and X_base, whose Kronecker product
+the full X is up to row order, and never build the full X unless a gate
+fails.
 
 Prediction variances are reported unscaled (d = f' M^{-1} f); the N-scaled
 variant N*d is emitted alongside, clearly labeled.  Leverage-based criteria
@@ -30,11 +34,21 @@ from .errors import (
     InvalidParameter,
     MissingAmount,
     NoResidualDf,
-    OamixError,
     SingularInformation,
     _int_in_range,
 )
-from .models import ModelMatrix, ModelSpec, _checked_matrix, coded_model_matrix, model_matrix, term_columns
+from .models import (
+    ModelMatrix,
+    ModelSpec,
+    _check_design,
+    _checked_matrix,
+    _code_column,
+    _field_rows,
+    _point_floats,
+    coded_model_matrix,
+    model_matrix,
+    term_columns,
+)
 from .oofa import pwo_pairs
 
 __all__ = [
@@ -116,18 +130,39 @@ class _Factor:
 
     @cached_property
     def r2(self) -> np.ndarray:
-        """R^2 of each column on the others: 1/[M^{-1}]_jj is the residual sum
-        of squares of column j, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN
-        where SST_j = 0.  Computed once per factor; the array is read-only."""
-        sst = np.sum((self.X - self.X.mean(axis=0)) ** 2, axis=0)
-        with np.errstate(divide="ignore"):
-            r2 = np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * self.inverse_diag()))
+        """R^2 of each column on the others (`_r2`).  Computed once per
+        factor; the array is read-only."""
+        r2 = _r2(_centred_sst(self.X), self.inverse_diag())
         r2.flags.writeable = False
         return r2
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """M^{-1} X'y = W W'X'y: the least-squares coefficients for y."""
         return self._W @ (self._W.T @ (self.X.T @ y))
+
+
+def _centred_sst(X: np.ndarray) -> np.ndarray:
+    """Each column's sum of squares about its mean."""
+    return np.sum((X - X.mean(axis=0)) ** 2, axis=0)
+
+
+def _kron_sst(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The centred sums of squares of the columns of kron(a, f), each row of
+    `a` paired with every row of `f`, from the factors alone.  With the
+    mean of a column a (x) f equal to mean(a) mean(f),
+    a_l f_b - mean(a) mean(f) = a_l (f_b - mean(f)) + (a_l - mean(a)) mean(f),
+    and the cross term sums to zero over b, so the sum is
+    sum(a^2) SST_f + n_f SST_a mean(f)^2: two terms >= 0, with no
+    cancellation."""
+    return np.kron((a * a).sum(axis=0), _centred_sst(f)) + len(f) * np.kron(_centred_sst(a), f.mean(axis=0) ** 2)
+
+
+def _r2(sst: np.ndarray, inverse_diag: np.ndarray) -> np.ndarray:
+    """R^2 of each column on the others: 1/[M^{-1}]_jj is the residual sum
+    of squares of column j, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN where
+    SST_j = 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * inverse_diag))
 
 
 def _factor(X) -> _Factor:
@@ -151,7 +186,7 @@ def prediction_variance(X, f) -> float:
     p = fac.X.shape[1]
     try:
         f = np.asarray(f, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameter(f"f needs {p} finite values") from None
     if f.shape != (p,) or not np.isfinite(f).all():
         raise InvalidParameter(f"f needs {p} finite values, got shape {f.shape}")
@@ -176,8 +211,10 @@ def d_criteria(X) -> dict:
     SingularInformation, as every other criterion does.
     """
     fac = _factor(X)
-    n, p = fac.X.shape
-    logdet = fac.log_det
+    return _d_criteria(fac.log_det, *fac.X.shape)
+
+
+def _d_criteria(logdet: float, n: int, p: int) -> dict:
     per_param = math.exp(logdet / p)
     return {
         "det": math.exp(logdet) if logdet < 700 else float("inf"),
@@ -555,7 +592,7 @@ def _amount_degree(spec: ModelSpec) -> int:
     signs repeated, in consecutive blocks, for amount powers t = 0, ..., T
     with T >= 1, as eq1, eq2, eq5 and eq6 are; 0 otherwise.  A model in
     component amounts never qualifies: its terms take the amounts apart."""
-    top = max(term.amount_power for term in spec.terms)
+    top = max((term.amount_power for term in spec.terms), default=0)
     q, rest = divmod(spec.p, top + 1)
     if spec.kind.uses_amounts or not top or rest:
         return 0
@@ -610,37 +647,52 @@ def _amount_powers(amounts: np.ndarray, degree: int, out=None) -> np.ndarray:
     return V
 
 
-def _product_factors(design: Design, spec: ModelSpec, X: np.ndarray):
-    """(base spec, its factor, amount factor, degree T) when FDS variances
-    factor as d_base(x, z) d_A(A), else None.
+def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
+    """(base spec, base factor, raw amount factor, term amount factor) for a
+    crossed mixture-amount design, or None.
 
-    That holds when the spec's terms are a base list times the powers of A
+    The design and spec are checked first, as `model_matrix` checks them.
+    The path: the spec's terms are a base list times the powers of A
     (`_amount_degree`) and the design crosses one multiset of base runs with
-    its amount levels (`_crossed_base`): the full model matrix X is then
-    X_A (x) X_base up to the order of its rows, so
-    M^{-1} = M_A^{-1} (x) M_base^{-1} and every model vector
-    f = v(A) (x) f_base gives f' M^{-1} f = d_A(A) d_base.  X_base is the
-    t = 0 columns of the first level's rows of X, and X_A the levels x
-    (T + 1) Vandermonde matrix of the design's levels.  The equilibrated
-    X is the Kronecker product of the two equilibrated factors, so its
-    reciprocal condition is the product of theirs.  A small factor raises
-    as `_Factor` does."""
+    its amount levels (`_crossed_base`).  The full model matrix X is then
+    X_A (x) X_base up to the order of its rows, so M = M_A (x) M_base and
+    M^{-1} = M_A^{-1} (x) M_base^{-1}.  X_base is built by `term_columns`
+    from the first level's runs alone: cell for cell, the t = 0 columns of
+    those rows of X.  X_A is the levels x (T + 1) Vandermonde matrix of the
+    design's distinct levels.  Coding recodes only A, so both codings share
+    X_base; the term amount factor is that of the levels coded as
+    `coded_model_matrix` codes A when `coded` is true, else the raw one.
+    The equilibrated X is the Kronecker product of the equilibrated
+    factors, so its reciprocal condition is the product of theirs.
+
+    None sends the caller to the full matrix, whose factor raises the full
+    path's error or passes: off the path, when a small factor raises, when
+    the base factor's reciprocal condition times either amount factor's is
+    below RCOND_FLOOR, and when a base column is constant, where only the
+    full column's sum of squares says whether its R^2 is NaN."""
+    _check_design(design, spec)
     degree = _amount_degree(spec)
-    if not degree:
-        return None
-    runs = _crossed_base(design)
+    runs = _crossed_base(design) if degree else None
     if runs is None:
         return None
     q = spec.p // (degree + 1)
     base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
+    points = _field_rows(design, "point", _point_floats, runs).reshape(runs.size, spec.m)
+    signs = _field_rows(design, "pwo", tuple, runs) if spec.kind.has_pwo else None
+    X_base = term_columns(base, points, signs, None)
+    if (X_base == X_base[0]).all(axis=0).any():
+        return None
     levels = np.array([float(a) for a in design.amount_levels])
-    amount_labels = tuple(f"A^{t}" for t in range(degree + 1))
-    return (
-        base,
-        _Factor(X[runs, :q], base.labels),
-        _Factor(_amount_powers(levels, degree), amount_labels),
-        degree,
-    )
+    labels = tuple(f"A^{t}" for t in range(degree + 1))
+    try:
+        base_fac = _Factor(X_base, base.labels)
+        raw = _Factor(_amount_powers(levels, degree), labels)
+        term = _Factor(_amount_powers(_code_column(levels), degree), labels) if coded else raw
+    except (InvalidParameter, SingularInformation):
+        return None
+    if base_fac.rcond * min(raw.rcond, term.rcond) < RCOND_FLOOR:
+        return None
+    return base, base_fac, raw, term
 
 
 def _blocks(count: int):
@@ -737,17 +789,19 @@ def fds_curve(
     A mixture-amount spec whose terms are one base list times A^t for
     t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one whose amount
     levels each hold the same multiset of base runs (point values and
-    sign tuple, compared by value), takes a product path.  There
-    M^{-1} = M_A^{-1} (x) M_base^{-1}, so each variance is exactly
-    d_base(x, z) d_A(A), with d_base from the q = p/(T + 1) base columns
-    and d_A from the T + 1 powers of A; it agrees with the full product to
-    rounding (within 1e-13 relative on the paper's designs).  The full
-    model matrix is still built, and the gate reads the product of the two
-    small factors' reciprocal conditions, which is the full matrix's; only
-    when that product is below 1e-10 or a small factor raises is the full
-    matrix factored, so the gate's errors are those of every other path.
-    The row and product buffers are then q wide, not p, and d_A takes two
-    (c, T + 1) buffers and one of c floats.
+    sign tuple, compared by value), takes a product path
+    (`_crossed_factors`).  There M^{-1} = M_A^{-1} (x) M_base^{-1}, so each
+    variance is exactly d_base(x, z) d_A(A), with d_base from the
+    q = p/(T + 1) base columns and d_A from the T + 1 powers of A; it
+    agrees with the full product to rounding (within 1e-13 relative on the
+    paper's designs).  Only the base rows of the first level and the
+    levels' powers of A are built and factored; the full model matrix is
+    built and factored only when a gate of `_crossed_factors` fails (a
+    small factor raises, or the product of their reciprocal conditions,
+    which is the full matrix's, is below 1e-10), so the errors are those
+    of every other path.  The row and
+    product buffers are then q wide, not p, and d_A takes two (c, T + 1)
+    buffers and one of c floats.
     Any other spec or design takes the full rows.
 
     `workers` must be at least 1 and is otherwise unused: the chunks run
@@ -763,19 +817,13 @@ def fds_curve(
         raise InvalidParameter(
             f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {amount_policy!r}"
         )
+    crossed = _crossed_factors(design, spec)
     policy = amount_policy if amount_policy is not None else _default_policy(design)
-    mm = model_matrix(design, spec)
-    try:
-        product = _product_factors(design, spec, mm.X)
-    except OamixError:
-        _factor(mm)  # the full factor's gate raises first, as on every path
-        raise
-    if product is None:
-        row_spec, fac, degree = spec, _factor(mm), 0
+    if crossed is None:
+        row_spec, fac, degree = spec, _factor(model_matrix(design, spec)), 0
     else:
-        row_spec, fac, amount_fac, degree = product
-        if fac.rcond * amount_fac.rcond < RCOND_FLOOR:
-            _factor(mm)
+        row_spec, fac, amount_fac, _ = crossed
+        degree = amount_fac.X.shape[1] - 1
     try:
         variances = np.empty(n_samples)
     except (ValueError, MemoryError):
@@ -860,32 +908,54 @@ def evaluate_design(
     reference designs' documented per-term columns reproduce;
     `coding="raw"` uses the design's own units.  Standard errors assume
     unit error variance.
+
+    On a crossed mixture-amount design (`_crossed_factors`) every field is
+    read from the factors of X_base and X_A, and the full model matrix is
+    not built: each run's leverage is d_A d_base, so max_pv and avg_pv are
+    products of the factors' maxima and means; diag M^{-1} is
+    kron(diag M_A^{-1}, diag M_base^{-1}); the centred sum of squares of
+    the Kronecker column a (x) f is sum(a^2) SST_f + n_base SST_a mean(f)^2
+    (`_kron_sst`); log|X'X| = q log|M_A| + (T + 1) log|M_base|; and rcond
+    is the product of the base and raw amount factors'.  The report then
+    agrees with the per-matrix functions to about 1e-13 relative.
     """
     if not (isinstance(coding, str) and coding in ("coded", "raw")):
         raise InvalidParameter(f"coding must be 'coded' or 'raw', got {coding!r}")
     _check_power_args(signal_sd, alpha)
-    mm = model_matrix(design, spec)
-    n, p = mm.X.shape
-    lev = leverages(mm)
-    max_pv = float(lev.max())
-    term = mm if coding == "raw" else coded_model_matrix(design, spec)
-    se = std_errors(term)
+    crossed = _crossed_factors(design, spec, coded=coding == "coded")
+    if crossed is None:
+        mm = model_matrix(design, spec)
+        lev = leverages(mm)
+        max_pv, avg_pv = float(lev.max()), float(lev.mean())
+        term = _factor(mm if coding == "raw" else coded_model_matrix(design, spec))
+        inverse_diag, r2, log_det, rcond = term.inverse_diag(), term.r2, term.log_det, _factor(mm).rcond
+    else:
+        _, base, raw, amount = crossed
+        d_base, d_amount = base.pv(base.X), raw.pv(raw.X)
+        max_pv = float(d_amount.max() * d_base.max())
+        avg_pv = float(d_amount.mean() * d_base.mean())
+        inverse_diag = np.kron(amount.inverse_diag(), base.inverse_diag())
+        r2 = _r2(_kron_sst(amount.X, base.X), inverse_diag)
+        log_det = base.X.shape[1] * amount.log_det + amount.X.shape[1] * base.log_det
+        rcond = raw.rcond * base.rcond
+    n, p = len(design), spec.p
+    se = np.sqrt(inverse_diag)
     pw = _nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)
     return EvalReport(
         n_runs=n,
         n_params=p,
         max_pv=max_pv,
-        avg_pv=float(lev.mean()),
+        avg_pv=avg_pv,
         max_pv_n_scaled=max_pv * n,
         g_efficiency_pct=g_efficiency(p, n, max_pv),
-        d_criteria=d_criteria(term),
-        rcond=_factor(mm).rcond,
+        d_criteria=_d_criteria(log_det, n, p),
+        rcond=rcond,
         coding=coding,
         signal_sd=signal_sd,
         alpha=alpha,
         terms=tuple(
             TermStats(label=label, se=float(s), r2=float(r), power=float(w))
-            for label, s, r, w in zip(term.col_labels, se, _factor(term).r2, pw)
+            for label, s, r, w in zip(spec.labels, se, r2, pw)
         ),
     )
 
@@ -915,7 +985,7 @@ def fit_ols(X, y) -> OlsFit:
     n, p = fac.X.shape
     try:
         y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameter(f"y needs {n} finite values") from None
     if y.shape != (n,) or not np.isfinite(y).all():
         raise InvalidParameter(f"y needs {n} finite values, got shape {y.shape}")

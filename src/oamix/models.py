@@ -261,7 +261,7 @@ def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
     InvalidParameter."""
     try:
         arr = np.asarray(X, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameter("X must be a numeric array") from None
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise InvalidParameter(f"X must be 2-D with at least one column, got shape {arr.shape}")
@@ -306,11 +306,14 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     return X
 
 
-def _field_rows(design: Design, field: str, to_floats) -> np.ndarray:
+def _field_rows(design: Design, field: str, to_floats, runs=None) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
-    per run: `to_floats` converts each distinct object of the field once,
-    and the rows are gathered per run by its slot."""
+    per run, or one per entry of `runs` (run numbers) when it is given:
+    `to_floats` converts each distinct object of the field once, and the
+    rows are gathered by their runs' slots."""
     distinct, slots = design._index[field]
+    if runs is not None:
+        slots = np.take(slots, runs)
     return np.array([to_floats(value) for value in distinct], dtype=float).take(slots, axis=0)
 
 
@@ -318,10 +321,15 @@ def _point_floats(point) -> list[float]:
     return [float(v) for v in point.values]
 
 
-def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
-    """Check the design against the spec, convert each distinct point, sign
-    tuple and amount tag of the design to float once, apply `code` to the
-    numeric amount factors, and build the terms."""
+def _check_design(design: Design, spec: ModelSpec) -> None:
+    """Raise unless `design` is a Design whose shape the ModelSpec `spec`
+    can read: the same m, the kind its terms are in, total-amount levels
+    for a mixture-amount spec and sign vectors for a spec with sign
+    terms."""
+    if not isinstance(design, Design):
+        raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
+    if not isinstance(spec, ModelSpec):
+        raise InvalidParameter(f"spec must be a ModelSpec, got {type(spec).__name__}")
     if design.m != spec.m:
         raise KindMismatch(f"design has m={design.m}, spec has m={spec.m}")
     if spec.kind.uses_amounts:
@@ -335,6 +343,12 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     if spec.kind.has_pwo and not design.is_expanded:
         raise MissingPwo("spec has sign terms but the design carries no orderings")
 
+
+def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
+    """Check the design against the spec (`_check_design`), convert each
+    distinct point, sign tuple and amount tag of the design to float once,
+    apply `code` to the numeric amount factors, and build the terms."""
+    _check_design(design, spec)
     comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
     signs = _field_rows(design, "pwo", tuple) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:

@@ -6,8 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oamix import Design, DesignPoint, Kind, OofARun, as_fraction, oofa_expand, total_amount, validate_point
-from oamix.errors import BadPwoValue, InvalidDimension, NegativeEntry, SumNotOne, WrongKind
+from oamix import (
+    Design,
+    DesignPoint,
+    Kind,
+    OofARun,
+    as_fraction,
+    oofa_expand,
+    total_amount,
+    validate_design,
+    validate_point,
+)
+from oamix.errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -38,6 +48,38 @@ def test_validate_amount_bound():
     validate_point(P(500, 0, 0, kind=Kind.AMOUNT))
     with pytest.raises(NegativeEntry):
         validate_point(P(1, -1, 0, kind=Kind.AMOUNT))
+
+
+def test_kind_given_as_text_is_the_kind():
+    # a text kind once skipped the sum check, so a design of such points
+    # passed validate_design though its file could not be read back
+    point = DesignPoint(("1/4", "1/4"), "proportion")
+    assert point.kind is Kind.PROPORTION
+    with pytest.raises(SumNotOne):
+        validate_point(point)
+    design = Design(2, "proportion", (OofARun(point),))
+    assert design.kind is Kind.PROPORTION
+    with pytest.raises(SumNotOne, match="^run 1: "):
+        validate_design(design)
+    assert DesignPoint((1, 2), "amount") == P(1, 2, kind=Kind.AMOUNT)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: DesignPoint((1, 0), "mixture"), lambda: DesignPoint((1, 0), None), lambda: Design(2, "x", ())],
+    ids=["point-unknown-text", "point-None", "design-unknown-text"],
+)
+def test_unknown_kind_is_refused(call):
+    with pytest.raises(InvalidParameter, match="^kind must be a Kind, 'proportion' or 'amount', got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "point, name", [((1, 0), "tuple"), (None, "NoneType")], ids=["tuple", "None"]
+)
+def test_run_refuses_a_point_that_is_not_a_design_point(point, name):
+    with pytest.raises(InvalidParameter, match=f"^point must be a DesignPoint, got {name}$"):
+        OofARun(point)
 
 
 def test_total_amount_examples():

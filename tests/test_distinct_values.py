@@ -15,6 +15,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,15 +176,74 @@ def test_reports_do_not_depend_on_sharing(designs, name):
 def test_fds_does_not_depend_on_sharing(designs, name, kind):
     # whether a design is crossed is decided by value, so equal designs
     # built from other objects take the same product path, bit for bit
-    from oamix.evaluate import _product_factors
+    from oamix.evaluate import _crossed_factors
 
     shared = designs[name]
     unshared = fresh(shared)
     spec = build_spec(kind, shared.m)
     for design in (shared, unshared):
-        assert _product_factors(design, spec, model_matrix(design, spec).X) is not None
+        assert _crossed_factors(design, spec) is not None
     want = fds_curve(shared, spec, 3000, seed=4).variances
     assert np.array_equal(fds_curve(unshared, spec, 3000, seed=4).variances, want)
+
+
+@st.composite
+def crossed_designs(draw):
+    """A lattice or centroid base, maybe expanded over orderings, maybe cut
+    to some of its runs with repeats, crossed with 2 to 4 amount levels
+    (0 allowed) in drawn order, maybe with its runs shuffled; then built in
+    code with shared objects, rebuilt with fresh ones, or read back."""
+    m = draw(st.integers(2, 4))
+    base = simplex_lattice(m, draw(st.integers(1, 3))) if draw(st.booleans()) else simplex_centroid(m)
+    if draw(st.booleans()):
+        base = oofa_expand(base)
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=2 * len(base)))
+        base = Design(base.m, base.kind, tuple(base.runs[i] for i in picks))
+    levels = st.fractions(min_value=0, max_value=50, max_denominator=12)
+    design = cross_amounts(base, draw(st.lists(levels, min_size=2, max_size=4, unique=True)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(design))))
+        design = Design(design.m, design.kind, tuple(design.runs[i] for i in order))
+    form = draw(st.sampled_from(["shared", "unshared", "read"]))
+    if form == "unshared":
+        return fresh(design)
+    return read_design(write_design(design)) if form == "read" else design
+
+
+def _report_or_error(design, spec, coding):
+    try:
+        return evaluate_design(design, spec, coding=coding)
+    except OamixError as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crossed_designs(), st.sampled_from(["eq1", "eq2", "eq5", "eq6"]), st.sampled_from(["raw", "coded"]))
+def test_crossed_report_agrees_with_the_full_path(design, eq, coding):
+    # the factored report against the one read from the full matrices;
+    # where those raise, the same class and message
+    spec = build_spec(eq, design.m)
+    got = _report_or_error(design, spec, coding)
+    with mock.patch("oamix.evaluate._crossed_factors", return_value=None):
+        want = _report_or_error(design, spec, coding)
+    if isinstance(want, OamixError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, OamixError), got
+    got, want = got.to_dict(), want.to_dict()
+    got_terms, want_terms = got.pop("terms"), want.pop("terms")
+    for key in ("n_runs", "n_params", "coding", "signal_sd", "alpha"):
+        assert got.pop(key) == want.pop(key)
+    got.update(got.pop("d_criteria"))
+    want.update(want.pop("d_criteria"))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert [t["label"] for t in got_terms] == [t["label"] for t in want_terms]
+    for field in ("se", "r2", "power"):
+        a, b = (np.array([t[field] for t in terms]) for terms in (got_terms, want_terms))
+        # an R^2 is a share of one sum of squares, so near 0 it is held
+        # to 1e-12 of that sum
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 if field == "r2" else 0)
 
 
 def _transforms(m6_bases, m6_designs):

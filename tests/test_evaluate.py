@@ -46,12 +46,12 @@ from oamix.evaluate import (
     _FDS_BLOCK,
     _FDS_CHUNK,
     _blocks,
+    _crossed_factors,
     _default_policy,
     _Factor,
     _amount_powers,
     _nct_two_sided,
     _pair_signs,
-    _product_factors,
     _row_sums,
     _rows_from_samples,
     _sample_chunk,
@@ -213,11 +213,21 @@ def m6_scaled():
 
 @pytest.mark.parametrize("coding", ["coded", "raw"])
 def test_report_agrees_bit_for_bit_with_public_criteria(table3, table5, m6_scaled, coding):
+    # designs off the crossed path: each report field is the full matrices'
     build = coded_model_matrix if coding == "coded" else model_matrix
-    for design, eq, signal in ((table3, "eq6", 0.5), (table5, "eq8", 2.0), (m6_scaled, "eq8", 2.0)):
+    off_path = (
+        (_without_run(table3, 5), "eq6", 0.5),
+        (_level_moved(table3), "eq6", 0.5),
+        (table5, "eq8", 2.0),
+        (m6_scaled, "eq8", 2.0),
+    )
+    for design, eq, signal in off_path:
         spec = build_spec(eq, design.m)
-        term = build(design, spec)
+        assert _crossed_factors(design, spec) is None
+        mm, term = model_matrix(design, spec), build(design, spec)
         report = evaluate_design(design, spec, signal_sd=signal, coding=coding)
+        lev = leverages(mm)
+        assert (report.max_pv, report.avg_pv, report.rcond) == (lev.max(), lev.mean(), mm._factor.rcond)
         assert [t.se for t in report.terms] == std_errors(term).tolist()
         assert report.d_criteria == d_criteria(term)
         for j, t in enumerate(report.terms):
@@ -275,10 +285,58 @@ def test_one_factor_per_model_matrix(table5, spec8, factors_built):
     assert factors_built[0] == 5 + 2 * p
 
 
+@pytest.mark.parametrize("coding", ["coded", "raw"])
+def test_crossed_report_is_within_1e_12_of_public_criteria(table3, spec6, coding):
+    # table3 crosses table1 with three levels: every field is read from
+    # the factors of X_base and X_A, not from the matrices the public
+    # calls factor
+    assert _crossed_factors(table3, spec6) is not None
+    mm = model_matrix(table3, spec6)
+    term = coded_model_matrix(table3, spec6) if coding == "coded" else mm
+    report = evaluate_design(table3, spec6, signal_sd=0.5, coding=coding)
+    n, p = mm.shape
+    lev = leverages(mm)
+    assert report.n_runs == n and report.n_params == p
+    want = {
+        "max_pv": lev.max(),
+        "avg_pv": lev.mean(),
+        "max_pv_n_scaled": lev.max() * n,
+        "g_efficiency_pct": g_efficiency(p, n, lev.max()),
+        "rcond": mm._factor.rcond,
+    }
+    assert {key: getattr(report, key) for key in want} == pytest.approx(want, rel=1e-12, abs=0)
+    assert report.d_criteria == pytest.approx(d_criteria(term), rel=1e-12, abs=0)
+    np.testing.assert_allclose([t.se for t in report.terms], std_errors(term), rtol=1e-12, atol=0)
+    for j, t in enumerate(report.terms):
+        assert t.label == term.col_labels[j]
+        assert t.r2 == pytest.approx(r2_multicollinearity(term, j), rel=1e-12, abs=0)
+        assert t.power == pytest.approx(power(term, j, signal_sd=0.5), rel=1e-12, abs=0)
+
+
+@pytest.fixture
+def factor_shapes(monkeypatch):
+    """The shapes of the matrices `_Factor`s are built of while a test runs."""
+    shapes = []
+    init = _Factor.__init__
+
+    def recording(self, arr, labels):
+        shapes.append(arr.shape)
+        init(self, arr, labels)
+
+    monkeypatch.setattr(_Factor, "__init__", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("coding, built", [("raw", 1), ("coded", 2)])
-def test_evaluate_design_factors_each_matrix_once(table3, spec6, factors_built, coding, built):
+def test_evaluate_design_factors_each_matrix_once(table3, spec6, factor_shapes, coding, built):
+    # crossed: X_base of table1's 21 runs and 12 base terms, and one 3 x 3
+    # levels x powers-of-A matrix per amount coding read; off the path,
+    # each full model matrix once
     evaluate_design(table3, spec6, coding=coding)
-    assert factors_built[0] == built
+    assert factor_shapes == [(21, 12)] + [(3, 3)] * built
+    factor_shapes.clear()
+    evaluate_design(_without_run(table3, 5), spec6, coding=coding)
+    assert factor_shapes == [(62, 36)] * built
 
 
 def test_r2_leaves_scipy_unloaded():
@@ -316,6 +374,41 @@ def test_criteria_reject_bad_alpha_and_signal(table2, spec8):
 def test_evaluate_design_refuses_a_coding_that_is_not_text(table3, spec6, coding):
     with pytest.raises(InvalidParameter, match="^coding must be 'coded' or 'raw', got "):
         evaluate_design(table3, spec6, coding=coding)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, s: evaluate_design(None, s), "design must be a Design, got NoneType"),
+        (lambda d, s: evaluate_design(d, None), "spec must be a ModelSpec, got NoneType"),
+        (lambda d, s: fds_curve(None, s, 100, 1), "design must be a Design, got NoneType"),
+        (lambda d, s: fds_curve(d, None, 100, 1), "spec must be a ModelSpec, got NoneType"),
+        (lambda d, s: model_matrix(None, s), "design must be a Design, got NoneType"),
+        (lambda d, s: model_matrix(d, None), "spec must be a ModelSpec, got NoneType"),
+        (lambda d, s: coded_model_matrix(None, s), "design must be a Design, got NoneType"),
+        (lambda d, s: coded_model_matrix(d, None), "spec must be a ModelSpec, got NoneType"),
+    ],
+    ids=["evaluate-design", "evaluate-spec", "fds-design", "fds-spec", "matrix-design", "matrix-spec",
+         "coded-design", "coded-spec"],
+)
+def test_design_and_spec_of_the_wrong_type_are_refused(table3, spec6, call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call(table3, spec6)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda X: leverages(10**400), "X must be a numeric array"),
+        (lambda X: leverages([[10**400, 1]]), "X must be a numeric array"),
+        (lambda X: fit_ols(X, 10**400), "y needs 63 finite values"),
+        (lambda X: prediction_variance(X, 10**400), "f needs 36 finite values"),
+    ],
+    ids=["leverages-int", "leverages-row", "fit_ols-y", "prediction_variance-f"],
+)
+def test_an_int_too_large_for_a_float_is_refused(table3, spec6, call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call(model_matrix(table3, spec6))
 
 
 @pytest.mark.parametrize("sign_policy", [np.ones(3), None], ids=["array", "None"])
@@ -677,10 +770,10 @@ def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
 def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, general=False):
     """The FDS chunk loop with fresh arrays for every chunk, sorted after one
     concatenate: the reference for `fds_curve`'s reused buffers.  Where the
-    variances factor (`_product_factors`) each is d_base d_A, unless
+    variances factor (`_crossed_factors`) each is d_base d_A, unless
     `general` asks for the full model rows and factor."""
     fac = model_matrix(design, spec)._factor
-    product = None if general else _product_factors(design, spec, fac.X)
+    product = None if general else _crossed_factors(design, spec)
     parts = []
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
@@ -688,9 +781,9 @@ def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, g
         if product is None:
             parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
         else:
-            base, base_fac, amount_fac, degree = product
+            base, base_fac, amount_fac, _ = product
             d_base = base_fac.pv(_rows_from_samples(base, x, keys, signs, amounts))
-            parts.append(d_base * amount_fac.pv(_amount_powers(amounts, degree)))
+            parts.append(d_base * amount_fac.pv(_amount_powers(amounts, amount_fac.X.shape[1] - 1)))
     return np.sort(np.concatenate(parts))
 
 
@@ -881,35 +974,68 @@ def test_product_rcond_is_the_full_factors(request, table3, eq, crossed):
     design = request.getfixturevalue(crossed) if crossed else table3
     spec = build_spec(eq, design.m)
     mm = model_matrix(design, spec)
-    _, base_fac, amount_fac, _ = _product_factors(design, spec, mm.X)
+    _, base_fac, amount_fac, _ = _crossed_factors(design, spec)
     assert base_fac.rcond * amount_fac.rcond == pytest.approx(mm._factor.rcond, rel=1e-9, abs=0)
 
 
-def test_product_path_factors_only_the_small_matrices(monkeypatch, table3, spec6):
-    made = []
-    init = _Factor.__init__
-
-    def counted(self, arr, labels):
-        made.append(arr.shape)
-        init(self, arr, labels)
-
-    monkeypatch.setattr(_Factor, "__init__", counted)
+def test_product_path_factors_only_the_small_matrices(table3, spec6, factor_shapes):
     fds_curve(table3, spec6, 100, seed=1)
-    assert made == [(21, 12), (3, 3)]
+    assert factor_shapes == [(21, 12), (3, 3)]
+
+
+def test_m6_crossed_eq6_builds_no_full_matrix(monkeypatch, m6_crossed, factor_shapes):
+    # 816 base runs at each of three levels: neither evaluate_design nor
+    # fds_curve builds or factors a 2448-row matrix
+    def refused(*args):
+        raise AssertionError("a full model matrix was built")
+
+    monkeypatch.setattr(oamix.evaluate, "model_matrix", refused)
+    monkeypatch.setattr(oamix.evaluate, "coded_model_matrix", refused)
+    spec = build_spec("eq6", 6)
+    for coding in ("raw", "coded"):
+        evaluate_design(m6_crossed, spec, coding=coding)
+    fds_curve(m6_crossed, spec, 100, seed=1)
+    assert factor_shapes == [(816, 42), (3, 3), (816, 42), (3, 3), (3, 3), (816, 42), (3, 3)]
 
 
 @pytest.mark.parametrize(
-    "runs, levels", [(slice(None), ["1", "2"]), (slice(5), ["1", "2", "3"])], ids=["two-levels", "five-base-runs"]
+    "runs, levels",
+    [(slice(None), ["1", "2"]), (slice(5), ["1", "2", "3"]), (slice(None), ["1", "101/100", "51/50"])],
+    ids=["two-levels", "five-base-runs", "close-levels"],
 )
 def test_singular_crossed_design_fails_as_the_full_factor(table1, spec6, runs, levels):
     # two levels cannot carry A^2, and five base runs cannot carry the 12
-    # base terms: a small factor raises, and the error is the full matrix's
+    # base terms: a small factor raises.  Levels 1/100 apart leave each
+    # factor's rcond above 1e-10 (1.2e-10 and 0.012) but not their product,
+    # the full matrix's.  Either way the error is the full matrix's
     design = cross_amounts(Design(table1.m, table1.kind, table1.runs[runs]), levels)
     with pytest.raises(SingularInformation) as want:
         leverages(model_matrix(design, spec6))
     with pytest.raises(SingularInformation) as got:
         fds_curve(design, spec6, 100, seed=1)
     assert str(got.value) == str(want.value)
+    for coding in ("raw", "coded"):
+        with pytest.raises(SingularInformation) as got:
+            evaluate_design(design, spec6, coding=coding)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", ["1/2", "1/3"])
+def test_constant_base_column_takes_the_full_path(value):
+    # proportions that do not sum to 1, with x1 the same in every run, so X
+    # is not singular: whether x1's R^2 is NaN turns on the full column's
+    # sum of squares, so the report is the full matrices', bit for bit
+    from oamix.core import DesignPoint, Kind
+
+    rest = ((1, 2), (3, 1), (2, 5), (6, 1), (0, 3), (4, 4))
+    runs = tuple(OofARun(DesignPoint((value, f"{a}/7", f"{b}/7"), Kind.PROPORTION)) for a, b in rest)
+    design = cross_amounts(Design(3, Kind.PROPORTION, runs), ["1", "2", "3"])
+    spec = build_spec("eq1", 3)
+    assert _crossed_factors(design, spec) is None
+    for coding, build in (("raw", model_matrix), ("coded", coded_model_matrix)):
+        report, term = evaluate_design(design, spec, coding=coding), build(design, spec)
+        np.testing.assert_array_equal([t.r2 for t in report.terms], term._factor.r2)
+        assert [t.se for t in report.terms] == std_errors(term).tolist()
 
 
 def _without_run(design, i):
@@ -944,7 +1070,7 @@ def test_fds_off_the_product_path_is_the_general_loop(table3, table5, name, eq, 
         "table5": table5,
     }
     design, spec = designs[name], build_spec(eq, 3)
-    assert _product_factors(design, spec, model_matrix(design, spec).X) is None
+    assert _crossed_factors(design, spec) is None
     policy = _default_policy(design)
     for n in (100, _FDS_CHUNK + 1):
         got = fds_curve(design, spec, n, seed=5, sign_policy=sign_policy).variances
