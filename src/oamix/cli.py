@@ -179,12 +179,12 @@ def cmd_evaluate(args) -> str:
 
 
 def _amount_policy(args, design):
-    from .evaluate import ContinuousAmounts, DiscreteAmounts
+    from .evaluate import ContinuousAmounts, DiscreteAmounts, _level_floats
 
     if args.amounts == "continuous":
         return None  # library default: continuous over the design's level range
     if args.amounts == "discrete":
-        return DiscreteAmounts(tuple(float(a) for a in design.amount_levels))
+        return DiscreteAmounts(tuple(_level_floats(design)))
     try:
         lo, hi = (float(tok) for tok in args.amounts.split(":", 1))
     except ValueError:

@@ -185,12 +185,18 @@ class Design:
     runs: the index is the storage of the designs they return
     (`Design._of`), and their runs are built from it on the first
     `.runs`, `==`, `hash` or `repr`.  Two threads that build them at once
-    both get the tuple stored first.
+    both get the tuple stored first.  Those designs are also valid at
+    birth, and record it, so ``oofa.validate_design`` returns at once for
+    them; a design built by calling `Design` (or `dataclasses.replace`)
+    is checked run by run whenever it is validated.
     """
 
     m: int
     kind: Kind
     runs: tuple[OofARun, ...]
+
+    # not a field: only `_of` sets it, in the instance dict
+    _checked = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
@@ -208,7 +214,7 @@ class Design:
             raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
 
     @classmethod
-    def _of(cls, m: int, kind: Kind, index: dict) -> Design:
+    def _of(cls, m: int, kind: Kind, index: dict, checked: bool) -> Design:
         """A design of one shape stored as its index, with no runs.
 
         `index` is what `_index` would build from the runs: for each run
@@ -217,13 +223,22 @@ class Design:
         skips `__post_init__`'s walk; the runs are made from it on the
         first `.runs`, `==`, `hash` or `repr` (see `__getattr__`).  Only
         the library's own constructors, which hold the slots of a valid
-        shape, call it."""
+        shape, call it.
+
+        `checked` records that every run passes ``oofa.validate_run``, so
+        that ``oofa.validate_design`` costs nothing on the design: the
+        reader and the lattice and centroid pass True, and a transform
+        passes its parent's flag, since its argument checks keep a valid
+        parent's child valid.  The flag is kept in the instance dict, not
+        as a field, so `==`, `hash`, `repr` and pickle are those of the
+        runs; a design built by calling `Design` is never checked."""
         design = object.__new__(cls)
         assign = object.__setattr__
         assign(design, "m", m)
         assign(design, "kind", kind)
         # where the cached property would keep it
         design.__dict__["_index"] = index
+        design.__dict__["_checked"] = checked
         return design
 
     def __getattr__(self, name: str):

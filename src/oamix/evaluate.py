@@ -44,7 +44,7 @@ from .models import (
     _checked_matrix,
     _code_column,
     _field_rows,
-    _point_floats,
+    _floats,
     coded_model_matrix,
     model_matrix,
     term_columns,
@@ -132,7 +132,7 @@ class _Factor:
     def r2(self) -> np.ndarray:
         """R^2 of each column on the others (`_r2`).  Computed once per
         factor; the array is read-only."""
-        r2 = _r2(_centred_sst(self.X), self.inverse_diag())
+        r2 = _r2(_centred_sst(self.X), self.inverse_diag(), _constant(self.X))
         r2.flags.writeable = False
         return r2
 
@@ -157,12 +157,20 @@ def _kron_sst(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.kron((a * a).sum(axis=0), _centred_sst(f)) + len(f) * np.kron(_centred_sst(a), f.mean(axis=0) ** 2)
 
 
-def _r2(sst: np.ndarray, inverse_diag: np.ndarray) -> np.ndarray:
+def _constant(X: np.ndarray) -> np.ndarray:
+    """For each column of X, whether all its cells are equal."""
+    return (X == X[0]).all(axis=0)
+
+
+def _r2(sst: np.ndarray, inverse_diag: np.ndarray, constant: np.ndarray) -> np.ndarray:
     """R^2 of each column on the others: 1/[M^{-1}]_jj is the residual sum
     of squares of column j, so R^2_j = 1 - 1/(SST_j [M^{-1}]_jj), NaN where
-    SST_j = 0."""
+    the column is `constant` (or SST_j underflows to 0).  A constant column
+    is told by its cells, not by its computed SST_j: the mean of equal
+    cells need not round back to their value, and the SST_j of such a
+    column is then a tiny positive number that gives a huge negative R^2."""
     with np.errstate(divide="ignore"):
-        return np.where(sst == 0.0, np.nan, 1.0 - 1.0 / (sst * inverse_diag))
+        return np.where(constant | (sst == 0.0), np.nan, 1.0 - 1.0 / (sst * inverse_diag))
 
 
 def _factor(X) -> _Factor:
@@ -504,8 +512,14 @@ class DiscreteAmounts:
         object.__setattr__(self, "levels", levels)
 
 
+def _level_floats(design: Design) -> list[float]:
+    """The design's amount levels as floats, ascending; one beyond float
+    range raises InvalidParameter."""
+    return _floats("amount", float, design.amount_levels)
+
+
 def _default_policy(design: Design) -> ContinuousAmounts:
-    levels = [float(a) for a in design.amount_levels]
+    levels = _level_floats(design)
     if not levels:
         raise MissingAmount("design carries no amount levels to define a sampling range")
     return ContinuousAmounts(lo=min(levels), hi=max(levels))
@@ -603,11 +617,12 @@ def _amount_degree(spec: ModelSpec) -> int:
     return top
 
 
-def _value_ids(objects, key) -> np.ndarray:
-    """For each of a design field's distinct objects, the first-seen number
-    of its value, so equal values built as different objects share one."""
+def _value_ids(values) -> np.ndarray:
+    """For each of a design field's distinct objects, given by its hashable
+    value, the first-seen number of that value, so equal values built as
+    different objects share one."""
     ids: dict = {}
-    return np.array([ids.setdefault(key(obj), len(ids)) for obj in objects], dtype=np.intp)
+    return np.array([ids.setdefault(value, len(ids)) for value in values], dtype=np.intp)
 
 
 def _point_value(point) -> tuple[tuple[int, int], ...]:
@@ -616,18 +631,26 @@ def _point_value(point) -> tuple[tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in point.values)
 
 
-def _crossed_base(design: Design) -> np.ndarray | None:
+def _value_floats(value: tuple[tuple[int, int], ...]) -> list[float]:
+    """The floats of a `_point_value`: `float` of a Fraction is this same
+    true division of its numerator by its denominator, so the bits are
+    those `_point_floats` gives."""
+    return [n / d for n, d in value]
+
+
+def _crossed_base(design: Design, values: list) -> np.ndarray | None:
     """The runs at the first run's amount level when every level holds the
     same multiset of base runs (point values and sign tuple), else None.
-    Values are compared once per distinct object of the design's index, so
-    two equal designs built from different objects give the same answer."""
+    `values` holds the `_point_value` of each distinct point of the
+    design's index, and signs and amounts are compared once per distinct
+    object, so two equal designs built from different objects give the
+    same answer."""
     index = design._index
-    points, point_slots = index["point"]
     signs, sign_slots = index["pwo"]
     amounts, amount_slots = index["amount"]
-    base = _value_ids(points, _point_value).take(point_slots) * len(signs)
-    base += _value_ids(signs, lambda pwo: pwo).take(sign_slots)
-    level = _value_ids(amounts, lambda amount: amount).take(amount_slots)
+    base = _value_ids(values).take(index["point"][1]) * len(signs)
+    base += _value_ids(signs).take(sign_slots)
+    level = _value_ids(amounts).take(amount_slots)
     counts = np.bincount(level)
     if counts.min() != counts.max():
         return None
@@ -668,21 +691,27 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     None sends the caller to the full matrix, whose factor raises the full
     path's error or passes: off the path, when a small factor raises, when
     the base factor's reciprocal condition times either amount factor's is
-    below RCOND_FLOOR, and when a base column is constant, where only the
-    full column's sum of squares says whether its R^2 is NaN."""
+    below RCOND_FLOOR, and when a base column is constant, so that whether
+    a column's R^2 is NaN is read from the cells of the full matrix."""
     _check_design(design, spec)
     degree = _amount_degree(spec)
-    runs = _crossed_base(design) if degree else None
+    if not degree:
+        return None
+    # each distinct point is converted once: to exact pairs for its value
+    # id, and from those pairs to floats for X_base
+    points, point_slots = design._index["point"]
+    values = [_point_value(point) for point in points]
+    runs = _crossed_base(design, values)
     if runs is None:
         return None
     q = spec.p // (degree + 1)
     base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
-    points = _field_rows(design, "point", _point_floats, runs).reshape(runs.size, spec.m)
+    comps = np.array(_floats("point", _value_floats, values)).take(np.take(point_slots, runs), axis=0)
     signs = _field_rows(design, "pwo", tuple, runs) if spec.kind.has_pwo else None
-    X_base = term_columns(base, points, signs, None)
-    if (X_base == X_base[0]).all(axis=0).any():
+    X_base = term_columns(base, comps, signs, None)
+    if _constant(X_base).any():
         return None
-    levels = np.array([float(a) for a in design.amount_levels])
+    levels = np.array(_level_floats(design))
     labels = tuple(f"A^{t}" for t in range(degree + 1))
     try:
         base_fac = _Factor(X_base, base.labels)
@@ -935,7 +964,7 @@ def evaluate_design(
         max_pv = float(d_amount.max() * d_base.max())
         avg_pv = float(d_amount.mean() * d_base.mean())
         inverse_diag = np.kron(amount.inverse_diag(), base.inverse_diag())
-        r2 = _r2(_kron_sst(amount.X, base.X), inverse_diag)
+        r2 = _r2(_kron_sst(amount.X, base.X), inverse_diag, np.kron(_constant(amount.X), _constant(base.X)))
         log_det = base.X.shape[1] * amount.log_det + amount.X.shape[1] * base.log_det
         rcond = raw.rcond * base.rcond
     n, p = len(design), spec.p

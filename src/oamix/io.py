@@ -22,7 +22,8 @@ design's index; it checks no run itself, but runs the one check walk of
 ``validate_design`` over that index, so a file is accepted only when every
 run passes ``oofa.validate_run``.  So it rejects a display file of thirds
 rounded to 0.33 (proportions no longer summing to 1) and an amount row
-whose rounded A differs from the sum of its rounded amounts.
+whose rounded A differs from the sum of its rounded amounts.  The design
+it returns records that walk, so ``validate_design`` of it costs nothing.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -167,8 +168,10 @@ def read_design(text: str) -> Design:
     pass.  An error names the physical line of the first faulty row as
     ``line N: ...`` and keeps its class (sign-order faults are
     InconsistentPwoRow).  The returned design is stored as its index and
-    makes its runs only when they are asked for.  A `text` that is not a
-    str raises InvalidParameter.
+    makes its runs only when they are asked for.  It is valid at birth and
+    records it, so ``validate_design`` returns at once for it and the
+    walk is not repeated.  A `text` that is not a str raises
+    InvalidParameter.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
@@ -266,7 +269,7 @@ def read_design(text: str) -> Design:
     if fault is not None:
         row_no, exc = fault
         raise located(f"line {row_no}", exc) from exc
-    return Design._of(m, kind, index)
+    return Design._of(m, kind, index, True)
 
 
 _TABLES = ("table1", "table2", "table3", "table5")

@@ -21,6 +21,7 @@ list of (component, pair) entries is also accepted.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -309,12 +310,26 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
 def _field_rows(design: Design, field: str, to_floats, runs=None) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
     per run, or one per entry of `runs` (run numbers) when it is given:
-    `to_floats` converts each distinct object of the field once, and the
-    rows are gathered by their runs' slots."""
+    `to_floats` converts each distinct object of the field once (see
+    `_floats`), and the rows are gathered by their runs' slots."""
     distinct, slots = design._index[field]
     if runs is not None:
         slots = np.take(slots, runs)
-    return np.array([to_floats(value) for value in distinct], dtype=float).take(slots, axis=0)
+    return np.array(_floats(field, to_floats, distinct), dtype=float).take(slots, axis=0)
+
+
+_FIELD_VALUES = {"point": "component value", "pwo": "sign", "amount": "total amount A"}
+
+
+def _floats(field: str, to_floats, values) -> list:
+    """`to_floats` of each of `values`, values of the run field `field`; a
+    value beyond float range raises InvalidParameter naming the field."""
+    try:
+        return [to_floats(value) for value in values]
+    except OverflowError:
+        raise InvalidParameter(
+            f"a {_FIELD_VALUES[field]} of the design is too large for a float (over {sys.float_info.max:.4g})"
+        ) from None
 
 
 def _point_floats(point) -> list[float]:

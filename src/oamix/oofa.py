@@ -197,7 +197,7 @@ def oofa_expand(design: Design) -> Design:
         "pwo": (tuple(signs), tuple(run_signs)),
         "amount": (amounts, tuple(run_amounts)),
     }
-    return Design._of(design.m, design.kind, index)
+    return Design._of(design.m, design.kind, index, design._checked)
 
 
 def cross_amounts(design: Design, levels: Iterable) -> Design:
@@ -227,7 +227,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         "pwo": (signs, sign_of * len(coerced)),
         "amount": (coerced if n else (), tuple(chain.from_iterable(repeat(k, n) for k in range(len(coerced))))),
     }
-    return Design._of(design.m, design.kind, index)
+    return Design._of(design.m, design.kind, index, design._checked)
 
 
 def _exact_amount(what: str, value) -> Fraction:
@@ -260,7 +260,7 @@ def scale_amounts(design: Design, a_max) -> Design:
         "pwo": design._index["pwo"],
         "amount": (tuple(scaled_amounts), amount_of),
     }
-    return Design._of(design.m, design.kind, index)
+    return Design._of(design.m, design.kind, index, design._checked)
 
 
 def validate_run(run: OofARun) -> None:
@@ -278,11 +278,15 @@ def validate_design(design: Design) -> None:
     """Check each run of a design with `validate_run`, whose errors are
     prefixed ``run N:``, through its index (see `_check_index`).  The
     design's shape (m, kind, and which of signs and A its runs carry) is
-    checked when the Design is built.  A `design` that is not a Design
-    raises InvalidParameter."""
+    checked when the Design is built.  A design that `read_design` or a
+    constructor of the library made from valid input is valid at birth and
+    records it (see ``core.Design._of``), so this returns at once for it;
+    a design built by calling `Design` is walked.  A `design` that is not a
+    Design raises InvalidParameter."""
     if not isinstance(design, Design):
         raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
-    _check_index(design._index, lambda n: f"run {n + 1}")
+    if not design._checked:
+        _check_index(design._index, lambda n: f"run {n + 1}")
 
 
 def _check_index(index: dict, where) -> None:

@@ -85,7 +85,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
         # one new total per projected point, so the point slots carry over
         "amount": (tuple(map(total_amount, projected)), point_of),
     }
-    return Design._of(len(keep), Kind.AMOUNT, index)
+    return Design._of(len(keep), Kind.AMOUNT, index, design._checked)
 
 
 def _one_run_per_point(m: int, points: list[DesignPoint]) -> Design:
@@ -93,4 +93,4 @@ def _one_run_per_point(m: int, points: list[DesignPoint]) -> Design:
     point is a new object, so run i holds slot i."""
     n = len(points)
     none = ((None,) if n else (), (0,) * n)
-    return Design._of(m, Kind.PROPORTION, {"point": (tuple(points), tuple(range(n))), "pwo": none, "amount": none})
+    return Design._of(m, Kind.PROPORTION, {"point": (tuple(points), tuple(range(n))), "pwo": none, "amount": none}, True)

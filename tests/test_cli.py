@@ -167,6 +167,25 @@ def test_misuse_exits_2_with_named_error(tmp_path, capsys, argv, table):
     assert "error: InvalidParameter: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--model", "eq6"],
+        ["fds", "--model", "eq6", "--samples", "100"],
+        ["fds", "--model", "eq6", "--samples", "100", "--amounts", "discrete"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_a_level_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    expanded, crossed = tmp_path / "expanded.csv", tmp_path / "crossed.csv"
+    expanded.write_text(write_design(oamix.oofa_expand(oamix.simplex_lattice(3, 2))))
+    assert main(["cross", "--levels", f"1,2,{10**400}", "--input", str(expanded), "--out", str(crossed)]) == 0
+    assert main([*argv, "--input", str(crossed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidParameter: a total amount A of the design is too large for a float")
+
+
 def test_project_of_a_crossed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "crossed.csv"
     path.write_text(write_design(oamix.cross_amounts(oamix.simplex_lattice(3, 2), [1, 2])))

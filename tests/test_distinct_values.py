@@ -9,6 +9,7 @@ same matrices, reports and designs.
 """
 
 import copy
+import dataclasses
 import json
 import pickle
 import sys
@@ -368,7 +369,11 @@ def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, n
     back = read_design(text)
     assert 0 < calls[0] <= patterns
     calls[0] = 0
+    # the reader's walk is recorded on the design, so validating it again
+    # walks nothing; the same runs in a design built in code are walked
     validate_design(back)
+    assert calls[0] == 0
+    validate_design(Design(back.m, back.kind, back.runs))
     assert 0 < calls[0] <= patterns
 
 
@@ -681,3 +686,72 @@ def test_born_index_names_the_first_faulty_run(data):
     assert "_index" in vars(crossed)
     n, exc = _first_fault(crossed)
     _assert_located(lambda: validate_design(crossed), f"run {n}", exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformed_designs())
+def test_a_design_marked_valid_passes_the_full_walk(made):
+    # the lattice, the centroid and the reader mark the designs they make
+    # as valid, and a projection, expansion, crossing or scaling passes its
+    # parent's mark on; validate_design skips the walk for a marked design,
+    # so each must pass that walk, called directly
+    for design in made:
+        for born in (design, read_design(write_design(design))):
+            assert born._checked
+            oofa._check_index(born._index, lambda n: f"run {n + 1}")
+
+
+def _second_run_replaced(design: Design, **fields) -> Design:
+    """`design` built in code, with its second run's `fields` replaced."""
+    runs = list(design.runs)
+    runs[1] = dataclasses.replace(runs[1], **fields)
+    return Design(design.m, design.kind, tuple(runs))
+
+
+def _point(*values: str) -> DesignPoint:
+    return DesignPoint(values, Kind.PROPORTION)
+
+
+_INVALID_CHILDREN = {
+    # a negative proportion, in a point that still sums to 1
+    "project": lambda: project_columns(_second_run_replaced(simplex_lattice(3, 2), point=_point("-1/2", "1", "1/2")), {3}),
+    # proportions that sum to 3/2
+    "expand": lambda: oofa_expand(_second_run_replaced(simplex_lattice(3, 2), point=_point("1/2", "1/2", "1/2"))),
+    "cross": lambda: cross_amounts(_second_run_replaced(simplex_lattice(3, 2), point=_point("1/2", "1/2", "1/2")), LEVELS),
+    # an A that is not the sum of the run's amounts
+    "scale": lambda: scale_amounts(
+        _second_run_replaced(project_columns(simplex_centroid(3), {3}), amount=Fraction(7, 3)), 500
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_CHILDREN))
+def test_a_child_of_an_invalid_design_built_in_code_is_walked(name):
+    # a transform checks its arguments, not its parent's runs, so the child
+    # of an unmarked parent is unmarked and validate_design walks it
+    child = _INVALID_CHILDREN[name]()
+    assert not child._checked
+    n, exc = _first_fault(child)
+    _assert_located(lambda: validate_design(child), f"run {n}", exc)
+
+
+@pytest.mark.parametrize("name", ["crossed", "crossed_read"])
+def test_copies_keep_the_mark_and_a_design_built_in_code_has_none(m6_designs, name):
+    design = m6_designs[name]
+    for again in (pickle.loads(pickle.dumps(design)), copy.deepcopy(design), copy.copy(design)):
+        assert again._checked and again == design
+    public = Design(design.m, design.kind, design.runs)
+    for unmarked in (public, dataclasses.replace(design), dataclasses.replace(public)):
+        assert "_checked" not in vars(unmarked) and not unmarked._checked
+        assert unmarked == design and hash(unmarked) == hash(design) and repr(unmarked) == repr(design)
+
+
+def test_validate_design_walks_only_a_design_not_marked(monkeypatch, m6_bases, m6_designs):
+    marked = [*m6_bases.values(), *m6_designs.values(), reference_design("table5")]
+    walks = _count_calls(monkeypatch, "_check_index", oofa)
+    for design in marked:
+        validate_design(design)
+    assert walks[0] == 0
+    for design in marked:
+        validate_design(Design(design.m, design.kind, design.runs))
+    assert walks[0] == len(marked)

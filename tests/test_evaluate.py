@@ -3,8 +3,10 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ from oamix.evaluate import (
     _FDS_BLOCK,
     _FDS_CHUNK,
     _blocks,
+    _centred_sst,
     _crossed_factors,
     _default_policy,
     _Factor,
@@ -1036,6 +1039,89 @@ def test_constant_base_column_takes_the_full_path(value):
         report, term = evaluate_design(design, spec, coding=coding), build(design, spec)
         np.testing.assert_array_equal([t.r2 for t in report.terms], term._factor.r2)
         assert [t.se for t in report.terms] == std_errors(term).tolist()
+
+
+@pytest.mark.parametrize("coding", ["raw", "coded"])
+def test_a_column_of_equal_cells_has_no_r2(coding):
+    # x1 = 1/3 in every run: the mean of 16 equal cells does not round back
+    # to 1/3, so the computed centred sum of squares is not 0, yet the
+    # column is constant and its R^2 is undefined
+    from oamix.core import DesignPoint, Kind
+
+    rest = ((1, 2), (3, 1), (2, 4), (6, 1), (0, 3), (4, 4), (5, 2), (1, 1))
+    runs = tuple(
+        OofARun(DesignPoint(("1/3", f"{p}/7", f"{q}/5"), Kind.PROPORTION), None, amount)
+        for amount in (1, 2)
+        for p, q in rest
+    )
+    design = Design(3, Kind.PROPORTION, runs)
+    spec = build_spec("eq1", 3)
+    X = (model_matrix if coding == "raw" else coded_model_matrix)(design, spec).X
+    assert (X[:, 0] == X[0, 0]).all() and _centred_sst(X)[0] > 0
+    r2 = [t.r2 for t in evaluate_design(design, spec, coding=coding).terms]
+    assert math.isnan(r2[0]) and not any(math.isnan(v) for v in r2[1:])
+    with pytest.raises(ConstantColumn, match="^column x1 is constant$"):
+        r2_multicollinearity(model_matrix(design, spec), 0)
+
+
+def _big_level():
+    return cross_amounts(oofa_expand(simplex_lattice(3, 2)), [1, 2, 10**400])
+
+
+def _big_scale():
+    return scale_amounts(oofa_expand(project_columns(simplex_centroid(4), [4])), 10**400)
+
+
+_BEYOND_FLOAT = "is too large for a float (over 1.798e+308)"
+
+
+@pytest.mark.parametrize(
+    "build, eq, call, what",
+    [
+        (_big_level, "eq6", lambda d, s: evaluate_design(d, s, coding="raw"), "total amount A"),
+        (_big_level, "eq6", lambda d, s: evaluate_design(d, s, coding="coded"), "total amount A"),
+        (_big_level, "eq5", lambda d, s: fds_curve(d, s, 100, seed=1), "total amount A"),
+        (_big_level, "eq1", model_matrix, "total amount A"),
+        (_big_level, "eq2", coded_model_matrix, "total amount A"),
+        # off the crossed path, the default sampling range converts the levels
+        (lambda: _without_run(_big_level(), 0), "eq6", lambda d, s: fds_curve(d, s, 100, seed=1), "total amount A"),
+        (lambda: _without_run(_big_level(), 0), "eq6", lambda d, s: _default_policy(d), "total amount A"),
+        (_big_scale, "eq8", lambda d, s: evaluate_design(d, s), "component value"),
+        (_big_scale, "eq3", model_matrix, "component value"),
+    ],
+    ids=["evaluate-raw", "evaluate-coded", "fds", "model_matrix", "coded_model_matrix", "fds-off-path",
+         "default-policy", "evaluate-amounts", "model_matrix-amounts"],
+)
+def test_a_design_value_beyond_float_range_is_named(build, eq, call, what):
+    design = build()
+    with pytest.raises(InvalidParameter, match=f"^a {what} of the design {re.escape(_BEYOND_FLOAT)}$"):
+        call(design, build_spec(eq, design.m))
+
+
+@pytest.mark.parametrize("eq", ["eq1", "eq5", "eq6"])
+def test_crossed_base_rows_are_the_full_matrix_rows(monkeypatch, eq):
+    # sevenths do not fit a float exactly: X_base, taken from each distinct
+    # point's exact pairs, is the full matrix's first-level rows bit for
+    # bit, and each distinct point is converted once, with no float() of
+    # its Fractions
+    design = cross_amounts(oofa_expand(simplex_lattice(3, 7)), ["1/3", "1", "5/2"])
+    spec = build_spec(eq, 3)
+    X = model_matrix(design, spec).X
+    values, floats = [0], [0]
+
+    def counted_value(point, original=oamix.evaluate._point_value):
+        values[0] += 1
+        return original(point)
+
+    def counted_float(self, original=Fraction.__float__):
+        floats[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(oamix.evaluate, "_point_value", counted_value)
+    monkeypatch.setattr(Fraction, "__float__", counted_float)
+    base, base_fac, _, _ = _crossed_factors(design, spec)
+    assert values[0] == 36 and floats[0] == 3
+    np.testing.assert_array_equal(base_fac.X, X[: len(design) // 3, : base.p])
 
 
 def _without_run(design, i):
