@@ -299,6 +299,13 @@ class Design:
         return index
 
 
+def _require_design(design) -> None:
+    """InvalidParameter naming the type of a `design` argument that is not a
+    Design: the one check of every layer that takes a design."""
+    if not isinstance(design, Design):
+        raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
+
+
 def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:
     return f"{m} {kind.value} components, {'with' if signs else 'no'} signs, {'with' if amount else 'no'} A"
 

@@ -40,11 +40,13 @@ from .errors import (
 from .models import (
     ModelMatrix,
     ModelSpec,
+    _amount_floats,
     _check_design,
     _checked_matrix,
     _code_column,
     _field_rows,
     _floats,
+    _sign_floats,
     coded_model_matrix,
     model_matrix,
     term_columns,
@@ -515,7 +517,7 @@ class DiscreteAmounts:
 def _level_floats(design: Design) -> list[float]:
     """The design's amount levels as floats, ascending; one beyond float
     range raises InvalidParameter."""
-    return _floats("amount", float, design.amount_levels)
+    return _floats("amount", _amount_floats, design.amount_levels).tolist()
 
 
 def _default_policy(design: Design) -> ContinuousAmounts:
@@ -631,11 +633,10 @@ def _point_value(point) -> tuple[tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in point.values)
 
 
-def _value_floats(value: tuple[tuple[int, int], ...]) -> list[float]:
-    """The floats of a `_point_value`: `float` of a Fraction is this same
-    true division of its numerator by its denominator, so the bits are
-    those `_point_floats` gives."""
-    return [n / d for n, d in value]
+def _value_floats(values: list) -> np.ndarray:
+    """The (points, m) floats of `_point_value`s: the same true division of
+    each numerator by its denominator that `_point_floats` makes."""
+    return np.array([[n / d for n, d in value] for value in values])
 
 
 def _crossed_base(design: Design, values: list) -> np.ndarray | None:
@@ -706,8 +707,8 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
         return None
     q = spec.p // (degree + 1)
     base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
-    comps = np.array(_floats("point", _value_floats, values)).take(np.take(point_slots, runs), axis=0)
-    signs = _field_rows(design, "pwo", tuple, runs) if spec.kind.has_pwo else None
+    comps = _floats("point", _value_floats, values).take(np.take(point_slots, runs), axis=0)
+    signs = _field_rows(design, "pwo", _sign_floats, runs) if spec.kind.has_pwo else None
     X_base = term_columns(base, comps, signs, None)
     if _constant(X_base).any():
         return None
@@ -800,14 +801,15 @@ def fds_curve(
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple on
     one BLAS build (another build may pick other kernels and move the last
-    bits).  One call allocates the n_samples result and, for chunks of
-    c = min(8192, n_samples) samples, buffers it reuses for every chunk:
-    two of c * m floats that the exponentials and the order keys are
-    drawn into, an F-ordered (c, pairs) sign buffer, one flat row buffer
-    of p * c floats and a C-ordered product buffer of min(2049, c) rows,
-    so no chunk makes a large allocation.  An n_samples too large to
-    allocate raises InvalidParameter.  Each chunk's rows are built once,
-    as a column-contiguous (F-ordered) view of the row buffer, so each
+    bits).  One call allocates, for chunks of c = min(8192, n_samples)
+    samples, buffers it reuses for every chunk: two of c * m floats that
+    the exponentials and the order keys are drawn into, an F-ordered
+    (c, pairs) sign buffer, one flat row buffer of p * c floats and a
+    C-ordered product buffer of min(2049, c) rows, so no chunk makes a
+    large allocation.  The n_samples result, which the curve keeps, is
+    allocated after them; an n_samples too large to allocate raises
+    InvalidParameter.  Each chunk's rows are built once, as a
+    column-contiguous (F-ordered) view of the row buffer, so each
     model column is written with one contiguous store; their products are
     then formed in blocks of 2048 rows, whose product buffer stays in a
     2 MB L2 cache at p = 36.  A one-row tail joins the block before it:
@@ -853,19 +855,19 @@ def fds_curve(
     else:
         row_spec, fac, amount_fac, _ = crossed
         degree = amount_fac.X.shape[1] - 1
-    try:
-        variances = np.empty(n_samples)
-    except (ValueError, MemoryError):
-        raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
-
     m, p = spec.m, row_spec.p
     chunk = min(_FDS_CHUNK, n_samples)
+    # the scratch first, the result the curve keeps last
     draws = (np.empty(chunk * m), np.empty(chunk * m))
     z = np.empty((m * (m - 1) // 2, chunk)).T
     rows = np.empty(p * chunk)
     work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
     if degree:
         (powers, powers_work), d_amount = np.empty((2, chunk, degree + 1)), np.empty(chunk)
+    try:
+        variances = np.empty(n_samples)
+    except (ValueError, MemoryError):
+        raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws)

@@ -14,15 +14,16 @@ Values are exact rational strings (``1/3``) by default and round-trip
 losslessly.  ``decimals=k`` renders a display variant: values are rounded
 half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
-are display artifacts.  `write_design` renders each distinct point, sign
-tuple and amount of a design once and joins the pieces of each
-run.  `read_design`, the one reader the library and the CLI share, parses
-each distinct cell text once, as an exact decimal fraction, into the
-design's index; it checks no run itself, but runs the one check walk of
-``validate_design`` over that index, so a file is accepted only when every
-run passes ``oofa.validate_run``.  So it rejects a display file of thirds
-rounded to 0.33 (proportions no longer summing to 1) and an amount row
-whose rounded A differs from the sum of its rounded amounts.  The design
+are display artifacts.  `write_design` renders each distinct value
+object of a design once per call and joins the pieces of each run.
+`read_design`, the one reader the library and the CLI share, keys each
+row by its point text and its sign text and parses each distinct text
+once, as exact decimal fractions, into the design's index; it checks no
+run itself, but runs the one check walk of ``validate_design`` over that
+index, so a file is accepted only when every run passes
+``oofa.validate_run``.  So it rejects a display file of thirds rounded
+to 0.33 (proportions no longer summing to 1) and an amount row whose
+rounded A differs from the sum of its rounded amounts.  The design
 it returns records that walk, so ``validate_design`` of it costs nothing.
 
 Pair labels use single digits, so the format covers up to 9 components.
@@ -34,7 +35,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .core import Design, DesignPoint, Kind, _as_signs
+from .core import Design, DesignPoint, Kind, _as_signs, _require_design
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
 from .oofa import _check_index, pwo_pairs
 
@@ -71,6 +72,8 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
 
 
 _NO_ROWS = "design file has a header but no rows"
+# the canonical sign cells; the reader decodes any other cell
+_SIGN_CELLS = {"-1": -1, "0": 0, "1": 1}
 # pair labels use single digits
 _MAX_COMPONENTS = 9
 # far below the digits Python converts between int and str by default (4300)
@@ -100,22 +103,34 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     `decimals`, when given, is an integer from 0 to 1000, checked once per
     call.  Each distinct point, sign tuple and amount of the design is
     rendered once, so a run costs a join, not a formatting of every cell.
-    A design with no runs is refused, as the reader refuses its text."""
+    A point is the join of its values' texts, and each distinct value
+    object is formatted once per call, keyed by its id (the design holds
+    every value alive while the call runs, so no id is reused).  Equal
+    values held as one object or as many give the same text.  A design
+    with no runs is refused, as the reader refuses its text, and a
+    `design` that is not a Design raises InvalidParameter."""
+    _require_design(design)
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     _check_components(design.m)
     if not len(design):
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
+    # each distinct value object's text, by id: the design holds every
+    # value alive for the call, so no id is reused while the dict lives
+    texts: dict[int, str] = {}
 
-    def point_text(point: DesignPoint) -> str:
-        return ",".join(_format_value(v, decimals) for v in point.values)
+    def value_text(value: Fraction) -> str:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = _format_value(value, decimals)
+        return text
 
-    pieces = [_rendered(design, "point", point_text)]
+    pieces = [_rendered(design, "point", lambda point: ",".join(map(value_text, point.values)))]
     if with_signs:
         pieces.append(_rendered(design, "pwo", lambda pwo: ",".join(map(str, pwo))))
     if with_amount:
-        pieces.append(_rendered(design, "amount", lambda amount: _format_value(amount, decimals)))
+        pieces.append(_rendered(design, "amount", value_text))
     header = ",".join(_columns(design.kind, design.m, with_signs, with_amount))
     return "\n".join([header, *map(",".join, zip(*pieces))]) + "\n"
 
@@ -154,18 +169,22 @@ def read_design(text: str) -> Design:
     Rational files reproduce the written design exactly, and every design
     returned passes ``validate_design``.  The reader parses the format
     (the header, the width of each row, readable values, integer signs)
-    into the design's index: rows whose component cells have the same text
-    share one point, rows whose sign cells have the same text share one
-    sign tuple, and rows whose A cells have the same text share one amount,
-    so each distinct value is decoded once per file.  Each distinct sign
-    cell text is decoded to an int once, and a row whose head (its text up
-    to its last comma, or the whole row when there is no A column) repeats
-    an earlier row's reuses that row's point and sign slots and costs one
-    lookup of its A text.  Parsing stops at the first format fault.  One
-    walk, that of ``validate_design``, then checks the rows before it, so
-    each distinct point, (point, A) pair and (point, signs) pair is
-    checked once, and the format fault is raised only when those rows
-    pass.  An error names the physical line of the first faulty row as
+    into the design's index.  A row whose head (its text up to its last
+    comma, or the whole row when there is no A column) repeats an earlier
+    row's reuses that row's point and sign slots and costs one lookup of
+    its A text.  A new head is split once, at its first m commas: its m
+    component cells are the point text and the rest is the sign text, so
+    rows with the same point text share one point, rows with the same sign
+    text share one sign tuple, and rows whose A cells have the same text
+    share one amount; each distinct value is decoded once per file.  The
+    cells of a new sign text map to ints through the table of ``-1``,
+    ``0`` and ``1``; any other cell (``+1``, ``1.0``, ``2/2``, ``1/2``,
+    a cell with spaces) is decoded as a value, once per distinct cell text, and
+    ``_as_signs`` judges each new sign vector.  Parsing stops at the first
+    format fault.  One walk, that of ``validate_design``, then checks the
+    rows before it, so each distinct point, (point, A) pair and (point,
+    signs) pair is checked once, and the format fault is raised only when
+    those rows pass.  An error names the physical line of the first faulty row as
     ``line N: ...`` and keeps its class (sign-order faults are
     InconsistentPwoRow).  The returned design is stored as its index and
     makes its runs only when they are asked for.  It is valid at birth and
@@ -204,12 +223,20 @@ def read_design(text: str) -> Design:
             sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
         return sign
 
-    # the distinct values by slot, and the cell texts that key each slot;
-    # a file without sign or A columns has one slot of None for them
+    def decode_signs(text: str) -> tuple:
+        # canonical cells go through the table; any other cell is decoded
+        cells = text.split(",")
+        try:
+            return tuple(map(_SIGN_CELLS.__getitem__, cells))
+        except KeyError:
+            return tuple(map(decode_sign, cells))
+
+    # the distinct values by slot, and the texts that key each slot; a
+    # file without sign or A columns has one slot of None for them
     points: list[DesignPoint] = []
-    point_slots: dict[tuple[str, ...], int] = {}
+    point_slots: dict[str, int] = {}
     signs: list[tuple[int, ...] | None] = [] if with_signs else [None]
-    sign_slots: dict[tuple[str, ...], int] = {}
+    sign_slots: dict[str, int] = {}
     amounts: list[Fraction | None] = []
     amount_slots: dict[str, int] = {}
     # each parsed row's head -> its point and sign slots
@@ -226,20 +253,22 @@ def read_design(text: str) -> Design:
         sign_values = None
         try:
             if known is None:
-                cells = line.split(",")
-                if len(cells) != width:
-                    raise RowLengthMismatch(f"expected {width} values, got {len(cells)}")
-                comp_text = tuple(cells[:m])
+                got = line.count(",") + 1
+                if got != width:
+                    raise RowLengthMismatch(f"expected {width} values, got {got}")
+                # the m component cells, then the sign text
+                cells = head.split(",", m)
+                sign_text = cells.pop() if with_signs else ""
+                comp_text = head[: len(head) - len(sign_text) - 1] if with_signs else head
                 i = point_slots.get(comp_text)
                 if i is None:
                     i = point_slots[comp_text] = len(points)
-                    points.append(DesignPoint(tuple(decode(c.strip()) for c in comp_text), kind))
+                    points.append(DesignPoint(tuple(decode(c.strip()) for c in cells), kind))
                 j = 0
                 if with_signs:
-                    sign_text = tuple(cells[m : m + n_pairs])
                     j = sign_slots.get(sign_text)
                     if j is None:
-                        sign_values = tuple(map(decode_sign, sign_text))
+                        sign_values = decode_signs(sign_text)
             else:
                 i, j = known
             k = amount_slots.get(a_text)

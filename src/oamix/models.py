@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import Design, Kind
+from .core import Design, Kind, _require_design
 from .errors import (
     InvalidDimension,
     InvalidParameter,
@@ -190,16 +190,30 @@ def _interactions(pairs, t=0):
     ]
 
 
+# the most terms a spec may have; m is checked against the largest family,
+# eq6 keeping all interactions, before any term is built
+_MAX_TERMS = 10**5
+
+
 def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
     """Deterministic term list for one of the eight model families.
 
     `reduction` applies only to eq6/eq8 and defaults to cyclic pairing; a
-    custom one is a list of (component, (j, k)) entries of integers.
+    custom one is a list of (component, (j, k)) entries of integers.  An m
+    at which the largest family, eq6 keeping all interactions, has over
+    10^5 terms (`_MAX_TERMS`; m over 129) raises InvalidParameter before
+    any term is built.
     """
     kind = ModelKind.parse(kind)
     m = _int_in_range("m", m)
     if m < 2:
         raise InvalidDimension(f"need m >= 2, got m={m}")
+    # eq6 with keep_all has 3(m + 2 C(m, 2) + m(m - 1)) = 3m(2m - 1) terms,
+    # more than any other family or reduction at m (a custom reduction
+    # repeats no interaction)
+    count = 3 * m * (2 * m - 1)
+    if count > _MAX_TERMS:
+        raise InvalidParameter(f"a model at m={m} may have {count} terms, over the limit of {_MAX_TERMS}")
     terms: list[Term] = []
     if kind is ModelKind.MA_LIN:
         terms = _linear(m, 0) + _linear(m, 1)
@@ -310,30 +324,42 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
 def _field_rows(design: Design, field: str, to_floats, runs=None) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
     per run, or one per entry of `runs` (run numbers) when it is given:
-    `to_floats` converts each distinct object of the field once (see
-    `_floats`), and the rows are gathered by their runs' slots."""
+    `to_floats` converts the field's distinct objects (see `_floats`) to
+    an array with a row for each, and the rows are gathered by their runs'
+    slots."""
     distinct, slots = design._index[field]
     if runs is not None:
         slots = np.take(slots, runs)
-    return np.array(_floats(field, to_floats, distinct), dtype=float).take(slots, axis=0)
+    return _floats(field, to_floats, distinct).take(slots, axis=0)
 
 
 _FIELD_VALUES = {"point": "component value", "pwo": "sign", "amount": "total amount A"}
 
 
-def _floats(field: str, to_floats, values) -> list:
-    """`to_floats` of each of `values`, values of the run field `field`; a
-    value beyond float range raises InvalidParameter naming the field."""
+def _floats(field: str, to_floats, values):
+    """`to_floats(values)`, values of the run field `field`; a value beyond
+    float range raises InvalidParameter naming the field."""
     try:
-        return [to_floats(value) for value in values]
+        return to_floats(values)
     except OverflowError:
         raise InvalidParameter(
             f"a {_FIELD_VALUES[field]} of the design is too large for a float (over {sys.float_info.max:.4g})"
         ) from None
 
 
-def _point_floats(point) -> list[float]:
-    return [float(v) for v in point.values]
+def _point_floats(points) -> np.ndarray:
+    """The (points, m) floats of DesignPoints: numerator / denominator is
+    the true division `float` of a Fraction makes, so the bits are the
+    same."""
+    return np.array([[v.numerator / v.denominator for v in point.values] for point in points])
+
+
+def _sign_floats(signs) -> np.ndarray:
+    return np.array(signs, dtype=float)
+
+
+def _amount_floats(amounts) -> np.ndarray:
+    return np.array([float(a) for a in amounts])
 
 
 def _check_design(design: Design, spec: ModelSpec) -> None:
@@ -341,8 +367,7 @@ def _check_design(design: Design, spec: ModelSpec) -> None:
     can read: the same m, the kind its terms are in, total-amount levels
     for a mixture-amount spec and sign vectors for a spec with sign
     terms."""
-    if not isinstance(design, Design):
-        raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
+    _require_design(design)
     if not isinstance(spec, ModelSpec):
         raise InvalidParameter(f"spec must be a ModelSpec, got {type(spec).__name__}")
     if design.m != spec.m:
@@ -365,12 +390,12 @@ def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
     apply `code` to the numeric amount factors, and build the terms."""
     _check_design(design, spec)
     comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
-    signs = _field_rows(design, "pwo", tuple) if spec.kind.has_pwo else None
+    signs = _field_rows(design, "pwo", _sign_floats) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
         comps = np.column_stack([code(comps[:, i]) for i in range(spec.m)])
         amounts = None
     else:
-        amounts = code(_field_rows(design, "amount", float))
+        amounts = code(_field_rows(design, "amount", _amount_floats))
     X = term_columns(spec, comps, signs, amounts)
     return ModelMatrix(X=X, col_labels=spec.labels)
 

@@ -23,6 +23,7 @@ from .core import (
     OofARun,
     _as_ints,
     _as_signs,
+    _require_design,
     as_fraction,
     total_amount,
     validate_point,
@@ -167,8 +168,10 @@ def oofa_expand(design: Design) -> Design:
     support are computed once, so runs with the same support and ordering
     share one sign tuple.  A design needs two components to have sign
     factors (and a file with none could not tell its expanded runs from
-    unexpanded ones), so m = 1 is refused.
+    unexpanded ones), so m = 1 is refused.  A `design` that is not a Design
+    raises InvalidParameter.
     """
+    _require_design(design)
     if design.m < 2:
         raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
     if design.is_expanded:
@@ -205,7 +208,8 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     run with its level.  Output is level-major: all runs at the first level,
     then all at the second, and so on.  A level is an int, a Fraction or
     exact text such as ``'3/4'``; a bool, a float or unreadable text raises
-    InvalidParameter."""
+    InvalidParameter, as does a `design` that is not a Design."""
+    _require_design(design)
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("amount crossing applies to proportion designs")
     if design.has_amounts:
@@ -244,7 +248,9 @@ def _exact_amount(what: str, value) -> Fraction:
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
     are unchanged.  Each distinct point and amount is scaled once, so runs
-    that shared a point share its scaled point."""
+    that shared a point share its scaled point.  A `design` that is not a
+    Design raises InvalidParameter."""
+    _require_design(design)
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
     scale = _exact_amount("scale", a_max)
@@ -283,8 +289,7 @@ def validate_design(design: Design) -> None:
     records it (see ``core.Design._of``), so this returns at once for it;
     a design built by calling `Design` is walked.  A `design` that is not a
     Design raises InvalidParameter."""
-    if not isinstance(design, Design):
-        raise InvalidParameter(f"design must be a Design, got {type(design).__name__}")
+    _require_design(design)
     if not design._checked:
         _check_index(design._index, lambda n: f"run {n + 1}")
 

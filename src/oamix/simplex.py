@@ -7,33 +7,72 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import Design, DesignPoint, Kind, total_amount
-from .errors import AlreadyExpanded, DropAllColumns, InvalidDimension, WrongKind, _int_in_range, _iterable
+from .core import Design, DesignPoint, Kind, _require_design, total_amount
+from .errors import (
+    AlreadyExpanded,
+    DropAllColumns,
+    InvalidDimension,
+    InvalidParameter,
+    WrongKind,
+    _int_in_range,
+    _iterable,
+)
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
 
 
+# the most runs a base design may have; its size is counted before it is built
+_MAX_RUNS = 10**7
+
+
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # all nonnegative integer tuples of length `parts` summing to `total`,
-    # ascending lexicographic order
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    # ascending lexicographic order: from (0, ..., 0, total), each next one
+    # moves one unit from the last nonzero entry j > 0 to entry j - 1 and
+    # the rest of entry j to the end
+    comp = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(comp)
+        j = parts - 1
+        while j and not comp[j]:
+            j -= 1
+        if not j:
+            return
+        rest = comp[j] - 1
+        comp[j] = 0
+        comp[j - 1] += 1
+        comp[-1] = rest
+
+
+def _lattice_size_over(m: int, w: int, limit: int) -> bool:
+    """Whether C(m + w - 1, w), the run count of a {m, w} lattice, is over
+    `limit`.  The count is built as C(n - k + i, i) for i = 1..k with
+    k = min(w, m - 1), a product that at least doubles each step, so it
+    stops after about log2(limit) steps for any m and w."""
+    n, k = m + w - 1, min(w, m - 1)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n - k + i) // i
+        if count > limit:
+            return True
+    return False
 
 
 def simplex_lattice(m: int, w: int) -> Design:
     """All proportion vectors with entries in {0, 1/w, ..., w/w} summing to 1.
 
     Points are emitted in ascending lexicographic order of the coordinate
-    tuple; the count is binom(m+w-1, w).
+    tuple; the count is binom(m+w-1, w).  A count over 10^7 (`_MAX_RUNS`)
+    raises InvalidParameter before anything is built.
     """
     m, w = _int_in_range("m", m), _int_in_range("w", w)
     if m < 2 or w < 1:
         raise InvalidDimension(f"need m >= 2 and w >= 1, got m={m}, w={w}")
-    points = [DesignPoint(tuple(Fraction(k, w) for k in comp), Kind.PROPORTION) for comp in _compositions(w, m)]
+    if _lattice_size_over(m, w, _MAX_RUNS):
+        raise InvalidParameter(f"a lattice has C(m + w - 1, w) runs, over the limit of {_MAX_RUNS}, at m={m}, w={w}")
+    # one Fraction per level, shared by every point that holds it
+    levels = [Fraction(k, w) for k in range(w + 1)]
+    points = [DesignPoint(tuple(map(levels.__getitem__, comp)), Kind.PROPORTION) for comp in _compositions(w, m)]
     return _one_run_per_point(m, points)
 
 
@@ -41,11 +80,15 @@ def simplex_centroid(m: int) -> Design:
     """One run per nonempty subset S: value 1/|S| on S and 0 elsewhere.
 
     Subsets are ordered by size, then lexicographically; the count is
-    2**m - 1, ending at the overall centroid (1/m, ..., 1/m).
+    2**m - 1, ending at the overall centroid (1/m, ..., 1/m).  A count over
+    10^7 (`_MAX_RUNS`) raises InvalidParameter before anything is built.
     """
     m = _int_in_range("m", m)
     if m < 2:
         raise InvalidDimension(f"need m >= 2, got m={m}")
+    # 2^m - 1 is counted only for an m whose power is small to build
+    if m > 64 or 2**m - 1 > _MAX_RUNS:
+        raise InvalidParameter(f"a centroid design has 2^m - 1 runs, over the limit of {_MAX_RUNS}, at m={m}")
     points = []
     for size in range(1, m + 1):
         share = Fraction(1, size)
@@ -63,8 +106,10 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     A pure column selection: duplicates created by the projection are kept,
     and deduplication is left to the caller.  Each distinct point of the
     design is projected once, so runs that shared a point share its
-    projection and its total.
+    projection and its total.  A `design` that is not a Design raises
+    InvalidParameter.
     """
+    _require_design(design)
     dropped = frozenset(_int_in_range("drop column", c) for c in _iterable("drop", drop))
     if design.kind is not Kind.PROPORTION:
         raise WrongKind("projection applies to proportion designs")

@@ -1218,3 +1218,9 @@ def test_evaluate_raw_vs_coded_leverages_agree(table2, spec8):
     assert raw.avg_pv == pytest.approx(coded.avg_pv, abs=1e-10)
     # per-term columns legitimately differ between codings
     assert raw.terms[1].se != coded.terms[1].se
+
+
+def test_fds_refuses_a_sample_count_too_large_to_hold(table3, spec6):
+    # the chunk buffers are a fixed size, so only the result cannot be made
+    with pytest.raises(InvalidParameter, match=r"^n_samples=10{30} is too many to hold in memory$"):
+        fds_curve(table3, spec6, 10**30, 1)

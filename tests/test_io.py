@@ -1,7 +1,9 @@
 """Design-file round trips, display rendering, and row validation."""
 
+import json
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from oamix.errors import (
 )
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
+import reader_faults
 from test_distinct_values import built_designs, fresh
 
 
@@ -500,3 +503,89 @@ def test_memoized_checks_agree_with_a_plain_loop(design):
         with pytest.raises(OamixError, match=f"^{where} {idx + offset}: ") as got:
             check(design)
         assert type(got.value) is error
+
+
+_FAULTS = json.loads((Path(__file__).parent / "reader_faults.json").read_text())
+
+
+@pytest.mark.parametrize("name", reader_faults.FILES)
+def test_corrupted_files_get_the_recorded_error(name):
+    # every corruption of the file gets the error class, message and line
+    # (or, when it reads, the written-back design) that were recorded
+    recorded = _FAULTS[name]
+    got = {what: reader_faults.outcome(bad) for what, bad in reader_faults.corruptions(reader_faults.design_text(name))}
+    assert got.keys() == recorded.keys()
+    assert {what: out for what, out in got.items() if out != recorded[what]} == {}
+
+
+# each canonical sign cell, and texts of the same sign the reader also accepts
+_SPELLINGS = {"1": ("+1", "1.0", "2/2", " 1"), "-1": (" -1", "-1.0", "-2/2", "-1 "), "0": ("+0", "0.0", "0/2", " 0 ")}
+
+
+@pytest.mark.parametrize("name", ["m6_crossed", "table3"])
+def test_noncanonical_sign_cells_read_as_the_canonical_design(name):
+    text = reader_faults.design_text(name)
+    lines = text.splitlines()
+    n_signs = sum(col.startswith("z") for col in lines[0].split(","))
+    m = len(lines[0].split(",")) - n_signs - 1
+    respelled = [lines[0]]
+    for row, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        for at in range(m, m + n_signs):
+            # a different spelling per cell and row, the canonical one among them
+            spellings = (cells[at], *_SPELLINGS[cells[at]])
+            cells[at] = spellings[(row + at) % len(spellings)]
+        respelled.append(",".join(cells))
+    noncanonical = "\n".join(respelled) + "\n"
+    assert noncanonical != text
+    canonical = read_design(text)
+    again = read_design(noncanonical)
+    assert again == canonical
+    assert all(type(z) is int for pwo in again._index["pwo"][0] for z in pwo)
+    assert write_design(again) == text
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("2", "line 3: sign entries must be -1, 0 or +1, got 2,1,1"),
+        (" 2", "line 3: sign entries must be -1, 0 or +1, got 2,1,1"),
+        ("2.0", "line 3: sign entries must be -1, 0 or +1, got 2,1,1"),
+        ("1/2", "line 3: sign entries must be integers, got 1/2,1,1"),
+    ],
+)
+def test_noncanonical_sign_cells_that_are_no_sign_are_refused(cell, message):
+    text = f"x1,x2,x3,z12,z13,z23,A\n1/3,1/3,1/3,1,1,1,1\n1/3,1/3,1/3,{cell},1,1,1\n"
+    with pytest.raises(BadPwoValue) as got:
+        read_design(text)
+    assert str(got.value) == message
+
+
+def interned(design: Design) -> Design:
+    """The design rebuilt with one object per distinct value: every equal
+    Fraction, across points and amounts, is the same object."""
+    one: dict[Fraction, Fraction] = {}
+
+    def shared(value: Fraction) -> Fraction:
+        return one.setdefault(value, value)
+
+    runs = tuple(
+        OofARun(
+            DesignPoint(tuple(shared(v) for v in run.point.values), run.point.kind),
+            run.pwo,
+            None if run.amount is None else shared(run.amount),
+        )
+        for run in design.runs
+    )
+    return Design(design.m, design.kind, runs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(built_designs())
+def test_writer_text_does_not_depend_on_value_sharing(design):
+    # the writer renders each distinct value object once per call; equal
+    # values as one shared object or as distinct objects give the same text
+    shared, unshared = interned(design), fresh(design)
+    for decimals in (None, 2):
+        want = per_cell_write(design, decimals)
+        assert write_design(shared, decimals) == write_design(unshared, decimals) == want

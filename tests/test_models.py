@@ -1,6 +1,7 @@
 """Model specs, matrices, and least squares."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -28,6 +29,7 @@ from oamix.errors import (
     SingularInformation,
     UnsupportedReduction,
 )
+from oamix import models
 from oamix.models import coded_model_matrix
 
 
@@ -231,3 +233,40 @@ def test_fit_ols_more_params_than_rows():
 def test_fit_ols_rejects_a_bad_response(y):
     with pytest.raises(InvalidParameter, match="y needs 3 finite values"):
         fit_ols(np.eye(3), y)
+
+
+def test_keep_all_eq6_has_the_most_terms_at_each_m():
+    # the term limit is checked against this count, so no family or
+    # reduction may exceed it
+    for m in range(2, 8):
+        largest = 3 * m * (2 * m - 1)
+        assert build_spec("eq6", m, "keep_all").p == largest
+        for kind, reduction in product(ModelKind, ["cyclic", "keep_all", [(1, (1, 2)), (2, (1, 2))]]):
+            assert build_spec(kind, m, reduction).p <= largest
+
+
+@pytest.mark.parametrize(
+    "kind, m, reduction, message",
+    [
+        ("eq5", 10**400, "cyclic", "a model at m=10{400} may have 59{399}70{400} terms, over the limit of 100000$"),
+        ("eq6", 10**400, "keep_all", "a model at m=10{400} may have "),
+        ("eq8", 10**400, [(1, (1, 2))], "a model at m=10{400} may have "),
+        ("eq1", 130, "cyclic", "a model at m=130 may have 101010 terms, over the limit of 100000$"),
+    ],
+    ids=["eq5_huge", "eq6_keep_all_huge", "eq8_custom_huge", "eq1_just_over"],
+)
+def test_a_spec_over_the_term_limit_is_refused_before_it_is_built(monkeypatch, kind, m, reduction, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(models, "Term", refuse)
+    with pytest.raises(InvalidParameter, match=f"^{message}"):
+        build_spec(kind, m, reduction)
+
+
+def test_the_term_limit_admits_an_m_of_its_size(monkeypatch):
+    # 3m(2m - 1) is 45 at m = 3 and 84 at m = 4
+    monkeypatch.setattr(models, "_MAX_TERMS", 45)
+    assert build_spec("eq6", 3, "keep_all").p == 45
+    with pytest.raises(InvalidParameter, match="^a model at m=4 may have 84 terms, over the limit of 45$"):
+        build_spec("eq1", 4)

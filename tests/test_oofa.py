@@ -19,11 +19,13 @@ from oamix import (
     oofa_expand,
     ordering_from_pwo,
     pwo_from_ordering,
+    project_columns,
     pwo_pairs,
     scale_amounts,
     simplex_centroid,
     simplex_lattice,
     validate_design,
+    write_design,
 )
 from oamix.errors import (
     AlreadyExpanded,
@@ -331,3 +333,20 @@ def test_pwo_zero_masking(case):
     for (j, k), sign in zip(pwo_pairs(point.m), z):
         masked = min(point.values[j - 1], point.values[k - 1]) == 0
         assert (sign == 0) == masked
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: oofa_expand(None), "design must be a Design, got NoneType"),
+        (lambda: cross_amounts(None, [1]), "design must be a Design, got NoneType"),
+        (lambda: scale_amounts(None, 2), "design must be a Design, got NoneType"),
+        (lambda: project_columns(None, {1}), "design must be a Design, got NoneType"),
+        (lambda: write_design(object()), "design must be a Design, got object"),
+        (lambda: oofa_expand(simplex_lattice(3, 2).runs), "design must be a Design, got tuple"),
+    ],
+    ids=["expand", "cross", "scale", "project", "write", "expand_runs"],
+)
+def test_design_transforms_refuse_what_is_not_a_design(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()

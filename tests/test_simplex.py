@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from oamix import Kind, project_columns, simplex_centroid, simplex_lattice
+from oamix import Kind, project_columns, simplex, simplex_centroid, simplex_lattice
 from oamix.errors import AlreadyExpanded, DropAllColumns, InvalidDimension, InvalidParameter, WrongKind
 from oamix.oofa import cross_amounts, oofa_expand
 
@@ -173,3 +173,84 @@ def test_projection_refuses_a_crossed_design():
 def test_integer_arguments_must_be_integers(build, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         build()
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def test_compositions_are_in_ascending_order():
+    for total, parts in product(range(0, 6), range(1, 7)):
+        assert list(simplex._compositions(total, parts)) == list(_recursive_compositions(total, parts)), (total, parts)
+
+
+def test_compositions_of_many_parts_need_no_recursion():
+    # one part per component: a recursive walk would pass Python's
+    # recursion limit here
+    comps = list(simplex._compositions(1, 3000))
+    assert len(comps) == 3000
+    assert comps[0][-1] == comps[-1][0] == 1 and sum(map(sum, comps)) == 3000
+
+
+def test_lattice_size_is_counted_exactly_at_the_limit():
+    for m, w in product(range(2, 30), range(1, 30)):
+        count = comb(m + w - 1, w)
+        for limit in (count - 1, count, 10**7):
+            assert simplex._lattice_size_over(m, w, limit) == (count > limit), (m, w, limit)
+
+
+@pytest.fixture
+def no_building(monkeypatch):
+    """Make building any base design fail, so that a refusal is shown to
+    come from the count alone."""
+
+    def refuse(*args):
+        raise AssertionError("a base design was built")
+
+    monkeypatch.setattr(simplex, "_compositions", refuse)
+    monkeypatch.setattr(simplex, "combinations", refuse)
+
+
+_LATTICE_OVER = r"a lattice has C\(m \+ w - 1, w\) runs, over the limit of 10000000, "
+_CENTROID_OVER = r"a centroid design has 2\^m - 1 runs, over the limit of 10000000, "
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: simplex_lattice(10**400, 2), _LATTICE_OVER + "at m=10{400}, w=2"),
+        (lambda: simplex_lattice(3, 10**400), _LATTICE_OVER + "at m=3, w=10{400}"),
+        (lambda: simplex_lattice(10**400, 10**400), "a lattice has C"),
+        (lambda: simplex_lattice(3, 4471), "a lattice has C"),
+        (lambda: simplex_centroid(10**400), _CENTROID_OVER + "at m=10{400}$"),
+        (lambda: simplex_centroid(24), _CENTROID_OVER + "at m=24$"),
+    ],
+    ids=["lattice_huge_m", "lattice_huge_w", "lattice_huge_both", "lattice_just_over", "centroid_huge_m",
+         "centroid_just_over"],
+)
+def test_a_base_design_over_the_size_limit_is_refused_before_it_is_built(no_building, build, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}"):
+        build()
+
+
+def test_the_size_limit_admits_a_design_of_its_size(monkeypatch):
+    # C(4, 2) = 6 and C(5, 3) = 10 runs; 2^3 - 1 = 7 and 2^4 - 1 = 15 runs
+    monkeypatch.setattr(simplex, "_MAX_RUNS", 10)
+    assert len(simplex_lattice(3, 2)) == 6
+    assert len(simplex_lattice(3, 3)) == 10
+    assert len(simplex_centroid(3)) == 7
+    with pytest.raises(InvalidParameter):
+        simplex_lattice(3, 4)
+    with pytest.raises(InvalidParameter):
+        simplex_centroid(4)
+
+
+def test_lattice_points_share_one_fraction_per_level():
+    design = simplex_lattice(4, 3)
+    values = {id(v) for run in design.runs for v in run.point.values}
+    assert len(values) == 4
