@@ -21,7 +21,7 @@ on whether amounts are expressed in unit or physical scales.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from numbers import Real
 from statistics import NormalDist
@@ -540,19 +540,35 @@ def _row_sums(e: np.ndarray) -> np.ndarray:
 
 
 def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str, draws=None):
-    """One chunk's proportions x and order keys, each (n, m), continuous
-    signs (or None) and amounts.  x and keys are drawn into the two flat
-    buffers of `draws`, each of at least n * m floats, when it is given;
-    the stream and the bits do not depend on it."""
+    """One chunk's proportions x and order keys, continuous signs and amounts.
+
+    x and the keys are (n, m) F-ordered views of (m, n) column buffers, so
+    every later step reads a component's samples as one contiguous column.
+    The exponentials and the keys are drawn in stream order into one
+    C-ordered scratch buffer and each is moved into its columns by one
+    strided pass: x as e[:, i] / s, with s the `_row_sums` of the draw.
+    Under continuous signs the keys are None: nothing reads them, so the
+    stream is advanced past the n * m doubles they would take (PCG64 spends
+    one 64-bit output per double), and the signs and amounts that follow
+    are those of a draw.  The signs are an (n, pairs) C-ordered array, or
+    None under orderings.  `draws` holds the scratch, x and key buffers,
+    each of at least n * m floats; when it is None they are fresh.  The
+    stream and the bits do not depend on it."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    e_buf, key_buf = draws if draws is not None else (np.empty(n * m), np.empty(n * m))
+    scratch, x_buf, key_buf = draws if draws is not None else np.empty((3, n * m))
     # exponential spacings: normalized iid exponentials are uniform on the simplex
-    x = rng.standard_exponential(out=e_buf[: n * m].reshape(n, m))
-    x /= _row_sums(x)[:, None]
-    keys = rng.random(out=key_buf[: n * m].reshape(n, m))
+    e = rng.standard_exponential(out=scratch[: n * m].reshape(n, m))
+    s = _row_sums(e)
+    x = x_buf[: n * m].reshape(m, n).T
+    for i in range(m):
+        np.divide(e[:, i], s, out=x[:, i])
     if sign_policy == "continuous":
+        rng.bit_generator.advance(n * m)
+        keys = None
         signs = rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2))
     else:
+        keys = key_buf[: n * m].reshape(m, n).T
+        keys[...] = rng.random(out=scratch[: n * m].reshape(n, m))
         signs = None
     if isinstance(policy, DiscreteAmounts):
         levels = np.asarray(policy.levels, dtype=float)
@@ -578,9 +594,11 @@ def _pair_signs(m: int, comps, keys, signs, z):
         z = np.empty((len(pairs), len(comps))).T
     for c, (j, k) in enumerate(pairs):
         if signs is None:
-            # j before k when its key is smaller; a tie goes to the lower
-            # index, as a stable argsort of the keys would rank it
-            np.subtract(1.0, 2.0 * (keys[:, j] > keys[:, k]), out=z[:, c])
+            # j before k (+1) when its key is smaller: the sign of k's key
+            # minus j's.  A tie goes to the lower index, as a stable argsort
+            # of the keys would rank it, since x - x is +0
+            np.subtract(keys[:, k], keys[:, j], out=z[:, c])
+            np.copysign(1.0, z[:, c], out=z[:, c])
         else:
             z[:, c] = signs[:, c]
         if masked:
@@ -589,34 +607,19 @@ def _pair_signs(m: int, comps, keys, signs, z):
     return z
 
 
-def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=None) -> np.ndarray:
+def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=None, comps=None) -> np.ndarray:
     """The model rows of one chunk of samples, written into `out` (an
     F-ordered (n, p) array) or into a fresh array of that layout, so BLAS
     sees one layout for every chunk whether or not a buffer is reused.
     `z` is the sign buffer of `_pair_signs`; a model without order factors
-    uses no signs."""
-    comps = x * amounts[:, None] if spec.kind.uses_amounts else x
+    uses no signs.  A component-amount model's amounts x * A are written
+    into `comps`, an (n, m) array of contiguous columns, or a fresh one."""
+    comps = np.multiply(x, amounts[:, None], out=comps) if spec.kind.uses_amounts else x
     if spec.kind.has_pwo:
         signs = _pair_signs(spec.m, comps, keys, signs, z)
     if out is None:
         out = np.empty((spec.p, len(amounts))).T
     return term_columns(spec, comps, signs, amounts, out=out)
-
-
-def _amount_degree(spec: ModelSpec) -> int:
-    """T when the spec's terms are one list of terms in proportions and
-    signs repeated, in consecutive blocks, for amount powers t = 0, ..., T
-    with T >= 1, as eq1, eq2, eq5 and eq6 are; 0 otherwise.  A model in
-    component amounts never qualifies: its terms take the amounts apart."""
-    top = max((term.amount_power for term in spec.terms), default=0)
-    q, rest = divmod(spec.p, top + 1)
-    if spec.kind.uses_amounts or not top or rest:
-        return 0
-    base = spec.terms[:q]
-    for t in range(top + 1):
-        if spec.terms[t * q : (t + 1) * q] != tuple(replace(term, amount_power=t) for term in base):
-            return 0
-    return top
 
 
 def _value_ids(values) -> np.ndarray:
@@ -663,7 +666,9 @@ def _crossed_base(design: Design, values: list) -> np.ndarray | None:
 
 def _amount_powers(amounts: np.ndarray, degree: int, out=None) -> np.ndarray:
     """The (n, degree + 1) matrix of 1, A, ..., A^degree, each power taken as
-    `term_columns` takes it, written into `out` when one is given."""
+    `term_columns` takes it, written into `out` when one is given (the FDS
+    loop's is F-ordered, so each power is one contiguous store) and into a
+    new C-ordered array otherwise."""
     V = np.empty((amounts.size, degree + 1)) if out is None else out
     V[:, 0] = 1.0
     for t in range(1, degree + 1):
@@ -677,10 +682,10 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
 
     The design and spec are checked first, as `model_matrix` checks them.
     The path: the spec's terms are a base list times the powers of A
-    (`_amount_degree`) and the design crosses one multiset of base runs with
-    its amount levels (`_crossed_base`).  The full model matrix X is then
-    X_A (x) X_base up to the order of its rows, so M = M_A (x) M_base and
-    M^{-1} = M_A^{-1} (x) M_base^{-1}.  X_base is built by `term_columns`
+    (`ModelSpec._amount_degree`) and the design crosses one multiset of
+    base runs with its amount levels (`_crossed_base`).  The full model
+    matrix X is then X_A (x) X_base up to the order of its rows, so
+    M = M_A (x) M_base and M^{-1} = M_A^{-1} (x) M_base^{-1}.  X_base is built by `term_columns`
     from the first level's runs alone: cell for cell, the t = 0 columns of
     those rows of X.  X_A is the levels x (T + 1) Vandermonde matrix of the
     design's distinct levels.  Coding recodes only A, so both codings share
@@ -695,7 +700,7 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     below RCOND_FLOOR, and when a base column is constant, so that whether
     a column's R^2 is NaN is read from the cells of the full matrix."""
     _check_design(design, spec)
-    degree = _amount_degree(spec)
+    degree = spec._amount_degree
     if not degree:
         return None
     # each distinct point is converted once: to exact pairs for its value
@@ -801,21 +806,29 @@ def fds_curve(
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple on
     one BLAS build (another build may pick other kernels and move the last
-    bits).  One call allocates, for chunks of c = min(8192, n_samples)
-    samples, buffers it reuses for every chunk: two of c * m floats that
-    the exponentials and the order keys are drawn into, an F-ordered
-    (c, pairs) sign buffer, one flat row buffer of p * c floats and a
-    C-ordered product buffer of min(2049, c) rows, so no chunk makes a
-    large allocation.  The n_samples result, which the curve keeps, is
-    allocated after them; an n_samples too large to allocate raises
-    InvalidParameter.  Each chunk's rows are built once, as a
-    column-contiguous (F-ordered) view of the row buffer, so each
-    model column is written with one contiguous store; their products are
-    then formed in blocks of 2048 rows, whose product buffer stays in a
-    2 MB L2 cache at p = 36.  A one-row tail joins the block before it:
-    numpy hands a one-row product to gemv, whose bits can differ from
-    gemm's.  The returned curve owns its array and shares no memory with
-    another.
+    bits).  Every per-sample array of a chunk is laid out in columns: the
+    proportions, the order keys, the component amounts, the signs drawn
+    from the keys, the model rows and the powers of A are (c, k) F-ordered
+    views of (k, c) buffers, so each step reads and writes a component's
+    or a column's samples as one contiguous run.  One call allocates, for
+    chunks of c = min(8192, n_samples) samples, buffers it reuses for
+    every chunk: a C-ordered scratch of c * m floats that the exponentials
+    and then the order keys are drawn into, in stream order, and column
+    buffers of c * m floats each for the proportions, the keys and the
+    component amounts; a (c, pairs) sign buffer; one flat row buffer of
+    p * c floats; and a C-ordered product buffer of min(2049, c) rows, so
+    no chunk makes a large allocation.  Under continuous signs nothing
+    reads the order keys, so the stream is advanced past them rather than
+    drawn (see `_sample_chunk`); the signs and amounts are those of a
+    draw.  The n_samples result, which the curve keeps, is allocated after
+    the buffers; an n_samples too large to allocate raises
+    InvalidParameter.  Each chunk's rows are built once, as a view of the
+    row buffer, so each model column is written with one contiguous
+    store; their products are then formed in blocks of 2048 rows, whose
+    product buffer stays in a 2 MB L2 cache at p = 36.  A one-row tail
+    joins the block before it: numpy hands a one-row product to gemv,
+    whose bits can differ from gemm's.  The returned curve owns its array
+    and shares no memory with another.
 
     A mixture-amount spec whose terms are one base list times A^t for
     t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one whose amount
@@ -831,8 +844,9 @@ def fds_curve(
     small factor raises, or the product of their reciprocal conditions,
     which is the full matrix's, is below 1e-10), so the errors are those
     of every other path.  The row and
-    product buffers are then q wide, not p, and d_A takes two (c, T + 1)
-    buffers and one of c floats.
+    product buffers are then q wide, not p, and d_A takes a column buffer
+    of the (c, T + 1) powers of A, a C-ordered one for their product and
+    one of c floats.
     Any other spec or design takes the full rows.
 
     `workers` must be at least 1 and is otherwise unused: the chunks run
@@ -858,12 +872,14 @@ def fds_curve(
     m, p = spec.m, row_spec.p
     chunk = min(_FDS_CHUNK, n_samples)
     # the scratch first, the result the curve keeps last
-    draws = (np.empty(chunk * m), np.empty(chunk * m))
+    draws = np.empty((3, chunk * m))
+    comps = np.empty((m, chunk)).T
     z = np.empty((m * (m - 1) // 2, chunk)).T
     rows = np.empty(p * chunk)
     work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
     if degree:
-        (powers, powers_work), d_amount = np.empty((2, chunk, degree + 1)), np.empty(chunk)
+        powers, powers_work = np.empty((degree + 1, chunk)).T, np.empty((chunk, degree + 1))
+        d_amount = np.empty(chunk)
     try:
         variances = np.empty(n_samples)
     except (ValueError, MemoryError):
@@ -872,7 +888,7 @@ def fds_curve(
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws)
         out = rows[: p * count].reshape(p, count).T
-        F = _rows_from_samples(row_spec, x, keys, signs, amounts, out=out, z=z[:count])
+        F = _rows_from_samples(row_spec, x, keys, signs, amounts, out=out, z=z[:count], comps=comps[:count])
         for lo, hi in _blocks(count):
             fac.pv(F[lo:hi], out=variances[start + lo : start + hi], work=work[: hi - lo])
         if degree:

@@ -37,7 +37,7 @@ from itertools import product
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
-from .oofa import _check_index, pwo_pairs
+from .oofa import _check_index, _check_sign_counts, pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -107,8 +107,9 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     object is formatted once per call, keyed by its id (the design holds
     every value alive while the call runs, so no id is reused).  Equal
     values held as one object or as many give the same text.  A design
-    with no runs is refused, as the reader refuses its text, and a
-    `design` that is not a Design raises InvalidParameter."""
+    with no runs is refused, as the reader refuses its text, so is one
+    whose sign tuples do not hold one sign per pair (InconsistentPwo), and
+    a `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
@@ -116,6 +117,8 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     if not len(design):
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
+    if with_signs:
+        _check_sign_counts(design)
     # each distinct value object's text, by id: the design holds every
     # value alive for the call, so no id is reused while the dict lives
     texts: dict[int, str] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, reduce
 
@@ -40,7 +40,7 @@ from .errors import (
     _int_in_range,
     _iterable,
 )
-from .oofa import pwo_pairs
+from .oofa import _check_sign_counts, pwo_pairs
 
 __all__ = [
     "ModelKind",
@@ -127,22 +127,44 @@ class ModelSpec:
     def comp_symbol(self) -> str:
         return "a" if self.kind.uses_amounts else "x"
 
-    @property
+    # facts of the terms, computed on first use and kept in the instance
+    # dict: the fields alone make `==`, `hash`, `repr` and a `replace`
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(term.label(self.comp_symbol) for term in self.terms)
 
+    @cached_property
+    def _amount_degree(self) -> int:
+        """T when the terms are one list of terms in proportions and signs
+        repeated, in consecutive blocks, for amount powers t = 0, ..., T
+        with T >= 1, as eq1, eq2, eq5 and eq6 are; 0 otherwise.  A model in
+        component amounts never qualifies: its terms take the amounts
+        apart."""
+        top = max((term.amount_power for term in self.terms), default=0)
+        q, rest = divmod(self.p, top + 1)
+        if self.kind.uses_amounts or not top or rest:
+            return 0
+        base = self.terms[:q]
+        for t in range(top + 1):
+            if self.terms[t * q : (t + 1) * q] != tuple(replace(term, amount_power=t) for term in base):
+                return 0
+        return top
+
 
 def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    if reduction is None or reduction == "cyclic":
-        return tuple((i, tuple(sorted((i, i % m + 1)))) for i in range(1, m + 1))
-    if reduction == "keep_all":
-        out = []
-        for i in range(1, m + 1):
-            for j, k in pwo_pairs(m):
-                if i in (j, k):
-                    out.append((i, (j, k)))
-        return tuple(out)
-    if isinstance(reduction, str) or not isinstance(reduction, Iterable):
+    """A reduction's (component, pair) entries.  Only text is compared to
+    the rule names; a numpy array is read as its nested lists, so it is
+    judged as the equal list is."""
+    if isinstance(reduction, np.ndarray):
+        reduction = reduction.tolist()
+    if reduction is None or isinstance(reduction, str):
+        if reduction in (None, "cyclic"):
+            return tuple((i, tuple(sorted((i, i % m + 1)))) for i in range(1, m + 1))
+        if reduction == "keep_all":
+            return tuple((i, (j, k)) for i in range(1, m + 1) for j, k in pwo_pairs(m) if i in (j, k))
+        raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
+    if not isinstance(reduction, Iterable):
         raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
     out = []
     seen = set()
@@ -365,8 +387,8 @@ def _amount_floats(amounts) -> np.ndarray:
 def _check_design(design: Design, spec: ModelSpec) -> None:
     """Raise unless `design` is a Design whose shape the ModelSpec `spec`
     can read: the same m, the kind its terms are in, total-amount levels
-    for a mixture-amount spec and sign vectors for a spec with sign
-    terms."""
+    for a mixture-amount spec and, for a spec with sign terms, sign
+    vectors of one sign per pair (checked once per distinct tuple)."""
     _require_design(design)
     if not isinstance(spec, ModelSpec):
         raise InvalidParameter(f"spec must be a ModelSpec, got {type(spec).__name__}")
@@ -380,8 +402,10 @@ def _check_design(design: Design, spec: ModelSpec) -> None:
             raise KindMismatch(f"{spec.kind.value} needs a proportion design")
         if not design.has_amounts:
             raise MissingAmount(f"{spec.kind.value} needs total-amount levels; the design carries none")
-    if spec.kind.has_pwo and not design.is_expanded:
-        raise MissingPwo("spec has sign terms but the design carries no orderings")
+    if spec.kind.has_pwo:
+        if not design.is_expanded:
+            raise MissingPwo("spec has sign terms but the design carries no orderings")
+        _check_sign_counts(design)
 
 
 def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:

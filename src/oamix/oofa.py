@@ -338,6 +338,20 @@ def _check_index(index: dict, where) -> None:
             raise located(where(n), exc) from exc
 
 
+def _check_sign_counts(design: Design) -> None:
+    """Raise InconsistentPwo, with `_check_index`'s message, at the first
+    distinct sign tuple of an expanded design that does not hold one sign
+    for each pair of its m components.  A design valid at birth has passed
+    `_check_index`, so its tuples are not counted again."""
+    if design._checked:
+        return
+    m = design.m
+    pairs = m * (m - 1) // 2
+    count = next((len(pwo) for pwo in design._index["pwo"][0] if len(pwo) != pairs), None)
+    if count is not None:
+        raise InconsistentPwo(f"{count} signs for the pairs of {m} components")
+
+
 def _first_runs(keys) -> set[int]:
     """The position (0-based) of each key's first run in `keys`."""
     keys = list(keys)

@@ -770,6 +770,33 @@ def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
     assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "table, eq, kwargs, digest",
+    [
+        ("table3", "eq6", {}, "abf931ad082bde7ea1e9bd43e0176fe289b5d1f3992f03e6cabfa075dad6b447"),
+        ("table5", "eq8", {}, "dbcf9c8cbe3dcb868704070de7ea0fa6984a5c55a619c425171ec70d8453fa1b"),
+        ("table5", "eq8", {"sign_policy": "continuous"},
+         "801a955db4e0a87b0cdd9ce61f07ff2cf1d61cb30a3f5bf1f14fcc2fb642a6bd"),
+        ("table3", "eq6", {"amount_policy": DiscreteAmounts((0.75, 1.5, 3.0))},
+         "aaa8cc8a855eb183a83d968e390c21a4a98059edec39cc4b282a7bd715561c70"),
+        ("table5", "eq8", {"sign_policy": "continuous", "amount_policy": DiscreteAmounts((0.0, 250.0, 500.0))},
+         "eddf3957749bcd26f30893230927d9c65d6939125becb7df47c74a45819df586"),
+        ("m8_crossed", "eq5", {}, "2bc5501d3cc0ca901b02bf774d65df7dcd30db81ac40b15e13fc701fb003fd68"),
+        ("m8_crossed", "eq5", {"sign_policy": "continuous"},
+         "64cf00d7d560fe11df6fef2ff9d1382ec078409bfe79f48dd62125a13c07933e"),
+    ],
+    ids=["table3-eq6-orderings", "table5-eq8-orderings", "table5-eq8-continuous-signs",
+         "table3-eq6-discrete-amounts", "table5-eq8-continuous-signs-discrete-with-0",
+         "m8-eq5-orderings", "m8-eq5-continuous-signs"],
+)
+def test_fds_text_is_pinned(request, table, eq, kwargs, digest):
+    # the benchmark's four paper-study curves, zero-masked continuous signs,
+    # and an m = 8 design, whose row sums take numpy's 8-lane adds
+    design = request.getfixturevalue(table)
+    curve = fds_curve(design, build_spec(eq, design.m), n_samples=20000, seed=7, **kwargs)
+    assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
+
+
 def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, general=False):
     """The FDS chunk loop with fresh arrays for every chunk, sorted after one
     concatenate: the reference for `fds_curve`'s reused buffers.  Where the
@@ -833,13 +860,17 @@ def test_fds_buffered_loop_matches_fresh_arrays(request, table, eq, m, discrete,
 
 
 def _reference_sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str):
-    """The FDS sampler with fresh arrays and numpy's row sums: the reference
-    for `_sample_chunk`'s buffers and column adds."""
+    """The FDS sampler with fresh C-ordered arrays and numpy's row sums: the
+    reference for `_sample_chunk`'s buffers, column layout and column adds.
+    It draws the order keys under continuous signs too, and returns None
+    for them, so a match shows that advancing the stream past them is the
+    same as drawing them."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     e = rng.standard_exponential((n, m))
     x = e / e.sum(axis=1, keepdims=True)
     keys = rng.random((n, m))
     if sign_policy == "continuous":
+        keys = None
         signs = rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2))
     else:
         signs = None
@@ -863,13 +894,15 @@ def _same_bits(a, b) -> bool:
 )
 @pytest.mark.parametrize("m", range(2, 10))
 def test_sample_chunk_matches_fresh_reference(m, policy, sign_policy):
-    draws = (np.empty(_FDS_CHUNK * m), np.empty(_FDS_CHUNK * m))
+    draws = np.empty((3, _FDS_CHUNK * m))
     for index, n in ((0, _FDS_CHUNK), (3, 1), (5, 777)):
         want = _reference_sample_chunk(11, index, n, m, policy, sign_policy)
         for buffers in (None, draws):
             got = _sample_chunk(11, index, n, m, policy, sign_policy, buffers)
             for a, b in zip(got, want):
                 assert (a is None and b is None) or _same_bits(a, b), (m, index, n)
+            # every component's samples are one contiguous column
+            assert all(a is None or a.ndim == 1 or a.flags.f_contiguous for a in got[:2]), (m, index, n)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -894,6 +927,19 @@ def test_pair_signs_match_where_and_masks(m, sign_policy):
     got = _pair_signs(m, comps, keys, signs, z)
     assert got is z and _same_bits(got, want)
     assert np.all(got[amounts == 0] == 0)
+
+
+def test_pair_signs_rank_a_tie_to_the_lower_index():
+    # an order key tie is ranked as a stable argsort ranks it: the lower
+    # component first, so its sign is +1
+    keys = np.array([[0.5, 0.5, 0.25], [0.0, 0.0, 0.0], [0.75, 0.25, 0.75]])
+    comps = np.ones((3, 3))
+    want = np.array([[1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    got = _pair_signs(3, comps, np.asfortranarray(keys), None, None)
+    assert _same_bits(got, want)
+    ranks = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1)
+    j, k = np.array(pwo_pairs(3)).T - 1
+    assert _same_bits(got, np.where(ranks[:, j] < ranks[:, k], 1.0, -1.0))
 
 
 def test_blocks_join_a_one_row_tail():

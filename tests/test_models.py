@@ -1,5 +1,7 @@
 """Model specs, matrices, and least squares."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -13,15 +15,19 @@ from oamix import (
     ModelKind,
     build_spec,
     cross_amounts,
+    evaluate_design,
+    fds_curve,
     fit_ols,
     leverages,
     model_matrix,
     ordering_from_pwo,
     pwo_from_ordering,
     simplex_lattice,
+    write_design,
 )
 from oamix.core import Design, OofARun
 from oamix.errors import (
+    InconsistentPwo,
     InvalidParameter,
     KindMismatch,
     MissingAmount,
@@ -101,6 +107,42 @@ def test_reduction_rules():
         build_spec("eq8", 3, reduction=[(1, (1, 2)), (1, (1, 2))])
 
 
+@pytest.mark.parametrize(
+    "reduction, dtype",
+    [([[1, 2]], None), ([1, 2], None), ([[1, 2, 3]], None), ("cyclic", None), (5, None),
+     ([(1, (1, 3)), (2, (2, 3))], object), ([(1, (1, 5))], object)],
+    ids=["pair_row", "flat_pair", "triple_row", "cyclic", "int", "custom", "out_of_range"],
+)
+def test_a_numpy_reduction_is_judged_as_the_equal_list(reduction, dtype):
+    # an array is never compared to a rule name, so numpy raises no
+    # ambiguous-truth ValueError
+    outcomes = []
+    for given in (reduction, np.array(reduction, dtype=dtype)):
+        try:
+            outcomes.append(build_spec("eq6", 3, given))
+        except UnsupportedReduction as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if reduction == [[1, 2]]:
+        assert outcomes[1] == "a reduction entry is (component, (j, k)), got [1, 2]"
+
+
+@pytest.mark.parametrize("eq, m, degree", [("eq6", 3, 2), ("eq5", 6, 1), ("eq8", 3, 0)])
+def test_spec_facts_are_kept_and_leave_equality_hash_pickle_and_replace_alone(eq, m, degree):
+    spec = build_spec(eq, m)
+    twin = build_spec(eq, m)
+    assert spec.labels is spec.labels and spec._amount_degree == degree
+    assert "labels" in vars(spec) and "labels" not in vars(twin)
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec) and copy.labels == spec.labels
+    # a replaced spec computes its own facts, not the original's
+    fewer = dataclasses.replace(spec, terms=spec.terms[:-1])
+    assert "labels" not in vars(fewer) and fewer.labels == spec.labels[:-1]
+    assert fewer._amount_degree == 0
+    assert dataclasses.replace(spec) == spec
+
+
 def test_matrix_shapes(table2, table3, spec6, spec8):
     assert model_matrix(table3, spec6).shape == (63, 36)
     assert model_matrix(table2, spec8).shape == (31, 16)
@@ -136,6 +178,28 @@ def test_matrix_kind_checks(table1, table2, table3, spec6, spec8):
     base = simplex_lattice(3, 3)
     with pytest.raises(MissingPwo):
         model_matrix(cross_amounts(base, [1]), spec6)
+
+
+_SIGN_READERS = {
+    "model_matrix": lambda design: model_matrix(design, build_spec("eq5", 3)),
+    "coded_model_matrix": lambda design: coded_model_matrix(design, build_spec("eq6", 3)),
+    "evaluate_design": lambda design: evaluate_design(design, build_spec("eq5", 3)),
+    "fds_curve": lambda design: fds_curve(design, build_spec("eq6", 3), 100, 1),
+    "write_design": write_design,
+}
+
+
+@pytest.mark.parametrize("reader", list(_SIGN_READERS))
+@pytest.mark.parametrize(
+    "cut, count",
+    [(lambda n, pwo: pwo[:2], 2), (lambda n, pwo: pwo if n % 2 else pwo + (1,), 4)],
+    ids=["all_short", "ragged"],
+)
+def test_sign_tuples_of_the_wrong_length_are_refused(table3, reader, cut, count):
+    runs = [OofARun(run.point, cut(n, run.pwo), run.amount) for n, run in enumerate(table3.runs)]
+    design = Design(3, Kind.PROPORTION, runs)
+    with pytest.raises(InconsistentPwo, match=f"^{count} signs for the pairs of 3 components$"):
+        _SIGN_READERS[reader](design)
 
 
 @pytest.mark.parametrize(
