@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from numbers import Real
 from operator import attrgetter
@@ -77,6 +78,10 @@ def _as_signs(values) -> tuple[int, ...]:
     return _as_ints(values, BadPwoValue, "sign")
 
 
+# the one entry type of a tuple of exact ints
+_INT = frozenset((int,))
+
+
 def _as_ints(values, error: type, what: str) -> tuple[int, ...]:
     """`values` as a tuple of ints, raising `error` about the `what`
     entries unless each is a real number equal to an integer, and
@@ -84,7 +89,7 @@ def _as_ints(values, error: type, what: str) -> tuple[int, ...]:
     comes back as it is, unconverted."""
     if not isinstance(values, tuple):
         values = tuple(_iterable(what, values))
-    if all(type(z) is int for z in values):
+    if _INT.issuperset(map(type, values)):
         return values
     if not all(isinstance(z, Real) and _is_integer(z) for z in values):
         raise error(f"{what} entries must be integers, got {','.join(map(str, values))}")
@@ -110,13 +115,23 @@ class DesignPoint:
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
         object.__setattr__(self, "kind", _as_kind(self.kind))
 
+    @classmethod
+    def _of(cls, values: tuple[Fraction, ...], kind: Kind) -> DesignPoint:
+        """A point of a tuple of Fractions and a Kind, which `__post_init__`
+        would keep as they are; it skips that walk.  Only the reader, whose
+        values are decoded Fractions, calls it."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "values", values)
+        object.__setattr__(point, "kind", kind)
+        return point
+
     @property
     def m(self) -> int:
         return len(self.values)
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero coordinates, ascending."""
-        return tuple(i for i, v in enumerate(self.values, start=1) if v != 0)
+        return tuple(compress(range(1, len(self.values) + 1), self.values))
 
 
 @dataclass(frozen=True)
@@ -140,8 +155,7 @@ class OofARun:
     amount: Fraction | None = None
 
     def __post_init__(self):
-        if not isinstance(self.point, DesignPoint):
-            raise InvalidParameter(f"point must be a DesignPoint, got {type(self.point).__name__}")
+        _require_point(self.point)
         if self.pwo is not None:
             object.__setattr__(self, "pwo", _as_signs(self.pwo))
         if self.amount is not None:
@@ -310,29 +324,49 @@ def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:
     return f"{m} {kind.value} components, {'with' if signs else 'no'} signs, {'with' if amount else 'no'} A"
 
 
+def _require_point(point) -> None:
+    """InvalidParameter naming the type of a `point` that is not a DesignPoint."""
+    if not isinstance(point, DesignPoint):
+        raise InvalidParameter(f"point must be a DesignPoint, got {type(point).__name__}")
+
+
 def validate_point(point: DesignPoint) -> None:
     """Raise unless the point satisfies its kind's constraints: entries are
     nonnegative, and proportions sum to exactly 1.  Signs are read from the
-    numerators and the sum is taken exactly over one common denominator."""
-    for i, v in enumerate(point.values, start=1):
-        if v.numerator < 0:
-            raise NegativeEntry(f"component {i} is negative: {v}")
-    if point.kind is Kind.PROPORTION:
-        numerator, denominator = _exact_sum(point.values)
-        if numerator != denominator:
-            raise SumNotOne(f"proportions sum to {Fraction(numerator, denominator)}, expected exactly 1")
+    numerators and the sum is taken exactly over one common denominator.
+    A `point` that is not a DesignPoint raises InvalidParameter."""
+    _require_point(point)
+    _point_facts(point)
 
 
 def total_amount(point: DesignPoint) -> Fraction:
-    """Exact total of an amount-kind point."""
+    """Exact total of an amount-kind point.  A `point` that is not a
+    DesignPoint raises InvalidParameter."""
+    _require_point(point)
     if point.kind is not Kind.AMOUNT:
         raise WrongKind("total_amount applies to amount-kind points")
-    return Fraction(*_exact_sum(point.values))
+    return Fraction(*_exact_sum([v.as_integer_ratio() for v in point.values]))
 
 
-def _exact_sum(values: tuple[Fraction, ...]) -> tuple[int, int]:
-    """The sum of `values` as a numerator over the least common denominator,
-    not reduced: one integer sum, where adding Fractions one by one would
-    reduce every partial sum."""
-    denominator = lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (denominator // v.denominator) for v in values), denominator
+def _point_facts(point: DesignPoint) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The support of a point that passes `validate_point`, and the exact
+    sum of its values (see `_exact_sum`), all from one read of their
+    numerators and denominators; the error of `validate_point` for a point
+    that does not pass."""
+    ratios = [v.as_integer_ratio() for v in point.values]
+    # the least ratio has the least numerator
+    if ratios and min(ratios)[0] < 0:
+        i = next(i for i, (numerator, _) in enumerate(ratios) if numerator < 0)
+        raise NegativeEntry(f"component {i + 1} is negative: {point.values[i]}")
+    numerator, denominator = _exact_sum(ratios)
+    if point.kind is Kind.PROPORTION and numerator != denominator:
+        raise SumNotOne(f"proportions sum to {Fraction(numerator, denominator)}, expected exactly 1")
+    return tuple(compress(range(1, len(ratios) + 1), [n for n, _ in ratios])), (numerator, denominator)
+
+
+def _exact_sum(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions n/d of (n, d) `ratios` as a numerator over
+    their least common denominator, not reduced: one integer sum, where
+    adding Fractions one by one would reduce every partial sum."""
+    denominator = lcm(*(d for _, d in ratios))
+    return sum(n * (denominator // d) for n, d in ratios), denominator

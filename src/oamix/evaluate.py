@@ -51,7 +51,7 @@ from .models import (
     model_matrix,
     term_columns,
 )
-from .oofa import pwo_pairs
+from .oofa import _pwo_pairs
 
 __all__ = [
     "leverages",
@@ -204,8 +204,18 @@ def prediction_variance(X, f) -> float:
 
 
 def g_efficiency(p: int, n: int, max_pv: float) -> float:
-    """100 p / (N max d); equals 100 exactly when max d is p/N."""
-    return 100.0 * p / (n * max_pv)
+    """100 p / (N max d); equals 100 exactly when max d is p/N.  Each of
+    `p`, `n` and `max_pv` must be a positive, finite real number (not a
+    bool), and so must the result as a float; anything else raises
+    InvalidParameter."""
+    for name, value in (("p", p), ("n", n), ("max_pv", max_pv)):
+        if not (_is_real(value) and _is_finite(value) and value > 0):
+            raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
+    denominator = n * max_pv
+    g = 100.0 * p / denominator if denominator else math.inf
+    if not math.isfinite(g):
+        raise InvalidParameter(f"g_efficiency of p={p!r}, n={n!r}, max_pv={max_pv!r} is beyond float range")
+    return g
 
 
 def d_criteria(X) -> dict:
@@ -539,7 +549,7 @@ def _row_sums(e: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str, draws=None):
+def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str, draws=None, sign_draws=None):
     """One chunk's proportions x and order keys, continuous signs and amounts.
 
     x and the keys are (n, m) F-ordered views of (m, n) column buffers, so
@@ -551,9 +561,13 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     stream is advanced past the n * m doubles they would take (PCG64 spends
     one 64-bit output per double), and the signs and amounts that follow
     are those of a draw.  The signs are an (n, pairs) C-ordered array, or
-    None under orderings.  `draws` holds the scratch, x and key buffers,
-    each of at least n * m floats; when it is None they are fresh.  The
-    stream and the bits do not depend on it."""
+    None under orderings: uniforms U drawn into `sign_draws`, a buffer of
+    at least n * pairs floats (fresh when None), then doubled and less 1,
+    which is numpy's ``uniform(-1, 1)``, -1 + 2U, bit for bit (2U is
+    exact, so either way the one rounding is that of the sum).  `draws`
+    holds the scratch, x and key buffers, each of at least n * m floats;
+    when it is None they are fresh.  The stream and the bits do not depend
+    on the buffers."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     scratch, x_buf, key_buf = draws if draws is not None else np.empty((3, n * m))
     # exponential spacings: normalized iid exponentials are uniform on the simplex
@@ -565,7 +579,11 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     if sign_policy == "continuous":
         rng.bit_generator.advance(n * m)
         keys = None
-        signs = rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2))
+        pairs = m * (m - 1) // 2
+        buffer = np.empty(n * pairs) if sign_draws is None else sign_draws[: n * pairs]
+        signs = rng.random(out=buffer.reshape(n, pairs))
+        signs *= 2.0
+        signs -= 1.0
     else:
         keys = key_buf[: n * m].reshape(m, n).T
         keys[...] = rng.random(out=scratch[: n * m].reshape(n, m))
@@ -589,7 +607,7 @@ def _pair_signs(m: int, comps, keys, signs, z):
     masked = not comps.all()
     if signs is not None and not masked:
         return signs
-    pairs = np.array(pwo_pairs(m)) - 1
+    pairs = np.array(_pwo_pairs(m)) - 1
     if z is None:
         z = np.empty((len(pairs), len(comps))).T
     for c, (j, k) in enumerate(pairs):
@@ -819,16 +837,17 @@ def fds_curve(
     p * c floats; and a C-ordered product buffer of min(2049, c) rows, so
     no chunk makes a large allocation.  Under continuous signs nothing
     reads the order keys, so the stream is advanced past them rather than
-    drawn (see `_sample_chunk`); the signs and amounts are those of a
-    draw.  The n_samples result, which the curve keeps, is allocated after
-    the buffers; an n_samples too large to allocate raises
-    InvalidParameter.  Each chunk's rows are built once, as a view of the
-    row buffer, so each model column is written with one contiguous
-    store; their products are then formed in blocks of 2048 rows, whose
-    product buffer stays in a 2 MB L2 cache at p = 36.  A one-row tail
-    joins the block before it: numpy hands a one-row product to gemv,
-    whose bits can differ from gemm's.  The returned curve owns its array
-    and shares no memory with another.
+    drawn (see `_sample_chunk`); the signs are drawn as uniforms into one
+    more C-ordered buffer of c * pairs floats and mapped onto (-1, 1) in
+    place, and the amounts are those of a draw.  The n_samples result,
+    which the curve keeps, is allocated after the buffers; an n_samples
+    too large to allocate raises InvalidParameter.  Each chunk's rows are
+    built once, as a view of the row buffer, so each model column is
+    written with one contiguous store; their products are then formed in
+    blocks of 2048 rows, whose product buffer stays in a 2 MB L2 cache at
+    p = 36.  A one-row tail joins the block before it: numpy hands a
+    one-row product to gemv, whose bits can differ from gemm's.  The
+    returned curve owns its array and shares no memory with another.
 
     A mixture-amount spec whose terms are one base list times A^t for
     t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one whose amount
@@ -875,6 +894,7 @@ def fds_curve(
     draws = np.empty((3, chunk * m))
     comps = np.empty((m, chunk)).T
     z = np.empty((m * (m - 1) // 2, chunk)).T
+    sign_draws = np.empty(chunk * (m * (m - 1) // 2)) if sign_policy == "continuous" else None
     rows = np.empty(p * chunk)
     work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
     if degree:
@@ -886,7 +906,7 @@ def fds_curve(
         raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
-        x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws)
+        x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws, sign_draws)
         out = rows[: p * count].reshape(p, count).T
         F = _rows_from_samples(row_spec, x, keys, signs, amounts, out=out, z=z[:count], comps=comps[:count])
         for lo, hi in _blocks(count):

@@ -37,7 +37,7 @@ from itertools import product
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
-from .oofa import _check_index, _check_sign_counts, pwo_pairs
+from .oofa import _check_index, _check_sign_counts, _pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -85,7 +85,7 @@ def _columns(kind: Kind, m: int, with_signs: bool, with_amount: bool) -> list[st
     symbol = "a" if kind is Kind.AMOUNT else "x"
     cols = [f"{symbol}{i}" for i in range(1, m + 1)]
     if with_signs:
-        cols += [f"z{j}{k}" for j, k in pwo_pairs(m)]
+        cols += [f"z{j}{k}" for j, k in _pwo_pairs(m)]
     if with_amount:
         cols.append("A")
     return cols
@@ -172,50 +172,51 @@ def read_design(text: str) -> Design:
     Rational files reproduce the written design exactly, and every design
     returned passes ``validate_design``.  The reader parses the format
     (the header, the width of each row, readable values, integer signs)
-    into the design's index.  A row whose head (its text up to its last
-    comma, or the whole row when there is no A column) repeats an earlier
-    row's reuses that row's point and sign slots and costs one lookup of
-    its A text.  A new head is split once, at its first m commas: its m
-    component cells are the point text and the rest is the sign text, so
-    rows with the same point text share one point, rows with the same sign
-    text share one sign tuple, and rows whose A cells have the same text
-    share one amount; each distinct value is decoded once per file.  The
-    cells of a new sign text map to ints through the table of ``-1``,
-    ``0`` and ``1``; any other cell (``+1``, ``1.0``, ``2/2``, ``1/2``,
-    a cell with spaces) is decoded as a value, once per distinct cell text, and
-    ``_as_signs`` judges each new sign vector.  Parsing stops at the first
-    format fault.  One walk, that of ``validate_design``, then checks the
-    rows before it, so each distinct point, (point, A) pair and (point,
-    signs) pair is checked once, and the format fault is raised only when
-    those rows pass.  An error names the physical line of the first faulty row as
-    ``line N: ...`` and keeps its class (sign-order faults are
-    InconsistentPwoRow).  The returned design is stored as its index and
-    makes its runs only when they are asked for.  It is valid at birth and
-    records it, so ``validate_design`` returns at once for it and the
-    walk is not repeated.  A `text` that is not a str raises
-    InvalidParameter.
+    into the design's index, at the cost of the file's distinct texts.
+    The per-row work is bulk passes: one ``rpartition`` per row splits off
+    the A cell, leaving the row's head (the whole row when there is no A
+    column); ``dict.fromkeys`` takes the distinct heads and A cells in
+    the order they first appear; and each row's slots are looked up from
+    its head and its A cell.  Only the distinct texts are parsed one by
+    one.  A head is split once, at its first m commas: its m component
+    cells are the point text and the rest is the sign text, so rows with
+    the same point text share one point, rows with the same sign text
+    share one sign tuple, and rows whose A cells have the same text share
+    one amount; each distinct value is decoded once per file.  The cells
+    of the new sign texts are split and mapped to ints together, through
+    the table of ``-1``, ``0`` and ``1``; any other cell (``+1``, ``1.0``,
+    ``2/2``, ``1/2``, a cell with spaces) is decoded as a value, once per
+    distinct cell text.  ``_as_signs`` judges all the new signs at once,
+    and judges the vectors one by one only to name a faulty one.
+
+    The first format fault is on the first row of the first faulty
+    distinct head or A cell; on one row, a head's width and cells come
+    first, then the A cell, then the judgement of the signs.  The one
+    check walk of ``validate_design`` (``oofa._check_index``, one check
+    per distinct key) then checks the rows before that fault, sliced from
+    the slot lists, and the format fault is raised only when those rows
+    pass.  An error names the physical line of the first faulty row as
+    ``line N: ...``, found from the faulty key only when there is one,
+    and keeps its class (sign-order faults are InconsistentPwoRow).  The
+    returned design is stored as its index and makes its runs only when
+    they are asked for.  It is valid at birth and records it, so
+    ``validate_design`` returns at once for it and the walk is not
+    repeated.  A `text` that is not a str raises InvalidParameter.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    rows = list(filter(str.strip, lines))
+    if not rows:
         raise MalformedHeader("empty design file")
-    kind, m, with_signs, with_amount = _parse_header(lines[0][1])
-    if len(lines) == 1:
+    kind, m, with_signs, with_amount = _parse_header(rows[0])
+    del rows[0]
+    if not rows:
         raise MalformedHeader(_NO_ROWS)
-    n_pairs = len(pwo_pairs(m)) if with_signs else 0
+    n_pairs = m * (m - 1) // 2 if with_signs else 0
     width = m + n_pairs + (1 if with_amount else 0)
-    parsed: dict[str, Fraction] = {}
+    decode = _Values().__getitem__
     sign_cells: dict[str, int | Fraction] = {}
-
-    def decode(cell: str) -> Fraction:
-        value = parsed.get(cell)
-        if value is None:
-            try:
-                value = parsed[cell] = Fraction(cell)
-            except (ValueError, ZeroDivisionError):
-                raise MalformedHeader(f"unreadable value {cell!r}") from None
-        return value
 
     def decode_sign(cell: str) -> int | Fraction:
         # an integer cell becomes an int, which `_as_signs` passes unconverted;
@@ -226,82 +227,133 @@ def read_design(text: str) -> Design:
             sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
         return sign
 
-    def decode_signs(text: str) -> tuple:
-        # canonical cells go through the table; any other cell is decoded
-        cells = text.split(",")
-        try:
-            return tuple(map(_SIGN_CELLS.__getitem__, cells))
-        except KeyError:
-            return tuple(map(decode_sign, cells))
-
-    # the distinct values by slot, and the texts that key each slot; a
-    # file without sign or A columns has one slot of None for them
+    # each row's head, and its A cell when the file has an A column
+    heads, _, a_cells = zip(*[row.rpartition(",") for row in rows]) if with_amount else (rows, None, None)
+    # (row, place on its row, error) of the first fault of each pass: a
+    # head's width and cells come first on a row, then its A cell, then
+    # the judgement of its signs
+    faults = []
+    # each distinct head -> its point slot, and its sign text in the same order
+    point_of_head = dict.fromkeys(heads)
+    sign_texts: list[str] = []
     points: list[DesignPoint] = []
     point_slots: dict[str, int] = {}
-    signs: list[tuple[int, ...] | None] = [] if with_signs else [None]
-    sign_slots: dict[str, int] = {}
-    amounts: list[Fraction | None] = []
-    amount_slots: dict[str, int] = {}
-    # each parsed row's head -> its point and sign slots
-    heads: dict[str, tuple[int, int]] = {}
-    # each row's point, sign and amount slots
-    point_of: list[int] = []
-    sign_of: list[int] = []
-    amount_of: list[int] = []
-    fault = None
-    for row_no, line in lines[1:]:
-        head, _, a_cell = line.rpartition(",") if with_amount else (line, "", "")
-        a_text = a_cell.strip()
-        known = heads.get(head)
-        sign_values = None
+    for head in point_of_head:
         try:
-            if known is None:
-                got = line.count(",") + 1
-                if got != width:
-                    raise RowLengthMismatch(f"expected {width} values, got {got}")
-                # the m component cells, then the sign text
-                cells = head.split(",", m)
-                sign_text = cells.pop() if with_signs else ""
-                comp_text = head[: len(head) - len(sign_text) - 1] if with_signs else head
-                i = point_slots.get(comp_text)
-                if i is None:
-                    i = point_slots[comp_text] = len(points)
-                    points.append(DesignPoint(tuple(decode(c.strip()) for c in cells), kind))
-                j = 0
-                if with_signs:
-                    j = sign_slots.get(sign_text)
-                    if j is None:
-                        sign_values = decode_signs(sign_text)
-            else:
-                i, j = known
+            # only the empty head can come from a row with no comma, so
+            # its first row is counted
+            got = head.count(",") + 1 + with_amount if head else rows[heads.index(head)].count(",") + 1
+            if got != width:
+                raise RowLengthMismatch(f"expected {width} values, got {got}")
+            # the m component cells, then the sign text
+            cells = head.split(",", m)
+            sign_text = cells.pop() if with_signs else ""
+            comp_text = head[: len(head) - len(sign_text) - 1] if with_signs else head
+            i = point_slots.get(comp_text)
+            if i is None:
+                points.append(DesignPoint._of(tuple(map(decode, map(str.strip, cells))), kind))
+                i = point_slots[comp_text] = len(points) - 1
+        except OamixError as exc:
+            faults.append((heads.index(head), 0, exc))
+            break
+        point_of_head[head] = i
+        sign_texts.append(sign_text)
+    # the sign texts of the heads read, decoded as one flat tuple of values
+    if with_signs:
+        texts = list(dict.fromkeys(sign_texts))
+        cells = ",".join(texts).split(",") if texts else []
+        # canonical cells go through the table; any other cell is decoded
+        try:
+            values = tuple(map(_SIGN_CELLS.__getitem__, cells))
+        except KeyError:
+            values = list(map(_SIGN_CELLS.get, cells))
+            for at in [at for at, value in enumerate(values) if value is None]:
+                try:
+                    values[at] = decode_sign(cells[at])
+                except OamixError as exc:
+                    faults.append((_first_row(heads, point_of_head, sign_texts, texts[at // n_pairs]), 0, exc))
+                    del texts[at // n_pairs :], values[at // n_pairs * n_pairs :]
+                    break
+            values = tuple(values)
+        signs = list(zip(*[iter(values)] * n_pairs))
+        # one judgement of every new sign; only a fault judges them one by one
+        try:
+            _as_signs(values)
+        except OamixError:
+            for at, vector in enumerate(signs):
+                try:
+                    _as_signs(vector)
+                except OamixError as exc:
+                    faults.append((_first_row(heads, point_of_head, sign_texts, texts[at]), 2, exc))
+                    del texts[at:], signs[at:]
+                    break
+        sign_of_text = dict(zip(texts, range(len(texts))))
+        sign_of_head = dict(zip(point_of_head, map(sign_of_text.get, sign_texts)))
+    else:
+        signs = [None]
+    amounts: list[Fraction | None] = [] if with_amount else [None]
+    if with_amount:
+        amount_slots: dict[str, int] = {}
+        # each distinct A cell -> its amount slot, keyed by its stripped text
+        amount_of_cell = dict.fromkeys(a_cells)
+        for cell in amount_of_cell:
+            a_text = cell.strip()
             k = amount_slots.get(a_text)
             if k is None:
-                k = amount_slots[a_text] = len(amounts)
-                amounts.append(decode(a_text) if with_amount else None)
-            # every cell is read before the signs are judged
-            if sign_values is not None:
-                j = sign_slots[sign_text] = len(signs)
-                signs.append(_as_signs(sign_values))
-        except OamixError as exc:
-            fault = row_no, exc
-            break
-        if known is None:
-            heads[head] = (i, j)
-        point_of.append(i)
-        sign_of.append(j)
-        amount_of.append(k)
+                try:
+                    amounts.append(decode(a_text))
+                except OamixError as exc:
+                    faults.append((a_cells.index(cell), 1, exc))
+                    break
+                k = amount_slots[a_text] = len(amounts) - 1
+            amount_of_cell[cell] = k
+    # the first format fault, and the n rows before it
+    n, _, fault = min(faults, key=lambda fault: fault[:2]) if faults else (len(rows), 0, None)
+    heads = heads[:n]
     index = {
-        "point": (tuple(points), tuple(point_of)),
-        "pwo": (tuple(signs), tuple(sign_of)),
-        "amount": (tuple(amounts), tuple(amount_of)),
+        "point": (tuple(points), tuple(map(point_of_head.__getitem__, heads))),
+        "pwo": (tuple(signs), tuple(map(sign_of_head.__getitem__, heads)) if with_signs else (0,) * n),
+        "amount": (tuple(amounts), tuple(map(amount_of_cell.__getitem__, a_cells[:n])) if with_amount else (0,) * n),
     }
+
+    def where(run: int) -> str:
+        # run n is on the (n + 2)th line that is not blank
+        return f"line {_line_number(lines, run + 2)}"
+
     # the rows before a format fault are checked first, so the first
-    # faulty line is the one named; run n is on line lines[n + 1]
-    _check_index(index, lambda n: f"line {lines[n + 1][0]}")
+    # faulty line is the one named
+    _check_index(index, where)
     if fault is not None:
-        row_no, exc = fault
-        raise located(f"line {row_no}", exc) from exc
+        raise located(where(n), fault) from fault
     return Design._of(m, kind, index, True)
+
+
+class _Values(dict):
+    """Exact values by cell text, each decoded on its first lookup; a text
+    that is no value raises MalformedHeader."""
+
+    def __missing__(self, cell: str) -> Fraction:
+        try:
+            value = self[cell] = Fraction(cell)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedHeader(f"unreadable value {cell!r}") from None
+        return value
+
+
+def _first_row(heads, point_of_head: dict, sign_texts: list[str], text: str) -> int:
+    """The first row whose head has the sign text `text`; `sign_texts`
+    holds the sign text of each head of `point_of_head` read, in order."""
+    return heads.index(list(point_of_head)[sign_texts.index(text)])
+
+
+def _line_number(lines: list[str], count: int) -> int:
+    """The 1-based number of the `count`-th line of `lines` that is not blank."""
+    for number, line in enumerate(lines, start=1):
+        if line.strip():
+            count -= 1
+            if not count:
+                return number
+    raise AssertionError("fewer lines than counted")
 
 
 _TABLES = ("table1", "table2", "table3", "table5")

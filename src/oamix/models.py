@@ -40,7 +40,7 @@ from .errors import (
     _int_in_range,
     _iterable,
 )
-from .oofa import _check_sign_counts, pwo_pairs
+from .oofa import _check_sign_counts, _pwo_pairs
 
 __all__ = [
     "ModelKind",
@@ -162,7 +162,7 @@ def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], 
         if reduction in (None, "cyclic"):
             return tuple((i, tuple(sorted((i, i % m + 1)))) for i in range(1, m + 1))
         if reduction == "keep_all":
-            return tuple((i, (j, k)) for i in range(1, m + 1) for j, k in pwo_pairs(m) if i in (j, k))
+            return tuple((i, (j, k)) for i in range(1, m + 1) for j, k in _pwo_pairs(m) if i in (j, k))
         raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
     if not isinstance(reduction, Iterable):
         raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
@@ -198,12 +198,12 @@ def _squares(m, t=0):
 
 def _crosses(m, t=0):
     return [
-        Term(comp_powers=((i, 1), (j, 1)), amount_power=t) for i, j in pwo_pairs(m)
+        Term(comp_powers=((i, 1), (j, 1)), amount_power=t) for i, j in _pwo_pairs(m)
     ]
 
 
 def _signs(m, t=0):
-    return [Term(pwo_pair=pair, amount_power=t) for pair in pwo_pairs(m)]
+    return [Term(pwo_pair=pair, amount_power=t) for pair in _pwo_pairs(m)]
 
 
 def _interactions(pairs, t=0):
@@ -320,7 +320,7 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     order, when one is given, and returned; otherwise it is a new C-ordered
     array.  In an F-ordered `out`, as the FDS sampler passes, every column
     write is one contiguous store, and the cells are the same bits."""
-    pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
+    pair_col = {pair: c for c, pair in enumerate(_pwo_pairs(spec.m))}
     X = np.empty((comps.shape[0], spec.p)) if out is None else out
     products: dict = {}
     powers: dict = {}

@@ -11,9 +11,10 @@ amount designs to a physical maximum.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, permutations, repeat
 from math import isqrt
+from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -23,10 +24,9 @@ from .core import (
     OofARun,
     _as_ints,
     _as_signs,
+    _point_facts,
     _require_design,
     as_fraction,
-    total_amount,
-    validate_point,
 )
 from .errors import (
     AlreadyExpanded,
@@ -42,6 +42,7 @@ from .errors import (
     OamixError,
     OrderingSupportMismatch,
     WrongKind,
+    _int_in_range,
     _iterable,
     located,
 )
@@ -58,10 +59,25 @@ __all__ = [
 ]
 
 
-@cache
+# the most pairs `pwo_pairs` builds, as ``models.build_spec`` caps its terms
+_MAX_PAIRS = 10**5
+
+
 def pwo_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """All pairs (j, k) with 1 <= j < k <= m, lexicographic.  The tuple is
-    immutable, so one per m is built and shared by every caller."""
+    immutable, so one per m is built and shared by every caller.  An `m`
+    that is not an integer of at least 1 (a bool is not) raises
+    InvalidParameter, as does one of over 10^5 pairs, before any is
+    built."""
+    m = _int_in_range("m", m, 1)
+    if m * (m - 1) // 2 > _MAX_PAIRS:
+        raise InvalidParameter(f"m={m} has {m * (m - 1) // 2} pairs, over the limit of {_MAX_PAIRS}")
+    return _pwo_pairs(m)
+
+
+@cache
+def _pwo_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """`pwo_pairs` of an m the library holds: the design's or the spec's."""
     return tuple((j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1))
 
 
@@ -86,7 +102,7 @@ def _pwo_from_orderings(m: int, support: tuple[int, ...], orderings) -> list[tup
     permute the ascending `support` of m components, as `oofa_expand`'s
     are.  Only the pairs within the support are visited per ordering; the
     others stay 0."""
-    within = [(at, j, k) for at, (j, k) in enumerate(pwo_pairs(m)) if j in support and k in support]
+    within = [(at, j, k) for at, (j, k) in enumerate(_pwo_pairs(m)) if j in support and k in support]
     signs = [0] * (m * (m - 1) // 2)
     rank = [0] * (m + 1)
     out = []
@@ -123,39 +139,64 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
     return _ordering_from_pwo(support, _as_signs(pwo))
 
 
-_SIGN_VALUES = frozenset((-1, 0, 1))
-
-
 def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
     """`ordering_from_pwo` of an ascending support and a sign vector that
     are already tuples of ints, as a point's support and a run's signs are:
-    the support's entries distinct and from 1.  Presence and win counts are
-    kept in lists indexed by component."""
-    if not _SIGN_VALUES.issuperset(pwo):
+    the support's entries distinct and from 1.  The entries are all -1, 0
+    or +1 when those three counts add up to the vector's length.  Only the
+    support's pairs are then visited one by one (see `_order_plan`): the
+    others pass zero masking when the vector holds as many zeros as they
+    number and none of the support's pairs is zero.  The lowest pair that
+    breaks zero masking is found only when one does."""
+    zeros = pwo.count(0)
+    if zeros + pwo.count(1) + pwo.count(-1) != len(pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
-    m = _m_from_pairs(len(pwo))
-    if support and support[-1] > m:
-        raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
-    present = [False] * (m + 1)
-    for c in support:
-        present[c] = True
-    wins = [0] * (m + 1)
-    for (j, k), z in zip(pwo_pairs(m), pwo):
-        if present[j] and present[k]:
-            if z == 0:
-                raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
-            wins[j if z == 1 else k] += 1
-        elif z != 0:
-            raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
+    within, choices, outside = _order_plan(len(pwo), support)
+    # each pair's first-added component: a sign of 1 picks j, -1 picks k
+    # and 0 picks None
+    firsts = list(map(getitem, choices, within(pwo)))
+    if None in firsts or zeros != outside:
+        _raise_mask_fault(support, pwo)
     # the signs make a tournament on the support, and a tournament is
     # transitive exactly when its win counts are all distinct: then they
     # are 0..s-1, and the component with w wins is added at s - 1 - w
-    order = [0] * len(support)
+    s = len(support)
+    order = [0] * s
     for c in support:
-        order[len(support) - 1 - wins[c]] = c
+        order[s - 1 - firsts.count(c)] = c
     if 0 in order:
         raise InconsistentPwo("sign pattern is not induced by any addition order")
     return tuple(order)
+
+
+# room for every support at every m the file format covers (2 to 9)
+@lru_cache(maxsize=2048)
+def _order_plan(n_pairs: int, support: tuple[int, ...]) -> tuple[itemgetter, tuple[tuple, ...], int]:
+    """For signs over `n_pairs` pairs and an ascending support: a getter of
+    the tuple of signs of the pairs within the support, for each of those
+    pairs (j, k) the tuple (None, j, k) that a sign indexes, and the number
+    of the other pairs, whose signs must be 0.  InconsistentPwo when
+    `n_pairs` is not the pair count of some m or the support exceeds that
+    m."""
+    m = _m_from_pairs(n_pairs)
+    if support and support[-1] > m:
+        raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
+    at = [n for n, (j, k) in enumerate(_pwo_pairs(m)) if j in support and k in support]
+    # a getter of one item returns it bare, one of a slice a tuple
+    within = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+    choices = tuple((None, *_pwo_pairs(m)[n]) for n in at)
+    return within, choices, n_pairs - len(at)
+
+
+def _raise_mask_fault(support: tuple[int, ...], pwo: tuple[int, ...]) -> None:
+    """InconsistentPwo at the lowest pair, in pair order, whose sign breaks
+    zero masking: 0 within the support, or nonzero outside it."""
+    for (j, k), z in zip(_pwo_pairs(_m_from_pairs(len(pwo))), pwo):
+        if j in support and k in support:
+            if z == 0:
+                raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
+        elif z != 0:
+            raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
 
 
 def oofa_expand(design: Design) -> Design:
@@ -282,13 +323,17 @@ def validate_run(run: OofARun) -> None:
 
 def validate_design(design: Design) -> None:
     """Check each run of a design with `validate_run`, whose errors are
-    prefixed ``run N:``, through its index (see `_check_index`).  The
-    design's shape (m, kind, and which of signs and A its runs carry) is
-    checked when the Design is built.  A design that `read_design` or a
-    constructor of the library made from valid input is valid at birth and
-    records it (see ``core.Design._of``), so this returns at once for it;
-    a design built by calling `Design` is walked.  A `design` that is not a
-    Design raises InvalidParameter."""
+    prefixed ``run N:``, through its index (see `_check_index`): a few bulk
+    passes over the runs' slots, then one check per distinct point, A,
+    (point, A) pair, sign tuple and (support, signs) content, so the walk
+    costs what the design's distinct values cost; the first faulty run is
+    found from the faulty keys only when there is one.  The design's shape
+    (m, kind, and which of signs and A its runs carry) is checked when the
+    Design is built.  A design that `read_design` or a constructor of the
+    library made from valid input is valid at birth and records it (see
+    ``core.Design._of``), so this returns at once for it; a design built
+    by calling `Design` is walked.  A `design` that is not a Design raises
+    InvalidParameter."""
     _require_design(design)
     if not design._checked:
         _check_index(design._index, lambda n: f"run {n + 1}")
@@ -296,46 +341,84 @@ def validate_design(design: Design) -> None:
 
 def _check_index(index: dict, where) -> None:
     """The one statement of a valid run (see `validate_run`), applied to
-    the runs of a design index.  A run's checks read only its point, its
-    (point, A) pair and its (point, signs) pair, so only the first run of
-    each distinct one is checked, in run order: the first faulty run is
-    the one named.  Each (support, signs) content has its order checked
-    once per call.  An error in run n (0-based) is prefixed by `where(n)`
-    (see ``errors.located``), or raised unchanged when `where` is None."""
+    the runs of a design index.
+
+    A run's checks read only its point, its A, its (point, A) pair, its
+    sign tuple and its (support, signs) content, so each check runs once
+    per distinct key, and the keys are taken from the slot lists in bulk
+    passes (``dict.fromkeys``), in the order of their first runs.  Each
+    referenced point is checked and its support and total are found once;
+    each amount is checked for sign once; on an amount design each (point,
+    A) pair has its total compared once; each sign tuple has its count
+    checked once, and each (support, signs) content its order once.  A
+    check stops at its first faulty key, the one whose first run comes
+    first, and skips keys whose point or signs it would not reach.  The
+    first faulty run is then the least of those keys' first runs; within a
+    run, its point is checked first, then its A, then its signs.  An error
+    in run n (0-based) is prefixed by `where(n)` (see ``errors.located``),
+    or raised unchanged when `where` is None."""
     points, point_of = index["point"]
     signs, sign_of = index["pwo"]
     amounts, amount_of = index["amount"]
-    first_amount = _first_runs(zip(point_of, amount_of))
-    first_signs = _first_runs(zip(point_of, sign_of)) if signs and signs[0] is not None else set()
-    # by point slot: its support and, for an amount point, its exact total
-    facts: dict[int, tuple] = {}
-    orders: set = set()
-    # a point's first run is the first run of one of its (point, A) pairs
-    for n in sorted(first_amount | first_signs):
-        i, j, k = point_of[n], sign_of[n], amount_of[n]
-        point = points[i]
+    if not point_of:
+        return
+    # (first run, place among a run's checks, error) of each check's first
+    # faulty key
+    faults = []
+    # by point slot: its support and the exact sum of its values, a
+    # numerator over a denominator
+    supports: dict[int, tuple[int, ...]] = {}
+    totals: dict[int, tuple[int, int]] = {}
+    for i in dict.fromkeys(point_of):
         try:
-            if i not in facts:
-                validate_point(point)
-                facts[i] = point.support(), total_amount(point) if point.kind is Kind.AMOUNT else None
-            support, total = facts[i]
-            if n in first_amount:
-                amount = amounts[k]
-                if amount is not None and amount < 0:
-                    raise NegativeEntry(f"total amount A is negative: {amount}")
-                if point.kind is Kind.AMOUNT and amount != total:
-                    raise AmountMismatch(f"A is {amount} but the amounts sum to {total}")
-            if n in first_signs:
-                pwo = signs[j]
-                if len(pwo) != point.m * (point.m - 1) // 2:
-                    raise InconsistentPwo(f"{len(pwo)} signs for the pairs of {point.m} components")
-                if (support, pwo) not in orders:
-                    _ordering_from_pwo(support, pwo)
-                    orders.add((support, pwo))
+            supports[i], totals[i] = _point_facts(points[i])
         except OamixError as exc:
-            if where is None:
-                raise
-            raise located(where(n), exc) from exc
+            faults.append((point_of.index(i), 0, exc))
+            break
+    for k in dict.fromkeys(amount_of):
+        amount = amounts[k]
+        if amount is not None and amount < 0:
+            faults.append((amount_of.index(k), 1, NegativeEntry(f"total amount A is negative: {amount}")))
+            break
+    m, kind = points[point_of[0]].m, points[point_of[0]].kind
+    if kind is Kind.AMOUNT:
+        for i, k in dict.fromkeys(zip(point_of, amount_of)):
+            if i in totals:
+                amount, (numerator, denominator) = amounts[k], totals[i]
+                if amount is None or amount.numerator * denominator != numerator * amount.denominator:
+                    total = Fraction(numerator, denominator)
+                    mismatch = AmountMismatch(f"A is {amount} but the amounts sum to {total}")
+                    faults.append((list(zip(point_of, amount_of)).index((i, k)), 2, mismatch))
+                    break
+    if signs and signs[0] is not None:
+        tuples = list(dict.fromkeys(sign_of))
+        counts = list(map(len, map(signs.__getitem__, tuples)))
+        pairs = m * (m - 1) // 2
+        if counts.count(pairs) != len(counts):
+            at = next(n for n, count in enumerate(counts) if count != pairs)
+            count = InconsistentPwo(f"{counts[at]} signs for the pairs of {m} components")
+            faults.append((sign_of.index(tuples[at]), 3, count))
+            del tuples[at:]
+        distinct = dict.fromkeys(zip(point_of, sign_of))
+        if faults:
+            # a run stops at its point's or its signs' fault, or comes after one
+            counted = set(tuples)
+            distinct = [(i, j) for i, j in distinct if i in supports and j in counted]
+        # each (support, signs) content, in the order of its first run
+        point_slots, sign_slots = zip(*distinct) if distinct else ((), ())
+        patterns = dict.fromkeys(zip(map(supports.__getitem__, point_slots), map(signs.__getitem__, sign_slots)))
+        for pattern in patterns:
+            try:
+                _ordering_from_pwo(*pattern)
+            except OamixError as exc:
+                key = next(key for key in distinct if (supports[key[0]], signs[key[1]]) == pattern)
+                faults.append((list(zip(point_of, sign_of)).index(key), 4, exc))
+                break
+    if faults:
+        n, _, exc = min(faults, key=lambda fault: fault[:2])
+        if where is None:
+            raise exc
+        raise located(where(n), exc) from exc
 
 
 def _check_sign_counts(design: Design) -> None:
@@ -350,10 +433,3 @@ def _check_sign_counts(design: Design) -> None:
     count = next((len(pwo) for pwo in design._index["pwo"][0] if len(pwo) != pairs), None)
     if count is not None:
         raise InconsistentPwo(f"{count} signs for the pairs of {m} components")
-
-
-def _first_runs(keys) -> set[int]:
-    """The position (0-based) of each key's first run in `keys`."""
-    keys = list(keys)
-    # a later assignment wins, so walking backwards leaves the first
-    return set(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())

@@ -93,6 +93,13 @@ def test_total_amount_wrong_kind():
         total_amount(P(1, 0, 0))
 
 
+@pytest.mark.parametrize("check", [validate_point, total_amount], ids=["validate_point", "total_amount"])
+@pytest.mark.parametrize("point", [None, (1, 0), "1/2,1/2"], ids=["None", "tuple", "text"])
+def test_point_checks_refuse_what_is_no_point(check, point):
+    with pytest.raises(InvalidParameter, match=f"^point must be a DesignPoint, got {type(point).__name__}$"):
+        check(point)
+
+
 def test_support_is_one_based_and_sorted():
     assert P(0, "1/2", "1/2").support() == (2, 3)
     assert P(1, 0, 0).support() == (1,)

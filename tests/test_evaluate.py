@@ -131,6 +131,31 @@ def test_g_efficiency_identities():
     assert g_efficiency(16, 31, 0.96) == pytest.approx(53.763, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("36", 63, 0.5), "p"),
+        ((True, 63, 0.5), "p"),
+        ((36, None, 0.5), "n"),
+        ((36, 63, 0), "max_pv"),
+        ((36, 63, -0.5), "max_pv"),
+        ((36, 63, math.nan), "max_pv"),
+        ((36, 63, math.inf), "max_pv"),
+        ((36, 63, 10**400), "max_pv"),
+    ],
+    ids=["text", "bool", "None", "zero", "negative", "nan", "inf", "huge"],
+)
+def test_g_efficiency_refuses_an_argument_that_is_no_positive_finite_number(args, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} must be a positive finite number, got "):
+        g_efficiency(*args)
+
+
+@pytest.mark.parametrize("args", [(36, 1e-200, 1e-200), (1e308, 1, 1e-10)], ids=["underflow", "overflow"])
+def test_g_efficiency_refuses_a_result_beyond_float_range(args):
+    with pytest.raises(InvalidParameter, match="is beyond float range$"):
+        g_efficiency(*args)
+
+
 def test_d_criteria_trivial_cases():
     out = d_criteria(np.eye(4))
     assert out["det"] == pytest.approx(1.0)
@@ -884,6 +909,19 @@ def _reference_sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_
 
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(_FDS_CHUNK, 3), (777, 15)])
+@pytest.mark.parametrize("seed", range(20))
+def test_doubled_uniforms_less_one_are_numpys_uniform(seed, shape):
+    # `_sample_chunk` draws continuous signs as U in [0, 1), then 2U - 1 in
+    # place; numpy's uniform(-1, 1) is -1 + 2U.  2U is exact, so both round
+    # once, the same sum: a numpy whose bits differ fails here by name
+    want = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    got = np.random.default_rng(seed).random(out=np.empty(shape))
+    got *= 2.0
+    got -= 1.0
+    assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])

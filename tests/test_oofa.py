@@ -37,9 +37,12 @@ from oamix.errors import (
     InvalidParameter,
     NegativeEntry,
     NonPositiveScale,
+    OamixError,
     OrderingSupportMismatch,
     WrongKind,
 )
+from oamix import oofa
+from oamix.oofa import _m_from_pairs, _ordering_from_pwo
 from oamix.simplex import project_columns
 
 
@@ -50,6 +53,28 @@ def P(*values, kind=Kind.PROPORTION):
 def test_pwo_pairs_lexicographic():
     assert pwo_pairs(3) == ((1, 2), (1, 3), (2, 3))
     assert pwo_pairs(4) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+@pytest.mark.parametrize("m", [None, "x", True, 2.0, 0, -3], ids=["None", "text", "bool", "float", "zero", "negative"])
+def test_pwo_pairs_refuses_an_m_that_is_no_component_count(m):
+    with pytest.raises(InvalidParameter, match="^m must be an integer >= 1, got "):
+        pwo_pairs(m)
+
+
+@pytest.mark.parametrize("m", [448, 10**400])
+def test_pwo_pairs_refuses_too_many_pairs_before_building_them(monkeypatch, m):
+    # 448 components have 100128 pairs; 10**400 is refused by its count alone
+    def build(m):
+        raise AssertionError("the pairs were built")
+
+    monkeypatch.setattr(oofa, "_pwo_pairs", build)
+    with pytest.raises(InvalidParameter, match=f"^m={m} has {m * (m - 1) // 2} pairs, over the limit of 100000$"):
+        pwo_pairs(m)
+
+
+def test_pwo_pairs_builds_up_to_its_limits():
+    assert pwo_pairs(1) == ()
+    assert len(pwo_pairs(447)) == 447 * 446 // 2
 
 
 def test_pwo_full_support_example():
@@ -99,6 +124,57 @@ def test_ordering_from_pwo_accepts_exactly_the_induced_signs(m):
                 else:
                     with pytest.raises(InconsistentPwo):
                         ordering_from_pwo(support, z)
+
+
+def _full_pair_ordering(support: tuple[int, ...], pwo: tuple) -> tuple[int, ...]:
+    """`_ordering_from_pwo` as a loop over every pair: the reference for the
+    plan that visits only the support's pairs."""
+    if not {-1, 0, 1}.issuperset(pwo):
+        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
+    m = _m_from_pairs(len(pwo))
+    if support and support[-1] > m:
+        raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
+    present = [False] * (m + 1)
+    for c in support:
+        present[c] = True
+    wins = [0] * (m + 1)
+    for (j, k), z in zip(pwo_pairs(m), pwo):
+        if present[j] and present[k]:
+            if z == 0:
+                raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
+            wins[j if z == 1 else k] += 1
+        elif z != 0:
+            raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
+    order = [0] * len(support)
+    for c in support:
+        order[len(support) - 1 - wins[c]] = c
+    if 0 in order:
+        raise InconsistentPwo("sign pattern is not induced by any addition order")
+    return tuple(order)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OamixError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_order_check_agrees_with_the_full_pair_loop(m):
+    # every support (and one beyond m) against every sign vector, and
+    # vectors holding a value that is no sign
+    n_pairs = len(pwo_pairs(m))
+    supports = [s for size in range(m + 1) for s in combinations(range(1, m + 1), size)] + [(1, m + 1)]
+    vectors = list(product((-1, 0, 1), repeat=n_pairs))
+    vectors += [(2,) + (1,) * (n_pairs - 1), (1,) * (n_pairs - 1) + (Fraction(1, 2),), (0, -2) + (0,) * (n_pairs - 2)]
+    for support in supports:
+        for pwo in vectors:
+            want = _outcome(lambda: _full_pair_ordering(support, pwo))
+            assert _outcome(lambda: _ordering_from_pwo(support, pwo)) == want, (support, pwo)
+    # a sign count that is no pair set
+    for pwo in ((1, 1), (1, 0, 0, 1)):
+        assert _outcome(lambda: _ordering_from_pwo((1, 2), pwo)) == _outcome(lambda: _full_pair_ordering((1, 2), pwo))
 
 
 @pytest.mark.parametrize(
