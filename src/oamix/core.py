@@ -20,7 +20,8 @@ from math import lcm
 from numbers import Real
 from operator import attrgetter
 
-from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind, _iterable
+from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind
+from .errors import _int_in_range, _iterable
 
 __all__ = [
     "Kind",
@@ -118,8 +119,7 @@ class DesignPoint:
     @classmethod
     def _of(cls, values: tuple[Fraction, ...], kind: Kind) -> DesignPoint:
         """A point of a tuple of Fractions and a Kind, which `__post_init__`
-        would keep as they are; it skips that walk.  Only the reader, whose
-        values are decoded Fractions, calls it."""
+        would keep as they are; it skips that walk."""
         point = object.__new__(cls)
         object.__setattr__(point, "values", values)
         object.__setattr__(point, "kind", kind)
@@ -187,22 +187,23 @@ class Design:
     and all runs of an amount design do.  A run that breaks the shape
     raises WrongKind naming the first such run.  Sign vectors need two
     components, so a design with m < 2 whose runs carry them raises
-    InvalidDimension.
-
-    Runs may share point, sign tuple and amount objects.  A design indexes
-    its distinct objects once for every layer that converts, renders,
-    scales or checks it, so it costs what its distinct values cost; the
-    index takes no part in `==` or `hash`.  A design built by calling
-    `Design` holds its runs and walks them for the index on first use; its
+    InvalidDimension.  An `m` that is not an integer, `runs` that cannot
+    be iterated and a run that is not an OofARun raise InvalidParameter;
     `kind` may be given as the Kind's value as text.
-    The library's constructors and `read_design` make the index and no
-    runs: the index is the storage of the designs they return
-    (`Design._of`), and their runs are built from it on the first
-    `.runs`, `==`, `hash` or `repr`.  Two threads that build them at once
-    both get the tuple stored first.  Those designs are also valid at
-    birth, and record it, so ``oofa.validate_design`` returns at once for
-    them; a design built by calling `Design` (or `dataclasses.replace`)
-    is checked run by run whenever it is validated.
+
+    Runs may share point, sign tuple and amount objects.  Every design is
+    born with the index of its distinct objects, which every layer that
+    converts, renders, scales or checks it reads, so it costs what its
+    distinct values cost.  A design built by calling `Design` keeps its
+    runs.  The library's constructors and `read_design` make the index and
+    no runs (`Design._of`); their runs are built from it on the first
+    `.runs` or `repr`, and two threads that build them at once both get
+    the tuple stored first.  `==` and `hash` are a dataclass's, equal when
+    `m`, `kind` and the runs are, in order, but read `_value_index` and
+    build no run.  The library's designs are also valid at birth, and
+    record it, so ``oofa.validate_design`` returns at once for them; a
+    design built by calling `Design` (or `dataclasses.replace`) is checked
+    run by run whenever it is validated.
     """
 
     m: int
@@ -213,31 +214,31 @@ class Design:
     _checked = False
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _int_in_range("m", self.m))
         object.__setattr__(self, "kind", _as_kind(self.kind))
-        runs = tuple(self.runs)
+        runs = tuple(_iterable("runs", self.runs))
         object.__setattr__(self, "runs", runs)
-        # the shape from the first run: a design built in code has no index
-        # until a layer asks for it
-        expanded = bool(runs) and runs[0].pwo is not None
-        shape = (self.m, self.kind, expanded, self.kind is Kind.AMOUNT or (bool(runs) and runs[0].amount is not None))
+        stray = next((n for n, run in enumerate(runs, start=1) if not isinstance(run, OofARun)), None)
+        if stray is not None:
+            raise InvalidParameter(f"run {stray} must be an OofARun, got {type(runs[stray - 1]).__name__}")
+        object.__setattr__(self, "_index", {field: _identity_index(runs, field) for field in _FIELDS})
+        # the shape from the first run
+        shape = (self.m, self.kind, self.is_expanded, self.has_amounts)
         for idx, run in enumerate(runs, start=1):
             got = (run.point.m, run.point.kind, run.pwo is not None, run.amount is not None)
             if got != shape:
                 raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
-        if self.m < 2 and expanded:
+        if self.m < 2 and self.is_expanded:
             raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
 
     @classmethod
     def _of(cls, m: int, kind: Kind, index: dict, checked: bool) -> Design:
         """A design of one shape stored as its index, with no runs.
 
-        `index` is what `_index` would build from the runs: for each run
-        field, the distinct objects by identity in first-seen order and
-        each run's slot among them.  It is the design's storage, and it
-        skips `__post_init__`'s walk; the runs are made from it on the
-        first `.runs`, `==`, `hash` or `repr` (see `__getattr__`).  Only
-        the library's own constructors, which hold the slots of a valid
-        shape, call it.
+        `index` is what `__post_init__` builds from runs, and the design's
+        storage: it skips that walk, and the runs are made from it on the
+        first `.runs` or `repr` (see `__getattr__`).  Only the library's
+        own constructors, which hold the slots of a valid shape, call it.
 
         `checked` records that every run passes ``oofa.validate_run``, so
         that ``oofa.validate_design`` costs nothing on the design: the
@@ -250,8 +251,7 @@ class Design:
         assign = object.__setattr__
         assign(design, "m", m)
         assign(design, "kind", kind)
-        # where the cached property would keep it
-        design.__dict__["_index"] = index
+        assign(design, "_index", index)
         design.__dict__["_checked"] = checked
         return design
 
@@ -260,19 +260,16 @@ class Design:
         one run per slot triple, sharing the index's objects.  Only a
         missing `runs` is answered here; the tuple is kept, and when two
         threads build it at once both return the one stored first."""
-        index = self.__dict__.get("_index") if name == "runs" else None
-        if index is None:
+        if name != "runs":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
-        (points, point_of), (signs, sign_of), (amounts, amount_of) = index["point"], index["pwo"], index["amount"]
-        runs = tuple(
-            map(
-                OofARun._of,
-                map(points.__getitem__, point_of),
-                map(signs.__getitem__, sign_of),
-                map(amounts.__getitem__, amount_of),
-            )
-        )
-        return self.__dict__.setdefault("runs", runs)
+        fields = (map(distinct.__getitem__, slots) for distinct, slots in map(self._index.__getitem__, _FIELDS))
+        return self.__dict__.setdefault("runs", tuple(map(OofARun._of, *fields)))
+
+    def __eq__(self, other):
+        return self._value_index == other._value_index if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value_index)
 
     def __len__(self) -> int:
         return len(self._index["point"][1])
@@ -295,22 +292,46 @@ class Design:
         return tuple(sorted(set(self._index["amount"][0]))) if self.has_amounts else ()
 
     @cached_property
-    def _index(self) -> dict[str, tuple[tuple, tuple[int, ...]]]:
-        """For each run field, its distinct objects by identity in
-        first-seen order and each run's slot among them."""
-        index = {}
-        for field in ("point", "pwo", "amount"):
-            slots: dict[int, int] = {}
-            distinct = []
-            run_slots = []
-            for obj in map(attrgetter(field), self.runs):
-                slot = slots.get(id(obj))
-                if slot is None:
-                    slot = slots[id(obj)] = len(distinct)
-                    distinct.append(obj)
-                run_slots.append(slot)
-            index[field] = (tuple(distinct), tuple(run_slots))
-        return index
+    def _value_index(self) -> tuple:
+        """`m`, `kind`, then each run field's distinct values in first-seen
+        order and each run's slot among them: a point's value is its
+        `_point_value` (its kind is the design's), any other's is itself."""
+        (points, point_of), signs, amounts = map(self._index.__getitem__, _FIELDS)
+        points = _by_value(list(map(_point_value, points)), point_of)
+        return self.m, self.kind, points, _by_value(*signs), _by_value(*amounts)
+
+
+# the run fields, in the order of OofARun's
+_FIELDS = ("point", "pwo", "amount")
+
+
+def _identity_index(runs: tuple[OofARun, ...], field: str) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct objects of one run field by identity in first-seen
+    order and each run's slot among them."""
+    slots: dict[int, int] = {}
+    distinct = []
+    run_slots = []
+    for obj in map(attrgetter(field), runs):
+        slot = slots.get(id(obj))
+        if slot is None:
+            slot = slots[id(obj)] = len(distinct)
+            distinct.append(obj)
+        run_slots.append(slot)
+    return tuple(distinct), tuple(run_slots)
+
+
+def _point_value(point: DesignPoint) -> tuple[tuple[int, int], ...]:
+    """A point's values as (numerator, denominator) pairs: a Fraction is kept
+    in lowest terms, so the pairs are its value, and ints hash faster."""
+    return tuple((v.numerator, v.denominator) for v in point.values)
+
+
+def _by_value(values, slots: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct `values` of a field's distinct objects in first-seen
+    order, and each run's slot among them, from its object's slot."""
+    ids: dict = {}
+    value_of = [ids.setdefault(value, len(ids)) for value in values]
+    return tuple(ids), slots if len(ids) == len(value_of) else tuple(map(value_of.__getitem__, slots))
 
 
 def _require_design(design) -> None:

@@ -640,39 +640,20 @@ def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=Non
     return term_columns(spec, comps, signs, amounts, out=out)
 
 
-def _value_ids(values) -> np.ndarray:
-    """For each of a design field's distinct objects, given by its hashable
-    value, the first-seen number of that value, so equal values built as
-    different objects share one."""
-    ids: dict = {}
-    return np.array([ids.setdefault(value, len(ids)) for value in values], dtype=np.intp)
-
-
-def _point_value(point) -> tuple[tuple[int, int], ...]:
-    """A point's values as (numerator, denominator) pairs: a Fraction is kept
-    in lowest terms, so the pairs are its value, and ints hash faster."""
-    return tuple((v.numerator, v.denominator) for v in point.values)
-
-
-def _value_floats(values: list) -> np.ndarray:
+def _value_floats(values: tuple) -> np.ndarray:
     """The (points, m) floats of `_point_value`s: the same true division of
     each numerator by its denominator that `_point_floats` makes."""
     return np.array([[n / d for n, d in value] for value in values])
 
 
-def _crossed_base(design: Design, values: list) -> np.ndarray | None:
+def _crossed_base(design: Design) -> np.ndarray | None:
     """The runs at the first run's amount level when every level holds the
     same multiset of base runs (point values and sign tuple), else None.
-    `values` holds the `_point_value` of each distinct point of the
-    design's index, and signs and amounts are compared once per distinct
-    object, so two equal designs built from different objects give the
-    same answer."""
-    index = design._index
-    signs, sign_slots = index["pwo"]
-    amounts, amount_slots = index["amount"]
-    base = _value_ids(values).take(index["point"][1]) * len(signs)
-    base += _value_ids(signs).take(sign_slots)
-    level = _value_ids(amounts).take(amount_slots)
+    It reads the design's value index (``Design._value_index``), so two
+    equal designs built from different objects give the same answer."""
+    _, _, (_, point_of), (signs, sign_of), (_, amount_of) = design._value_index
+    base = np.array(point_of) * len(signs) + sign_of
+    level = np.array(amount_of)
     counts = np.bincount(level)
     if counts.min() != counts.max():
         return None
@@ -721,16 +702,13 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     degree = spec._amount_degree
     if not degree:
         return None
-    # each distinct point is converted once: to exact pairs for its value
-    # id, and from those pairs to floats for X_base
-    points, point_slots = design._index["point"]
-    values = [_point_value(point) for point in points]
-    runs = _crossed_base(design, values)
+    runs = _crossed_base(design)
     if runs is None:
         return None
     q = spec.p // (degree + 1)
     base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
-    comps = _floats("point", _value_floats, values).take(np.take(point_slots, runs), axis=0)
+    values, point_of = design._value_index[2]
+    comps = _floats("point", _value_floats, values).take(np.take(point_of, runs), axis=0)
     signs = _field_rows(design, "pwo", _sign_floats, runs) if spec.kind.has_pwo else None
     X_base = term_columns(base, comps, signs, None)
     if _constant(X_base).any():

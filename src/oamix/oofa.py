@@ -299,7 +299,7 @@ def scale_amounts(design: Design, a_max) -> Design:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
     points, point_of = design._index["point"]
     amounts, amount_of = design._index["amount"]
-    scaled_points = [DesignPoint(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
+    scaled_points = [DesignPoint._of(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
     scaled_amounts = [amount * scale for amount in amounts]
     # one new object per distinct object, so the parent's slots carry over
     index = {

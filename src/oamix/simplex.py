@@ -72,7 +72,7 @@ def simplex_lattice(m: int, w: int) -> Design:
         raise InvalidParameter(f"a lattice has C(m + w - 1, w) runs, over the limit of {_MAX_RUNS}, at m={m}, w={w}")
     # one Fraction per level, shared by every point that holds it
     levels = [Fraction(k, w) for k in range(w + 1)]
-    points = [DesignPoint(tuple(map(levels.__getitem__, comp)), Kind.PROPORTION) for comp in _compositions(w, m)]
+    points = [DesignPoint._of(tuple(map(levels.__getitem__, comp)), Kind.PROPORTION) for comp in _compositions(w, m)]
     return _one_run_per_point(m, points)
 
 
@@ -95,7 +95,7 @@ def simplex_centroid(m: int) -> Design:
         for subset in combinations(range(1, m + 1), size):
             chosen = set(subset)
             values = tuple(share if i in chosen else Fraction(0) for i in range(1, m + 1))
-            points.append(DesignPoint(values, Kind.PROPORTION))
+            points.append(DesignPoint._of(values, Kind.PROPORTION))
     return _one_run_per_point(m, points)
 
 
@@ -123,7 +123,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
         raise DropAllColumns(f"cannot drop all {design.m} columns")
     keep = [i for i in range(1, design.m + 1) if i not in dropped]
     points, point_of = design._index["point"]
-    projected = tuple(DesignPoint(tuple(point.values[i - 1] for i in keep), Kind.AMOUNT) for point in points)
+    projected = tuple(DesignPoint._of(tuple(point.values[i - 1] for i in keep), Kind.AMOUNT) for point in points)
     index = {
         "point": (projected, point_of),
         "pwo": design._index["pwo"],

@@ -1,5 +1,6 @@
 """Core containers: exact values, validation, totals."""
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -202,3 +203,50 @@ def test_one_component_design_refuses_signs():
     with pytest.raises(InvalidDimension) as expanded:
         oofa_expand(Design(1, Kind.PROPORTION, (OofARun(vertex),)))
     assert str(built.value) == str(expanded.value)
+
+
+_SHAPE_MESSAGES = [
+    (2, Kind.PROPORTION, (OofARun(HALF, pwo=(1,)), OofARun(HALF)), WrongKind,
+     "run 2 has 2 proportion components, no signs, no A; the design's runs have 2 proportion components, with signs, no A"),
+    (2, Kind.PROPORTION, (OofARun(HALF, amount=1), OofARun(HALF)), WrongKind,
+     "run 2 has 2 proportion components, no signs, no A; the design's runs have 2 proportion components, no signs, with A"),
+    (2, Kind.AMOUNT, (OofARun(HALF_AMOUNT, amount=1), OofARun(HALF_AMOUNT)), WrongKind,
+     "run 2 has 2 amount components, no signs, no A; the design's runs have 2 amount components, no signs, with A"),
+    (2, Kind.AMOUNT, (OofARun(HALF_AMOUNT),), WrongKind,
+     "run 1 has 2 amount components, no signs, no A; the design's runs have 2 amount components, no signs, with A"),
+    (2, Kind.PROPORTION, (OofARun(HALF), OofARun(P(1, 0, 0))), WrongKind,
+     "run 2 has 3 proportion components, no signs, no A; the design's runs have 2 proportion components, no signs, no A"),
+    (2, Kind.PROPORTION, (OofARun(HALF), OofARun(HALF_AMOUNT, amount=1)), WrongKind,
+     "run 2 has 2 amount components, no signs, with A; the design's runs have 2 proportion components, no signs, no A"),
+    (3, Kind.PROPORTION, (OofARun(HALF),), WrongKind,
+     "run 1 has 2 proportion components, no signs, no A; the design's runs have 3 proportion components, no signs, no A"),
+    (1, Kind.PROPORTION, (OofARun(P(1), pwo=()),), InvalidDimension, "addition orders need m >= 2 components, got m=1"),
+]
+
+
+@pytest.mark.parametrize("m, kind, runs, error, message", _SHAPE_MESSAGES)
+def test_design_shape_fault_messages(m, kind, runs, error, message):
+    with pytest.raises(error) as got:
+        Design(m, kind, runs)
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, "x", object()], ids=["None", "bool", "float", "text", "object"])
+def test_design_argument_faults_are_named(value):
+    name = type(value).__name__
+    with pytest.raises(InvalidParameter, match=f"^m must be an integer, got {re.escape(repr(value))}$"):
+        Design(value, Kind.PROPORTION, (OofARun(HALF),))
+    if isinstance(value, str):
+        # text is iterable: its characters are runs that are not OofARuns
+        with pytest.raises(InvalidParameter, match="^run 1 must be an OofARun, got str$"):
+            Design(2, Kind.PROPORTION, value)
+    else:
+        with pytest.raises(InvalidParameter, match=f"^runs must be iterable, got {re.escape(repr(value))}$"):
+            Design(2, Kind.PROPORTION, value)
+    with pytest.raises(InvalidParameter, match=f"^run 2 must be an OofARun, got {name}$"):
+        Design(2, Kind.PROPORTION, (OofARun(HALF), value, OofARun(HALF)))
+
+
+def test_design_stores_an_integral_m_as_int():
+    design = Design(np.int64(2), Kind.PROPORTION, [OofARun(HALF)])
+    assert type(design.m) is int and design == Design(2, Kind.PROPORTION, (OofARun(HALF),))

@@ -405,16 +405,16 @@ def test_index_names_each_run_value(design):
 def test_index_is_built_once_per_design(monkeypatch):
     # every design the constructors and the reader return is born with its
     # index, so no layer walks its runs for it; only a design built in code
-    # walks them, once, on first use
-    index = Design.__dict__["_index"]
+    # walks them, once, when it is built
+    walk = Design.__post_init__
     builds = 0
 
-    def counted(self, build=index.func):
+    def counted(self):
         nonlocal builds
         builds += 1
-        return build(self)
+        walk(self)
 
-    monkeypatch.setattr(index, "func", counted)
+    monkeypatch.setattr(Design, "__post_init__", counted)
     crossed = cross_amounts(oofa_expand(simplex_lattice(6, 4)), LEVELS)
     scaled = scale_amounts(oofa_expand(project_columns(simplex_centroid(6), {6})), 500)
     design = read_design(write_design(crossed))
@@ -430,8 +430,8 @@ def test_index_is_built_once_per_design(monkeypatch):
     assert builds == 0
     for born in (crossed, scaled, design):
         assert "_index" in vars(born)
-    Design(design.m, design.kind, design.runs)._index
-    assert builds == 1
+    built = Design(design.m, design.kind, design.runs)
+    assert builds == 1 and "_index" in vars(built)
 
 
 def test_no_stage_makes_a_run(monkeypatch, tmp_path):
@@ -477,6 +477,10 @@ def test_no_stage_makes_a_run(monkeypatch, tmp_path):
             source.write_text(write_design(inputs[argv[0]]))
             argv = [*argv, "--input", str(source)]
         assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}_out.csv")]) == 0
+    # `==` and `hash` read the value index, not the runs
+    again = read_design(write_design(crossed))
+    assert back == again and again == crossed and crossed == back
+    assert hash(back) == hash(again) == hash(crossed) and back != scaled
     assert made == 0
     for design in (crossed, back, scaled):
         assert "runs" not in vars(design)
@@ -533,9 +537,9 @@ def assert_stored_as_its_index(design: Design) -> None:
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_index_takes_no_part_in_equality(designs, name):
     design = read_design(write_design(designs[name]))
-    # the same runs in a design built in code, which has no index until used
+    # the same runs in a design built in code, which holds its index from birth
     twin = Design(design.m, design.kind, design.runs)
-    assert "_index" in vars(design) and "_index" not in vars(twin)
+    assert "_index" in vars(design) and "_index" in vars(twin)
     before = hash(design)
     assert design == twin
     assert_index_names_each_run_value(design)
@@ -599,6 +603,69 @@ def test_born_index_is_the_walked_index(made):
         for born in (design, back):
             assert_stored_as_its_index(born)
             assert_born_with_the_walked_index(born)
+
+
+def _respelled(design: Design) -> Design:
+    """`design` read back from its text with every fraction cell of every
+    other row written with its numerator and denominator doubled (``2/4``
+    for ``1/2``): the reader gives each spelling its own objects, so
+    equal values are held by distinct objects."""
+    header, *rows = write_design(design).splitlines()
+
+    def respell(cell: str) -> str:
+        if "/" not in cell:
+            return cell
+        numerator, denominator = cell.split("/")
+        return f"{2 * int(numerator)}/{2 * int(denominator)}"
+
+    rows = [",".join(map(respell, row.split(","))) if n % 2 else row for n, row in enumerate(rows)]
+    return read_design("\n".join([header, *rows]) + "\n")
+
+
+def _edited(draw, design: Design) -> Design:
+    """`design` built in code with one drawn run moved to a drawn place, or
+    with its point, signs or amount taken from another drawn run."""
+    runs = list(design.runs)
+    i, j = (draw(st.integers(0, len(runs) - 1)) for _ in range(2))
+    if draw(st.booleans()):
+        runs.insert(j, runs.pop(i))
+    else:
+        field = draw(st.sampled_from(["point", "pwo", "amount"]))
+        if getattr(runs[j], field) is not None:
+            runs[i] = dataclasses.replace(runs[i], **{field: getattr(runs[j], field)})
+    return Design(design.m, design.kind, tuple(runs))
+
+
+def assert_equal_exactly_when_the_runs_are(a: Design, b: Design) -> None:
+    # `==` is taken before either design's runs are asked for
+    equal, unequal = a == b, a != b
+    same = a.runs == b.runs
+    assert equal is same and unequal is not same and (b == a) is same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformed_designs(), st.data())
+def test_designs_are_equal_exactly_when_their_runs_are(made, data):
+    # pairs of designs from the library, the reader and `Design(...)`, with
+    # shared objects, fresh objects and distinct objects of equal values (a
+    # projection's duplicate points, a respelled file), and with one run
+    # moved or changed
+    for design in made:
+        fresh_runs = fresh(design)
+        for twin in (
+            read_design(write_design(design)),
+            _respelled(design),
+            fresh_runs,
+            Design(design.m, design.kind, fresh_runs.runs),
+            _edited(data.draw, design),
+            _edited(data.draw, fresh_runs),
+        ):
+            assert_equal_exactly_when_the_runs_are(design, twin)
+            assert_equal_exactly_when_the_runs_are(_respelled(design), twin)
+    for a, b in zip(made, made[1:]):
+        assert_equal_exactly_when_the_runs_are(a, b)
 
 
 _SMALL = {

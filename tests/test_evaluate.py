@@ -1193,7 +1193,7 @@ def test_crossed_base_rows_are_the_full_matrix_rows(monkeypatch, eq):
     X = model_matrix(design, spec).X
     values, floats = [0], [0]
 
-    def counted_value(point, original=oamix.evaluate._point_value):
+    def counted_value(point, original=oamix.core._point_value):
         values[0] += 1
         return original(point)
 
@@ -1201,7 +1201,7 @@ def test_crossed_base_rows_are_the_full_matrix_rows(monkeypatch, eq):
         floats[0] += 1
         return original(self)
 
-    monkeypatch.setattr(oamix.evaluate, "_point_value", counted_value)
+    monkeypatch.setattr(oamix.core, "_point_value", counted_value)
     monkeypatch.setattr(Fraction, "__float__", counted_float)
     base, base_fac, _, _ = _crossed_factors(design, spec)
     assert values[0] == 36 and floats[0] == 3
