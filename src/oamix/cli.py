@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import as_fraction
-from .errors import InvalidParameter, OamixError
+from .errors import InvalidParameter, OamixError, _shown
 from .io import _MAX_DECIMALS, _check_components, read_design, write_design
 from .oofa import cross_amounts, oofa_expand, scale_amounts
 from .simplex import project_columns, simplex_centroid, simplex_lattice
@@ -83,7 +83,7 @@ def _decimals(fmt: str) -> int | None:
     # the length test keeps int() within Python's int-from-str digit limit
     if digits == fmt or not (digits.isdecimal() and len(digits) <= 4 and int(digits) <= _MAX_DECIMALS):
         raise InvalidParameter(
-            f"--format must be rational or decimals:K with 0 <= K <= {_MAX_DECIMALS}, got {fmt!r}"
+            f"--format must be rational or decimals:K with 0 <= K <= {_MAX_DECIMALS}, got {_shown(fmt)}"
         )
     return int(digits)
 
@@ -131,7 +131,7 @@ def _project(args, design) -> "Design":
     try:
         drop = {int(tok) for tok in args.drop.split(",") if tok.strip()}
     except ValueError:
-        raise InvalidParameter(f"--drop needs comma-separated column numbers, got {args.drop!r}") from None
+        raise InvalidParameter(f"--drop needs comma-separated column numbers, got {_shown(args.drop)}") from None
     return project_columns(design, drop)
 
 
@@ -139,7 +139,7 @@ def _exact(text: str, flag: str):
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InvalidParameter(f"{flag} needs exact numbers such as 3/4 or 0.75, got {text!r}") from None
+        raise InvalidParameter(f"{flag} needs exact numbers such as 3/4 or 0.75, got {_shown(text)}") from None
 
 
 def _cross(args, design) -> "Design":
@@ -189,7 +189,7 @@ def _amount_policy(args, design):
         lo, hi = (float(tok) for tok in args.amounts.split(":", 1))
     except ValueError:
         raise InvalidParameter(
-            f"--amounts must be continuous, discrete or LO:HI, got {args.amounts!r}"
+            f"--amounts must be continuous, discrete or LO:HI, got {_shown(args.amounts)}"
         ) from None
     return ContinuousAmounts(lo, hi)
 
@@ -219,7 +219,7 @@ def cmd_power(args) -> str:
         if not args.term or label == args.term
     }
     if args.term and not rows:
-        raise InvalidParameter(f"term {args.term!r} not in model ({', '.join(mm.col_labels)})")
+        raise InvalidParameter(f"term {_shown(args.term)} not in model ({', '.join(mm.col_labels)})")
     return _json({"signal_sd": args.signal, "alpha": args.alpha, "power": rows})
 
 

@@ -21,7 +21,7 @@ from numbers import Real
 from operator import attrgetter
 
 from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind
-from .errors import _int_in_range, _iterable
+from .errors import _int_in_range, _iterable, _joined, _shown
 
 __all__ = [
     "Kind",
@@ -49,7 +49,7 @@ def _as_kind(kind) -> Kind:
     try:
         return Kind(kind)
     except (TypeError, ValueError):
-        raise InvalidParameter(f"kind must be a Kind, 'proportion' or 'amount', got {kind!r}") from None
+        raise InvalidParameter(f"kind must be a Kind, 'proportion' or 'amount', got {_shown(kind)}") from None
 
 
 def as_fraction(value) -> Fraction:
@@ -93,7 +93,7 @@ def _as_ints(values, error: type, what: str) -> tuple[int, ...]:
     if _INT.issuperset(map(type, values)):
         return values
     if not all(isinstance(z, Real) and _is_integer(z) for z in values):
-        raise error(f"{what} entries must be integers, got {','.join(map(str, values))}")
+        raise error(f"{what} entries must be integers, got {_shown(values, text=_joined)}")
     return tuple(int(z) for z in values)
 
 
@@ -203,7 +203,10 @@ class Design:
     build no run.  The library's designs are also valid at birth, and
     record it, so ``oofa.validate_design`` returns at once for them; a
     design built by calling `Design` (or `dataclasses.replace`) is checked
-    run by run whenever it is validated.
+    run by run whenever it is validated.  The model matrices and factors
+    built of a design are kept in a private memo in its instance dict
+    (``models._memoized``), which `==`, `hash`, `repr`, pickle and copy
+    leave out.
     """
 
     m: int
@@ -218,18 +221,31 @@ class Design:
         object.__setattr__(self, "kind", _as_kind(self.kind))
         runs = tuple(_iterable("runs", self.runs))
         object.__setattr__(self, "runs", runs)
-        stray = next((n for n, run in enumerate(runs, start=1) if not isinstance(run, OofARun)), None)
-        if stray is not None:
-            raise InvalidParameter(f"run {stray} must be an OofARun, got {type(runs[stray - 1]).__name__}")
-        object.__setattr__(self, "_index", {field: _identity_index(runs, field) for field in _FIELDS})
-        # the shape from the first run
+        # the run types first, each distinct one once; the stray is sought
+        # only when there is one
+        if not all(issubclass(cls, OofARun) for cls in set(map(type, runs))):
+            stray = next((n for n, run in enumerate(runs, start=1) if not isinstance(run, OofARun)), None)
+            if stray is not None:
+                raise InvalidParameter(f"run {stray} must be an OofARun, got {type(runs[stray - 1]).__name__}")
+        index = {field: _identity_index(runs, field) for field in _FIELDS}
+        object.__setattr__(self, "_index", index)
+        # the shape from the first run, checked once per distinct point (m
+        # and kind), sign tuple and amount (present or not); the first run
+        # that breaks it is sought only when one does
         shape = (self.m, self.kind, self.is_expanded, self.has_amounts)
-        for idx, run in enumerate(runs, start=1):
+        faults = (
+            {slot for slot, point in enumerate(index["point"][0]) if (point.m, point.kind) != shape[:2]},
+            {slot for slot, pwo in enumerate(index["pwo"][0]) if (pwo is not None) != shape[2]},
+            {slot for slot, amount in enumerate(index["amount"][0]) if (amount is not None) != shape[3]},
+        )
+        if any(faults):
+            slots = zip(*(index[field][1] for field in _FIELDS))
+            idx = next(n for n, run in enumerate(slots, start=1) if any(map(set.__contains__, faults, run)))
+            run = runs[idx - 1]
             got = (run.point.m, run.point.kind, run.pwo is not None, run.amount is not None)
-            if got != shape:
-                raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
+            raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
         if self.m < 2 and self.is_expanded:
-            raise InvalidDimension(f"addition orders need m >= 2 components, got m={self.m}")
+            raise InvalidDimension(f"addition orders need m >= 2 components, got m={_shown(self.m)}")
 
     @classmethod
     def _of(cls, m: int, kind: Kind, index: dict, checked: bool) -> Design:
@@ -264,6 +280,14 @@ class Design:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
         fields = (map(distinct.__getitem__, slots) for distinct, slots in map(self._index.__getitem__, _FIELDS))
         return self.__dict__.setdefault("runs", tuple(map(OofARun._of, *fields)))
+
+    def __getstate__(self) -> dict:
+        """The instance dict, less the memo of matrices and factors built of
+        the design (``models._memoized``): a pickle or a copy starts
+        without one."""
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
 
     def __eq__(self, other):
         return self._value_index == other._value_index if other.__class__ is self.__class__ else NotImplemented
@@ -342,7 +366,7 @@ def _require_design(design) -> None:
 
 
 def _describe(m: int, kind: Kind, signs: bool, amount: bool) -> str:
-    return f"{m} {kind.value} components, {'with' if signs else 'no'} signs, {'with' if amount else 'no'} A"
+    return f"{_shown(m)} {kind.value} components, {'with' if signs else 'no'} signs, {'with' if amount else 'no'} A"
 
 
 def _require_point(point) -> None:
@@ -378,10 +402,10 @@ def _point_facts(point: DesignPoint) -> tuple[tuple[int, ...], tuple[int, int]]:
     # the least ratio has the least numerator
     if ratios and min(ratios)[0] < 0:
         i = next(i for i, (numerator, _) in enumerate(ratios) if numerator < 0)
-        raise NegativeEntry(f"component {i + 1} is negative: {point.values[i]}")
+        raise NegativeEntry(f"component {i + 1} is negative: {_shown(point.values[i], text=str)}")
     numerator, denominator = _exact_sum(ratios)
     if point.kind is Kind.PROPORTION and numerator != denominator:
-        raise SumNotOne(f"proportions sum to {Fraction(numerator, denominator)}, expected exactly 1")
+        raise SumNotOne(f"proportions sum to {_shown(Fraction(numerator, denominator), text=str)}, expected exactly 1")
     return tuple(compress(range(1, len(ratios) + 1), [n for n, _ in ratios])), (numerator, denominator)
 
 

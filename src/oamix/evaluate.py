@@ -10,7 +10,11 @@ once, by `_Factor`, and every quantity is read off that factor; a
 `evaluate_design` and `fds_curve` on a crossed mixture-amount design
 (`_crossed_factors`) factor only X_A and X_base, whose Kronecker product
 the full X is up to row order, and never build the full X unless a gate
-fails.
+fails.  The matrices and factors of a design are kept, per spec and
+coding, in one private memo of the design (``models._memoized``), filled
+after the design is checked and gone with the design: a design evaluated
+coded and raw and then sampled builds and factors each matrix once.
+Nothing else is kept between calls; `fds_curve`'s buffers are its own.
 
 Prediction variances are reported unscaled (d = f' M^{-1} f); the N-scaled
 variant N*d is emitted alongside, clearly labeled.  Leverage-based criteria
@@ -36,6 +40,7 @@ from .errors import (
     NoResidualDf,
     SingularInformation,
     _int_in_range,
+    _shown,
 )
 from .models import (
     ModelMatrix,
@@ -46,6 +51,8 @@ from .models import (
     _code_column,
     _field_rows,
     _floats,
+    _memoized,
+    _power_into,
     _sign_floats,
     coded_model_matrix,
     model_matrix,
@@ -120,11 +127,12 @@ class _Factor:
         self._W = Vt.T / (s * scale[:, None])
 
     def pv(self, F: np.ndarray, out=None, work=None) -> np.ndarray:
-        """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F.
+        """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F, a 2-D
+        float array, taken as it is (the FDS loop calls this once per block).
 
         The product F W is written into `work` and the d_i into `out` when
         they are given (arrays of F's shape and of its row count)."""
-        G = np.matmul(np.atleast_2d(np.asarray(F, dtype=float)), self._W, out=work)
+        G = np.matmul(F, self._W, out=work)
         return np.einsum("ij,ij->i", G, G, out=out)
 
     def inverse_diag(self) -> np.ndarray:
@@ -200,7 +208,7 @@ def prediction_variance(X, f) -> float:
         raise InvalidParameter(f"f needs {p} finite values") from None
     if f.shape != (p,) or not np.isfinite(f).all():
         raise InvalidParameter(f"f needs {p} finite values, got shape {f.shape}")
-    return float(fac.pv(f)[0])
+    return float(fac.pv(f[None, :])[0])
 
 
 def g_efficiency(p: int, n: int, max_pv: float) -> float:
@@ -210,11 +218,13 @@ def g_efficiency(p: int, n: int, max_pv: float) -> float:
     InvalidParameter."""
     for name, value in (("p", p), ("n", n), ("max_pv", max_pv)):
         if not (_is_real(value) and _is_finite(value) and value > 0):
-            raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
+            raise InvalidParameter(f"{name} must be a positive finite number, got {_shown(value)}")
     denominator = n * max_pv
     g = 100.0 * p / denominator if denominator else math.inf
     if not math.isfinite(g):
-        raise InvalidParameter(f"g_efficiency of p={p!r}, n={n!r}, max_pv={max_pv!r} is beyond float range")
+        raise InvalidParameter(
+            f"g_efficiency of p={_shown(p)}, n={_shown(n)}, max_pv={_shown(max_pv)} is beyond float range"
+        )
     return g
 
 
@@ -286,9 +296,9 @@ def _is_real(value) -> bool:
 
 def _check_power_args(signal_sd: float, alpha: float) -> None:
     if not (_is_real(alpha) and 0.0 < alpha < 1.0):
-        raise InvalidParameter(f"alpha must lie in (0, 1), got {alpha!r}")
+        raise InvalidParameter(f"alpha must lie in (0, 1), got {_shown(alpha)}")
     if not (_is_real(signal_sd) and _is_finite(signal_sd)):
-        raise InvalidParameter(f"signal must be a finite number of SDs, got {signal_sd!r}")
+        raise InvalidParameter(f"signal must be a finite number of SDs, got {_shown(signal_sd)}")
 
 
 # Gamma(b + 1/2) / Gamma(b) = sqrt(b) (1 + sum_i a_i / b^i) for large b
@@ -404,7 +414,7 @@ def _t_critical(df: int, alpha: float) -> float:
         c = max(c + step, 0.5 * c)
         if abs(step) <= 1e-13 * c:
             return c
-    raise InvalidParameter(f"alpha={alpha!r} is too small for power at {df} residual df")
+    raise InvalidParameter(f"alpha={_shown(alpha)} is too small for power at {df} residual df")
 
 
 def _nct_two_sided(delta, df: int, alpha: float):
@@ -502,7 +512,7 @@ class ContinuousAmounts:
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         if not (all(_is_real(v) and _is_finite(v) for v in (lo, hi)) and 0 <= lo <= hi):
-            raise InvalidParameter(f"amount range needs real finite 0 <= lo <= hi, got {lo!r}:{hi!r}")
+            raise InvalidParameter(f"amount range needs real finite 0 <= lo <= hi, got {_shown(lo)}:{_shown(hi)}")
 
 
 @dataclass(frozen=True)
@@ -519,7 +529,7 @@ class DiscreteAmounts:
             levels = None
         if not levels or not all(_is_real(a) and _is_finite(a) and a >= 0 for a in levels):
             raise InvalidParameter(
-                f"amount levels need a nonempty set of real finite values >= 0, got {self.levels!r}"
+                f"amount levels need a nonempty set of real finite values >= 0, got {_shown(self.levels)}"
             )
         object.__setattr__(self, "levels", levels)
 
@@ -564,10 +574,14 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     None under orderings: uniforms U drawn into `sign_draws`, a buffer of
     at least n * pairs floats (fresh when None), then doubled and less 1,
     which is numpy's ``uniform(-1, 1)``, -1 + 2U, bit for bit (2U is
-    exact, so either way the one rounding is that of the sum).  `draws`
-    holds the scratch, x and key buffers, each of at least n * m floats;
-    when it is None they are fresh.  The stream and the bits do not depend
-    on the buffers."""
+    exact, so either way the one rounding is that of the sum).  The
+    amounts are the first n floats of the scratch buffer, which x and the
+    keys no longer need: continuous amounts are uniforms U times hi - lo,
+    plus lo, in place, which is numpy's ``uniform(lo, hi)``, lo + (hi -
+    lo) U, with the same two roundings; discrete ones are a `np.take` of
+    the levels.  `draws` holds the scratch, x and key buffers, each of at
+    least n * m floats; when it is None they are fresh.  The stream and
+    the bits do not depend on the buffers."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     scratch, x_buf, key_buf = draws if draws is not None else np.empty((3, n * m))
     # exponential spacings: normalized iid exponentials are uniform on the simplex
@@ -590,9 +604,12 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
         signs = None
     if isinstance(policy, DiscreteAmounts):
         levels = np.asarray(policy.levels, dtype=float)
-        amounts = levels[rng.integers(0, len(levels), n)]
+        amounts = np.take(levels, rng.integers(0, len(levels), n), out=scratch[:n])
     else:
-        amounts = rng.uniform(policy.lo, policy.hi, n)
+        lo, hi = float(policy.lo), float(policy.hi)
+        amounts = rng.random(out=scratch[:n])
+        amounts *= hi - lo
+        amounts += lo
     return x, keys, signs, amounts
 
 
@@ -663,15 +680,22 @@ def _crossed_base(design: Design) -> np.ndarray | None:
     return np.flatnonzero(level == 0)
 
 
-def _amount_powers(amounts: np.ndarray, degree: int, out=None) -> np.ndarray:
-    """The (n, degree + 1) matrix of 1, A, ..., A^degree, each power taken as
-    `term_columns` takes it, written into `out` when one is given (the FDS
-    loop's is F-ordered, so each power is one contiguous store) and into a
-    new C-ordered array otherwise."""
-    V = np.empty((amounts.size, degree + 1)) if out is None else out
+def _amount_powers(amounts: np.ndarray, degree: int) -> np.ndarray:
+    """The (n, degree + 1) C-ordered matrix of 1, A, ..., A^degree
+    (`_write_powers`)."""
+    V = np.empty((amounts.size, degree + 1))
     V[:, 0] = 1.0
-    for t in range(1, degree + 1):
-        V[:, t] = amounts if t == 1 else amounts**t
+    return _write_powers(amounts, V)
+
+
+def _write_powers(amounts: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A^t written into column t of V for t = 1, ..., V.shape[1] - 1, each
+    power taken as `term_columns` takes it, and V returned.  Column 0, the
+    ones, is left as it is: the FDS loop writes it once per call, into an
+    F-ordered V whose every power is one contiguous store."""
+    V[:, 1] = amounts
+    for t in range(2, V.shape[1]):
+        _power_into(amounts, t, V[:, t])
     return V
 
 
@@ -697,8 +721,25 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     path's error or passes: off the path, when a small factor raises, when
     the base factor's reciprocal condition times either amount factor's is
     below RCOND_FLOOR, and when a base column is constant, so that whether
-    a column's R^2 is NaN is read from the cells of the full matrix."""
+    a column's R^2 is NaN is read from the cells of the full matrix.
+
+    The result, None too, is kept in the design's memo (``models._memoized``)
+    per spec and coding, after the check; the coded result shares the base
+    and raw factors of the raw one, so a design evaluated under both codings
+    and then sampled recognizes its structure and factors X_base once."""
     _check_design(design, spec)
+    raw = _memoized(design, ("crossed", spec, False), lambda: _crossed_raw(design, spec))
+    if not coded or raw is None:
+        return raw
+    return _memoized(design, ("crossed", spec, True), lambda: _crossed_coded(design, raw))
+
+
+def _amount_labels(degree: int) -> tuple[str, ...]:
+    return tuple(f"A^{t}" for t in range(degree + 1))
+
+
+def _crossed_raw(design: Design, spec: ModelSpec):
+    """`_crossed_factors` of a checked design and spec under raw coding."""
     degree = spec._amount_degree
     if not degree:
         return None
@@ -714,14 +755,29 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     if _constant(X_base).any():
         return None
     levels = np.array(_level_floats(design))
-    labels = tuple(f"A^{t}" for t in range(degree + 1))
     try:
         base_fac = _Factor(X_base, base.labels)
-        raw = _Factor(_amount_powers(levels, degree), labels)
-        term = _Factor(_amount_powers(_code_column(levels), degree), labels) if coded else raw
+        raw = _Factor(_amount_powers(levels, degree), _amount_labels(degree))
     except (InvalidParameter, SingularInformation):
         return None
-    if base_fac.rcond * min(raw.rcond, term.rcond) < RCOND_FLOOR:
+    if base_fac.rcond * raw.rcond < RCOND_FLOOR:
+        return None
+    return base, base_fac, raw, raw
+
+
+def _crossed_coded(design: Design, crossed: tuple):
+    """`_crossed_factors` under coded amounts, from the raw result
+    `crossed`: its base and raw factors, and the factor of the levels coded
+    as `coded_model_matrix` codes A, or None when that factor raises or its
+    reciprocal condition times the base factor's is below RCOND_FLOOR."""
+    base, base_fac, raw, _ = crossed
+    degree = raw.X.shape[1] - 1
+    levels = np.array(_level_floats(design))
+    try:
+        term = _Factor(_amount_powers(_code_column(levels), degree), _amount_labels(degree))
+    except (InvalidParameter, SingularInformation):
+        return None
+    if base_fac.rcond * term.rcond < RCOND_FLOOR:
         return None
     return base, base_fac, raw, term
 
@@ -755,14 +811,14 @@ class FdsCurve:
         """Fraction of sampled space with prediction variance < value, a
         real number that is not NaN."""
         if not _is_real(value):
-            raise InvalidParameter(f"value must be a real number, not NaN, got {value!r}")
+            raise InvalidParameter(f"value must be a real number, not NaN, got {_shown(value)}")
         return float(np.searchsorted(self.variances, value, side="left")) / self.n_samples
 
     def quantile(self, fraction: float) -> float:
         """The smallest sampled variance with at least `fraction` of the
         samples at or below it; `fraction` is a real number in [0, 1]."""
         if not (_is_real(fraction) and 0 <= fraction <= 1):
-            raise InvalidParameter(f"fraction must be a real number in [0, 1], got {fraction!r}")
+            raise InvalidParameter(f"fraction must be a real number in [0, 1], got {_shown(fraction)}")
         i = min(self.n_samples - 1, max(0, int(math.ceil(fraction * self.n_samples)) - 1))
         return float(self.variances[i])
 
@@ -808,12 +864,15 @@ def fds_curve(
     views of (k, c) buffers, so each step reads and writes a component's
     or a column's samples as one contiguous run.  One call allocates, for
     chunks of c = min(8192, n_samples) samples, buffers it reuses for
-    every chunk: a C-ordered scratch of c * m floats that the exponentials
-    and then the order keys are drawn into, in stream order, and column
-    buffers of c * m floats each for the proportions, the keys and the
-    component amounts; a (c, pairs) sign buffer; one flat row buffer of
-    p * c floats; and a C-ordered product buffer of min(2049, c) rows, so
-    no chunk makes a large allocation.  Under continuous signs nothing
+    every chunk: a C-ordered scratch of c * m floats that the exponentials,
+    then the order keys and last the total amounts are drawn into, in
+    stream order (see `_sample_chunk`), and column buffers of c * m floats
+    each for the proportions, the keys and the component amounts; a
+    (c, pairs) sign buffer; one flat row buffer of p * c floats, whose
+    columns each term's product is written into in place
+    (``models.term_columns``); and a C-ordered product buffer of
+    min(2049, c) rows, so no chunk makes a large allocation.  No buffer
+    outlives the call.  Under continuous signs nothing
     reads the order keys, so the stream is advanced past them rather than
     drawn (see `_sample_chunk`); the signs are drawn as uniforms into one
     more C-ordered buffer of c * pairs floats and mapped onto (-1, 1) in
@@ -842,9 +901,14 @@ def fds_curve(
     which is the full matrix's, is below 1e-10), so the errors are those
     of every other path.  The row and
     product buffers are then q wide, not p, and d_A takes a column buffer
-    of the (c, T + 1) powers of A, a C-ordered one for their product and
-    one of c floats.
-    Any other spec or design takes the full rows.
+    of the (c, T + 1) powers of A, whose column of ones is written once
+    per call and each A^t in place per chunk, a C-ordered one for their
+    product and one of c floats.
+    Any other spec or design takes the full rows.  Either way the design's
+    structure is recognized, and its factors built, once per design and
+    spec and kept in the design's memo (see the module docstring), so a
+    second curve of the design, or one after `evaluate_design`, factors
+    nothing.
 
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
@@ -853,11 +917,11 @@ def fds_curve(
     n_samples = _int_in_range("n_samples", n_samples, 100)
     seed = _int_in_range("seed", seed, 0)
     if not (isinstance(sign_policy, str) and sign_policy in ("orderings", "continuous")):
-        raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {sign_policy!r}")
+        raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {_shown(sign_policy)}")
     _int_in_range("workers", workers, 1)
     if amount_policy is not None and not isinstance(amount_policy, (ContinuousAmounts, DiscreteAmounts)):
         raise InvalidParameter(
-            f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {amount_policy!r}"
+            f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {_shown(amount_policy)}"
         )
     crossed = _crossed_factors(design, spec)
     policy = amount_policy if amount_policy is not None else _default_policy(design)
@@ -877,11 +941,12 @@ def fds_curve(
     work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
     if degree:
         powers, powers_work = np.empty((degree + 1, chunk)).T, np.empty((chunk, degree + 1))
+        powers[:, 0] = 1.0
         d_amount = np.empty(chunk)
     try:
         variances = np.empty(n_samples)
     except (ValueError, MemoryError):
-        raise InvalidParameter(f"n_samples={n_samples} is too many to hold in memory") from None
+        raise InvalidParameter(f"n_samples={_shown(n_samples)} is too many to hold in memory") from None
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws, sign_draws)
@@ -890,7 +955,7 @@ def fds_curve(
         for lo, hi in _blocks(count):
             fac.pv(F[lo:hi], out=variances[start + lo : start + hi], work=work[: hi - lo])
         if degree:
-            V = _amount_powers(amounts, degree, out=powers[:count])
+            V = _write_powers(amounts, powers[:count])
             variances[start : start + count] *= amount_fac.pv(V, out=d_amount[:count], work=powers_work[:count])
     variances.sort()
     return FdsCurve(
@@ -965,7 +1030,7 @@ def evaluate_design(
     agrees with the per-matrix functions to about 1e-13 relative.
     """
     if not (isinstance(coding, str) and coding in ("coded", "raw")):
-        raise InvalidParameter(f"coding must be 'coded' or 'raw', got {coding!r}")
+        raise InvalidParameter(f"coding must be 'coded' or 'raw', got {_shown(coding)}")
     _check_power_args(signal_sd, alpha)
     crossed = _crossed_factors(design, spec, coded=coding == "coded")
     if crossed is None:

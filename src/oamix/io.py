@@ -36,7 +36,7 @@ from importlib import resources
 from itertools import product
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
-from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, located
+from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, _shown, located
 from .oofa import _check_index, _check_sign_counts, _pwo_pairs
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
@@ -364,6 +364,6 @@ def reference_design(name: str) -> Design:
     or table5 (rational fixtures regenerated by ``oamix demo``).  Any other
     name raises InvalidParameter."""
     if not (isinstance(name, str) and name in _TABLES):
-        raise InvalidParameter(f"reference design must be one of {', '.join(_TABLES)}, got {name!r}")
+        raise InvalidParameter(f"reference design must be one of {', '.join(_TABLES)}, got {_shown(name)}")
     path = resources.files("oamix").joinpath(f"data/{name}.csv")
     return read_design(path.read_text(encoding="utf-8"))

@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from .errors import (
     MissingAmount,
     MissingPwo,
     UnsupportedReduction,
+    _SIZE_DIGITS,
     _int_in_range,
     _iterable,
+    _shown,
 )
 from .oofa import _check_sign_counts, _pwo_pairs
 
@@ -79,11 +81,11 @@ class ModelKind(Enum):
     def parse(cls, text: "str | ModelKind") -> "ModelKind":
         if isinstance(text, cls):
             return text
-        key = str(text).strip().lower()
+        key = text.strip().lower() if isinstance(text, str) else None
         for member in cls:
             if key in (member.value, member.name.lower()):
                 return member
-        raise InvalidParameter(f"unknown model kind {text!r}; expected eq1..eq8")
+        raise InvalidParameter(f"unknown model kind {_shown(text)}; expected eq1..eq8")
 
 
 @dataclass(frozen=True)
@@ -163,19 +165,20 @@ def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], 
             return tuple((i, tuple(sorted((i, i % m + 1)))) for i in range(1, m + 1))
         if reduction == "keep_all":
             return tuple((i, (j, k)) for i in range(1, m + 1) for j, k in _pwo_pairs(m) if i in (j, k))
-        raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
+        raise UnsupportedReduction(f"unknown reduction rule {_shown(reduction)}")
     if not isinstance(reduction, Iterable):
-        raise UnsupportedReduction(f"unknown reduction rule {reduction!r}")
+        raise UnsupportedReduction(f"unknown reduction rule {_shown(reduction)}")
     out = []
     seen = set()
     for entry in reduction:
         try:
             i, (j, k) = entry
         except (TypeError, ValueError):
-            raise UnsupportedReduction(f"a reduction entry is (component, (j, k)), got {entry!r}") from None
+            raise UnsupportedReduction(f"a reduction entry is (component, (j, k)), got {_shown(entry)}") from None
         i, j, k = (_int_in_range("reduction component", c) for c in (i, j, k))
         j, k = sorted((j, k))
         if not (1 <= j < k <= m) or not (1 <= i <= m):
+            i, j, k = map(_shown, (i, j, k))
             raise UnsupportedReduction(f"interaction ({i}, ({j},{k})) out of range for m={m}")
         if i not in (j, k):
             raise UnsupportedReduction(
@@ -229,13 +232,16 @@ def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
     kind = ModelKind.parse(kind)
     m = _int_in_range("m", m)
     if m < 2:
-        raise InvalidDimension(f"need m >= 2, got m={m}")
+        raise InvalidDimension(f"need m >= 2, got m={_shown(m)}")
     # eq6 with keep_all has 3(m + 2 C(m, 2) + m(m - 1)) = 3m(2m - 1) terms,
     # more than any other family or reduction at m (a custom reduction
     # repeats no interaction)
     count = 3 * m * (2 * m - 1)
     if count > _MAX_TERMS:
-        raise InvalidParameter(f"a model at m={m} may have {count} terms, over the limit of {_MAX_TERMS}")
+        raise InvalidParameter(
+            f"a model at m={_shown(m, _SIZE_DIGITS)} may have {_shown(count, _SIZE_DIGITS)} terms, "
+            f"over the limit of {_MAX_TERMS}"
+        )
     terms: list[Term] = []
     if kind is ModelKind.MA_LIN:
         terms = _linear(m, 0) + _linear(m, 1)
@@ -309,37 +315,82 @@ def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
     return arr, labels
 
 
+def _power_into(a: np.ndarray, p, out: np.ndarray) -> np.ndarray:
+    """`a ** p` written into `out`, with the bits of numpy's `a ** p`: a
+    square is numpy's ``square``, a * a, and any other power is `a ** p`
+    itself, copied."""
+    if p == 2:
+        return np.square(a, out=out)
+    out[...] = a**p
+    return out
+
+
+def _product_into(factors: list, out: np.ndarray) -> np.ndarray:
+    """The product of `factors`, (array, power) pairs, written into `out` in
+    the order ``reduce(np.multiply, [a ** p ...])`` takes: the first two
+    factors are multiplied into `out` and the rest in place.  A power of 1
+    is the array itself, and a product of two floats does not depend on
+    their order, so a term of one square, or of columns and signs, makes no
+    temporary."""
+    (a, p), rest = factors[0], factors[1:]
+    if p != 1:
+        _power_into(a, p, out)
+    elif rest and rest[0][1] == 1:
+        np.multiply(a, rest[0][0], out=out)
+        rest = rest[1:]
+    elif rest:
+        _power_into(*rest[0], out)
+        out *= a
+        rest = rest[1:]
+    else:
+        out[...] = a
+    for a, p in rest:
+        out *= a if p == 1 else a**p
+    return out
+
+
 def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray:
     """The n x p matrix of model vectors f(x) at n points given as float arrays:
     `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
     applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
-    amounts**t, in that order, for design matrices and FDS rows alike; the
-    product before the amount power is formed once per term and reused for
-    every power t; a power of 1 uses the column itself, which is exact.
-    The matrix is written into `out`, an (n, p) float array of either
-    order, when one is given, and returned; otherwise it is a new C-ordered
-    array.  In an F-ordered `out`, as the FDS sampler passes, every column
-    write is one contiguous store, and the cells are the same bits."""
+    amounts**t, in that order, for design matrices and FDS rows alike, and
+    each term's product is written straight into its column
+    (`_product_into`).  A product before the amount power is formed once
+    per term and read, for every later power t, from the column that holds
+    it; a repeated term is copied from its first column; a power of 1 uses
+    the column itself, which is exact.  The matrix is written into `out`, an
+    (n, p) float array of either order, when one is given, and returned;
+    otherwise it is a new C-ordered array.  In an F-ordered `out`, as the
+    FDS sampler passes, every column write is one contiguous store, and the
+    cells are the same bits."""
     pair_col = {pair: c for c, pair in enumerate(_pwo_pairs(spec.m))}
     X = np.empty((comps.shape[0], spec.p)) if out is None else out
-    products: dict = {}
+    # the column of each product (amount power 0) and of each term formed
+    product_col: dict = {}
+    term_col: dict = {}
     powers: dict = {}
     for col, term in enumerate(spec.terms):
-        key = (term.comp_powers, term.pwo_pair)
-        if key not in products:
-            factors = [comps[:, i - 1] if p == 1 else comps[:, i - 1] ** p for i, p in term.comp_powers]
-            if term.pwo_pair is not None:
-                factors.append(signs[:, pair_col[term.pwo_pair]])
-            products[key] = reduce(np.multiply, factors) if factors else None
-        c, t = products[key], term.amount_power
+        key, t = (term.comp_powers, term.pwo_pair), term.amount_power
+        target = X[:, col]
+        if (key, t) in term_col:
+            target[...] = X[:, term_col[key, t]]
+            continue
+        term_col[key, t] = col
         if t and t not in powers:
-            powers[t] = amounts if t == 1 else amounts ** t
-        if c is None:
-            X[:, col] = powers[t] if t else 1.0
-        elif t:
-            np.multiply(c, powers[t], out=X[:, col])
+            powers[t] = amounts if t == 1 else amounts**t
+        if not term.comp_powers and term.pwo_pair is None:
+            target[...] = powers[t] if t else 1.0
+        elif key in product_col:
+            np.multiply(X[:, product_col[key]], powers[t], out=target)
         else:
-            X[:, col] = c
+            factors = [(comps[:, i - 1], p) for i, p in term.comp_powers]
+            if term.pwo_pair is not None:
+                factors.append((signs[:, pair_col[term.pwo_pair]], 1))
+            _product_into(factors, target)
+            if t:
+                target *= powers[t]
+            else:
+                product_col[key] = col
     return X
 
 
@@ -408,18 +459,45 @@ def _check_design(design: Design, spec: ModelSpec) -> None:
         _check_sign_counts(design)
 
 
-def _matrix(design: Design, spec: ModelSpec, code) -> ModelMatrix:
-    """Check the design against the spec (`_check_design`), convert each
-    distinct point, sign tuple and amount tag of the design to float once,
-    apply `code` to the numeric amount factors, and build the terms."""
+def _memoized(design: Design, key: tuple, build):
+    """`build()`, kept in the design's memo under `key` and returned for
+    every later call with an equal key, None included.
+
+    The memo is one dict in the design's instance dict: a design is
+    immutable, so what is built of it stays valid for its life, and the memo
+    dies with it.  `==`, `hash` and `repr` do not read it, and a pickle or a
+    copy does not carry it (``Design.__getstate__``).  Callers check the
+    design against the spec first, so every error comes before the memo is
+    read, and a build that raises stores nothing.  Two threads that build
+    one entry at once both get the one stored first."""
+    memo = design.__dict__.setdefault("_memo", {})
+    # the memo itself marks a missing entry: it is never one
+    found = memo.get(key, memo)
+    return memo.setdefault(key, build()) if found is memo else found
+
+
+def _matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
+    """The model matrix of the design under the spec, checked first
+    (`_check_design`), then built once per design, spec and coding and
+    kept in the design's memo (`_memoized`)."""
     _check_design(design, spec)
+    return _memoized(design, ("matrix", spec, coded), lambda: _build_matrix(design, spec, coded))
+
+
+def _build_matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
+    """Convert each distinct point, sign tuple and amount tag of the design
+    to float once, code the numeric amount factors (`_code_column`) when
+    `coded`, and build the terms."""
     comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
     signs = _field_rows(design, "pwo", _sign_floats) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
-        comps = np.column_stack([code(comps[:, i]) for i in range(spec.m)])
+        if coded:
+            comps = np.column_stack([_code_column(comps[:, i]) for i in range(spec.m)])
         amounts = None
     else:
-        amounts = code(_field_rows(design, "amount", _amount_floats))
+        amounts = _field_rows(design, "amount", _amount_floats)
+        if coded:
+            amounts = _code_column(amounts)
     X = term_columns(spec, comps, signs, amounts)
     return ModelMatrix(X=X, col_labels=spec.labels)
 
@@ -430,9 +508,14 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     The design's exact rational values (signs are exact integers) are
     converted to float once per distinct point, sign tuple and amount tag
     of the design (see ``core.Design``), and the term products are taken in
-    float, so a cell is within an ulp or two of its exact value.
+    float, so a cell is within an ulp or two of its exact value.  The
+    design and spec are checked on every call; the matrix, and with it the
+    one factor every criterion reads, is built once per design and spec
+    and kept in a private memo of the design, which dies with it.  So a
+    later call with the same design and an equal spec returns the same
+    read-only matrix and builds nothing.
     """
-    return _matrix(design, spec, lambda col: col)
+    return _matrix(design, spec, False)
 
 
 def _code_column(col: np.ndarray) -> np.ndarray:
@@ -454,6 +537,8 @@ def coded_model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     are untouched.  This is the coding under which the reference designs'
     documented standard-error, multicollinearity, and power columns reproduce;
     leverage-based criteria do not depend on it.  The same physical design
-    yields the same coded matrix in any amount units.
+    yields the same coded matrix in any amount units.  Like `model_matrix`,
+    it checks the design and spec on every call and builds the matrix once
+    per design and spec, kept in the design's memo apart from the raw one.
     """
-    return _matrix(design, spec, _code_column)
+    return _matrix(design, spec, True)

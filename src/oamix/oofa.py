@@ -42,8 +42,11 @@ from .errors import (
     OamixError,
     OrderingSupportMismatch,
     WrongKind,
+    _SIZE_DIGITS,
     _int_in_range,
     _iterable,
+    _joined,
+    _shown,
     located,
 )
 
@@ -71,7 +74,8 @@ def pwo_pairs(m: int) -> tuple[tuple[int, int], ...]:
     built."""
     m = _int_in_range("m", m, 1)
     if m * (m - 1) // 2 > _MAX_PAIRS:
-        raise InvalidParameter(f"m={m} has {m * (m - 1) // 2} pairs, over the limit of {_MAX_PAIRS}")
+        count = _shown(m * (m - 1) // 2, _SIZE_DIGITS)
+        raise InvalidParameter(f"m={_shown(m, _SIZE_DIGITS)} has {count} pairs, over the limit of {_MAX_PAIRS}")
     return _pwo_pairs(m)
 
 
@@ -92,7 +96,7 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
     support = point.support()
     if tuple(sorted(ordering)) != support:
         raise OrderingSupportMismatch(
-            f"ordering {ordering} is not a permutation of the support {support}"
+            f"ordering {_shown(ordering)} is not a permutation of the support {support}"
         )
     return _pwo_from_orderings(point.m, support, (ordering,))[0]
 
@@ -135,7 +139,7 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
     """
     support = tuple(sorted(_as_ints(support, OrderingSupportMismatch, "support")))
     if support and (support[0] < 1 or len(set(support)) != len(support)):
-        raise OrderingSupportMismatch(f"support {support} must be distinct component indices from 1")
+        raise OrderingSupportMismatch(f"support {_shown(support)} must be distinct component indices from 1")
     return _ordering_from_pwo(support, _as_signs(pwo))
 
 
@@ -150,7 +154,7 @@ def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[
     breaks zero masking is found only when one does."""
     zeros = pwo.count(0)
     if zeros + pwo.count(1) + pwo.count(-1) != len(pwo):
-        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
+        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {_shown(pwo, text=_joined)}")
     within, choices, outside = _order_plan(len(pwo), support)
     # each pair's first-added component: a sign of 1 picks j, -1 picks k
     # and 0 picks None
@@ -180,7 +184,7 @@ def _order_plan(n_pairs: int, support: tuple[int, ...]) -> tuple[itemgetter, tup
     m."""
     m = _m_from_pairs(n_pairs)
     if support and support[-1] > m:
-        raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
+        raise InconsistentPwo(f"support {_shown(support)} exceeds the {m} components the signs cover")
     at = [n for n, (j, k) in enumerate(_pwo_pairs(m)) if j in support and k in support]
     # a getter of one item returns it bare, one of a slice a tuple
     within = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
@@ -214,7 +218,7 @@ def oofa_expand(design: Design) -> Design:
     """
     _require_design(design)
     if design.m < 2:
-        raise InvalidDimension(f"addition orders need m >= 2 components, got m={design.m}")
+        raise InvalidDimension(f"addition orders need m >= 2 components, got m={_shown(design.m)}")
     if design.is_expanded:
         raise AlreadyExpanded("design already carries orderings")
     points, point_of = design._index["point"]
@@ -259,7 +263,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
     if not coerced:
         raise EmptyLevels("need at least one amount level")
     if len(set(coerced)) != len(coerced):
-        raise DuplicateLevel(f"amount levels contain duplicates: {coerced}")
+        raise DuplicateLevel(f"amount levels contain duplicates: {_shown(coerced)}")
     if any(v < 0 for v in coerced):
         raise NegativeEntry("amount levels must be nonnegative")
     points, point_of = design._index["point"]
@@ -283,7 +287,7 @@ def _exact_amount(what: str, value) -> Fraction:
             return as_fraction(value)
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-    raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {value!r}")
+    raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {_shown(value)}")
 
 
 def scale_amounts(design: Design, a_max) -> Design:
@@ -296,7 +300,7 @@ def scale_amounts(design: Design, a_max) -> Design:
         raise WrongKind("amount scaling applies to amount designs")
     scale = _exact_amount("scale", a_max)
     if scale <= 0:
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
+        raise NonPositiveScale(f"scale must be positive, got {_shown(scale, text=str)}")
     points, point_of = design._index["point"]
     amounts, amount_of = design._index["amount"]
     scaled_points = [DesignPoint._of(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]

@@ -14,8 +14,10 @@ from .errors import (
     InvalidDimension,
     InvalidParameter,
     WrongKind,
+    _SIZE_DIGITS,
     _int_in_range,
     _iterable,
+    _shown,
 )
 
 __all__ = ["simplex_lattice", "simplex_centroid", "project_columns"]
@@ -67,9 +69,12 @@ def simplex_lattice(m: int, w: int) -> Design:
     """
     m, w = _int_in_range("m", m), _int_in_range("w", w)
     if m < 2 or w < 1:
-        raise InvalidDimension(f"need m >= 2 and w >= 1, got m={m}, w={w}")
+        raise InvalidDimension(f"need m >= 2 and w >= 1, got m={_shown(m)}, w={_shown(w)}")
     if _lattice_size_over(m, w, _MAX_RUNS):
-        raise InvalidParameter(f"a lattice has C(m + w - 1, w) runs, over the limit of {_MAX_RUNS}, at m={m}, w={w}")
+        raise InvalidParameter(
+            f"a lattice has C(m + w - 1, w) runs, over the limit of {_MAX_RUNS}, "
+            f"at m={_shown(m, _SIZE_DIGITS)}, w={_shown(w, _SIZE_DIGITS)}"
+        )
     # one Fraction per level, shared by every point that holds it
     levels = [Fraction(k, w) for k in range(w + 1)]
     points = [DesignPoint._of(tuple(map(levels.__getitem__, comp)), Kind.PROPORTION) for comp in _compositions(w, m)]
@@ -85,10 +90,12 @@ def simplex_centroid(m: int) -> Design:
     """
     m = _int_in_range("m", m)
     if m < 2:
-        raise InvalidDimension(f"need m >= 2, got m={m}")
+        raise InvalidDimension(f"need m >= 2, got m={_shown(m)}")
     # 2^m - 1 is counted only for an m whose power is small to build
     if m > 64 or 2**m - 1 > _MAX_RUNS:
-        raise InvalidParameter(f"a centroid design has 2^m - 1 runs, over the limit of {_MAX_RUNS}, at m={m}")
+        raise InvalidParameter(
+            f"a centroid design has 2^m - 1 runs, over the limit of {_MAX_RUNS}, at m={_shown(m, _SIZE_DIGITS)}"
+        )
     points = []
     for size in range(1, m + 1):
         share = Fraction(1, size)
@@ -118,7 +125,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     if design.has_amounts:
         raise WrongKind("project the base design before crossing amounts")
     if any(c < 1 or c > design.m for c in dropped):
-        raise InvalidDimension(f"drop columns {sorted(dropped)} out of range 1..{design.m}")
+        raise InvalidDimension(f"drop columns {_shown(sorted(dropped))} out of range 1..{design.m}")
     if len(dropped) >= design.m:
         raise DropAllColumns(f"cannot drop all {design.m} columns")
     keep = [i for i in range(1, design.m + 1) if i not in dropped]

@@ -275,9 +275,11 @@ def test_transforms_do_not_depend_on_sharing(m6_bases, m6_designs):
 
 
 def test_model_matrix_converts_each_distinct_value_once(monkeypatch, m6_designs):
-    # the read-back crossed design holds 126 point objects of 6 components
-    # and 3 amount objects; signs are ints and need no Fraction conversion
-    design = m6_designs["crossed_read"]
+    # a read-back crossed design of the test's own holds 126 point objects
+    # of 6 components and 3 amount objects; signs are ints and need no
+    # Fraction conversion.  A later call on it converts nothing: the matrix
+    # is kept in the design's memo
+    design = read_design(write_design(m6_designs["crossed"]))
     assert len(design) == 2448
     assert len({id(run.point) for run in design.runs}) == 126
     calls = 0
@@ -292,8 +294,10 @@ def test_model_matrix_converts_each_distinct_value_once(monkeypatch, m6_designs)
     spec = build_spec("eq5", 6)
     for build in (model_matrix, coded_model_matrix):
         calls = 0
-        build(design, spec)
+        first = build(design, spec)
         assert 0 < calls <= 126 * 6 + 3, build
+        calls = 0
+        assert build(design, spec) is first and calls == 0, build
 
 
 def test_scale_shares_one_scaled_point_per_point(m6_bases):

@@ -1,8 +1,11 @@
 """Evaluation criteria: leverages, efficiency, determinants, FDS, power."""
 
+import copy
+import functools
 import hashlib
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import oamix
@@ -37,6 +42,7 @@ from oamix import (
     std_errors,
 )
 from oamix.core import Design, OofARun
+from oamix.models import ModelKind, ModelSpec, Term
 from oamix.errors import (
     ConstantColumn,
     InvalidParameter,
@@ -301,10 +307,25 @@ def _call_every_criterion(X, n, p):
         power(X, j, signal_sd=2.0)
 
 
-def test_one_factor_per_model_matrix(table5, spec8, factors_built):
-    mm = coded_model_matrix(table5, spec8)
+def _fresh_table3():
+    """table3 built anew, so that no other test has filled its memo."""
+    return cross_amounts(oofa_expand(simplex_lattice(3, 3)), [Fraction(3, 4), Fraction(3, 2), Fraction(3)])
+
+
+def _fresh_table5():
+    return scale_amounts(oofa_expand(project_columns(simplex_centroid(4), {4})), 500)
+
+
+def test_one_factor_per_model_matrix(spec8, factors_built):
+    # a design of its own: the matrix, and its factor, are kept in the
+    # design's memo, so a later call builds and factors nothing
+    design = _fresh_table5()
+    mm = coded_model_matrix(design, spec8)
     n, p = mm.shape
     _call_every_criterion(mm, n, p)
+    assert factors_built[0] == 1
+    assert coded_model_matrix(design, spec8) is mm
+    _call_every_criterion(coded_model_matrix(design, spec8), n, p)
     assert factors_built[0] == 1
     factors_built[0] = 0
     _call_every_criterion(mm.X, n, p)
@@ -356,15 +377,29 @@ def factor_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("coding, built", [("raw", 1), ("coded", 2)])
-def test_evaluate_design_factors_each_matrix_once(table3, spec6, factor_shapes, coding, built):
+def test_evaluate_design_factors_each_matrix_once(spec6, factor_shapes, coding, built):
     # crossed: X_base of table1's 21 runs and 12 base terms, and one 3 x 3
     # levels x powers-of-A matrix per amount coding read; off the path,
-    # each full model matrix once
-    evaluate_design(table3, spec6, coding=coding)
+    # each full model matrix once.  Each design is the test's own, and a
+    # second call on it factors nothing: the factors are in its memo
+    table3 = _fresh_table3()
+    first = evaluate_design(table3, spec6, coding=coding)
     assert factor_shapes == [(21, 12)] + [(3, 3)] * built
     factor_shapes.clear()
-    evaluate_design(_without_run(table3, 5), spec6, coding=coding)
+    assert _same_report(evaluate_design(table3, spec6, coding=coding), first)
+    assert factor_shapes == []
+    dropped = _without_run(table3, 5)
+    first = evaluate_design(dropped, spec6, coding=coding)
     assert factor_shapes == [(62, 36)] * built
+    factor_shapes.clear()
+    assert _same_report(evaluate_design(dropped, spec6, coding=coding), first)
+    assert factor_shapes == []
+
+
+def _same_report(a, b) -> bool:
+    """Whether two EvalReports are equal field by field (a NaN R^2 equals
+    a NaN)."""
+    return repr(a.to_dict()) == repr(b.to_dict())
 
 
 def test_r2_leaves_scipy_unloaded():
@@ -824,15 +859,17 @@ def test_fds_text_is_pinned(request, table, eq, kwargs, digest):
 
 def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, general=False):
     """The FDS chunk loop with fresh arrays for every chunk, sorted after one
-    concatenate: the reference for `fds_curve`'s reused buffers.  Where the
-    variances factor (`_crossed_factors`) each is d_base d_A, unless
-    `general` asks for the full model rows and factor."""
+    concatenate: the reference for `fds_curve`'s reused buffers.  Its
+    samples are `_reference_sample_chunk`'s, whose amounts are numpy's
+    ``uniform`` itself.  Where the variances factor (`_crossed_factors`)
+    each is d_base d_A, unless `general` asks for the full model rows and
+    factor."""
     fac = model_matrix(design, spec)._factor
     product = None if general else _crossed_factors(design, spec)
     parts = []
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
-        x, keys, signs, amounts = _sample_chunk(seed, index, count, spec.m, policy, sign_policy)
+        x, keys, signs, amounts = _reference_sample_chunk(seed, index, count, spec.m, policy, sign_policy)
         if product is None:
             parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
         else:
@@ -924,6 +961,42 @@ def test_doubled_uniforms_less_one_are_numpys_uniform(seed, shape):
     assert _same_bits(got, want)
 
 
+_AMOUNT_BOUNDS = st.one_of(
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 1e300),
+    st.integers(0, 10**6),
+    st.fractions(0, 100, max_denominator=1000),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), bounds=st.tuples(_AMOUNT_BOUNDS, _AMOUNT_BOUNDS),
+       n=st.integers(1, 3000), m=st.integers(2, 5))
+@example(seed=0, bounds=(1.5, 1.5), n=100, m=3)
+@example(seed=1, bounds=(0.0, 3.0), n=100, m=3)
+@example(seed=2, bounds=(0, 0), n=100, m=3)
+@example(seed=3, bounds=(0.0, 1e308), n=2048, m=3)
+@example(seed=4, bounds=(1e-300, 1.7e308), n=2048, m=3)
+@example(seed=5, bounds=(0.75, 3), n=_FDS_CHUNK, m=3)
+@example(seed=6, bounds=(Fraction(1, 3), Fraction(7, 3)), n=777, m=4)
+def test_scaled_uniforms_plus_lo_are_numpys_uniform(seed, bounds, n, m):
+    # `_sample_chunk` draws continuous amounts as U in [0, 1), then U times
+    # hi - lo and plus lo in place; numpy's uniform(lo, hi) is lo + (hi - lo)
+    # U, the same two roundings: a numpy whose bits differ (one that fused
+    # them, say) fails here by name.  lo == hi, lo == 0 and a hi near the
+    # top of float range are among the examples
+    lo, hi = sorted(bounds)
+    policy = ContinuousAmounts(lo, hi)
+    want = np.random.default_rng(seed).uniform(lo, hi, n)
+    got = np.random.default_rng(seed).random(out=np.empty(n))
+    got *= float(hi) - float(lo)
+    got += float(lo)
+    assert _same_bits(got, want)
+    # and the sampler itself against the fresh reference, which calls uniform
+    assert _same_bits(_sample_chunk(seed, 2, n, m, policy, "orderings")[3],
+                      _reference_sample_chunk(seed, 2, n, m, policy, "orderings")[3])
+
+
 @pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
 @pytest.mark.parametrize(
     "policy",
@@ -1003,6 +1076,91 @@ def test_term_columns_writes_into_out():
             assert np.array_equal(buf, fresh), (eq, order)
 
 
+def _reduce_and_copy_columns(spec, comps, signs, amounts, out=None):
+    """`models.term_columns` as it was before it wrote each product into its
+    column: every term's factors are reduced with np.multiply into a new
+    array, which is then copied into the column.  The oracle for the bits
+    of the in-place builder."""
+    pair_col = {pair: c for c, pair in enumerate(pwo_pairs(spec.m))}
+    X = np.empty((comps.shape[0], spec.p)) if out is None else out
+    products, powers = {}, {}
+    for col, term in enumerate(spec.terms):
+        key = (term.comp_powers, term.pwo_pair)
+        if key not in products:
+            factors = [comps[:, i - 1] if p == 1 else comps[:, i - 1] ** p for i, p in term.comp_powers]
+            if term.pwo_pair is not None:
+                factors.append(signs[:, pair_col[term.pwo_pair]])
+            products[key] = functools.reduce(np.multiply, factors) if factors else None
+        c, t = products[key], term.amount_power
+        if t and t not in powers:
+            powers[t] = amounts if t == 1 else amounts**t
+        if c is None:
+            X[:, col] = powers[t] if t else 1.0
+        elif t:
+            np.multiply(c, powers[t], out=X[:, col])
+        else:
+            X[:, col] = c
+    return X
+
+
+# terms that reach every branch of the in-place product: a square first or
+# second, two squares, a cube, a term first met at A^1 and then at A^0, a
+# repeated term, and terms with no component or sign factor
+_ODD_TERMS = (
+    Term(comp_powers=((1, 2), (2, 1)), pwo_pair=(1, 2), amount_power=1),
+    Term(comp_powers=((1, 2), (2, 1)), pwo_pair=(1, 2)),
+    Term(comp_powers=((1, 1), (2, 2))),
+    Term(comp_powers=((1, 1), (2, 2), (3, 1)), pwo_pair=(2, 3), amount_power=2),
+    Term(comp_powers=((1, 3),)),
+    Term(comp_powers=((1, 2), (3, 2))),
+    Term(amount_power=2),
+    Term(intercept=True),
+    Term(comp_powers=((1, 1), (2, 2))),
+    Term(pwo_pair=(2, 3), amount_power=1),
+    Term(comp_powers=((2, 1),), pwo_pair=(1, 3), amount_power=3),
+)
+
+
+@pytest.mark.parametrize("sign_policy", ["orderings", "continuous"])
+@pytest.mark.parametrize(
+    "eq, reduction",
+    [(f"eq{i}", "cyclic") for i in range(1, 9)] + [("eq6", "keep_all"), ("eq8", "keep_all"), ("odd", None)],
+)
+def test_term_columns_match_the_reduce_and_copy_builder(eq, reduction, sign_policy):
+    # the FDS rows (zero-masked, with a level of 0 among the amounts) and
+    # the model matrices of the reference tables, bit for bit, into a new
+    # array and into C- and F-ordered buffers
+    policy = DiscreteAmounts((0.0, 0.75, 1.5, 3.0))
+    x, keys, signs, amounts = _sample_chunk(9, 1, 1500, 3, policy, sign_policy)
+    if eq == "odd":
+        spec = ModelSpec(kind=ModelKind.OOFA_MA_FULL, m=3, terms=_ODD_TERMS)
+    else:
+        spec = build_spec(eq, 3, reduction)
+    comps = x * amounts[:, None] if spec.kind.uses_amounts else x
+    z = _pair_signs(3, comps, keys, signs, None)
+    cases = [(comps, np.ascontiguousarray(z), amounts)]
+    if eq != "odd":
+        design = oamix.reference_design("table5" if spec.kind.uses_amounts else "table3")
+        X = model_matrix(design, spec).X
+        assert _same_bits(X, _reduce_and_copy_columns(spec, *_matrix_inputs(design, spec)))
+        cases.append(_matrix_inputs(design, spec))
+    for inputs in cases:
+        want = _reduce_and_copy_columns(spec, *inputs)
+        assert _same_bits(term_columns(spec, *inputs), want), eq
+        for order in ("C", "F"):
+            buf = np.empty(want.shape, order=order)
+            assert term_columns(spec, *inputs, out=buf) is buf
+            assert _same_bits(np.ascontiguousarray(buf), want), (eq, order)
+
+
+def _matrix_inputs(design, spec):
+    """The float comps, signs and amounts `model_matrix` builds its terms of."""
+    comps = np.array([[float(v) for v in run.point.values] for run in design.runs])
+    signs = np.array([run.pwo for run in design.runs], dtype=float) if spec.kind.has_pwo else None
+    amounts = None if spec.kind.uses_amounts else np.array([float(run.amount) for run in design.runs])
+    return comps, signs, amounts
+
+
 def _c_ordered_variances(design, spec, n_samples, seed, policy, sign_policy):
     """The FDS chunk loop with C-ordered rows and the zero mask applied to
     every chunk: the reference for `fds_curve`'s column-contiguous rows."""
@@ -1065,24 +1223,95 @@ def test_product_rcond_is_the_full_factors(request, table3, eq, crossed):
     assert base_fac.rcond * amount_fac.rcond == pytest.approx(mm._factor.rcond, rel=1e-9, abs=0)
 
 
-def test_product_path_factors_only_the_small_matrices(table3, spec6, factor_shapes):
-    fds_curve(table3, spec6, 100, seed=1)
+def test_product_path_factors_only_the_small_matrices(spec6, factor_shapes):
+    # a design of its own; a second curve and a raw evaluation read the
+    # factors the first curve kept in its memo
+    table3 = _fresh_table3()
+    first = fds_curve(table3, spec6, 100, seed=1)
+    assert factor_shapes == [(21, 12), (3, 3)]
+    assert _same_bits(fds_curve(table3, spec6, 100, seed=1).variances, first.variances)
+    evaluate_design(table3, spec6, coding="raw")
     assert factor_shapes == [(21, 12), (3, 3)]
 
 
-def test_m6_crossed_eq6_builds_no_full_matrix(monkeypatch, m6_crossed, factor_shapes):
+def test_m6_crossed_eq6_builds_no_full_matrix(monkeypatch, factor_shapes):
     # 816 base runs at each of three levels: neither evaluate_design nor
-    # fds_curve builds or factors a 2448-row matrix
+    # fds_curve builds or factors a 2448-row matrix.  On a design of its
+    # own, the raw evaluation factors X_base and the raw X_A, the coded one
+    # only its coded X_A, and the curve reads both from the design's memo
     def refused(*args):
         raise AssertionError("a full model matrix was built")
 
+    design = cross_amounts(oofa_expand(simplex_lattice(6, 4)), ["1/2", "5/4", "2"])
     monkeypatch.setattr(oamix.evaluate, "model_matrix", refused)
     monkeypatch.setattr(oamix.evaluate, "coded_model_matrix", refused)
     spec = build_spec("eq6", 6)
-    for coding in ("raw", "coded"):
-        evaluate_design(m6_crossed, spec, coding=coding)
-    fds_curve(m6_crossed, spec, 100, seed=1)
-    assert factor_shapes == [(816, 42), (3, 3), (816, 42), (3, 3), (3, 3), (816, 42), (3, 3)]
+    evaluate_design(design, spec, coding="raw")
+    assert factor_shapes == [(816, 42), (3, 3)]
+    evaluate_design(design, spec, coding="coded")
+    fds_curve(design, spec, 100, seed=1)
+    assert factor_shapes == [(816, 42), (3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("copied", ["pickle", "copy", "deepcopy"])
+def test_a_copy_of_an_evaluated_design_carries_no_memo(spec6, spec8, factor_shapes, copied):
+    make = {"pickle": lambda d: pickle.loads(pickle.dumps(d)), "copy": copy.copy, "deepcopy": copy.deepcopy}[copied]
+    for design, spec, first in ((_fresh_table3(), spec6, [(21, 12), (3, 3), (3, 3)]),
+                                (_fresh_table5(), spec8, [(31, 16), (31, 16)])):
+        want = evaluate_design(design, spec, coding="coded")
+        mm = model_matrix(design, spec)
+        fds_curve(design, spec, 100, seed=1)
+        assert "_memo" in vars(design)
+        again = make(design)
+        assert "_memo" not in vars(again)
+        assert again == design and hash(again) == hash(design) and repr(again) == repr(design)
+        # the copy builds and factors its own, the same bits
+        factor_shapes.clear()
+        assert _same_report(evaluate_design(again, spec, coding="coded"), want)
+        assert factor_shapes == first
+        assert model_matrix(again, spec) is not mm
+        assert _same_bits(model_matrix(again, spec).X, mm.X)
+        assert model_matrix(design, spec) is mm
+
+
+def test_memo_entries_are_per_spec_and_coding(spec6, factor_shapes):
+    # eq6 under cyclic and keep_all reductions never share an entry; an
+    # equal spec built again does; raw and coded matrices are apart
+    design = _fresh_table3()
+    cyclic, keep_all = build_spec("eq6", 3, "cyclic"), build_spec("eq6", 3, "keep_all")
+    assert cyclic == spec6 and cyclic is not spec6 and keep_all != cyclic
+    raw = {spec: model_matrix(design, spec) for spec in (cyclic, keep_all)}
+    coded = {spec: coded_model_matrix(design, spec) for spec in (cyclic, keep_all)}
+    assert raw[cyclic].shape == (63, 36) and raw[keep_all].shape == (63, 45)
+    assert coded[cyclic].shape == (63, 36) and coded[keep_all].shape == (63, 45)
+    assert not _same_bits(raw[cyclic].X, coded[cyclic].X)
+    assert model_matrix(design, spec6) is raw[cyclic] and coded_model_matrix(design, spec6) is coded[cyclic]
+    reports = {spec: evaluate_design(design, spec) for spec in (cyclic, keep_all)}
+    # X_base of 12 and of 15 base terms, each with its raw and coded X_A
+    assert factor_shapes == [(21, 12), (3, 3), (3, 3), (21, 15), (3, 3), (3, 3)]
+    assert reports[cyclic].n_params == 36 and reports[keep_all].n_params == 45
+    assert _crossed_factors(design, cyclic)[0].p == 12 and _crossed_factors(design, keep_all)[0].p == 15
+    assert _same_report(evaluate_design(design, spec6), reports[cyclic])
+    assert len(factor_shapes) == 6
+
+
+def test_memo_is_read_only_after_the_checks(spec6, spec8):
+    # a design's errors come first and the same on every call, memo or not,
+    # and a build that raises keeps nothing
+    design = _fresh_table3()
+    model_matrix(design, spec6)
+    evaluate_design(design, spec6)
+    for call in (model_matrix, coded_model_matrix, _crossed_factors, evaluate_design,
+                 lambda d, s: fds_curve(d, s, 100, seed=1)):
+        with pytest.raises(InvalidParameter, match="^spec must be a ModelSpec, got list$"):
+            call(design, [])
+        with pytest.raises(oamix.errors.KindMismatch, match="^eq8 needs an amount design$"):
+            call(design, spec8)
+    big = _big_level()
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match=f"^a total amount A of the design {re.escape(_BEYOND_FLOAT)}$"):
+            model_matrix(big, build_spec("eq6", 3))
+    assert "matrix" not in {key[0] for key in vars(big).get("_memo", {})}
 
 
 @pytest.mark.parametrize(
