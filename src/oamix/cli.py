@@ -138,7 +138,7 @@ def _project(args, design) -> "Design":
 def _exact(text: str, flag: str):
     try:
         return as_fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise InvalidParameter(f"{flag} needs exact numbers such as 3/4 or 0.75, got {_shown(text)}") from None
 
 
@@ -179,7 +179,8 @@ def cmd_evaluate(args) -> str:
 
 
 def _amount_policy(args, design):
-    from .evaluate import ContinuousAmounts, DiscreteAmounts, _level_floats
+    from .evaluate import ContinuousAmounts, DiscreteAmounts
+    from .models import _level_floats
 
     if args.amounts == "continuous":
         return None  # library default: continuous over the design's level range

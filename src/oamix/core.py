@@ -56,8 +56,10 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings like '1/3' or '0.75' exactly.
 
     A Fraction is immutable, so one comes back as it is.  Floats are
-    rejected: a binary float has already lost the decimal value it was
-    meant to carry, and exactness is the whole point here.
+    rejected with TypeError: a binary float has already lost the decimal
+    value it was meant to carry, and exactness is the whole point here.
+    Text that is no exact number ('x', '', '1/0') raises InvalidParameter,
+    a ValueError.
     """
     if type(value) is Fraction:
         return value
@@ -65,7 +67,12 @@ def as_fraction(value) -> Fraction:
         raise TypeError(
             f"refusing lossy coercion of float {value!r}; pass a string, int, or Fraction"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameter(
+            f"an exact number is an int, a Fraction or text such as 3/4 or 0.75, got {_shown(value)}"
+        ) from None
 
 
 def _as_signs(values) -> tuple[int, ...]:
@@ -113,7 +120,7 @@ class DesignPoint:
     kind: Kind
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(as_fraction(v) for v in _iterable("values", self.values)))
         object.__setattr__(self, "kind", _as_kind(self.kind))
 
     @classmethod

@@ -7,10 +7,12 @@ multicollinearity R^2, two-sided t-test power, Monte Carlo fraction-of-
 design-space (FDS) curves, and least-squares fits.  Each X is factored
 once, by `_Factor`, and every quantity is read off that factor; a
 `ModelMatrix` keeps its factor across calls, a plain array does not.
-`evaluate_design` and `fds_curve` on a crossed mixture-amount design
-(`_crossed_factors`) factor only X_A and X_base, whose Kronecker product
-the full X is up to row order, and never build the full X unless a gate
-fails.  The matrices and factors of a design are kept, per spec and
+`evaluate_design` and `fds_curve` read a model as its (spec, factor)
+parts (`_model_parts`): one, the spec and its full X, or on a crossed
+mixture-amount design (`_crossed_factors`) two, the base spec with X_base
+and the amount spec with X_A, whose Kronecker product the full X is up to
+row order; there the full X is never built unless a gate fails.  The
+matrices and factors of a design are kept, per spec and
 coding, in one private memo of the design (``models._memoized``), filled
 after the design is checked and gone with the design: a design evaluated
 coded and raw and then sampled builds and factors each matrix once.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from numbers import Real
 from statistics import NormalDist
 
@@ -39,21 +41,20 @@ from .errors import (
     MissingAmount,
     NoResidualDf,
     SingularInformation,
+    _SIZE_DIGITS,
+    _digits,
     _int_in_range,
     _shown,
 )
 from .models import (
     ModelMatrix,
     ModelSpec,
-    _amount_floats,
+    _amount_rows,
     _check_design,
     _checked_matrix,
-    _code_column,
-    _field_rows,
-    _floats,
+    _crossed_rows,
+    _level_floats,
     _memoized,
-    _power_into,
-    _sign_floats,
     coded_model_matrix,
     model_matrix,
     term_columns,
@@ -534,12 +535,6 @@ class DiscreteAmounts:
         object.__setattr__(self, "levels", levels)
 
 
-def _level_floats(design: Design) -> list[float]:
-    """The design's amount levels as floats, ascending; one beyond float
-    range raises InvalidParameter."""
-    return _floats("amount", _amount_floats, design.amount_levels).tolist()
-
-
 def _default_policy(design: Design) -> ContinuousAmounts:
     levels = _level_floats(design)
     if not levels:
@@ -657,129 +652,68 @@ def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=Non
     return term_columns(spec, comps, signs, amounts, out=out)
 
 
-def _value_floats(values: tuple) -> np.ndarray:
-    """The (points, m) floats of `_point_value`s: the same true division of
-    each numerator by its denominator that `_point_floats` makes."""
-    return np.array([[n / d for n, d in value] for value in values])
-
-
-def _crossed_base(design: Design) -> np.ndarray | None:
-    """The runs at the first run's amount level when every level holds the
-    same multiset of base runs (point values and sign tuple), else None.
-    It reads the design's value index (``Design._value_index``), so two
-    equal designs built from different objects give the same answer."""
-    _, _, (_, point_of), (signs, sign_of), (_, amount_of) = design._value_index
-    base = np.array(point_of) * len(signs) + sign_of
-    level = np.array(amount_of)
-    counts = np.bincount(level)
-    if counts.min() != counts.max():
-        return None
-    groups = base[np.lexsort((base, level))].reshape(counts.size, -1)
-    if not (groups == groups[0]).all():
-        return None
-    return np.flatnonzero(level == 0)
-
-
-def _amount_powers(amounts: np.ndarray, degree: int) -> np.ndarray:
-    """The (n, degree + 1) C-ordered matrix of 1, A, ..., A^degree
-    (`_write_powers`)."""
-    V = np.empty((amounts.size, degree + 1))
-    V[:, 0] = 1.0
-    return _write_powers(amounts, V)
-
-
-def _write_powers(amounts: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A^t written into column t of V for t = 1, ..., V.shape[1] - 1, each
-    power taken as `term_columns` takes it, and V returned.  Column 0, the
-    ones, is left as it is: the FDS loop writes it once per call, into an
-    F-ordered V whose every power is one contiguous store."""
-    V[:, 1] = amounts
-    for t in range(2, V.shape[1]):
-        _power_into(amounts, t, V[:, t])
-    return V
-
-
 def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
-    """(base spec, base factor, raw amount factor, term amount factor) for a
-    crossed mixture-amount design, or None.
+    """The two (spec, factor) parts of a crossed mixture-amount design,
+    ((base spec, factor of X_base), (amount spec, factor of X_A)), or None.
 
     The design and spec are checked first, as `model_matrix` checks them.
-    The path: the spec's terms are a base list times the powers of A
-    (`ModelSpec._amount_degree`) and the design crosses one multiset of
-    base runs with its amount levels (`_crossed_base`).  The full model
-    matrix X is then X_A (x) X_base up to the order of its rows, so
-    M = M_A (x) M_base and M^{-1} = M_A^{-1} (x) M_base^{-1}.  X_base is built by `term_columns`
-    from the first level's runs alone: cell for cell, the t = 0 columns of
-    those rows of X.  X_A is the levels x (T + 1) Vandermonde matrix of the
-    design's distinct levels.  Coding recodes only A, so both codings share
-    X_base; the term amount factor is that of the levels coded as
-    `coded_model_matrix` codes A when `coded` is true, else the raw one.
-    The equilibrated X is the Kronecker product of the equilibrated
-    factors, so its reciprocal condition is the product of theirs.
+    The path: the spec splits into a base spec and an amount spec of the
+    terms 1, A, ..., A^T (``ModelSpec._parts``) and the design crosses one
+    multiset of base runs with its amount levels; then the full model
+    matrix X is X_A (x) X_base up to the order of its rows
+    (``models._crossed_rows``), so M = M_A (x) M_base and M^{-1} =
+    M_A^{-1} (x) M_base^{-1}.  Both codings share X_base and its factor;
+    X_A holds the levels coded as `coded_model_matrix` codes A when
+    `coded` is true, else the raw ones (``models._amount_rows``).  The
+    equilibrated X is the Kronecker product of the equilibrated factors,
+    so its reciprocal condition is the product of theirs.
 
     None sends the caller to the full matrix, whose factor raises the full
-    path's error or passes: off the path, when a small factor raises, when
-    the base factor's reciprocal condition times either amount factor's is
-    below RCOND_FLOOR, and when a base column is constant, so that whether
-    a column's R^2 is NaN is read from the cells of the full matrix.
+    path's error or passes: off the path, when a base column is constant
+    (so that whether a column's R^2 is NaN is read from the cells of the
+    full matrix), when a small factor raises, and when the product of the
+    base and amount factors' reciprocal conditions is below RCOND_FLOOR.
+    The coded parts are sought only when the raw ones pass.
 
     The result, None too, is kept in the design's memo (``models._memoized``)
     per spec and coding, after the check; the coded result shares the base
-    and raw factors of the raw one, so a design evaluated under both codings
-    and then sampled recognizes its structure and factors X_base once."""
+    part of the raw one, so a design evaluated under both codings and then
+    sampled recognizes its structure and factors X_base once."""
     _check_design(design, spec)
-    raw = _memoized(design, ("crossed", spec, False), lambda: _crossed_raw(design, spec))
+    raw = _memoized(design, ("crossed", spec, False), lambda: _gated_parts(design, spec, False, None))
     if not coded or raw is None:
         return raw
-    return _memoized(design, ("crossed", spec, True), lambda: _crossed_coded(design, raw))
+    return _memoized(design, ("crossed", spec, True), lambda: _gated_parts(design, spec, True, raw[0]))
 
 
-def _amount_labels(degree: int) -> tuple[str, ...]:
-    return tuple(f"A^{t}" for t in range(degree + 1))
-
-
-def _crossed_raw(design: Design, spec: ModelSpec):
-    """`_crossed_factors` of a checked design and spec under raw coding."""
-    degree = spec._amount_degree
-    if not degree:
-        return None
-    runs = _crossed_base(design)
-    if runs is None:
-        return None
-    q = spec.p // (degree + 1)
-    base = ModelSpec(kind=spec.kind, m=spec.m, terms=spec.terms[:q])
-    values, point_of = design._value_index[2]
-    comps = _floats("point", _value_floats, values).take(np.take(point_of, runs), axis=0)
-    signs = _field_rows(design, "pwo", _sign_floats, runs) if spec.kind.has_pwo else None
-    X_base = term_columns(base, comps, signs, None)
-    if _constant(X_base).any():
-        return None
-    levels = np.array(_level_floats(design))
+def _gated_parts(design: Design, spec: ModelSpec, coded: bool, base):
+    """`_crossed_factors` of a checked design and spec: the base part
+    `base`, or the one of X_base when it is None, and the amount part of
+    X_A under the coding `coded`, or None where a gate fails."""
+    if base is None:
+        X_base = _crossed_rows(design, spec)
+        if X_base is None or _constant(X_base).any():
+            return None
+    base_spec, amount_spec = spec._parts
+    X_A = _amount_rows(design, amount_spec, coded)
     try:
-        base_fac = _Factor(X_base, base.labels)
-        raw = _Factor(_amount_powers(levels, degree), _amount_labels(degree))
+        base = base or (base_spec, _Factor(X_base, base_spec.labels))
+        amount = (amount_spec, _Factor(X_A, amount_spec.labels))
     except (InvalidParameter, SingularInformation):
         return None
-    if base_fac.rcond * raw.rcond < RCOND_FLOOR:
+    if base[1].rcond * amount[1].rcond < RCOND_FLOOR:
         return None
-    return base, base_fac, raw, raw
+    return base, amount
 
 
-def _crossed_coded(design: Design, crossed: tuple):
-    """`_crossed_factors` under coded amounts, from the raw result
-    `crossed`: its base and raw factors, and the factor of the levels coded
-    as `coded_model_matrix` codes A, or None when that factor raises or its
-    reciprocal condition times the base factor's is below RCOND_FLOOR."""
-    base, base_fac, raw, _ = crossed
-    degree = raw.X.shape[1] - 1
-    levels = np.array(_level_floats(design))
-    try:
-        term = _Factor(_amount_powers(_code_column(levels), degree), _amount_labels(degree))
-    except (InvalidParameter, SingularInformation):
-        return None
-    if base_fac.rcond * term.rcond < RCOND_FLOOR:
-        return None
-    return base, base_fac, raw, term
+def _model_parts(design: Design, spec: ModelSpec, coded: bool = False) -> tuple:
+    """The (spec, factor) parts of the design's model matrix under `spec`,
+    raw or `coded`: the two of `_crossed_factors` on its path, else one,
+    the spec and the factor of its full model matrix."""
+    parts = _crossed_factors(design, spec, coded)
+    if parts is None:
+        return ((spec, _factor((coded_model_matrix if coded else model_matrix)(design, spec))),)
+    return parts
 
 
 def _blocks(count: int):
@@ -858,57 +792,58 @@ def fds_curve(
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple on
     one BLAS build (another build may pick other kernels and move the last
-    bits).  Every per-sample array of a chunk is laid out in columns: the
-    proportions, the order keys, the component amounts, the signs drawn
-    from the keys, the model rows and the powers of A are (c, k) F-ordered
-    views of (k, c) buffers, so each step reads and writes a component's
-    or a column's samples as one contiguous run.  One call allocates, for
-    chunks of c = min(8192, n_samples) samples, buffers it reuses for
-    every chunk: a C-ordered scratch of c * m floats that the exponentials,
-    then the order keys and last the total amounts are drawn into, in
-    stream order (see `_sample_chunk`), and column buffers of c * m floats
-    each for the proportions, the keys and the component amounts; a
-    (c, pairs) sign buffer; one flat row buffer of p * c floats, whose
-    columns each term's product is written into in place
-    (``models.term_columns``); and a C-ordered product buffer of
-    min(2049, c) rows, so no chunk makes a large allocation.  No buffer
-    outlives the call.  Under continuous signs nothing
-    reads the order keys, so the stream is advanced past them rather than
-    drawn (see `_sample_chunk`); the signs are drawn as uniforms into one
-    more C-ordered buffer of c * pairs floats and mapped onto (-1, 1) in
-    place, and the amounts are those of a draw.  The n_samples result,
-    which the curve keeps, is allocated after the buffers; an n_samples
-    too large to allocate raises InvalidParameter.  Each chunk's rows are
-    built once, as a view of the row buffer, so each model column is
-    written with one contiguous store; their products are then formed in
-    blocks of 2048 rows, whose product buffer stays in a 2 MB L2 cache at
-    p = 36.  A one-row tail joins the block before it: numpy hands a
-    one-row product to gemv, whose bits can differ from gemm's.  The
-    returned curve owns its array and shares no memory with another.
-
-    A mixture-amount spec whose terms are one base list times A^t for
-    t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one whose amount
-    levels each hold the same multiset of base runs (point values and
-    sign tuple, compared by value), takes a product path
-    (`_crossed_factors`).  There M^{-1} = M_A^{-1} (x) M_base^{-1}, so each
-    variance is exactly d_base(x, z) d_A(A), with d_base from the
-    q = p/(T + 1) base columns and d_A from the T + 1 powers of A; it
+    bits).  The model is read as its (spec, factor) parts
+    (`_model_parts`): one, the spec and the factor of its full model
+    matrix, or, for a mixture-amount spec whose terms are one base list
+    times A^t for t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one
+    whose amount levels each hold the same multiset of base runs (point
+    values and sign tuple, compared by value), two (`_crossed_factors`):
+    the base spec with the factor of X_base, the first level's base rows,
+    and the amount spec of the terms 1, A, ..., A^T with the factor of
+    X_A, the levels' powers of A.  There M^{-1} = M_A^{-1} (x)
+    M_base^{-1}, so each variance is exactly d_base(x, z) d_A(A); it
     agrees with the full product to rounding (within 1e-13 relative on the
-    paper's designs).  Only the base rows of the first level and the
-    levels' powers of A are built and factored; the full model matrix is
-    built and factored only when a gate of `_crossed_factors` fails (a
-    small factor raises, or the product of their reciprocal conditions,
-    which is the full matrix's, is below 1e-10), so the errors are those
-    of every other path.  The row and
-    product buffers are then q wide, not p, and d_A takes a column buffer
-    of the (c, T + 1) powers of A, whose column of ones is written once
-    per call and each A^t in place per chunk, a C-ordered one for their
-    product and one of c floats.
-    Any other spec or design takes the full rows.  Either way the design's
-    structure is recognized, and its factors built, once per design and
+    paper's designs).  The full model matrix is built and factored only
+    off that path or when a gate of `_crossed_factors` fails (a small
+    factor raises, or the product of their reciprocal conditions, which is
+    the full matrix's, is below 1e-10), so the errors are those of every
+    other path.  The parts are recognized and factored once per design and
     spec and kept in the design's memo (see the module docstring), so a
     second curve of the design, or one after `evaluate_design`, factors
     nothing.
+
+    Every per-sample array of a chunk is laid out in columns: the
+    proportions, the order keys, the component amounts, the signs drawn
+    from the keys and the model rows are (c, k) F-ordered views of (k, c)
+    buffers, so each step reads and writes a component's or a column's
+    samples as one contiguous run.  One call allocates, for chunks of
+    c = min(8192, n_samples) samples, buffers it reuses for every chunk: a
+    C-ordered scratch of c * m floats that the exponentials, then the
+    order keys and last the total amounts are drawn into, in stream order
+    (see `_sample_chunk`), and column buffers of c * m floats each for the
+    proportions, the keys and the component amounts; a (c, pairs) sign
+    buffer; one flat row buffer of p * c floats, p the widest part's
+    terms, whose columns each term's product is written into in place
+    (``models.term_columns``); a flat product buffer of min(2049, c) rows
+    of p; and one of min(2049, c) floats, so no chunk makes a large
+    allocation.  No buffer outlives the call.  Under continuous signs
+    nothing reads the order keys, so the stream is advanced past them
+    rather than drawn (see `_sample_chunk`); the signs are drawn as
+    uniforms into one more C-ordered buffer of c * pairs floats and mapped
+    onto (-1, 1) in place, and the amounts are those of a draw.  The
+    n_samples result, which the curve keeps, is allocated after the
+    buffers; an n_samples too large to allocate raises InvalidParameter.
+    A seed of more than 4300 digits, which the curve's text could not
+    show, raises InvalidParameter before anything is drawn.
+
+    For each chunk, each part's rows are built in turn, as a view of the
+    row buffer, so each model column is written with one contiguous store.
+    Their variances are then formed in blocks of 2048 rows, whose product
+    buffer stays in a 2 MB L2 cache at p = 36: the first part's are
+    written into the result and every later part's multiplied into it.  A
+    one-row tail joins the block before it: numpy hands a one-row product
+    to gemv, whose bits can differ from gemm's.  The returned curve owns
+    its array and shares no memory with another.
 
     `workers` must be at least 1 and is otherwise unused: the chunks run
     serially (threads bought wall time only with more CPU), so the output
@@ -916,6 +851,8 @@ def fds_curve(
     """
     n_samples = _int_in_range("n_samples", n_samples, 100)
     seed = _int_in_range("seed", seed, 0)
+    if _digits(seed) > _SIZE_DIGITS:
+        raise InvalidParameter(f"seed must have at most {_SIZE_DIGITS} digits, got {_shown(seed)}")
     if not (isinstance(sign_policy, str) and sign_policy in ("orderings", "continuous")):
         raise InvalidParameter(f"sign_policy must be 'orderings' or 'continuous', got {_shown(sign_policy)}")
     _int_in_range("workers", workers, 1)
@@ -923,26 +860,19 @@ def fds_curve(
         raise InvalidParameter(
             f"amount_policy must be None, ContinuousAmounts or DiscreteAmounts, got {_shown(amount_policy)}"
         )
-    crossed = _crossed_factors(design, spec)
+    parts = _model_parts(design, spec)
     policy = amount_policy if amount_policy is not None else _default_policy(design)
-    if crossed is None:
-        row_spec, fac, degree = spec, _factor(model_matrix(design, spec)), 0
-    else:
-        row_spec, fac, amount_fac, _ = crossed
-        degree = amount_fac.X.shape[1] - 1
-    m, p = spec.m, row_spec.p
+    m, p = spec.m, max(part.p for part, _ in parts)
     chunk = min(_FDS_CHUNK, n_samples)
+    block = min(_FDS_BLOCK + 1, chunk)
     # the scratch first, the result the curve keeps last
     draws = np.empty((3, chunk * m))
     comps = np.empty((m, chunk)).T
     z = np.empty((m * (m - 1) // 2, chunk)).T
     sign_draws = np.empty(chunk * (m * (m - 1) // 2)) if sign_policy == "continuous" else None
     rows = np.empty(p * chunk)
-    work = np.empty((min(_FDS_BLOCK + 1, chunk), p))
-    if degree:
-        powers, powers_work = np.empty((degree + 1, chunk)).T, np.empty((chunk, degree + 1))
-        powers[:, 0] = 1.0
-        d_amount = np.empty(chunk)
+    work = np.empty(block * p)
+    factor_pv = np.empty(block)
     try:
         variances = np.empty(n_samples)
     except (ValueError, MemoryError):
@@ -950,13 +880,16 @@ def fds_curve(
     for index, start in enumerate(range(0, n_samples, _FDS_CHUNK)):
         count = min(_FDS_CHUNK, n_samples - start)
         x, keys, signs, amounts = _sample_chunk(seed, index, count, m, policy, sign_policy, draws, sign_draws)
-        out = rows[: p * count].reshape(p, count).T
-        F = _rows_from_samples(row_spec, x, keys, signs, amounts, out=out, z=z[:count], comps=comps[:count])
-        for lo, hi in _blocks(count):
-            fac.pv(F[lo:hi], out=variances[start + lo : start + hi], work=work[: hi - lo])
-        if degree:
-            V = _write_powers(amounts, powers[:count])
-            variances[start : start + count] *= amount_fac.pv(V, out=d_amount[:count], work=powers_work[:count])
+        for k, (part, fac) in enumerate(parts):
+            out = rows[: part.p * count].reshape(part.p, count).T
+            F = _rows_from_samples(part, x, keys, signs, amounts, out=out, z=z[:count], comps=comps[:count])
+            for lo, hi in _blocks(count):
+                d = variances[start + lo : start + hi]
+                G = work[: (hi - lo) * part.p].reshape(hi - lo, part.p)
+                if k:
+                    d *= fac.pv(F[lo:hi], out=factor_pv[: hi - lo], work=G)
+                else:
+                    fac.pv(F[lo:hi], out=d, work=G)
     variances.sort()
     return FdsCurve(
         variances=variances,
@@ -1019,35 +952,38 @@ def evaluate_design(
     `coding="raw"` uses the design's own units.  Standard errors assume
     unit error variance.
 
-    On a crossed mixture-amount design (`_crossed_factors`) every field is
-    read from the factors of X_base and X_A, and the full model matrix is
-    not built: each run's leverage is d_A d_base, so max_pv and avg_pv are
-    products of the factors' maxima and means; diag M^{-1} is
-    kron(diag M_A^{-1}, diag M_base^{-1}); the centred sum of squares of
-    the Kronecker column a (x) f is sum(a^2) SST_f + n_base SST_a mean(f)^2
-    (`_kron_sst`); log|X'X| = q log|M_A| + (T + 1) log|M_base|; and rcond
-    is the product of the base and raw amount factors'.  The report then
-    agrees with the per-matrix functions to about 1e-13 relative.
+    Every field is read from the (spec, factor) parts of the model matrix
+    (`_model_parts`), the raw ones for the leverages and rcond and those of
+    the coding for the rest: one part, the full matrix, or on a crossed
+    mixture-amount design (`_crossed_factors`) two, X_base and X_A, with no
+    full matrix built.  Each run's leverage is the product of its parts',
+    so max_pv and avg_pv are products of the parts' maxima and means; diag
+    M^{-1} is the Kronecker product of the parts' (X_A's first, in the
+    full matrix's column order); log|X'X| is the sum over parts of
+    (p / p_k) log|M_k|; and rcond is the product of the raw parts'.  Only
+    R^2 tells the two forms apart: one part's is its factor's, and on two
+    the centred sum of squares of the Kronecker column a (x) f is
+    sum(a^2) SST_f + n_base SST_a mean(f)^2 (`_kron_sst`).  On two parts
+    the report agrees with the per-matrix functions to about 1e-13
+    relative.
     """
     if not (isinstance(coding, str) and coding in ("coded", "raw")):
         raise InvalidParameter(f"coding must be 'coded' or 'raw', got {_shown(coding)}")
     _check_power_args(signal_sd, alpha)
-    crossed = _crossed_factors(design, spec, coded=coding == "coded")
-    if crossed is None:
-        mm = model_matrix(design, spec)
-        lev = leverages(mm)
-        max_pv, avg_pv = float(lev.max()), float(lev.mean())
-        term = _factor(mm if coding == "raw" else coded_model_matrix(design, spec))
-        inverse_diag, r2, log_det, rcond = term.inverse_diag(), term.r2, term.log_det, _factor(mm).rcond
+    raw = _model_parts(design, spec)
+    # X_A's factor first: the full matrix's columns are amount-major
+    term = [fac for _, fac in reversed(_model_parts(design, spec, True) if coding == "coded" else raw)]
+    lev = [fac.pv(fac.X) for _, fac in raw]
+    max_pv = float(math.prod(d.max() for d in lev))
+    avg_pv = float(math.prod(d.mean() for d in lev))
+    inverse_diag = reduce(np.kron, [fac.inverse_diag() for fac in term])
+    if len(term) == 1:
+        r2 = term[0].r2
     else:
-        _, base, raw, amount = crossed
-        d_base, d_amount = base.pv(base.X), raw.pv(raw.X)
-        max_pv = float(d_amount.max() * d_base.max())
-        avg_pv = float(d_amount.mean() * d_base.mean())
-        inverse_diag = np.kron(amount.inverse_diag(), base.inverse_diag())
-        r2 = _r2(_kron_sst(amount.X, base.X), inverse_diag, np.kron(_constant(amount.X), _constant(base.X)))
-        log_det = base.X.shape[1] * amount.log_det + amount.X.shape[1] * base.log_det
-        rcond = raw.rcond * base.rcond
+        a, f = (fac.X for fac in term)
+        r2 = _r2(_kron_sst(a, f), inverse_diag, np.kron(_constant(a), _constant(f)))
+    log_det = sum(spec.p // fac.X.shape[1] * fac.log_det for fac in term)
+    rcond = math.prod(fac.rcond for _, fac in raw)
     n, p = len(design), spec.p
     se = np.sqrt(inverse_diag)
     pw = _nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se, n - p, alpha) if n > p else np.full(p, np.nan)

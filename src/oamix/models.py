@@ -137,21 +137,26 @@ class ModelSpec:
         return tuple(term.label(self.comp_symbol) for term in self.terms)
 
     @cached_property
-    def _amount_degree(self) -> int:
-        """T when the terms are one list of terms in proportions and signs
+    def _parts(self) -> tuple[ModelSpec, ...]:
+        """The specs whose model matrices this one's is the Kronecker
+        product of on a crossed design (see `_crossed_rows`): (base, amount)
+        when the terms are one list of terms in proportions and signs
         repeated, in consecutive blocks, for amount powers t = 0, ..., T
-        with T >= 1, as eq1, eq2, eq5 and eq6 are; 0 otherwise.  A model in
-        component amounts never qualifies: its terms take the amounts
-        apart."""
+        with T >= 1, as eq1, eq2, eq5 and eq6 are, and (self,) otherwise.
+        The base spec holds the t = 0 block; the amount spec, of kind eq1
+        so that its rows read neither signs nor component amounts, holds
+        the terms 1, A, ..., A^T.  A model in component amounts is never
+        split: its terms take the amounts apart."""
         top = max((term.amount_power for term in self.terms), default=0)
         q, rest = divmod(self.p, top + 1)
         if self.kind.uses_amounts or not top or rest:
-            return 0
+            return (self,)
         base = self.terms[:q]
         for t in range(top + 1):
             if self.terms[t * q : (t + 1) * q] != tuple(replace(term, amount_power=t) for term in base):
-                return 0
-        return top
+                return (self,)
+        powers = (Term(intercept=True),) + tuple(Term(amount_power=t) for t in range(1, top + 1))
+        return replace(self, terms=base), ModelSpec(kind=ModelKind.MA_LIN, m=self.m, terms=powers)
 
 
 def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], ...]:
@@ -317,11 +322,11 @@ def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _power_into(a: np.ndarray, p, out: np.ndarray) -> np.ndarray:
     """`a ** p` written into `out`, with the bits of numpy's `a ** p`: a
-    square is numpy's ``square``, a * a, and any other power is `a ** p`
-    itself, copied."""
+    square is numpy's ``square``, a * a, a first power is `a` itself, and
+    any other power is `a ** p` itself, copied."""
     if p == 2:
         return np.square(a, out=out)
-    out[...] = a**p
+    out[...] = a if p == 1 else a**p
     return out
 
 
@@ -358,13 +363,15 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     (`_product_into`).  A product before the amount power is formed once
     per term and read, for every later power t, from the column that holds
     it; a repeated term is copied from its first column; a power of 1 uses
-    the column itself, which is exact.  The matrix is written into `out`, an
-    (n, p) float array of either order, when one is given, and returned;
-    otherwise it is a new C-ordered array.  In an F-ordered `out`, as the
-    FDS sampler passes, every column write is one contiguous store, and the
-    cells are the same bits."""
+    the column itself, which is exact; a term of A alone is written into
+    its column (`_power_into`), so it makes no temporary, and `comps` may
+    be None for a spec of such terms only.  The matrix is written into
+    `out`, an (n, p) float array of either order, when one is given, and
+    returned; otherwise it is a new C-ordered array.  In an F-ordered
+    `out`, as the FDS sampler passes, every column write is one contiguous
+    store, and the cells are the same bits."""
     pair_col = {pair: c for c, pair in enumerate(_pwo_pairs(spec.m))}
-    X = np.empty((comps.shape[0], spec.p)) if out is None else out
+    X = np.empty((len(amounts if comps is None else comps), spec.p)) if out is None else out
     # the column of each product (amount power 0) and of each term formed
     product_col: dict = {}
     term_col: dict = {}
@@ -376,11 +383,15 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
             target[...] = X[:, term_col[key, t]]
             continue
         term_col[key, t] = col
+        if not term.comp_powers and term.pwo_pair is None:
+            if t:
+                _power_into(amounts, t, target)
+            else:
+                target[...] = 1.0
+            continue
         if t and t not in powers:
             powers[t] = amounts if t == 1 else amounts**t
-        if not term.comp_powers and term.pwo_pair is None:
-            target[...] = powers[t] if t else 1.0
-        elif key in product_col:
+        if key in product_col:
             np.multiply(X[:, product_col[key]], powers[t], out=target)
         else:
             factors = [(comps[:, i - 1], p) for i, p in term.comp_powers]
@@ -433,6 +444,12 @@ def _sign_floats(signs) -> np.ndarray:
 
 def _amount_floats(amounts) -> np.ndarray:
     return np.array([float(a) for a in amounts])
+
+
+def _level_floats(design: Design) -> list[float]:
+    """The design's amount levels as floats, ascending; one beyond float
+    range raises InvalidParameter."""
+    return _floats("amount", _amount_floats, design.amount_levels).tolist()
 
 
 def _check_design(design: Design, spec: ModelSpec) -> None:
@@ -525,6 +542,45 @@ def _code_column(col: np.ndarray) -> np.ndarray:
     center = (hi + lo) / 2.0
     half = (hi - lo) / 2.0
     return (col - center) / half
+
+
+def _crossed_rows(design: Design, spec: ModelSpec) -> np.ndarray | None:
+    """X_base, the rows of the base spec (`ModelSpec._parts`) at the runs of
+    the first run's amount level, when the spec has two parts and every
+    level of the design holds the same multiset of base runs (point values
+    and sign tuple); None otherwise.  Whether the design is crossed is read
+    from its value index (``Design._value_index``), so two equal designs
+    built from different objects give the same answer.
+
+    The model matrix X is then X_A (x) X_base up to the order of its rows,
+    with X_A the amount spec's rows at the levels (`_amount_rows`); X_base
+    is, cell for cell, the t = 0 columns of the first level's rows of X,
+    and both codings share it, since coding recodes only A.  The design
+    is one checked against the spec."""
+    if len(spec._parts) == 1:
+        return None
+    _, _, (_, point_of), (signs, sign_of), (_, amount_of) = design._value_index
+    base_runs = np.array(point_of) * len(signs) + sign_of
+    level = np.array(amount_of)
+    counts = np.bincount(level)
+    if counts.min() != counts.max():
+        return None
+    groups = base_runs[np.lexsort((base_runs, level))].reshape(counts.size, -1)
+    if not (groups == groups[0]).all():
+        return None
+    runs = np.flatnonzero(level == 0)
+    base = spec._parts[0]
+    comps = _field_rows(design, "point", _point_floats, runs)
+    signs = _field_rows(design, "pwo", _sign_floats, runs) if base.kind.has_pwo else None
+    return term_columns(base, comps, signs, None)
+
+
+def _amount_rows(design: Design, spec: ModelSpec, coded: bool) -> np.ndarray:
+    """X_A, the rows of an amount spec (`ModelSpec._parts`) at the design's
+    distinct levels, ascending, coded as `coded_model_matrix` codes A when
+    `coded`."""
+    levels = np.array(_level_floats(design))
+    return term_columns(spec, None, None, _code_column(levels) if coded else levels)
 
 
 def coded_model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:

@@ -285,7 +285,7 @@ def _exact_amount(what: str, value) -> Fraction:
     if not isinstance(value, bool):
         try:
             return as_fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError):
             pass
     raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {_shown(value)}")
 

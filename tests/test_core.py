@@ -112,6 +112,39 @@ def test_as_fraction_rejects_float():
         as_fraction(0.33)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_fraction("x"), InvalidParameter, "got 'x'"),
+        (lambda: as_fraction(""), InvalidParameter, "got ''"),
+        (lambda: as_fraction("1/0"), InvalidParameter, "got '1/0'"),
+        (lambda: as_fraction("3/4x"), InvalidParameter, "got '3/4x'"),
+        (lambda: as_fraction("nan"), InvalidParameter, "got 'nan'"),
+        (lambda: as_fraction("1" * 100), None, None),
+        (lambda: as_fraction("x" * 100), InvalidParameter, "got 'xxxxxxxx"),
+        (lambda: DesignPoint(5, "proportion"), InvalidParameter, "values must be iterable, got 5"),
+        (lambda: DesignPoint(("1/2", "1/0"), "proportion"), InvalidParameter, "got '1/0'"),
+        # floats, None and containers keep their TypeError
+        (lambda: as_fraction(0.5), TypeError, "refusing lossy coercion of float 0.5"),
+        (lambda: as_fraction(None), TypeError, None),
+        (lambda: as_fraction(["1"]), TypeError, None),
+    ],
+    ids=["letter", "empty", "zero-denominator", "trailing-text", "nan", "long-number", "long-text",
+         "values-not-iterable", "entry-zero-denominator", "float", "none", "list"],
+)
+def test_exact_values_that_are_no_number_raise_named_errors(call, error, message):
+    if error is None:
+        assert call() == int("1" * 100)
+        return
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    if error is InvalidParameter:
+        assert isinstance(raised.value, ValueError) and len(str(raised.value)) < 200
+    if message is not None:
+        assert message in str(raised.value)
+
+
 def test_as_fraction_parses_decimal_and_rational_strings():
     assert as_fraction("0.33") == Fraction(33, 100)
     assert as_fraction("1/3") == Fraction(1, 3)

@@ -58,7 +58,6 @@ from oamix.evaluate import (
     _crossed_factors,
     _default_policy,
     _Factor,
-    _amount_powers,
     _nct_two_sided,
     _pair_signs,
     _row_sums,
@@ -844,14 +843,18 @@ def test_fds_table3_eq6_text_is_pinned(table3, spec6, sign_policy, digest):
         ("m8_crossed", "eq5", {}, "2bc5501d3cc0ca901b02bf774d65df7dcd30db81ac40b15e13fc701fb003fd68"),
         ("m8_crossed", "eq5", {"sign_policy": "continuous"},
          "64cf00d7d560fe11df6fef2ff9d1382ec078409bfe79f48dd62125a13c07933e"),
+        ("m6_crossed", "eq6", {}, "2a9b47fb7078ff00e5ba0843402e3767f72b62edf406dac4e992ccf9d319398f"),
+        ("table3", "eq2", {"sign_policy": "continuous"},
+         "bfc8aea29a38e89335cff96d0e4ab87b1927239998aa25f00232f82106318368"),
     ],
     ids=["table3-eq6-orderings", "table5-eq8-orderings", "table5-eq8-continuous-signs",
          "table3-eq6-discrete-amounts", "table5-eq8-continuous-signs-discrete-with-0",
-         "m8-eq5-orderings", "m8-eq5-continuous-signs"],
+         "m8-eq5-orderings", "m8-eq5-continuous-signs", "m6-eq6-orderings", "table3-eq2-continuous-signs"],
 )
 def test_fds_text_is_pinned(request, table, eq, kwargs, digest):
     # the benchmark's four paper-study curves, zero-masked continuous signs,
-    # and an m = 8 design, whose row sums take numpy's 8-lane adds
+    # an m = 8 design, whose row sums take numpy's 8-lane adds, and two
+    # degree-2 curves of the product path d_base d_A
     design = request.getfixturevalue(table)
     curve = fds_curve(design, build_spec(eq, design.m), n_samples=20000, seed=7, **kwargs)
     assert hashlib.sha256(curve.to_text().encode()).hexdigest() == digest
@@ -863,7 +866,8 @@ def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, g
     samples are `_reference_sample_chunk`'s, whose amounts are numpy's
     ``uniform`` itself.  Where the variances factor (`_crossed_factors`)
     each is d_base d_A, unless `general` asks for the full model rows and
-    factor."""
+    factor; the powers 1, A, A^2 of d_A are numpy's own ones, amounts and
+    square, not the library's rows."""
     fac = model_matrix(design, spec)._factor
     product = None if general else _crossed_factors(design, spec)
     parts = []
@@ -873,9 +877,10 @@ def _fresh_array_variances(design, spec, n_samples, seed, policy, sign_policy, g
         if product is None:
             parts.append(fac.pv(_rows_from_samples(spec, x, keys, signs, amounts)))
         else:
-            base, base_fac, amount_fac, _ = product
+            (base, base_fac), (_, amount_fac) = product
             d_base = base_fac.pv(_rows_from_samples(base, x, keys, signs, amounts))
-            parts.append(d_base * amount_fac.pv(_amount_powers(amounts, amount_fac.X.shape[1] - 1)))
+            powers = np.column_stack([np.ones(count), amounts, np.square(amounts)])
+            parts.append(d_base * amount_fac.pv(powers[:, : amount_fac.X.shape[1]]))
     return np.sort(np.concatenate(parts))
 
 
@@ -1219,7 +1224,7 @@ def test_product_rcond_is_the_full_factors(request, table3, eq, crossed):
     design = request.getfixturevalue(crossed) if crossed else table3
     spec = build_spec(eq, design.m)
     mm = model_matrix(design, spec)
-    _, base_fac, amount_fac, _ = _crossed_factors(design, spec)
+    (_, base_fac), (_, amount_fac) = _crossed_factors(design, spec)
     assert base_fac.rcond * amount_fac.rcond == pytest.approx(mm._factor.rcond, rel=1e-9, abs=0)
 
 
@@ -1290,7 +1295,7 @@ def test_memo_entries_are_per_spec_and_coding(spec6, factor_shapes):
     # X_base of 12 and of 15 base terms, each with its raw and coded X_A
     assert factor_shapes == [(21, 12), (3, 3), (3, 3), (21, 15), (3, 3), (3, 3)]
     assert reports[cyclic].n_params == 36 and reports[keep_all].n_params == 45
-    assert _crossed_factors(design, cyclic)[0].p == 12 and _crossed_factors(design, keep_all)[0].p == 15
+    assert _crossed_factors(design, cyclic)[0][0].p == 12 and _crossed_factors(design, keep_all)[0][0].p == 15
     assert _same_report(evaluate_design(design, spec6), reports[cyclic])
     assert len(factor_shapes) == 6
 
@@ -1432,7 +1437,7 @@ def test_crossed_base_rows_are_the_full_matrix_rows(monkeypatch, eq):
 
     monkeypatch.setattr(oamix.core, "_point_value", counted_value)
     monkeypatch.setattr(Fraction, "__float__", counted_float)
-    base, base_fac, _, _ = _crossed_factors(design, spec)
+    (base, base_fac), _ = _crossed_factors(design, spec)
     assert values[0] == 36 and floats[0] == 3
     np.testing.assert_array_equal(base_fac.X, X[: len(design) // 3, : base.p])
 
@@ -1485,7 +1490,7 @@ def test_table3_leverages_are_level_times_base_leverages(table1, table3, eq):
     q = spec.p // (degree + 1)
     levels = np.array([float(a) for a in table3.amount_levels])
     x_base = model_matrix(table3, spec).X[: len(table1), :q]
-    want = np.kron(leverages(_amount_powers(levels, degree)), leverages(x_base))
+    want = np.kron(leverages(np.vander(levels, degree + 1, increasing=True)), leverages(x_base))
     np.testing.assert_allclose(leverages(model_matrix(table3, spec)), want, rtol=1e-12, atol=0)
 
 
@@ -1537,3 +1542,14 @@ def test_fds_refuses_a_sample_count_too_large_to_hold(table3, spec6):
     # the chunk buffers are a fixed size, so only the result cannot be made
     with pytest.raises(InvalidParameter, match=r"^n_samples=10{30} is too many to hold in memory$"):
         fds_curve(table3, spec6, 10**30, 1)
+
+
+def test_fds_refuses_a_seed_its_text_could_not_show(table3, spec6):
+    # Python writes an int of at most 4300 digits as text, so the curve's
+    # header can show a seed that long and no longer
+    for seed, digits in ((10**4300, 4301), (10**5000, 5001)):
+        with pytest.raises(InvalidParameter, match=f"^seed must have at most 4300 digits, got an integer of {digits} digits$"):
+            fds_curve(table3, spec6, 100, seed)
+    seed = 10**4300 - 1
+    text = fds_curve(table3, spec6, 100, seed).to_text()
+    assert text.startswith(f"# fds seed={seed} samples=100 ") and len(text.splitlines()) == 101

@@ -127,11 +127,18 @@ def test_a_numpy_reduction_is_judged_as_the_equal_list(reduction, dtype):
         assert outcomes[1] == "a reduction entry is (component, (j, k)), got [1, 2]"
 
 
+def _amount_degree(spec):
+    """T of a spec split into a base spec and the amount terms 1, A, ...,
+    A^T (`ModelSpec._parts`), 0 for a spec of one part."""
+    parts = spec._parts
+    return parts[1].p - 1 if len(parts) == 2 else 0
+
+
 @pytest.mark.parametrize("eq, m, degree", [("eq6", 3, 2), ("eq5", 6, 1), ("eq8", 3, 0)])
 def test_spec_facts_are_kept_and_leave_equality_hash_pickle_and_replace_alone(eq, m, degree):
     spec = build_spec(eq, m)
     twin = build_spec(eq, m)
-    assert spec.labels is spec.labels and spec._amount_degree == degree
+    assert spec.labels is spec.labels and _amount_degree(spec) == degree
     assert "labels" in vars(spec) and "labels" not in vars(twin)
     assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
     copy = pickle.loads(pickle.dumps(spec))
@@ -139,8 +146,31 @@ def test_spec_facts_are_kept_and_leave_equality_hash_pickle_and_replace_alone(eq
     # a replaced spec computes its own facts, not the original's
     fewer = dataclasses.replace(spec, terms=spec.terms[:-1])
     assert "labels" not in vars(fewer) and fewer.labels == spec.labels[:-1]
-    assert fewer._amount_degree == 0
+    assert _amount_degree(fewer) == 0
     assert dataclasses.replace(spec) == spec
+
+
+@pytest.mark.parametrize("eq, degree", [("eq1", 1), ("eq2", 2), ("eq5", 1), ("eq6", 2)])
+def test_a_mixture_amount_spec_splits_into_base_and_amount_parts(eq, degree):
+    spec = build_spec(eq, 4)
+    base, amount = spec._parts
+    assert base == models.ModelSpec(spec.kind, 4, spec.terms[: spec.p // (degree + 1)])
+    assert amount.labels == ("1", "A", "A^2")[: degree + 1]
+    # the amount part's rows read neither signs nor component amounts
+    assert not amount.kind.has_pwo and not amount.kind.uses_amounts
+    assert pickle.loads(pickle.dumps(spec))._parts == (base, amount)
+    a = np.array([0.0, 0.5, 1.25, 3.0, 1e-200, 1.3e154])
+    want = np.column_stack([np.ones(a.size), a, np.square(a)])[:, : degree + 1]
+    for out in (None, np.empty((degree + 1, a.size)).T):
+        got = models.term_columns(amount, None, None, a, out=out)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("eq", ["eq3", "eq4", "eq7", "eq8"])
+def test_a_component_amount_spec_is_one_part(eq):
+    spec = build_spec(eq, 3)
+    assert spec._parts == (spec,)
+    assert pickle.loads(pickle.dumps(spec))._parts == (spec,)
 
 
 def test_matrix_shapes(table2, table3, spec6, spec8):
