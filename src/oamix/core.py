@@ -11,6 +11,7 @@ A `Design` fixes its shape, the columns its runs carry, when it is built.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,7 +60,7 @@ def as_fraction(value) -> Fraction:
     rejected with TypeError: a binary float has already lost the decimal
     value it was meant to carry, and exactness is the whole point here.
     Text that is no exact number ('x', '', '1/0') raises InvalidParameter,
-    a ValueError.
+    a ValueError, as does an infinite Decimal.
     """
     if type(value) is Fraction:
         return value
@@ -69,7 +70,7 @@ def as_fraction(value) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise InvalidParameter(
             f"an exact number is an int, a Fraction or text such as 3/4 or 0.75, got {_shown(value)}"
         ) from None
@@ -114,12 +115,17 @@ def _is_integer(z: Real) -> bool:
 @dataclass(frozen=True)
 class DesignPoint:
     """A single blend: a vector of proportions or amounts.  `kind` is a Kind
-    or its value as text, stored as the Kind."""
+    or its value as text, stored as the Kind.  `values` is an iterable of
+    exact numbers (see `as_fraction`); a text, bytes or a mapping, which
+    would be read as its characters, bytes or keys, raises
+    InvalidParameter."""
 
     values: tuple[Fraction, ...]
     kind: Kind
 
     def __post_init__(self):
+        if isinstance(self.values, (str, bytes, bytearray, Mapping)):
+            raise InvalidParameter(f"values must be a sequence of numbers, got {type(self.values).__name__}")
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in _iterable("values", self.values)))
         object.__setattr__(self, "kind", _as_kind(self.kind))
 

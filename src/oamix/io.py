@@ -16,15 +16,20 @@ half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
 are display artifacts.  `write_design` renders each distinct value
 object of a design once per call and joins the pieces of each run.
-`read_design`, the one reader the library and the CLI share, keys each
-row by its point text and its sign text and parses each distinct text
-once, as exact decimal fractions, into the design's index; it checks no
-run itself, but runs the one check walk of ``validate_design`` over that
-index, so a file is accepted only when every run passes
-``oofa.validate_run``.  So it rejects a display file of thirds rounded
-to 0.33 (proportions no longer summing to 1) and an amount row whose
-rounded A differs from the sum of its rounded amounts.  The design
-it returns records that walk, so ``validate_design`` of it costs nothing.
+
+`read_design`, the one reader the library and the CLI share, reads a
+file in bulk into the design's index, parsing each distinct text once,
+as exact decimal fractions, and checks that index with the one check of
+``validate_design``, so a file is accepted only when every row passes
+the format and ``oofa.validate_run``.  So it rejects a display file of
+thirds rounded to 0.33 (proportions no longer summing to 1) and an
+amount row whose rounded A differs from the sum of its rounded amounts.
+The first faulty row in file order is named, as ``line N: ...``; on one
+row the checks run in the order width, component cells, sign cells, A
+cell, sign judgement, then point, A, the amount sum, the sign count and
+the order.  That row is sought only when the bulk check fails.  The
+design the reader returns records that it passed, so ``validate_design``
+of it costs nothing.
 
 Pair labels use single digits, so the format covers up to 9 components.
 """
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from itertools import product
+from itertools import compress, count, islice, product, repeat
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
 from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, _shown, located
@@ -166,42 +171,24 @@ def _parse_header(line: str) -> tuple[Kind, int, bool, bool]:
 
 
 def read_design(text: str) -> Design:
-    """Parse a design file, then check its runs: the one reader of library
+    """Parse a design file and check its runs: the one reader of library
     and CLI.
 
     Rational files reproduce the written design exactly, and every design
-    returned passes ``validate_design``.  The reader parses the format
-    (the header, the width of each row, readable values, integer signs)
-    into the design's index, at the cost of the file's distinct texts.
-    The per-row work is bulk passes: one ``rpartition`` per row splits off
-    the A cell, leaving the row's head (the whole row when there is no A
-    column); ``dict.fromkeys`` takes the distinct heads and A cells in
-    the order they first appear; and each row's slots are looked up from
-    its head and its A cell.  Only the distinct texts are parsed one by
-    one.  A head is split once, at its first m commas: its m component
-    cells are the point text and the rest is the sign text, so rows with
-    the same point text share one point, rows with the same sign text
-    share one sign tuple, and rows whose A cells have the same text share
-    one amount; each distinct value is decoded once per file.  The cells
-    of the new sign texts are split and mapped to ints together, through
-    the table of ``-1``, ``0`` and ``1``; any other cell (``+1``, ``1.0``,
-    ``2/2``, ``1/2``, a cell with spaces) is decoded as a value, once per
-    distinct cell text.  ``_as_signs`` judges all the new signs at once,
-    and judges the vectors one by one only to name a faulty one.
-
-    The first format fault is on the first row of the first faulty
-    distinct head or A cell; on one row, a head's width and cells come
-    first, then the A cell, then the judgement of the signs.  The one
-    check walk of ``validate_design`` (``oofa._check_index``, one check
-    per distinct key) then checks the rows before that fault, sliced from
-    the slot lists, and the format fault is raised only when those rows
-    pass.  An error names the physical line of the first faulty row as
-    ``line N: ...``, found from the faulty key only when there is one,
-    and keeps its class (sign-order faults are InconsistentPwoRow).  The
-    returned design is stored as its index and makes its runs only when
-    they are asked for.  It is valid at birth and records it, so
-    ``validate_design`` returns at once for it and the walk is not
-    repeated.  A `text` that is not a str raises InvalidParameter.
+    returned passes ``validate_design``.  The file is read in bulk into
+    the design's index, at the cost of its distinct texts (see
+    `_read_index`), and the index is checked by the one check of
+    ``validate_design`` (``oofa._check_index``), once per distinct key.
+    Only when either step fails is the first faulty row in file order
+    sought (see `_raise_faulty_row`) and named: its first fault keeps its
+    class, is prefixed ``line N:`` with the row's physical line, and is
+    InconsistentPwoRow for a sign-order fault.  On one row the checks run
+    in the order width, component cells, sign cells, A cell, sign
+    judgement, then ``oofa.validate_run``'s point, A, amount sum, sign
+    count and order.  The returned design is stored as its index and
+    makes its runs only when they are asked for.  It is valid at birth and
+    records it, so ``validate_design`` returns at once for it.  A `text`
+    that is not a str raises InvalidParameter.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
@@ -213,119 +200,118 @@ def read_design(text: str) -> Design:
     del rows[0]
     if not rows:
         raise MalformedHeader(_NO_ROWS)
-    n_pairs = m * (m - 1) // 2 if with_signs else 0
-    width = m + n_pairs + (1 if with_amount else 0)
-    decode = _Values().__getitem__
-    sign_cells: dict[str, int | Fraction] = {}
+    shape = (kind, m, m * (m - 1) // 2 if with_signs else 0, with_amount)
+    # one decoding of each distinct cell text per call, shared by the search
+    signs = _Signs(_Values())
+    try:
+        index = _read_index(rows, shape, signs)
+        _check_index(index)
+    except OamixError:
+        _raise_faulty_row(lines, rows, shape, signs)
+        raise
+    return Design._of(m, kind, index, True)
 
-    def decode_sign(cell: str) -> int | Fraction:
-        # an integer cell becomes an int, which `_as_signs` passes unconverted;
-        # any other value stays a Fraction for `_as_signs` to refuse
-        sign = sign_cells.get(cell)
-        if sign is None:
-            value = decode(cell.strip())
-            sign = sign_cells[cell] = int(value) if value.denominator == 1 else value
-        return sign
 
-    # each row's head, and its A cell when the file has an A column
-    heads, _, a_cells = zip(*[row.rpartition(",") for row in rows]) if with_amount else (rows, None, None)
-    # (row, place on its row, error) of the first fault of each pass: a
-    # head's width and cells come first on a row, then its A cell, then
-    # the judgement of its signs
-    faults = []
+def _read_index(rows: list[str], shape: tuple, signs: _Signs) -> dict:
+    """The design index of `rows`, the rows of a file of `shape` (kind, m,
+    pairs, with_amount), read in bulk passes; the passes raise the format
+    faults of a row in the order width, component cells, sign cells, A
+    cell, sign judgement.
+
+    One ``rpartition`` per row splits off the A cell, leaving the row's
+    head (the whole row when there is no A column); ``dict.fromkeys``
+    takes the distinct heads and A texts in the order they first appear;
+    and each row's slots are looked up from its head and its A text.  Only
+    the distinct texts are parsed one by one.  A head is split once, at
+    its first m commas: its m component cells are the point text and the
+    rest is the sign text, so rows with the same point text share one
+    point, rows with the same sign text share one sign tuple, and rows
+    with the same A text share one amount.  The cells of the distinct sign
+    texts are split and looked up together in `signs`, and all their
+    signs are judged at once."""
+    kind, m, pairs, with_amount = shape
+    decode = signs.values.__getitem__
+    width = m + pairs + with_amount
+    heads, commas, a_cells = zip(*map(str.rpartition, rows, repeat(","))) if with_amount else (rows, (), ())
+    # a row with no comma holds one value, and an A column makes two at least
+    if "" in commas:
+        raise RowLengthMismatch(f"expected {width} values, got 1")
     # each distinct head -> its point slot, and its sign text in the same order
     point_of_head = dict.fromkeys(heads)
     sign_texts: list[str] = []
     points: list[DesignPoint] = []
     point_slots: dict[str, int] = {}
     for head in point_of_head:
-        try:
-            # only the empty head can come from a row with no comma, so
-            # its first row is counted
-            got = head.count(",") + 1 + with_amount if head else rows[heads.index(head)].count(",") + 1
-            if got != width:
-                raise RowLengthMismatch(f"expected {width} values, got {got}")
-            # the m component cells, then the sign text
-            cells = head.split(",", m)
-            sign_text = cells.pop() if with_signs else ""
-            comp_text = head[: len(head) - len(sign_text) - 1] if with_signs else head
-            i = point_slots.get(comp_text)
-            if i is None:
-                points.append(DesignPoint._of(tuple(map(decode, map(str.strip, cells))), kind))
-                i = point_slots[comp_text] = len(points) - 1
-        except OamixError as exc:
-            faults.append((heads.index(head), 0, exc))
-            break
+        got = head.count(",") + 1 + with_amount
+        if got != width:
+            raise RowLengthMismatch(f"expected {width} values, got {got}")
+        # the m component cells, then the sign text
+        cells = head.split(",", m)
+        sign_text = cells.pop() if pairs else ""
+        comp_text = head[: len(head) - len(sign_text) - 1] if pairs else head
+        i = point_slots.get(comp_text)
+        if i is None:
+            points.append(DesignPoint._of(tuple(map(decode, map(str.strip, cells))), kind))
+            i = point_slots[comp_text] = len(points) - 1
         point_of_head[head] = i
         sign_texts.append(sign_text)
-    # the sign texts of the heads read, decoded as one flat tuple of values
-    if with_signs:
-        texts = list(dict.fromkeys(sign_texts))
-        cells = ",".join(texts).split(",") if texts else []
-        # canonical cells go through the table; any other cell is decoded
-        try:
-            values = tuple(map(_SIGN_CELLS.__getitem__, cells))
-        except KeyError:
-            values = list(map(_SIGN_CELLS.get, cells))
-            for at in [at for at, value in enumerate(values) if value is None]:
-                try:
-                    values[at] = decode_sign(cells[at])
-                except OamixError as exc:
-                    faults.append((_first_row(heads, point_of_head, sign_texts, texts[at // n_pairs]), 0, exc))
-                    del texts[at // n_pairs :], values[at // n_pairs * n_pairs :]
-                    break
-            values = tuple(values)
-        signs = list(zip(*[iter(values)] * n_pairs))
-        # one judgement of every new sign; only a fault judges them one by one
-        try:
-            _as_signs(values)
-        except OamixError:
-            for at, vector in enumerate(signs):
-                try:
-                    _as_signs(vector)
-                except OamixError as exc:
-                    faults.append((_first_row(heads, point_of_head, sign_texts, texts[at]), 2, exc))
-                    del texts[at:], signs[at:]
-                    break
-        sign_of_text = dict(zip(texts, range(len(texts))))
-        sign_of_head = dict(zip(point_of_head, map(sign_of_text.get, sign_texts)))
-    else:
-        signs = [None]
-    amounts: list[Fraction | None] = [] if with_amount else [None]
-    if with_amount:
-        amount_slots: dict[str, int] = {}
-        # each distinct A cell -> its amount slot, keyed by its stripped text
-        amount_of_cell = dict.fromkeys(a_cells)
-        for cell in amount_of_cell:
-            a_text = cell.strip()
-            k = amount_slots.get(a_text)
-            if k is None:
-                try:
-                    amounts.append(decode(a_text))
-                except OamixError as exc:
-                    faults.append((a_cells.index(cell), 1, exc))
-                    break
-                k = amount_slots[a_text] = len(amounts) - 1
-            amount_of_cell[cell] = k
-    # the first format fault, and the n rows before it
-    n, _, fault = min(faults, key=lambda fault: fault[:2]) if faults else (len(rows), 0, None)
-    heads = heads[:n]
-    index = {
+    texts = dict.fromkeys(sign_texts)
+    values = tuple(map(signs.__getitem__, ",".join(texts).split(","))) if pairs else ()
+    a_texts = list(map(str.strip, a_cells))
+    amount_of_text = dict.fromkeys(a_texts)
+    amounts = tuple(map(decode, amount_of_text))
+    # the signs are judged after the A cells are read, as on one row
+    _as_signs(values)
+    # each head's sign slot, and each A text's amount slot
+    sign_of_text = dict(zip(texts, range(len(texts))))
+    sign_of_head = dict(zip(point_of_head, map(sign_of_text.__getitem__, sign_texts)))
+    amount_of_text = dict(zip(amount_of_text, range(len(amounts))))
+    # the field of runs that carry no signs or no A
+    absent = ((None,), (0,) * len(rows))
+    return {
         "point": (tuple(points), tuple(map(point_of_head.__getitem__, heads))),
-        "pwo": (tuple(signs), tuple(map(sign_of_head.__getitem__, heads)) if with_signs else (0,) * n),
-        "amount": (tuple(amounts), tuple(map(amount_of_cell.__getitem__, a_cells[:n])) if with_amount else (0,) * n),
+        "pwo": (tuple(zip(*[iter(values)] * pairs)), tuple(map(sign_of_head.__getitem__, heads))) if pairs else absent,
+        "amount": (amounts, tuple(map(amount_of_text.__getitem__, a_texts))) if with_amount else absent,
     }
 
-    def where(run: int) -> str:
-        # run n is on the (n + 2)th line that is not blank
-        return f"line {_line_number(lines, run + 2)}"
 
-    # the rows before a format fault are checked first, so the first
-    # faulty line is the one named
-    _check_index(index, where)
-    if fault is not None:
-        raise located(where(n), fault) from fault
-    return Design._of(m, kind, index, True)
+def _raise_faulty_row(lines: list[str], rows: list[str], shape: tuple, signs: _Signs) -> None:
+    """Raise the first fault of the `rows` of the file `lines`, a file of
+    `shape` whose rows fail the bulk check, prefixed ``line N:`` with its
+    row's physical line number (see ``errors.located``).
+
+    A row whose head and A cell (on an amount file, whose whole text)
+    earlier rows hold passes when they do, since its checks read only
+    those, so the first faulty row is the first faulty one of the first
+    rows of the distinct heads and A cells.  Any set of rows passes the
+    bulk check exactly when each of its rows does, so that row is sought
+    by halves, each half checked in bulk as a file of its own, at the cost
+    of its distinct texts.  The row found is then checked alone, which
+    raises its first fault in the order of a row's checks."""
+    kind, _, _, with_amount = shape
+    # the keys: a row's head and A cell, or its whole text
+    keys = list(zip(*map(str.rpartition, rows, repeat(","))))[::2] if with_amount and kind is Kind.PROPORTION else [rows]
+    # each key's first row: a later row with the key is written over by it
+    firsts = sorted(set().union(*(dict(zip(column[::-1], range(len(rows) - 1, -1, -1))).values() for column in keys)))
+
+    def check(ats) -> None:
+        _check_index(_read_index([rows[at] for at in ats], shape, signs))
+
+    # the rows firsts[:lo] pass, and firsts[lo:hi] hold a faulty one
+    lo, hi = 0, len(firsts)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            check(firsts[lo:mid])
+            lo = mid
+        except OamixError:
+            hi = mid
+    try:
+        check(firsts[lo:hi])
+    except OamixError as exc:
+        # the row's line: the header is the first line that is not blank
+        number = next(islice(compress(count(1), map(str.strip, lines)), firsts[lo] + 1, None))
+        raise located(f"line {number}", exc) from exc
 
 
 class _Values(dict):
@@ -340,20 +326,21 @@ class _Values(dict):
         return value
 
 
-def _first_row(heads, point_of_head: dict, sign_texts: list[str], text: str) -> int:
-    """The first row whose head has the sign text `text`; `sign_texts`
-    holds the sign text of each head of `point_of_head` read, in order."""
-    return heads.index(list(point_of_head)[sign_texts.index(text)])
+class _Signs(dict):
+    """Signs by cell text: the canonical cells ``-1``, ``0`` and ``1`` are
+    looked up, and any other cell (``+1``, ``1.0``, ``2/2``, ``1/2``, a cell
+    with spaces) is decoded by `values` on its first lookup, to an int when
+    it is an integer and otherwise to the Fraction ``core._as_signs``
+    refuses."""
 
+    def __init__(self, values: _Values):
+        super().__init__(_SIGN_CELLS)
+        self.values = values
 
-def _line_number(lines: list[str], count: int) -> int:
-    """The 1-based number of the `count`-th line of `lines` that is not blank."""
-    for number, line in enumerate(lines, start=1):
-        if line.strip():
-            count -= 1
-            if not count:
-                return number
-    raise AssertionError("fewer lines than counted")
+    def __missing__(self, cell: str) -> int | Fraction:
+        value = self.values[cell.strip()]
+        sign = self[cell] = int(value) if value.denominator == 1 else value
+        return sign
 
 
 _TABLES = ("table1", "table2", "table3", "table5")

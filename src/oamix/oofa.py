@@ -318,111 +318,97 @@ def validate_run(run: OofARun) -> None:
     """Raise unless one run is valid: its point satisfies its kind, a
     total-amount tag A is nonnegative and, for an amount run, equals the
     sum of its amounts, and its signs are induced by some addition order of
-    its support.  The error is raised unprefixed; a `run` that is not an
-    OofARun raises InvalidParameter."""
+    its support.  The checks run in that order (point, A, the amount sum,
+    the sign count, the order), and the first fault is raised unprefixed;
+    a `run` that is not an OofARun raises InvalidParameter."""
     if not isinstance(run, OofARun):
         raise InvalidParameter(f"run must be an OofARun, got {type(run).__name__}")
-    _check_index({"point": ((run.point,), (0,)), "pwo": ((run.pwo,), (0,)), "amount": ((run.amount,), (0,))}, None)
+    _check_index({"point": ((run.point,), (0,)), "pwo": ((run.pwo,), (0,)), "amount": ((run.amount,), (0,))})
 
 
 def validate_design(design: Design) -> None:
-    """Check each run of a design with `validate_run`, whose errors are
-    prefixed ``run N:``, through its index (see `_check_index`): a few bulk
-    passes over the runs' slots, then one check per distinct point, A,
-    (point, A) pair, sign tuple and (support, signs) content, so the walk
-    costs what the design's distinct values cost; the first faulty run is
-    found from the faulty keys only when there is one.  The design's shape
-    (m, kind, and which of signs and A its runs carry) is checked when the
-    Design is built.  A design that `read_design` or a constructor of the
-    library made from valid input is valid at birth and records it (see
-    ``core.Design._of``), so this returns at once for it; a design built
-    by calling `Design` is walked.  A `design` that is not a Design raises
-    InvalidParameter."""
+    """Raise unless every run of a design passes `validate_run`.
+
+    The first faulty run in order is named, as ``run N: ...`` with its
+    error's class; on one run the checks run in the order point, A, the
+    amount sum, the sign count and the order.  The design's index is
+    checked in bulk (see `_check_index`), at the cost of its distinct
+    values, and the runs are walked (see `_raise_faulty_run`) only when
+    that check fails.  The design's shape (m, kind, and which of signs and
+    A its runs carry) is checked when the Design is built.  A design that
+    `read_design` or a constructor of the library made from valid input is
+    valid at birth and records it (see ``core.Design._of``), so this
+    returns at once for it; a design built by calling `Design` is checked.
+    A `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
     if not design._checked:
-        _check_index(design._index, lambda n: f"run {n + 1}")
+        try:
+            _check_index(design._index)
+        except OamixError:
+            _raise_faulty_run(design)
+            raise
 
 
-def _check_index(index: dict, where) -> None:
-    """The one statement of a valid run (see `validate_run`), applied to
-    the runs of a design index.
+def _raise_faulty_run(design: Design) -> None:
+    """Raise the error of the first run of `design` that `validate_run`
+    refuses, prefixed ``run N:`` (see ``errors.located``)."""
+    for n, run in enumerate(design.runs, start=1):
+        try:
+            validate_run(run)
+        except OamixError as exc:
+            raise located(f"run {n}", exc) from exc
+
+
+def _check_index(index: dict) -> None:
+    """Raise unless every run of a design index passes `validate_run`.
 
     A run's checks read only its point, its A, its (point, A) pair, its
     sign tuple and its (support, signs) content, so each check runs once
     per distinct key, and the keys are taken from the slot lists in bulk
-    passes (``dict.fromkeys``), in the order of their first runs.  Each
-    referenced point is checked and its support and total are found once;
-    each amount is checked for sign once; on an amount design each (point,
-    A) pair has its total compared once; each sign tuple has its count
-    checked once, and each (support, signs) content its order once.  A
-    check stops at its first faulty key, the one whose first run comes
-    first, and skips keys whose point or signs it would not reach.  The
-    first faulty run is then the least of those keys' first runs; within a
-    run, its point is checked first, then its A, then its signs.  An error
-    in run n (0-based) is prefixed by `where(n)` (see ``errors.located``),
-    or raised unchanged when `where` is None."""
+    passes (``dict.fromkeys``): each referenced point is checked and its
+    support and total are found once; each amount is checked for sign
+    once; on an amount design each (point, A) pair has its total compared
+    once; each sign tuple has its count checked once, and each (support,
+    signs) content its order once.  A faulty key's error is raised
+    unprefixed; the callers name the first faulty row of a file or run of
+    a design, which they seek only when this check fails."""
     points, point_of = index["point"]
     signs, sign_of = index["pwo"]
     amounts, amount_of = index["amount"]
     if not point_of:
         return
-    # (first run, place among a run's checks, error) of each check's first
-    # faulty key
-    faults = []
     # by point slot: its support and the exact sum of its values, a
     # numerator over a denominator
     supports: dict[int, tuple[int, ...]] = {}
     totals: dict[int, tuple[int, int]] = {}
     for i in dict.fromkeys(point_of):
-        try:
-            supports[i], totals[i] = _point_facts(points[i])
-        except OamixError as exc:
-            faults.append((point_of.index(i), 0, exc))
-            break
+        supports[i], totals[i] = _point_facts(points[i])
     for k in dict.fromkeys(amount_of):
         amount = amounts[k]
         if amount is not None and amount < 0:
-            faults.append((amount_of.index(k), 1, NegativeEntry(f"total amount A is negative: {amount}")))
-            break
+            raise NegativeEntry(f"total amount A is negative: {amount}")
     m, kind = points[point_of[0]].m, points[point_of[0]].kind
     if kind is Kind.AMOUNT:
         for i, k in dict.fromkeys(zip(point_of, amount_of)):
-            if i in totals:
-                amount, (numerator, denominator) = amounts[k], totals[i]
-                if amount is None or amount.numerator * denominator != numerator * amount.denominator:
-                    total = Fraction(numerator, denominator)
-                    mismatch = AmountMismatch(f"A is {amount} but the amounts sum to {total}")
-                    faults.append((list(zip(point_of, amount_of)).index((i, k)), 2, mismatch))
-                    break
-    if signs and signs[0] is not None:
-        tuples = list(dict.fromkeys(sign_of))
-        counts = list(map(len, map(signs.__getitem__, tuples)))
-        pairs = m * (m - 1) // 2
-        if counts.count(pairs) != len(counts):
-            at = next(n for n, count in enumerate(counts) if count != pairs)
-            count = InconsistentPwo(f"{counts[at]} signs for the pairs of {m} components")
-            faults.append((sign_of.index(tuples[at]), 3, count))
-            del tuples[at:]
-        distinct = dict.fromkeys(zip(point_of, sign_of))
-        if faults:
-            # a run stops at its point's or its signs' fault, or comes after one
-            counted = set(tuples)
-            distinct = [(i, j) for i, j in distinct if i in supports and j in counted]
-        # each (support, signs) content, in the order of its first run
-        point_slots, sign_slots = zip(*distinct) if distinct else ((), ())
-        patterns = dict.fromkeys(zip(map(supports.__getitem__, point_slots), map(signs.__getitem__, sign_slots)))
-        for pattern in patterns:
-            try:
-                _ordering_from_pwo(*pattern)
-            except OamixError as exc:
-                key = next(key for key in distinct if (supports[key[0]], signs[key[1]]) == pattern)
-                faults.append((list(zip(point_of, sign_of)).index(key), 4, exc))
-                break
-    if faults:
-        n, _, exc = min(faults, key=lambda fault: fault[:2])
-        if where is None:
-            raise exc
-        raise located(where(n), exc) from exc
+            amount, (numerator, denominator) = amounts[k], totals[i]
+            if amount is None or amount.numerator * denominator != numerator * amount.denominator:
+                raise AmountMismatch(f"A is {amount} but the amounts sum to {Fraction(numerator, denominator)}")
+    if signs[0] is not None:
+        _check_counts(map(signs.__getitem__, dict.fromkeys(sign_of)), m)
+        # each (support, signs) content, from the distinct (point, signs)
+        # slot pairs, so each sign tuple is hashed once per pair
+        point_slots, sign_slots = zip(*dict.fromkeys(zip(point_of, sign_of)))
+        for pattern in dict.fromkeys(zip(map(supports.__getitem__, point_slots), map(signs.__getitem__, sign_slots))):
+            _ordering_from_pwo(*pattern)
+
+
+def _check_counts(signs: Iterable[tuple], m: int) -> None:
+    """InconsistentPwo at the first of the sign tuples `signs` that does not
+    hold one sign for each pair of m components."""
+    pairs = m * (m - 1) // 2
+    count = next((len(pwo) for pwo in signs if len(pwo) != pairs), None)
+    if count is not None:
+        raise InconsistentPwo(f"{count} signs for the pairs of {m} components")
 
 
 def _check_sign_counts(design: Design) -> None:
@@ -430,10 +416,5 @@ def _check_sign_counts(design: Design) -> None:
     distinct sign tuple of an expanded design that does not hold one sign
     for each pair of its m components.  A design valid at birth has passed
     `_check_index`, so its tuples are not counted again."""
-    if design._checked:
-        return
-    m = design.m
-    pairs = m * (m - 1) // 2
-    count = next((len(pwo) for pwo in design._index["pwo"][0] if len(pwo) != pairs), None)
-    if count is not None:
-        raise InconsistentPwo(f"{count} signs for the pairs of {m} components")
+    if not design._checked:
+        _check_counts(design._index["pwo"][0], design.m)

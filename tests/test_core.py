@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from oamix import (
     Kind,
     OofARun,
     as_fraction,
+    cross_amounts,
     oofa_expand,
     total_amount,
     validate_design,
@@ -124,13 +126,24 @@ def test_as_fraction_rejects_float():
         (lambda: as_fraction("x" * 100), InvalidParameter, "got 'xxxxxxxx"),
         (lambda: DesignPoint(5, "proportion"), InvalidParameter, "values must be iterable, got 5"),
         (lambda: DesignPoint(("1/2", "1/0"), "proportion"), InvalidParameter, "got '1/0'"),
+        # a text, bytes or a mapping would be read as its characters, bytes or keys
+        (lambda: DesignPoint("12", "proportion"), InvalidParameter, "values must be a sequence of numbers, got str"),
+        (lambda: DesignPoint(b"\x01", "proportion"), InvalidParameter, "values must be a sequence of numbers, got bytes"),
+        (lambda: DesignPoint({1: 2}, "proportion"), InvalidParameter, "values must be a sequence of numbers, got dict"),
+        # an infinite Decimal has no integer ratio
+        (lambda: as_fraction(Decimal("Infinity")), InvalidParameter, "an exact number is"),
+        (lambda: as_fraction(Decimal("-Infinity")), InvalidParameter, "got Decimal('-Infinity')"),
+        (lambda: cross_amounts(Design(2, Kind.PROPORTION, (OofARun(P(1, 0)),)), [Decimal("Infinity")]),
+         InvalidParameter, "amount level must be an int, a Fraction or exact text, got Decimal('Infinity')"),
+        (lambda: OofARun(P(1, 0), None, Decimal("Infinity")), InvalidParameter, "an exact number is"),
         # floats, None and containers keep their TypeError
         (lambda: as_fraction(0.5), TypeError, "refusing lossy coercion of float 0.5"),
         (lambda: as_fraction(None), TypeError, None),
         (lambda: as_fraction(["1"]), TypeError, None),
     ],
     ids=["letter", "empty", "zero-denominator", "trailing-text", "nan", "long-number", "long-text",
-         "values-not-iterable", "entry-zero-denominator", "float", "none", "list"],
+         "values-not-iterable", "entry-zero-denominator", "values-text", "values-bytes", "values-mapping",
+         "infinity", "negative-infinity", "level-infinity", "run-amount-infinity", "float", "none", "list"],
 )
 def test_exact_values_that_are_no_number_raise_named_errors(call, error, message):
     if error is None:

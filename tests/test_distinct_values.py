@@ -764,12 +764,12 @@ def test_born_index_names_the_first_faulty_run(data):
 def test_a_design_marked_valid_passes_the_full_walk(made):
     # the lattice, the centroid and the reader mark the designs they make
     # as valid, and a projection, expansion, crossing or scaling passes its
-    # parent's mark on; validate_design skips the walk for a marked design,
-    # so each must pass that walk, called directly
+    # parent's mark on; validate_design skips the check for a marked design,
+    # so each must pass that check, called directly
     for design in made:
         for born in (design, read_design(write_design(design))):
             assert born._checked
-            oofa._check_index(born._index, lambda n: f"run {n + 1}")
+            oofa._check_index(born._index)
 
 
 def _second_run_replaced(design: Design, **fields) -> Design:

@@ -36,6 +36,7 @@ from oamix.errors import (
     SumNotOne,
     located,
 )
+from oamix import io, oofa
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
 import reader_faults
@@ -239,6 +240,19 @@ def test_writer_matches_a_per_cell_reference(design):
 def test_row_errors_keep_their_class_and_name_the_line(text, error):
     with pytest.raises(error, match="^line 2: "):
         read_design(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("x1,A\n1,1\n5\n", "line 3: expected 2 values, got 1"), ("a1,A\n1,1\n\n1\n", "line 4: expected 2 values, got 1")],
+    ids=["proportion", "amount"],
+)
+def test_a_row_with_no_comma_is_one_value_short(text, message):
+    # with an A column the row has no cells before its A cell, so it is
+    # refused for its width before any cell is read
+    with pytest.raises(RowLengthMismatch) as got:
+        read_design(text)
+    assert str(got.value) == message
 
 
 _SEEN_SIGNS = "x1,x2,x3,z12,z13,z23,A\n1/3,1/3,1/3,1,1,1,1\n"
@@ -516,6 +530,29 @@ def test_corrupted_files_get_the_recorded_error(name):
     got = {what: reader_faults.outcome(bad) for what, bad in reader_faults.corruptions(reader_faults.design_text(name))}
     assert got.keys() == recorded.keys()
     assert {what: out for what, out in got.items() if out != recorded[what]} == {}
+
+
+def test_valid_input_is_checked_in_bulk_only(monkeypatch):
+    # the first faulty row or run is sought only when the bulk check
+    # fails, so no valid file or design reaches the search or the walk
+    def refused(*args):
+        raise AssertionError("a valid input was searched for its first fault")
+
+    monkeypatch.setattr(io, "_raise_faulty_row", refused)
+    monkeypatch.setattr(oofa, "_raise_faulty_run", refused)
+    for name in ("table1", "table2", "table3", "table5", "m6_crossed", "m6_scaled"):
+        design = read_design(reader_faults.design_text(name))
+        validate_design(Design(design.m, design.kind, design.runs))
+    # the patched helpers are the ones a fault reaches
+    lines = reader_faults.design_text("table5").splitlines()
+    design = read_design("\n".join(lines))
+    # a digit appended to the second row's A breaks its sum
+    lines[2] += "1"
+    with pytest.raises(AssertionError, match="searched"):
+        read_design("\n".join(lines))
+    run = design.runs[1]
+    with pytest.raises(AssertionError, match="searched"):
+        validate_design(Design(design.m, design.kind, (OofARun(run.point, run.pwo, run.amount + 1),)))
 
 
 # each canonical sign cell, and texts of the same sign the reader also accepts
