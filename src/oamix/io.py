@@ -21,7 +21,9 @@ object of a design once per call and joins the pieces of each run.
 file in bulk into the design's index, parsing each distinct text once,
 as exact decimal fractions, and checks that index with the one check of
 ``validate_design``, so a file is accepted only when every row passes
-the format and ``oofa.validate_run``.  So it rejects a display file of
+the format and ``oofa.validate_run``; a row's order is checked by one
+lookup in a table of the orderings' sign tuples for a support of at
+most 6 components, and by win counts beyond.  So it rejects a display file of
 thirds rounded to 0.33 (proportions no longer summing to 1) and an
 amount row whose rounded A differs from the sum of its rounded amounts.
 The first faulty row in file order is named, as ``line N: ...``; on one
@@ -178,7 +180,9 @@ def read_design(text: str) -> Design:
     returned passes ``validate_design``.  The file is read in bulk into
     the design's index, at the cost of its distinct texts (see
     `_read_index`), and the index is checked by the one check of
-    ``validate_design`` (``oofa._check_index``), once per distinct key.
+    ``validate_design`` (``oofa._check_index``), once per distinct key;
+    each (support, signs) pair is checked for its order by one table
+    lookup for a support of at most 6 components, by win counts beyond.
     Only when either step fails is the first faulty row in file order
     sought (see `_raise_faulty_row`) and named: its first fault keeps its
     class, is prefixed ``line N:`` with the row's physical line, and is

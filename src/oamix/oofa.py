@@ -26,6 +26,7 @@ from .core import (
     _as_signs,
     _point_facts,
     _require_design,
+    _require_point,
     as_fraction,
 )
 from .errors import (
@@ -90,8 +91,10 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
 
     `ordering` must be a permutation of the point's support; pairs with a
     component outside the support are masked to 0.  An entry that is not a
-    number equal to an integer raises OrderingSupportMismatch.
+    number equal to an integer raises OrderingSupportMismatch, and a
+    `point` that is not a DesignPoint raises InvalidParameter.
     """
+    _require_point(point)
     ordering = _as_ints(ordering, OrderingSupportMismatch, "ordering")
     support = point.support()
     if tuple(sorted(ordering)) != support:
@@ -369,7 +372,9 @@ def _check_index(index: dict) -> None:
     support and total are found once; each amount is checked for sign
     once; on an amount design each (point, A) pair has its total compared
     once; each sign tuple has its count checked once, and each (support,
-    signs) content its order once.  A faulty key's error is raised
+    signs) content its order once (see `_check_order`): by one lookup in a
+    table of the orderings' sign tuples for a support of at most 6
+    components, and by win counts beyond.  A faulty key's error is raised
     unprefixed; the callers name the first faulty row of a file or run of
     a design, which they seek only when this check fails."""
     points, point_of = index["point"]
@@ -399,7 +404,31 @@ def _check_index(index: dict) -> None:
         # slot pairs, so each sign tuple is hashed once per pair
         point_slots, sign_slots = zip(*dict.fromkeys(zip(point_of, sign_of)))
         for pattern in dict.fromkeys(zip(map(supports.__getitem__, point_slots), map(signs.__getitem__, sign_slots))):
-            _ordering_from_pwo(*pattern)
+            _check_order(*pattern)
+
+
+# the largest support whose orderings' sign tuples are tabled: 720 of them
+_TABLED = 6
+
+
+@cache
+def _tournaments(s: int) -> frozenset[tuple[int, ...]]:
+    """The sign tuples, over the pairs of 1..s, of every ordering of 1..s
+    (s <= 6), as `oofa_expand` writes them.  They are the signs within any
+    support of s components, in pair order, that some ordering induces."""
+    support = tuple(range(1, s + 1))
+    return frozenset(_pwo_from_orderings(s, support, permutations(support)))
+
+
+def _check_order(support: tuple[int, ...], pwo: tuple[int, ...]) -> None:
+    """`_ordering_from_pwo`'s error, if any, for an ascending support and
+    a sign tuple of its m's pair count.  Signs within a support of at most
+    6 components that are one ordering's, with zeros only outside it,
+    pass by one lookup in `_tournaments`; any other signs take the win
+    count walk, which also names the fault."""
+    within, _, outside = _order_plan(len(pwo), support)
+    if len(support) > _TABLED or pwo.count(0) != outside or within(pwo) not in _tournaments(len(support)):
+        _ordering_from_pwo(support, pwo)
 
 
 def _check_counts(signs: Iterable[tuple], m: int) -> None:

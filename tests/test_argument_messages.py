@@ -93,6 +93,7 @@ SITES = [
     ("cross levels", lambda v: cross_amounts(TABLE1, v), InvalidParameter),
     ("scale", lambda v: scale_amounts(TABLE2, -v), NonPositiveScale),
     ("pwo_from_ordering", lambda v: pwo_from_ordering(POINT, (v, 1, 2)), OrderingSupportMismatch),
+    ("pwo_from_ordering point", lambda v: pwo_from_ordering(v, (1, 2)), InvalidParameter),
     ("ordering support", lambda v: ordering_from_pwo((v, v), (1,)), OrderingSupportMismatch),
     ("ordering support over m", lambda v: ordering_from_pwo((1, v), (1, 1, 1)), InconsistentPwo),
     ("ordering signs", lambda v: ordering_from_pwo((1, 2), (v,)), BadPwoValue),
@@ -115,6 +116,12 @@ def test_a_huge_int_argument_gives_the_named_error_in_a_short_message(call, erro
         call(10**digits)
     assert type(raised.value) is error
     assert len(str(raised.value)) < 200, str(raised.value)
+
+
+@pytest.mark.parametrize("point", [None, (1, 2), "x"], ids=["None", "tuple", "str"])
+def test_a_point_that_is_no_design_point_is_named(point):
+    with pytest.raises(InvalidParameter, match=f"^point must be a DesignPoint, got {type(point).__name__}$"):
+        pwo_from_ordering(point, (1, 2))
 
 
 @pytest.mark.parametrize(

@@ -369,7 +369,10 @@ def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, n
     design = m6_designs[name]
     patterns = len({(run.point.support(), run.pwo) for run in design.runs})
     text = write_design(design)
-    calls = _count_calls(monkeypatch, "_ordering_from_pwo", oofa)
+    # each pattern's check, which looks its signs up in a table of the
+    # orderings' sign tuples; no valid pattern of 6 components misses it
+    calls = _count_calls(monkeypatch, "_check_order", oofa)
+    walks = _count_calls(monkeypatch, "_ordering_from_pwo", oofa)
     back = read_design(text)
     assert 0 < calls[0] <= patterns
     calls[0] = 0
@@ -379,6 +382,7 @@ def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, n
     assert calls[0] == 0
     validate_design(Design(back.m, back.kind, back.runs))
     assert 0 < calls[0] <= patterns
+    assert walks[0] == 0
 
 
 def assert_index_names_each_run_value(design: Design) -> None:

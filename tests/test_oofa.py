@@ -7,7 +7,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamix import (
@@ -42,7 +42,7 @@ from oamix.errors import (
     WrongKind,
 )
 from oamix import oofa
-from oamix.oofa import _m_from_pairs, _ordering_from_pwo
+from oamix.oofa import _m_from_pairs, _ordering_from_pwo, _tournaments, validate_run
 from oamix.simplex import project_columns
 
 
@@ -175,6 +175,82 @@ def test_order_check_agrees_with_the_full_pair_loop(m):
     # a sign count that is no pair set
     for pwo in ((1, 1), (1, 0, 0, 1)):
         assert _outcome(lambda: _ordering_from_pwo((1, 2), pwo)) == _outcome(lambda: _full_pair_ordering((1, 2), pwo))
+
+
+def _run(m: int, support, pwo: tuple) -> OofARun:
+    """A run of m components over `support` holding `pwo` as it is, so a
+    value that is no sign reaches the order check: a proportion run of
+    equal shares at an odd m and a support not empty, else an amount run of
+    unit amounts."""
+    if support and m % 2:
+        point = P(*(Fraction(int(c in support), len(support)) for c in range(1, m + 1)))
+        return OofARun._of(point, pwo, None)
+    point = P(*(int(c in support) for c in range(1, m + 1)), kind=Kind.AMOUNT)
+    return OofARun._of(point, pwo, Fraction(len(support)))
+
+
+@st.composite
+def sign_patterns(draw):
+    """A run of m <= 8 components, with the signs of one ordering of its
+    support, or those signs with up to three faults: the first-added of
+    three components moved after the last (a cyclic tournament), a flipped
+    sign, a 0 within the support, a nonzero sign outside it, or a value
+    that is no sign."""
+    m = draw(st.sampled_from(range(1, 9)))
+    s = draw(st.sampled_from(range(m + 1)))
+    support = tuple(sorted(draw(st.permutations(range(1, m + 1)))[:s]))
+    ordering = draw(st.permutations(support))
+    pwo = list(pwo_from_ordering(_run(m, support, None).point, ordering))
+    pairs = pwo_pairs(m)
+    within = [n for n, (j, k) in enumerate(pairs) if j in support and k in support]
+    outside = [n for n in range(len(pairs)) if n not in within]
+    for fault in draw(st.lists(st.sampled_from(["cycle", "flip", "zero", "outside", "value"]), max_size=3)):
+        if fault == "cycle" and len(support) >= 3:
+            p, _, r = sorted(draw(st.sets(st.integers(0, len(support) - 1), min_size=3, max_size=3)))
+            at = pairs.index(tuple(sorted((ordering[p], ordering[r]))))
+            pwo[at] = -pwo[at]
+        elif fault in ("flip", "zero") and within:
+            at = draw(st.sampled_from(within))
+            pwo[at] = -pwo[at] if fault == "flip" else 0
+        elif fault == "outside" and outside:
+            pwo[draw(st.sampled_from(outside))] = draw(st.sampled_from((1, -1)))
+        elif fault == "value" and pairs:
+            pwo[draw(st.integers(0, len(pairs) - 1))] = draw(st.sampled_from((2, -2, Fraction(1, 2))))
+    return _run(m, support, tuple(pwo))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(sign_patterns())
+@example(_run(1, (), ()))
+@example(_run(4, (), (0,) * 6))  # an amount point of all-zero amounts
+@example(_run(3, (1, 2, 3), (1, -1, 1)))  # 1 before 2 before 3 before 1
+@example(_run(7, tuple(range(1, 8)), (-1,) + (1,) * 20))  # past the table
+@example(_run(8, tuple(range(1, 9)), (1, -1) + (1,) * 26))  # and cyclic
+@example(_run(3, (1, 2), (0, 0, 0)))
+@example(_run(3, (1, 2), (1, 1, 0)))
+@example(_run(3, (1, 2, 3), (1, 2, 1)))
+@example(_run(3, (1, 2, 3), (1, 1, Fraction(1, 2))))
+def test_a_run_is_judged_by_its_order_as_the_win_count_walk_judges_its_signs(run):
+    # the table lookup accepts exactly the signs the walk accepts, and
+    # every refusal is the walk's, class and message
+    want = _refusal(lambda: _ordering_from_pwo(run.point.support(), run.pwo))
+    assert _refusal(lambda: validate_run(run)) == want, run
+
+
+def _refusal(call):
+    """None when `call` returns, else the class and message of its error."""
+    try:
+        call()
+    except OamixError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_the_table_holds_the_signs_of_every_ordering(s):
+    point = P(*(1,) * s or (0,), kind=Kind.AMOUNT)
+    assert _tournaments(s) == {pwo_from_ordering(point, o) for o in permutations(range(1, s + 1))}
+    assert len(_tournaments(s)) == factorial(s)
 
 
 @pytest.mark.parametrize(
