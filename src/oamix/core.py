@@ -21,7 +21,7 @@ from math import lcm
 from numbers import Real
 from operator import attrgetter
 
-from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind
+from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, NotExact, SumNotOne, WrongKind
 from .errors import _int_in_range, _iterable, _joined, _shown
 
 __all__ = [
@@ -57,23 +57,22 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings like '1/3' or '0.75' exactly.
 
     A Fraction is immutable, so one comes back as it is.  Floats are
-    rejected with TypeError: a binary float has already lost the decimal
-    value it was meant to carry, and exactness is the whole point here.
-    Text that is no exact number ('x', '', '1/0') raises InvalidParameter,
-    a ValueError, as does an infinite Decimal.
+    rejected with NotExact, a TypeError: a binary float has already lost
+    the decimal value it was meant to carry, and exactness is the whole
+    point here.  A value that is no number (None, a container, an array,
+    bytes) raises NotExact too, and text that is no exact number ('x', '',
+    '1/0') raises InvalidParameter, a ValueError, as does an infinite
+    Decimal.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
-        raise TypeError(
-            f"refusing lossy coercion of float {value!r}; pass a string, int, or Fraction"
-        )
+        raise NotExact(f"refusing lossy coercion of float {value!r}; pass a string, int, or Fraction")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidParameter(
-            f"an exact number is an int, a Fraction or text such as 3/4 or 0.75, got {_shown(value)}"
-        ) from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        error = NotExact if isinstance(exc, TypeError) else InvalidParameter
+        raise error(f"an exact number is an int, a Fraction or text such as 3/4 or 0.75, got {_shown(value)}") from None
 
 
 def _as_signs(values) -> tuple[int, ...]:
@@ -216,8 +215,8 @@ class Design:
     build no run.  The library's designs are also valid at birth, and
     record it, so ``oofa.validate_design`` returns at once for them; a
     design built by calling `Design` (or `dataclasses.replace`) is checked
-    run by run whenever it is validated.  The model matrices and factors
-    built of a design are kept in a private memo in its instance dict
+    whenever it is validated.  The model matrices and factors built of a
+    design are kept in a private memo in its instance dict
     (``models._memoized``), which `==`, `hash`, `repr`, pickle and copy
     leave out.
     """

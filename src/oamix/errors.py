@@ -16,6 +16,12 @@ class InvalidParameter(OamixError, ValueError):
     a range or a policy name)."""
 
 
+class NotExact(OamixError, TypeError):
+    """A value that should be an exact number but is a float, which has
+    already lost the decimal value it was meant to carry, or no number at
+    all (None, a container, an array, bytes)."""
+
+
 # point and design validation
 class NegativeEntry(OamixError):
     pass

@@ -29,7 +29,9 @@ amount row whose rounded A differs from the sum of its rounded amounts.
 The first faulty row in file order is named, as ``line N: ...``; on one
 row the checks run in the order width, component cells, sign cells, A
 cell, sign judgement, then point, A, the amount sum, the sign count and
-the order.  That row is sought only when the bulk check fails.  The
+the order.  That row is sought only when the bulk check fails, by the
+search ``validate_design`` also makes: it bisects the first rows of the
+distinct keys a row's checks read, each half checked in bulk.  The
 design the reader returns records that it passed, so ``validate_design``
 of it costs nothing.
 
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from itertools import compress, count, islice, product, repeat
+from itertools import compress, count, product, repeat
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
-from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, _shown, located
-from .oofa import _check_index, _check_sign_counts, _pwo_pairs
+from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, _shown
+from .oofa import _check_index, _check_sign_counts, _pwo_pairs, _raise_first_fault
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -184,15 +186,17 @@ def read_design(text: str) -> Design:
     each (support, signs) pair is checked for its order by one table
     lookup for a support of at most 6 components, by win counts beyond.
     Only when either step fails is the first faulty row in file order
-    sought (see `_raise_faulty_row`) and named: its first fault keeps its
-    class, is prefixed ``line N:`` with the row's physical line, and is
-    InconsistentPwoRow for a sign-order fault.  On one row the checks run
-    in the order width, component cells, sign cells, A cell, sign
-    judgement, then ``oofa.validate_run``'s point, A, amount sum, sign
-    count and order.  The returned design is stored as its index and
-    makes its runs only when they are asked for.  It is valid at birth and
-    records it, so ``validate_design`` returns at once for it.  A `text`
-    that is not a str raises InvalidParameter.
+    sought (see `_raise_faulty_row`), by the one search of
+    ``validate_design``: it bisects the first rows of the distinct keys a
+    row's checks read, each half checked in bulk.  The row is named: its
+    first fault keeps its class, is prefixed ``line N:`` with the row's
+    physical line, and is InconsistentPwoRow for a sign-order fault.  On
+    one row the checks run in the order width, component cells, sign
+    cells, A cell, sign judgement, then ``oofa.validate_run``'s point, A,
+    amount sum, sign count and order.  The returned design is stored as
+    its index and makes its runs only when they are asked for.  It is
+    valid at birth and records it, so ``validate_design`` returns at once
+    for it.  A `text` that is not a str raises InvalidParameter.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
@@ -282,40 +286,23 @@ def _read_index(rows: list[str], shape: tuple, signs: _Signs) -> dict:
 def _raise_faulty_row(lines: list[str], rows: list[str], shape: tuple, signs: _Signs) -> None:
     """Raise the first fault of the `rows` of the file `lines`, a file of
     `shape` whose rows fail the bulk check, prefixed ``line N:`` with its
-    row's physical line number (see ``errors.located``).
+    row's physical line number (see ``oofa._raise_first_fault``).
 
-    A row whose head and A cell (on an amount file, whose whole text)
-    earlier rows hold passes when they do, since its checks read only
-    those, so the first faulty row is the first faulty one of the first
-    rows of the distinct heads and A cells.  Any set of rows passes the
-    bulk check exactly when each of its rows does, so that row is sought
-    by halves, each half checked in bulk as a file of its own, at the cost
-    of its distinct texts.  The row found is then checked alone, which
-    raises its first fault in the order of a row's checks."""
+    A row's checks read only its head and its A cell (on an amount file,
+    or one with no A column, its whole text), so the first faulty row is
+    sought by halves among the first rows of the distinct heads and A
+    cells, each half checked in bulk as a file of its own, at the cost of
+    its distinct texts."""
     kind, _, _, with_amount = shape
     # the keys: a row's head and A cell, or its whole text
     keys = list(zip(*map(str.rpartition, rows, repeat(","))))[::2] if with_amount and kind is Kind.PROPORTION else [rows]
-    # each key's first row: a later row with the key is written over by it
-    firsts = sorted(set().union(*(dict(zip(column[::-1], range(len(rows) - 1, -1, -1))).values() for column in keys)))
 
-    def check(ats) -> None:
+    def check(ats: list[int]) -> None:
         _check_index(_read_index([rows[at] for at in ats], shape, signs))
 
-    # the rows firsts[:lo] pass, and firsts[lo:hi] hold a faulty one
-    lo, hi = 0, len(firsts)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            check(firsts[lo:mid])
-            lo = mid
-        except OamixError:
-            hi = mid
-    try:
-        check(firsts[lo:hi])
-    except OamixError as exc:
-        # the row's line: the header is the first line that is not blank
-        number = next(islice(compress(count(1), map(str.strip, lines)), firsts[lo] + 1, None))
-        raise located(f"line {number}", exc) from exc
+    # each row's line: the header is the first line that is not blank
+    numbers = list(compress(count(1), map(str.strip, lines)))[1:]
+    _raise_first_fault(keys, check, lambda at: f"line {numbers[at]}")
 
 
 class _Values(dict):

@@ -336,13 +336,15 @@ def validate_design(design: Design) -> None:
     error's class; on one run the checks run in the order point, A, the
     amount sum, the sign count and the order.  The design's index is
     checked in bulk (see `_check_index`), at the cost of its distinct
-    values, and the runs are walked (see `_raise_faulty_run`) only when
-    that check fails.  The design's shape (m, kind, and which of signs and
-    A its runs carry) is checked when the Design is built.  A design that
-    `read_design` or a constructor of the library made from valid input is
-    valid at birth and records it (see ``core.Design._of``), so this
-    returns at once for it; a design built by calling `Design` is checked.
-    A `design` that is not a Design raises InvalidParameter."""
+    values, and the first faulty run is sought (see `_raise_faulty_run`)
+    only when that check fails, among the first runs of the distinct keys
+    a run's checks read, by halves, each half checked in bulk.  The
+    design's shape (m, kind, and which of signs and A its runs carry) is
+    checked when the Design is built.  A design that `read_design` or a
+    constructor of the library made from valid input is valid at birth
+    and records it (see ``core.Design._of``), so this returns at once for
+    it; a design built by calling `Design` is checked.  A `design` that is
+    not a Design raises InvalidParameter."""
     _require_design(design)
     if not design._checked:
         try:
@@ -354,12 +356,52 @@ def validate_design(design: Design) -> None:
 
 def _raise_faulty_run(design: Design) -> None:
     """Raise the error of the first run of `design` that `validate_run`
-    refuses, prefixed ``run N:`` (see ``errors.located``)."""
-    for n, run in enumerate(design.runs, start=1):
+    refuses, prefixed ``run N:`` (see `_raise_first_fault`).
+
+    A run's checks read only its point, sign and amount slots: on a
+    proportion design its (point, sign) slot pair and its amount slot, on
+    an amount design, whose A is compared with its point's sum, its
+    (point, sign, amount) slot triple.  Each half of the search is checked
+    by `_check_index` of the sub-index of its runs' slots, and the run
+    found alone by `validate_run`'s own check, so no run is built."""
+    point_of, sign_of, amount_of = (design._index[field][1] for field in ("point", "pwo", "amount"))
+    keys = [list(zip(point_of, sign_of, amount_of))] if design.kind is Kind.AMOUNT else [list(zip(point_of, sign_of)), amount_of]
+
+    def check(ats: list[int]) -> None:
+        _check_index({field: (distinct, [slots[at] for at in ats]) for field, (distinct, slots) in design._index.items()})
+
+    _raise_first_fault(keys, check, lambda at: f"run {at + 1}")
+
+
+def _raise_first_fault(columns: list[Sequence], check, where) -> None:
+    """Raise the first fault of the rows of a file or the runs of a design
+    whose bulk check failed, prefixed by `where` of its row's position
+    (see ``errors.located``): the one search of `read_design` and
+    `validate_design`.
+
+    `columns` hold each row's keys, one column per kind of key, such that
+    a row's checks read only its keys.  A row whose keys earlier rows all
+    hold passes when they do, so the first faulty row is the first faulty
+    one of the first rows of each column's distinct keys.  `check` of a
+    list of positions raises an OamixError when one of their rows is
+    faulty: any set of rows passes the bulk check exactly when each of its
+    rows does, so that row is sought by halves, each half checked in bulk.
+    The half of one row found is its check alone, which raises its first
+    fault in the order of a row's checks."""
+    # each key's first position: a later one is written over by it
+    firsts = sorted(set().union(*(dict(zip(column[::-1], range(len(column) - 1, -1, -1))).values() for column in columns)))
+    # the rows firsts[:lo] pass, and firsts[lo:hi] hold a faulty one
+    lo, hi = 0, len(firsts)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
         try:
-            validate_run(run)
+            check(firsts[lo:mid])
+            lo = mid
         except OamixError as exc:
-            raise located(f"run {n}", exc) from exc
+            # a half of one row: its check alone raised its first fault
+            if mid == lo + 1:
+                raise located(where(firsts[lo]), exc) from exc
+            hi = mid
 
 
 def _check_index(index: dict) -> None:

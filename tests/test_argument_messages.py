@@ -11,6 +11,7 @@ error rather than a bare ValueError.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oamix import (
@@ -43,6 +44,8 @@ from oamix.errors import (
     InvalidParameter,
     NegativeEntry,
     NonPositiveScale,
+    NotExact,
+    OamixError,
     OrderingSupportMismatch,
     SumNotOne,
     UnsupportedReduction,
@@ -122,6 +125,29 @@ def test_a_huge_int_argument_gives_the_named_error_in_a_short_message(call, erro
 def test_a_point_that_is_no_design_point_is_named(point):
     with pytest.raises(InvalidParameter, match=f"^point must be a DesignPoint, got {type(point).__name__}$"):
         pwo_from_ordering(point, (1, 2))
+
+
+# sites whose exact number is a float or no number at all, with the values
+# each refuses: a run's amount may be None, for no A
+INEXACT = {"float": 0.1, "nan": math.nan, "list": [1], "tuple": ("1",), "dict": {}, "bytes": b"\xff", "None": None,
+           "object": object()}
+INEXACT_SITES = [
+    ("point values", lambda v: DesignPoint([v, "1/2"], Kind.PROPORTION), list(INEXACT)),
+    ("point array", lambda v: DesignPoint(np.array([v, v]), Kind.PROPORTION), list(INEXACT)),
+    ("run amount", lambda v: OofARun(POINT, None, v), [name for name in INEXACT if name != "None"]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(call, INEXACT[name]) for _, call, names in INEXACT_SITES for name in names],
+    ids=[f"{site}-{name}" for site, _, names in INEXACT_SITES for name in names],
+)
+def test_a_value_that_is_no_exact_number_gives_a_named_error(call, value):
+    with pytest.raises(NotExact) as raised:
+        call(value)
+    assert isinstance(raised.value, OamixError) and isinstance(raised.value, TypeError)
+    assert len(str(raised.value)) < 200
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from oamix import (
     validate_design,
     validate_point,
 )
-from oamix.errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, SumNotOne, WrongKind
+from oamix.errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, NotExact, SumNotOne, WrongKind
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -136,10 +136,10 @@ def test_as_fraction_rejects_float():
         (lambda: cross_amounts(Design(2, Kind.PROPORTION, (OofARun(P(1, 0)),)), [Decimal("Infinity")]),
          InvalidParameter, "amount level must be an int, a Fraction or exact text, got Decimal('Infinity')"),
         (lambda: OofARun(P(1, 0), None, Decimal("Infinity")), InvalidParameter, "an exact number is"),
-        # floats, None and containers keep their TypeError
-        (lambda: as_fraction(0.5), TypeError, "refusing lossy coercion of float 0.5"),
-        (lambda: as_fraction(None), TypeError, None),
-        (lambda: as_fraction(["1"]), TypeError, None),
+        # floats, None and containers raise NotExact, which is also a TypeError
+        (lambda: as_fraction(0.5), NotExact, "refusing lossy coercion of float 0.5"),
+        (lambda: as_fraction(None), NotExact, "an exact number is an int, a Fraction or text such as 3/4 or 0.75, got None"),
+        (lambda: as_fraction(["1"]), NotExact, "got ['1']"),
     ],
     ids=["letter", "empty", "zero-denominator", "trailing-text", "nan", "long-number", "long-text",
          "values-not-iterable", "entry-zero-denominator", "values-text", "values-bytes", "values-mapping",
@@ -154,6 +154,8 @@ def test_exact_values_that_are_no_number_raise_named_errors(call, error, message
     assert type(raised.value) is error
     if error is InvalidParameter:
         assert isinstance(raised.value, ValueError) and len(str(raised.value)) < 200
+    if error is NotExact:
+        assert isinstance(raised.value, TypeError)
     if message is not None:
         assert message in str(raised.value)
 

@@ -1,5 +1,7 @@
 """Orderings, sign vectors, expansion, crossing, scaling."""
 
+import math
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -21,6 +23,7 @@ from oamix import (
     pwo_from_ordering,
     project_columns,
     pwo_pairs,
+    read_design,
     scale_amounts,
     simplex_centroid,
     simplex_lattice,
@@ -33,6 +36,7 @@ from oamix.errors import (
     DuplicateLevel,
     EmptyLevels,
     InconsistentPwo,
+    InconsistentPwoRow,
     InvalidDimension,
     InvalidParameter,
     NegativeEntry,
@@ -44,6 +48,8 @@ from oamix.errors import (
 from oamix import oofa
 from oamix.oofa import _m_from_pairs, _ordering_from_pwo, _tournaments, validate_run
 from oamix.simplex import project_columns
+
+import reader_faults
 
 
 def P(*values, kind=Kind.PROPORTION):
@@ -502,3 +508,91 @@ def test_pwo_zero_masking(case):
 def test_design_transforms_refuse_what_is_not_a_design(call, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         call()
+
+
+# -- the first faulty run of a design built in code -------------------------------
+
+
+def _walked(runs) -> list[str]:
+    """The reference answer: `validate_run` on each run in order, the first
+    error's class (InconsistentPwoRow for a sign-order fault) and its
+    message prefixed ``run N:``, or ["ok"]."""
+    for n, run in enumerate(runs, start=1):
+        try:
+            validate_run(run)
+        except OamixError as exc:
+            cls = InconsistentPwoRow if isinstance(exc, InconsistentPwo) else type(exc)
+            return [cls.__name__, f"run {n}: {exc}"]
+    return ["ok"]
+
+
+def _validated(design: Design) -> list[str]:
+    try:
+        validate_design(design)
+    except OamixError as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["ok"]
+
+
+def _edit(rng: random.Random, runs: list[OofARun]) -> None:
+    """One edit of one run, in place: its A negated, incremented or taken
+    from another run, one sign set to -1, 0, 1 or 2, one component moved
+    off the simplex, its sign tuple negated, or the run replaced by a copy
+    of another, whole or with its own A."""
+    # the first and last runs are where a search by halves ends
+    n = rng.choice((0, len(runs) - 1)) if rng.random() < 0.1 else rng.randrange(len(runs))
+    run = runs[n]
+    edit = rng.choice(("sign", "signs", "point", "copy") + (("amount",) if run.amount is not None else ()))
+    if edit == "amount":
+        amount = rng.choice((-run.amount, run.amount + 1, runs[rng.randrange(len(runs))].amount))
+        runs[n] = OofARun(run.point, run.pwo, amount)
+    elif edit == "sign":
+        at = rng.randrange(len(run.pwo))
+        runs[n] = OofARun(run.point, run.pwo[:at] + (rng.choice((-1, 0, 1, 2)),) + run.pwo[at + 1 :], run.amount)
+    elif edit == "signs":
+        runs[n] = OofARun(run.point, tuple(-z for z in run.pwo), run.amount)
+    elif edit == "point":
+        values = list(run.point.values)
+        at = rng.randrange(len(values))
+        values[at] = -values[at] if values[at] and rng.random() < 0.5 else values[at] + Fraction(1, 7)
+        runs[n] = OofARun(DesignPoint(values, run.point.kind), run.pwo, run.amount)
+    else:
+        other = runs[rng.randrange(len(runs))]
+        runs[n] = other if rng.random() < 0.5 else OofARun(other.point, other.pwo, run.amount)
+
+
+# 1,500 designs in all, fewer of the m = 6 designs, whose walk is long
+@pytest.mark.parametrize(
+    "name, count",
+    [("table1", 300), ("table2", 300), ("table3", 300), ("table5", 300), ("m6_crossed", 150), ("m6_scaled", 150)],
+)
+def test_the_first_faulty_run_is_the_one_a_walk_over_the_runs_names(name, count):
+    # each design has 1 to 3 edits
+    design = read_design(reader_faults.design_text(name))
+    rng = random.Random(f"first faulty run {name}")
+    classes = set()
+    for _ in range(count):
+        runs = list(design.runs)
+        for _ in range(rng.randint(1, 3)):
+            _edit(rng, runs)
+        want = _walked(runs)
+        assert _validated(Design(design.m, design.kind, runs)) == want
+        classes.add(want[0])
+    faults = {"NegativeEntry", "BadPwoValue", "InconsistentPwoRow"}
+    faults.add("SumNotOne" if design.kind is Kind.PROPORTION else "AmountMismatch")
+    assert faults | {"ok"} <= classes
+
+
+def test_the_first_faulty_run_is_sought_by_halves(monkeypatch):
+    levels = (Fraction(1, 2), Fraction(5, 4), Fraction(2))
+    design = cross_amounts(oofa_expand(simplex_lattice(6, 4)), levels)
+    runs = list(design.runs)
+    runs[-1] = OofARun(runs[-1].point, runs[-1].pwo, -runs[-1].amount)
+    checks = []
+    check = oofa._check_index
+    monkeypatch.setattr(oofa, "_check_index", lambda index: checks.append(index) or check(index))
+    with pytest.raises(NegativeEntry, match="^run 2448: total amount A is negative: -2$"):
+        validate_design(Design(design.m, design.kind, runs))
+    # the bulk check, one check per halving and the run alone, where a walk
+    # checks each of the 2448 runs
+    assert len(checks) <= math.ceil(math.log2(2448)) + 2
