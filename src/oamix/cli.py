@@ -1,15 +1,11 @@
 """Command-line front end.
 
 Subcommands stream designs through the design-file format on stdin/stdout,
-so the construction steps compose as a pipeline:
-
-    oamix generate --base lattice --m 3 --w 3 | oamix expand \
-        | oamix cross --levels 0.75,1.5,3 | oamix evaluate --model eq6
-
-`oamix demo` regenerates the bundled reference designs (table1, table2,
-table3, table5) together with evaluation reports and FDS curves for the
-two worked studies.  The default output directory can be set through the
-OAMIX_OUT environment variable.
+so the construction steps compose as a pipeline.  `oamix demo` regenerates
+the bundled reference designs (table1, table2, table3, table5) with
+evaluation reports and FDS curves for the two worked studies, into --out
+or the directory the OAMIX_OUT environment variable names.  A malformed
+flag or input exits 2 with the named error on stderr.
 """
 
 from __future__ import annotations

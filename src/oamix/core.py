@@ -5,8 +5,6 @@ lattice values like 1/3 stay exact; conversion to binary floating point
 happens only when a numeric model matrix is materialized.  Component
 indices are 1-based on every public surface.  All containers are frozen
 and safe to share across threads.
-
-A `Design` fixes its shape, the columns its runs carry, when it is built.
 """
 
 from __future__ import annotations
@@ -76,13 +74,10 @@ def as_fraction(value) -> Fraction:
 
 
 def _as_signs(values) -> tuple[int, ...]:
-    """A sign vector as a tuple of ints.
-
-    Each entry must be a real number equal to an integer (``1``,
-    ``numpy.int64(-1)``, ``Fraction(1)``, ``1.0``); anything else, such as
-    ``1.7``, NaN or the string ``'-1'``, raises BadPwoValue.  A tuple of
-    ints comes back as it is.
-    """
+    """A sign vector as a tuple of ints: each entry must be a real number
+    equal to an integer (``1``, ``numpy.int64(-1)``, ``Fraction(1)``,
+    ``1.0``); anything else, such as ``1.7``, NaN or the string ``'-1'``,
+    raises BadPwoValue."""
     return _as_ints(values, BadPwoValue, "sign")
 
 
@@ -156,10 +151,10 @@ class OofARun:
     ``oofa.ordering_from_pwo(point.support(), pwo)`` recovers.  `amount` is
     the exact per-run total for amount-kind points, or the attached
     total-amount level for proportion points (None until one is attached).
-    ``oofa.validate_run`` states what makes a run valid.  A point that is
-    not a DesignPoint raises InvalidParameter.  Signs are stored as ints;
-    one that is not a number equal to an integer raises BadPwoValue (see
-    `_as_signs`).
+    A point that is not a DesignPoint raises InvalidParameter.  Signs are
+    stored as ints; one that is not a number equal to an integer raises
+    BadPwoValue (see `_as_signs`), and an amount that is not exact NotExact
+    or InvalidParameter (see `as_fraction`).
     """
 
     point: DesignPoint
@@ -203,22 +198,13 @@ class Design:
     be iterated and a run that is not an OofARun raise InvalidParameter;
     `kind` may be given as the Kind's value as text.
 
-    Runs may share point, sign tuple and amount objects.  Every design is
-    born with the index of its distinct objects, which every layer that
-    converts, renders, scales or checks it reads, so it costs what its
-    distinct values cost.  A design built by calling `Design` keeps its
-    runs.  The library's constructors and `read_design` make the index and
-    no runs (`Design._of`); their runs are built from it on the first
-    `.runs` or `repr`, and two threads that build them at once both get
-    the tuple stored first.  `==` and `hash` are a dataclass's, equal when
-    `m`, `kind` and the runs are, in order, but read `_value_index` and
-    build no run.  The library's designs are also valid at birth, and
-    record it, so ``oofa.validate_design`` returns at once for them; a
-    design built by calling `Design` (or `dataclasses.replace`) is checked
-    whenever it is validated.  The model matrices and factors built of a
-    design are kept in a private memo in its instance dict
-    (``models._memoized``), which `==`, `hash`, `repr`, pickle and copy
-    leave out.
+    Runs may share point, sign tuple and amount objects, and every design
+    holds the index of its distinct objects, which every layer reads, so
+    it costs what its distinct values cost.  A design built by calling
+    `Design` keeps its runs; the library's are stored as their index and
+    valid at birth (see `_of`).  `==` and `hash` are a dataclass's, equal
+    when `m`, `kind` and the runs are, in order, but read `_value_index`
+    and build no run.  The model layer's memo is ``models._memoized``.
     """
 
     m: int
@@ -263,18 +249,20 @@ class Design:
     def _of(cls, m: int, kind: Kind, index: dict, checked: bool) -> Design:
         """A design of one shape stored as its index, with no runs.
 
-        `index` is what `__post_init__` builds from runs, and the design's
-        storage: it skips that walk, and the runs are made from it on the
-        first `.runs` or `repr` (see `__getattr__`).  Only the library's
-        own constructors, which hold the slots of a valid shape, call it.
+        `index`, what `__post_init__` builds from runs, is the design's
+        storage, and its runs are made from it on first access (see
+        `__getattr__`).  Only the library's own constructors, which hold
+        the slots of a valid shape, call it.
 
         `checked` records that every run passes ``oofa.validate_run``, so
-        that ``oofa.validate_design`` costs nothing on the design: the
-        reader and the lattice and centroid pass True, and a transform
-        passes its parent's flag, since its argument checks keep a valid
-        parent's child valid.  The flag is kept in the instance dict, not
-        as a field, so `==`, `hash`, `repr` and pickle are those of the
-        runs; a design built by calling `Design` is never checked."""
+        that ``oofa.validate_design`` returns at once for the design: the
+        reader, which has checked every row, and the lattice and centroid,
+        valid by construction, pass True, and a projection, expansion,
+        crossing or scaling passes its parent's flag, since its argument
+        checks keep a valid parent's child valid.  The flag is kept in the
+        instance dict, not as a field, so `==`, `hash`, `repr` and pickle
+        are those of the runs; a design built by calling `Design` (or
+        `dataclasses.replace`) is never marked, and is checked in full."""
         design = object.__new__(cls)
         assign = object.__setattr__
         assign(design, "m", m)
@@ -389,9 +377,8 @@ def _require_point(point) -> None:
 
 def validate_point(point: DesignPoint) -> None:
     """Raise unless the point satisfies its kind's constraints: entries are
-    nonnegative, and proportions sum to exactly 1.  Signs are read from the
-    numerators and the sum is taken exactly over one common denominator.
-    A `point` that is not a DesignPoint raises InvalidParameter."""
+    nonnegative, and proportions sum to exactly 1, taken exactly.  A
+    `point` that is not a DesignPoint raises InvalidParameter."""
     _require_point(point)
     _point_facts(point)
 

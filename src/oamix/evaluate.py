@@ -1,27 +1,14 @@
 """Design-evaluation criteria.
 
 Everything here works on the model matrix X (N x p): information matrix
-M = X'X, leverages / prediction variances d(f) = f' M^{-1} f, G-efficiency
-100 p / (N max d), determinant criteria, per-term standard errors and
-multicollinearity R^2, two-sided t-test power, Monte Carlo fraction-of-
-design-space (FDS) curves, and least-squares fits.  Each X is factored
-once, by `_Factor`, and every quantity is read off that factor; a
-`ModelMatrix` keeps its factor across calls, a plain array does not.
-`evaluate_design` and `fds_curve` read a model as its (spec, factor)
-parts (`_model_parts`): one, the spec and its full X, or on a crossed
-mixture-amount design (`_crossed_factors`) two, the base spec with X_base
-and the amount spec with X_A, whose Kronecker product the full X is up to
-row order; there the full X is never built unless a gate fails.  The
-matrices and factors of a design are kept, per spec and
-coding, in one private memo of the design (``models._memoized``), filled
-after the design is checked and gone with the design: a design evaluated
-coded and raw and then sampled builds and factors each matrix once.
-Nothing else is kept between calls; `fds_curve`'s buffers are its own.
-
-Prediction variances are reported unscaled (d = f' M^{-1} f); the N-scaled
-variant N*d is emitted alongside, clearly labeled.  Leverage-based criteria
-are invariant to any invertible column recoding of X, so they do not depend
-on whether amounts are expressed in unit or physical scales.
+M = X'X, leverages / prediction variances d(f) = f' M^{-1} f, reported
+unscaled (N d alongside, labeled), G-efficiency 100 p / (N max d),
+determinant criteria, per-term standard errors and multicollinearity R^2,
+two-sided t-test power, Monte Carlo fraction-of-design-space (FDS)
+curves, and least-squares fits.  Each X is factored once, by `_Factor`,
+and every quantity is read off that factor; a `ModelMatrix` keeps its
+factor, a plain array does not, and nothing else is kept between calls
+but the design's memo (``models._memoized``).
 """
 
 from __future__ import annotations
@@ -129,10 +116,8 @@ class _Factor:
 
     def pv(self, F: np.ndarray, out=None, work=None) -> np.ndarray:
         """d_i = f_i' M^{-1} f_i = ||f_i' W||^2 for each row f_i of F, a 2-D
-        float array, taken as it is (the FDS loop calls this once per block).
-
-        The product F W is written into `work` and the d_i into `out` when
-        they are given (arrays of F's shape and of its row count)."""
+        float array, taken as it is (the FDS loop calls this once per block);
+        F W is written into `work` and the d_i into `out` when given."""
         G = np.matmul(F, self._W, out=work)
         return np.einsum("ij,ij->i", G, G, out=out)
 
@@ -428,19 +413,18 @@ def _nct_two_sided(delta, df: int, alpha: float):
 
         power = 1 - sum_j Pois(j; mu) I_x(j + 1/2, df/2),
 
-    with c the two-sided critical value (`_t_critical`).  The beta
-    sequence does not depend on d and is made once per call
-    (`_beta_series`).  Each d sums the j within 10 sqrt(mu) + 34 of the
-    Poisson mode, with weights built by ratios from the window's first j
-    and normalized to sum to 1; the Poisson mass outside that window is
-    below 1e-21.  Every term is positive, so 1 - power keeps its relative
-    accuracy down to an absolute 1e-18, and power is non-decreasing in
-    |d|, exactly alpha at d = 0 and finite for every d.  Over df 1..2411,
-    alpha 0.01..0.2 and d in [0, 12] it agrees with scipy's `stdtrit` and
-    `nctdtr` to 1e-12.  At two residual df the sequence is the closed form
-    I_x(j + 1/2, 1) = x^(j + 1/2), so every alpha is reached there.  An
-    alpha below about 2e-3 at one residual df or 1e-7 at three needs more
-    than 2^22 series terms and raises InvalidParameter.
+    with c the two-sided critical value (`_t_critical`) and the beta
+    sequence made once per call (`_beta_series`).  Each d sums the j within
+    10 sqrt(mu) + 34 of the Poisson mode, whose mass outside is below
+    1e-21, with weights normalized to sum to 1.  Every term is positive,
+    so 1 - power keeps its relative accuracy down to an absolute 1e-18,
+    and power is non-decreasing in |d|, exactly alpha at d = 0 and finite
+    for every d.  Over df 1..2411, alpha 0.01..0.2 and d in [0, 12] it
+    agrees with scipy's `stdtrit` and `nctdtr` to 1e-12.  At two residual
+    df the sequence is the closed form I_x(j + 1/2, 1) = x^(j + 1/2), so
+    every alpha is reached there.  An alpha below about 2e-3 at one
+    residual df or 1e-7 at three needs more than 2^22 series terms and
+    raises InvalidParameter.
     """
     d = np.abs(np.asarray(delta, dtype=float))
     mu = np.minimum(0.5 * d * d, 2.0**62).ravel()  # power is 1.0 long before the cap
@@ -498,11 +482,6 @@ def power(X, j: int, signal_sd: float, alpha: float = 0.05) -> float:
     return float(_nct_two_sided(SIGNAL_HALF_RANGE * signal_sd / se[j], n - p, alpha))
 
 
-# ---------------------------------------------------------------------------
-# FDS sampling
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ContinuousAmounts:
     """Sample the total amount uniformly on [lo, hi]."""
@@ -557,8 +536,6 @@ def _row_sums(e: np.ndarray) -> np.ndarray:
 def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: str, draws=None, sign_draws=None):
     """One chunk's proportions x and order keys, continuous signs and amounts.
 
-    x and the keys are (n, m) F-ordered views of (m, n) column buffers, so
-    every later step reads a component's samples as one contiguous column.
     The exponentials and the keys are drawn in stream order into one
     C-ordered scratch buffer and each is moved into its columns by one
     strided pass: x as e[:, i] / s, with s the `_row_sums` of the draw.
@@ -576,7 +553,19 @@ def _sample_chunk(seed: int, index: int, n: int, m: int, policy, sign_policy: st
     lo) U, with the same two roundings; discrete ones are a `np.take` of
     the levels.  `draws` holds the scratch, x and key buffers, each of at
     least n * m floats; when it is None they are fresh.  The stream and
-    the bits do not depend on the buffers."""
+    the bits do not depend on the buffers.
+
+    Every per-sample array of a chunk is laid out in columns: x, the keys,
+    the component amounts, the signs drawn from the keys and the model
+    rows are (n, k) F-ordered views of (k, n) buffers, so each step reads
+    and writes a component's or a column's samples as one contiguous run,
+    and BLAS sees one layout for every chunk.  `fds_curve` allocates these
+    buffers, sized for chunks of min(8192, n_samples) samples, before the
+    result and reuses them for every chunk, so no chunk makes a large
+    allocation.  Each part's variances are formed in blocks of 2048 rows
+    (`_blocks`), whose product buffer stays in a 2 MB L2 cache at p = 36:
+    the first part's are written into the result and every later part's
+    multiplied into it."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     scratch, x_buf, key_buf = draws if draws is not None else np.empty((3, n * m))
     # exponential spacings: normalized iid exponentials are uniform on the simplex
@@ -638,12 +627,11 @@ def _pair_signs(m: int, comps, keys, signs, z):
 
 
 def _rows_from_samples(spec: ModelSpec, x, keys, signs, amounts, out=None, z=None, comps=None) -> np.ndarray:
-    """The model rows of one chunk of samples, written into `out` (an
-    F-ordered (n, p) array) or into a fresh array of that layout, so BLAS
-    sees one layout for every chunk whether or not a buffer is reused.
-    `z` is the sign buffer of `_pair_signs`; a model without order factors
-    uses no signs.  A component-amount model's amounts x * A are written
-    into `comps`, an (n, m) array of contiguous columns, or a fresh one."""
+    """The model rows of one chunk of samples, written into `out` with the
+    signs in `z` and a component-amount model's amounts x * A in `comps`
+    (the chunk's buffers, see `_sample_chunk`), or into fresh arrays of the
+    same layout, so the bits do not depend on the buffers.  A model without
+    order factors uses no signs."""
     comps = np.multiply(x, amounts[:, None], out=comps) if spec.kind.uses_amounts else x
     if spec.kind.has_pwo:
         signs = _pair_signs(spec.m, comps, keys, signs, z)
@@ -662,23 +650,20 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     multiset of base runs with its amount levels; then the full model
     matrix X is X_A (x) X_base up to the order of its rows
     (``models._crossed_rows``), so M = M_A (x) M_base and M^{-1} =
-    M_A^{-1} (x) M_base^{-1}.  Both codings share X_base and its factor;
-    X_A holds the levels coded as `coded_model_matrix` codes A when
-    `coded` is true, else the raw ones (``models._amount_rows``).  The
-    equilibrated X is the Kronecker product of the equilibrated factors,
-    so its reciprocal condition is the product of theirs.
+    M_A^{-1} (x) M_base^{-1}: a prediction variance is d_base(x, z) d_A(A),
+    within rounding of the full one (1e-13 relative on the paper's
+    designs), and the full X is never built.  X_A is coded when `coded` is
+    (``models._amount_rows``).  The equilibrated X is the Kronecker product
+    of the equilibrated factors, so its reciprocal condition is theirs.
 
     None sends the caller to the full matrix, whose factor raises the full
     path's error or passes: off the path, when a base column is constant
     (so that whether a column's R^2 is NaN is read from the cells of the
     full matrix), when a small factor raises, and when the product of the
     base and amount factors' reciprocal conditions is below RCOND_FLOOR.
-    The coded parts are sought only when the raw ones pass.
-
-    The result, None too, is kept in the design's memo (``models._memoized``)
-    per spec and coding, after the check; the coded result shares the base
-    part of the raw one, so a design evaluated under both codings and then
-    sampled recognizes its structure and factors X_base once."""
+    The coded parts are sought only when the raw ones pass, and share the
+    raw base part, so X_base is factored once for both codings.  The
+    result, None too, is kept per spec and coding (``models._memoized``)."""
     _check_design(design, spec)
     raw = _memoized(design, ("crossed", spec, False), lambda: _gated_parts(design, spec, False, None))
     if not coded or raw is None:
@@ -783,70 +768,25 @@ def fds_curve(
     to zero whenever an involved amount is zero.
 
     `sign_policy="orderings"` (the default) realizes the sign factors from
-    a random addition order, so they are +-1 and transitive.
-    `sign_policy="continuous"` instead draws each sign factor uniformly
-    from [-1, 1] the way generic DOE software treats numeric factors; that
-    relaxed space is the one on which this design family's documented
+    a random addition order, so they are +-1 and transitive; "continuous"
+    draws each uniformly from [-1, 1], as generic DOE software treats
+    numeric factors, the space where this design family's documented
     majority-below-the-design-maximum claims hold.
 
     Samples are drawn in fixed-size chunks with counter-based seeds, so the
     curve is bit-identical for a given (seed, n_samples, policies) tuple on
     one BLAS build (another build may pick other kernels and move the last
-    bits).  The model is read as its (spec, factor) parts
-    (`_model_parts`): one, the spec and the factor of its full model
-    matrix, or, for a mixture-amount spec whose terms are one base list
-    times A^t for t = 0..T (eq1, eq2, eq5, eq6) on a crossed design, one
-    whose amount levels each hold the same multiset of base runs (point
-    values and sign tuple, compared by value), two (`_crossed_factors`):
-    the base spec with the factor of X_base, the first level's base rows,
-    and the amount spec of the terms 1, A, ..., A^T with the factor of
-    X_A, the levels' powers of A.  There M^{-1} = M_A^{-1} (x)
-    M_base^{-1}, so each variance is exactly d_base(x, z) d_A(A); it
-    agrees with the full product to rounding (within 1e-13 relative on the
-    paper's designs).  The full model matrix is built and factored only
-    off that path or when a gate of `_crossed_factors` fails (a small
-    factor raises, or the product of their reciprocal conditions, which is
-    the full matrix's, is below 1e-10), so the errors are those of every
-    other path.  The parts are recognized and factored once per design and
-    spec and kept in the design's memo (see the module docstring), so a
-    second curve of the design, or one after `evaluate_design`, factors
-    nothing.
+    bits).  Each variance is the product of those of the model's (spec,
+    factor) parts (`_model_parts`; see `_crossed_factors`), so the errors
+    are those of every other path.  A chunk's draws, layout and buffers are
+    `_sample_chunk`'s; no buffer outlives the call, and the returned curve
+    owns its array and shares no memory with another.
 
-    Every per-sample array of a chunk is laid out in columns: the
-    proportions, the order keys, the component amounts, the signs drawn
-    from the keys and the model rows are (c, k) F-ordered views of (k, c)
-    buffers, so each step reads and writes a component's or a column's
-    samples as one contiguous run.  One call allocates, for chunks of
-    c = min(8192, n_samples) samples, buffers it reuses for every chunk: a
-    C-ordered scratch of c * m floats that the exponentials, then the
-    order keys and last the total amounts are drawn into, in stream order
-    (see `_sample_chunk`), and column buffers of c * m floats each for the
-    proportions, the keys and the component amounts; a (c, pairs) sign
-    buffer; one flat row buffer of p * c floats, p the widest part's
-    terms, whose columns each term's product is written into in place
-    (``models.term_columns``); a flat product buffer of min(2049, c) rows
-    of p; and one of min(2049, c) floats, so no chunk makes a large
-    allocation.  No buffer outlives the call.  Under continuous signs
-    nothing reads the order keys, so the stream is advanced past them
-    rather than drawn (see `_sample_chunk`); the signs are drawn as
-    uniforms into one more C-ordered buffer of c * pairs floats and mapped
-    onto (-1, 1) in place, and the amounts are those of a draw.  The
-    n_samples result, which the curve keeps, is allocated after the
-    buffers; an n_samples too large to allocate raises InvalidParameter.
-    A seed of more than 4300 digits, which the curve's text could not
-    show, raises InvalidParameter before anything is drawn.
-
-    For each chunk, each part's rows are built in turn, as a view of the
-    row buffer, so each model column is written with one contiguous store.
-    Their variances are then formed in blocks of 2048 rows, whose product
-    buffer stays in a 2 MB L2 cache at p = 36: the first part's are
-    written into the result and every later part's multiplied into it.  A
-    one-row tail joins the block before it: numpy hands a one-row product
-    to gemv, whose bits can differ from gemm's.  The returned curve owns
-    its array and shares no memory with another.
-
-    `workers` must be at least 1 and is otherwise unused: the chunks run
-    serially (threads bought wall time only with more CPU), so the output
+    `n_samples` is an integer of at least 100; one too large to allocate
+    raises InvalidParameter, as do a seed of more than 4300 digits, which
+    the curve's text could not show, an `amount_policy` or `sign_policy`
+    not named above, all before anything is drawn.  `workers` must be at
+    least 1 and is otherwise unused: the chunks run serially, so the output
     does not depend on it.
     """
     n_samples = _int_in_range("n_samples", n_samples, 100)
@@ -900,11 +840,6 @@ def fds_curve(
     )
 
 
-# ---------------------------------------------------------------------------
-# report bundle
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class TermStats:
     label: str
@@ -943,27 +878,22 @@ def evaluate_design(
     """Full criteria bundle for a design under a model spec.
 
     Leverage-based quantities (max/avg prediction variance, G-efficiency)
-    do not depend on the column coding.  The determinant criteria (log|X'X|
-    of table5 under eq8 is 213.58 raw, 14.81 coded), per-term standard
-    errors, multicollinearity R^2, and power do: `coding="coded"` (the
-    default) centers and scales numeric amount factors to [-1, 1] before
-    building terms, which is the convention under which the bundled
-    reference designs' documented per-term columns reproduce;
-    `coding="raw"` uses the design's own units.  Standard errors assume
-    unit error variance.
+    do not depend on the column coding; the determinant criteria (log|X'X|
+    of table5 under eq8 is 213.58 raw, 14.81 coded), standard errors (at
+    unit error variance), R^2 and power are read under `coding`, "coded"
+    (`coded_model_matrix`, the default) or "raw" (`model_matrix`).  Another
+    `coding`, or a `signal_sd` or `alpha` that `power` refuses, raises
+    InvalidParameter.
 
     Every field is read from the (spec, factor) parts of the model matrix
-    (`_model_parts`), the raw ones for the leverages and rcond and those of
-    the coding for the rest: one part, the full matrix, or on a crossed
-    mixture-amount design (`_crossed_factors`) two, X_base and X_A, with no
-    full matrix built.  Each run's leverage is the product of its parts',
-    so max_pv and avg_pv are products of the parts' maxima and means; diag
-    M^{-1} is the Kronecker product of the parts' (X_A's first, in the
-    full matrix's column order); log|X'X| is the sum over parts of
-    (p / p_k) log|M_k|; and rcond is the product of the raw parts'.  Only
-    R^2 tells the two forms apart: one part's is its factor's, and on two
-    the centred sum of squares of the Kronecker column a (x) f is
-    sum(a^2) SST_f + n_base SST_a mean(f)^2 (`_kron_sst`).  On two parts
+    (`_model_parts`; on a crossed design `_crossed_factors`'), the raw ones
+    for the leverages and rcond and those of the coding for the rest.
+    Each run's leverage is the product of its parts', so max_pv and avg_pv
+    are products of the parts' maxima and means; diag M^{-1} is the
+    Kronecker product of the parts' (X_A's first, in the full matrix's
+    column order); log|X'X| is the sum over parts of (p / p_k) log|M_k|;
+    rcond is the product of the raw parts'; and on two parts R^2 reads the
+    Kronecker columns' centred sums of squares (`_kron_sst`).  On two parts
     the report agrees with the per-matrix functions to about 1e-13
     relative.
     """
@@ -1004,11 +934,6 @@ def evaluate_design(
             for label, s, r, w in zip(spec.labels, se, r2, pw)
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# least squares
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)

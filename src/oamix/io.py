@@ -14,28 +14,15 @@ Values are exact rational strings (``1/3``) by default and round-trip
 losslessly.  ``decimals=k`` renders a display variant: values are rounded
 half-up to k decimal places, with exact integers printed bare (``0``,
 ``1``, ``500``) the way the reference tables print them.  Decimal files
-are display artifacts.  `write_design` renders each distinct value
-object of a design once per call and joins the pieces of each run.
+are display artifacts.
 
-`read_design`, the one reader the library and the CLI share, reads a
-file in bulk into the design's index, parsing each distinct text once,
-as exact decimal fractions, and checks that index with the one check of
-``validate_design``, so a file is accepted only when every row passes
-the format and ``oofa.validate_run``; a row's order is checked by one
-lookup in a table of the orderings' sign tuples for a support of at
-most 6 components, and by win counts beyond.  So it rejects a display file of
-thirds rounded to 0.33 (proportions no longer summing to 1) and an
-amount row whose rounded A differs from the sum of its rounded amounts.
-The first faulty row in file order is named, as ``line N: ...``; on one
-row the checks run in the order width, component cells, sign cells, A
-cell, sign judgement, then point, A, the amount sum, the sign count and
-the order.  That row is sought only when the bulk check fails, by the
-search ``validate_design`` also makes: it bisects the first rows of the
-distinct keys a row's checks read, each half checked in bulk.  The
-design the reader returns records that it passed, so ``validate_design``
-of it costs nothing.
-
-Pair labels use single digits, so the format covers up to 9 components.
+`read_design`, the one reader the library and the CLI share, accepts a
+file only when every row passes the format and ``oofa.validate_run``, so
+it rejects a display file of thirds rounded to 0.33 (proportions no
+longer summing to 1) and an amount row whose rounded A differs from the
+sum of its rounded amounts.  It names the first faulty row in file order
+as ``line N: ...``.  Pair labels use single digits, so the format covers
+up to 9 components.
 """
 
 from __future__ import annotations
@@ -109,16 +96,14 @@ def _check_components(m: int) -> None:
 def write_design(design: Design, decimals: int | None = None) -> str:
     """Serialize a design; deterministic column order, newline-terminated.
 
-    `decimals`, when given, is an integer from 0 to 1000, checked once per
-    call.  Each distinct point, sign tuple and amount of the design is
-    rendered once, so a run costs a join, not a formatting of every cell.
-    A point is the join of its values' texts, and each distinct value
-    object is formatted once per call, keyed by its id (the design holds
-    every value alive while the call runs, so no id is reused).  Equal
-    values held as one object or as many give the same text.  A design
-    with no runs is refused, as the reader refuses its text, so is one
-    whose sign tuples do not hold one sign per pair (InconsistentPwo), and
-    a `design` that is not a Design raises InvalidParameter."""
+    `decimals`, when given, is an integer from 0 to 1000.  Each distinct
+    point, sign tuple and amount of the design, and each distinct value
+    object, is rendered once per call, so a run costs a join; equal values
+    held as one object or as many give the same text.  A design with no
+    runs or over 9 components is refused (MalformedHeader), as the reader
+    refuses its text, so is one whose sign tuples do not hold one sign per
+    pair (InconsistentPwo), and a `design` that is not a Design raises
+    InvalidParameter."""
     _require_design(design)
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
@@ -179,24 +164,15 @@ def read_design(text: str) -> Design:
     and CLI.
 
     Rational files reproduce the written design exactly, and every design
-    returned passes ``validate_design``.  The file is read in bulk into
-    the design's index, at the cost of its distinct texts (see
-    `_read_index`), and the index is checked by the one check of
-    ``validate_design`` (``oofa._check_index``), once per distinct key;
-    each (support, signs) pair is checked for its order by one table
-    lookup for a support of at most 6 components, by win counts beyond.
-    Only when either step fails is the first faulty row in file order
-    sought (see `_raise_faulty_row`), by the one search of
-    ``validate_design``: it bisects the first rows of the distinct keys a
-    row's checks read, each half checked in bulk.  The row is named: its
-    first fault keeps its class, is prefixed ``line N:`` with the row's
-    physical line, and is InconsistentPwoRow for a sign-order fault.  On
-    one row the checks run in the order width, component cells, sign
-    cells, A cell, sign judgement, then ``oofa.validate_run``'s point, A,
-    amount sum, sign count and order.  The returned design is stored as
-    its index and makes its runs only when they are asked for.  It is
-    valid at birth and records it, so ``validate_design`` returns at once
-    for it.  A `text` that is not a str raises InvalidParameter.
+    returned passes ``validate_design``, at the cost of the file's distinct
+    texts (`_read_index`, ``oofa._check_index``).  The first faulty row in
+    file order is named (``oofa._raise_first_fault``): its first fault
+    keeps its class, is prefixed ``line N:`` with the row's physical line,
+    and is InconsistentPwoRow for a sign-order fault.  On one row the
+    checks run in the order width, component cells, sign cells, A cell,
+    sign judgement, then ``oofa.validate_run``'s point, A, amount sum, sign
+    count and order.  The design is valid at birth (``core.Design._of``).
+    A `text` that is not a str raises InvalidParameter.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"design text must be a str, got {type(text).__name__}")
@@ -222,21 +198,16 @@ def read_design(text: str) -> Design:
 
 def _read_index(rows: list[str], shape: tuple, signs: _Signs) -> dict:
     """The design index of `rows`, the rows of a file of `shape` (kind, m,
-    pairs, with_amount), read in bulk passes; the passes raise the format
-    faults of a row in the order width, component cells, sign cells, A
-    cell, sign judgement.
+    pairs, with_amount), read in bulk passes at the cost of the distinct
+    texts; the passes raise the format faults of a row in the order width,
+    component cells, sign cells, A cell, sign judgement.
 
     One ``rpartition`` per row splits off the A cell, leaving the row's
-    head (the whole row when there is no A column); ``dict.fromkeys``
-    takes the distinct heads and A texts in the order they first appear;
-    and each row's slots are looked up from its head and its A text.  Only
-    the distinct texts are parsed one by one.  A head is split once, at
-    its first m commas: its m component cells are the point text and the
-    rest is the sign text, so rows with the same point text share one
-    point, rows with the same sign text share one sign tuple, and rows
-    with the same A text share one amount.  The cells of the distinct sign
-    texts are split and looked up together in `signs`, and all their
-    signs are judged at once."""
+    head (the whole row when there is no A column).  Only the distinct
+    heads and A texts are parsed: a head is split once, at its first m
+    commas, into its point text and its sign text, so rows with the same
+    point, sign or A text share one object, and the cells of the distinct
+    sign texts are looked up together in `signs` and judged at once."""
     kind, m, pairs, with_amount = shape
     decode = signs.values.__getitem__
     width = m + pairs + with_amount
@@ -286,13 +257,10 @@ def _read_index(rows: list[str], shape: tuple, signs: _Signs) -> dict:
 def _raise_faulty_row(lines: list[str], rows: list[str], shape: tuple, signs: _Signs) -> None:
     """Raise the first fault of the `rows` of the file `lines`, a file of
     `shape` whose rows fail the bulk check, prefixed ``line N:`` with its
-    row's physical line number (see ``oofa._raise_first_fault``).
-
-    A row's checks read only its head and its A cell (on an amount file,
-    or one with no A column, its whole text), so the first faulty row is
-    sought by halves among the first rows of the distinct heads and A
-    cells, each half checked in bulk as a file of its own, at the cost of
-    its distinct texts."""
+    row's physical line number, by ``oofa._raise_first_fault``.  A row's
+    keys are its head and its A cell (on an amount file, or one with no A
+    column, its whole text), and rows are checked as a file of their
+    own."""
     kind, _, _, with_amount = shape
     # the keys: a row's head and A cell, or its whole text
     keys = list(zip(*map(str.rpartition, rows, repeat(","))))[::2] if with_amount and kind is Kind.PROPORTION else [rows]

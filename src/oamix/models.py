@@ -358,18 +358,13 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     """The n x p matrix of model vectors f(x) at n points given as float arrays:
     `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
     applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
-    amounts**t, in that order, for design matrices and FDS rows alike, and
-    each term's product is written straight into its column
-    (`_product_into`).  A product before the amount power is formed once
-    per term and read, for every later power t, from the column that holds
-    it; a repeated term is copied from its first column; a power of 1 uses
-    the column itself, which is exact; a term of A alone is written into
-    its column (`_power_into`), so it makes no temporary, and `comps` may
-    be None for a spec of such terms only.  The matrix is written into
-    `out`, an (n, p) float array of either order, when one is given, and
-    returned; otherwise it is a new C-ordered array.  In an F-ordered
-    `out`, as the FDS sampler passes, every column write is one contiguous
-    store, and the cells are the same bits."""
+    amounts**t, in that order, for design matrices and FDS rows alike,
+    written straight into each column (`_product_into`); a product before
+    the amount power is formed once and read, for every later power t, from
+    its column, and a repeated term is copied from its first.  `comps` may
+    be None for a spec of terms in A alone.  The matrix is written into
+    `out`, an (n, p) float array of either order with the same bits, or
+    into a new C-ordered array."""
     pair_col = {pair: c for c, pair in enumerate(_pwo_pairs(spec.m))}
     X = np.empty((len(amounts if comps is None else comps), spec.p)) if out is None else out
     # the column of each product (amount power 0) and of each term formed
@@ -407,10 +402,8 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
 
 def _field_rows(design: Design, field: str, to_floats, runs=None) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
-    per run, or one per entry of `runs` (run numbers) when it is given:
-    `to_floats` converts the field's distinct objects (see `_floats`) to
-    an array with a row for each, and the rows are gathered by their runs'
-    slots."""
+    per run, or one per entry of `runs` (run numbers) when it is given,
+    gathered by slot from `to_floats` of the field's distinct objects."""
     distinct, slots = design._index[field]
     if runs is not None:
         slots = np.take(slots, runs)
@@ -482,11 +475,15 @@ def _memoized(design: Design, key: tuple, build):
 
     The memo is one dict in the design's instance dict: a design is
     immutable, so what is built of it stays valid for its life, and the memo
-    dies with it.  `==`, `hash` and `repr` do not read it, and a pickle or a
-    copy does not carry it (``Design.__getstate__``).  Callers check the
-    design against the spec first, so every error comes before the memo is
-    read, and a build that raises stores nothing.  Two threads that build
-    one entry at once both get the one stored first."""
+    dies with it.  It holds the model matrices, raw and coded, each with
+    the one factor every criterion reads (`_matrix`), and the crossed parts
+    (``evaluate._crossed_factors``), per spec and coding, so a design
+    evaluated coded and raw and then sampled builds and factors each matrix
+    once.  `==`, `hash` and `repr` do not read it, and a pickle or a copy
+    does not carry it (``Design.__getstate__``).  Callers check the design
+    against the spec first, so every error comes before the memo is read,
+    and a build that raises stores nothing.  Two threads that build one
+    entry at once both get the one stored first."""
     memo = design.__dict__.setdefault("_memo", {})
     # the memo itself marks a missing entry: it is never one
     found = memo.get(key, memo)
@@ -495,16 +492,13 @@ def _memoized(design: Design, key: tuple, build):
 
 def _matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
     """The model matrix of the design under the spec, checked first
-    (`_check_design`), then built once per design, spec and coding and
-    kept in the design's memo (`_memoized`)."""
+    (`_check_design`), then built once per coding (`_memoized`)."""
     _check_design(design, spec)
     return _memoized(design, ("matrix", spec, coded), lambda: _build_matrix(design, spec, coded))
 
 
 def _build_matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
-    """Convert each distinct point, sign tuple and amount tag of the design
-    to float once, code the numeric amount factors (`_code_column`) when
-    `coded`, and build the terms."""
+    """`_matrix`'s build: each distinct value converted to float once."""
     comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
     signs = _field_rows(design, "pwo", _sign_floats) if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
@@ -523,14 +517,13 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     """Materialize the N x p model matrix for a design.
 
     The design's exact rational values (signs are exact integers) are
-    converted to float once per distinct point, sign tuple and amount tag
-    of the design (see ``core.Design``), and the term products are taken in
-    float, so a cell is within an ulp or two of its exact value.  The
-    design and spec are checked on every call; the matrix, and with it the
-    one factor every criterion reads, is built once per design and spec
-    and kept in a private memo of the design, which dies with it.  So a
-    later call with the same design and an equal spec returns the same
-    read-only matrix and builds nothing.
+    converted to float once per distinct value, and the term products are
+    taken in float, so a cell is within an ulp or two of its exact value.
+    The design and spec are checked on every call (KindMismatch,
+    MissingAmount, MissingPwo, InconsistentPwo, or InvalidParameter for a
+    value beyond float range or an argument of the wrong type), and a later
+    call with the same design and an equal spec returns the same read-only
+    matrix, kept in the design's memo (`_memoized`).
     """
     return _matrix(design, spec, False)
 
@@ -593,8 +586,7 @@ def coded_model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
     are untouched.  This is the coding under which the reference designs'
     documented standard-error, multicollinearity, and power columns reproduce;
     leverage-based criteria do not depend on it.  The same physical design
-    yields the same coded matrix in any amount units.  Like `model_matrix`,
-    it checks the design and spec on every call and builds the matrix once
-    per design and spec, kept in the design's memo apart from the raw one.
+    yields the same coded matrix in any amount units.  Checks, errors and
+    memo (`_memoized`) are `model_matrix`'s, the coded matrix kept apart.
     """
     return _matrix(design, spec, True)

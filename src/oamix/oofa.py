@@ -107,8 +107,7 @@ def pwo_from_ordering(point: DesignPoint, ordering: Sequence[int]) -> tuple[int,
 def _pwo_from_orderings(m: int, support: tuple[int, ...], orderings) -> list[tuple[int, ...]]:
     """`pwo_from_ordering` of each of `orderings`, tuples of ints that
     permute the ascending `support` of m components, as `oofa_expand`'s
-    are.  Only the pairs within the support are visited per ordering; the
-    others stay 0."""
+    are."""
     within = [(at, j, k) for at, (j, k) in enumerate(_pwo_pairs(m)) if j in support and k in support]
     signs = [0] * (m * (m - 1) // 2)
     rank = [0] * (m + 1)
@@ -149,12 +148,10 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
 def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
     """`ordering_from_pwo` of an ascending support and a sign vector that
     are already tuples of ints, as a point's support and a run's signs are:
-    the support's entries distinct and from 1.  The entries are all -1, 0
-    or +1 when those three counts add up to the vector's length.  Only the
-    support's pairs are then visited one by one (see `_order_plan`): the
-    others pass zero masking when the vector holds as many zeros as they
-    number and none of the support's pairs is zero.  The lowest pair that
-    breaks zero masking is found only when one does."""
+    the support's entries distinct and from 1.  Only the support's pairs
+    are visited one by one (see `_order_plan`): the others pass zero
+    masking when the vector holds as many zeros as they number and none of
+    the support's pairs is zero."""
     zeros = pwo.count(0)
     if zeros + pwo.count(1) + pwo.count(-1) != len(pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {_shown(pwo, text=_joined)}")
@@ -211,13 +208,12 @@ def oofa_expand(design: Design) -> Design:
 
     Orderings are enumerated in lexicographic order of the support indices;
     runs with s <= 1 pass through as a single run with an all-zero sign
-    vector.  Amount tags and coordinates are unchanged, and the ordered
-    runs of a base run share its point.  The sign vectors of each distinct
-    support are computed once, so runs with the same support and ordering
-    share one sign tuple.  A design needs two components to have sign
-    factors (and a file with none could not tell its expanded runs from
-    unexpanded ones), so m = 1 is refused.  A `design` that is not a Design
-    raises InvalidParameter.
+    vector.  Amount tags and coordinates are unchanged; the ordered runs
+    of a base run share its point, and runs with the same support and
+    ordering share one sign tuple.  A design needs two components to have
+    sign factors (and a file with none could not tell its expanded runs
+    from unexpanded ones), so m = 1 is refused.  A `design` that is not a
+    Design raises InvalidParameter.
     """
     _require_design(design)
     if design.m < 2:
@@ -295,9 +291,8 @@ def _exact_amount(what: str, value) -> Fraction:
 
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
-    are unchanged.  Each distinct point and amount is scaled once, so runs
-    that shared a point share its scaled point.  A `design` that is not a
-    Design raises InvalidParameter."""
+    are unchanged, and runs that shared a point share its scaled point.  A
+    `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
@@ -334,17 +329,12 @@ def validate_design(design: Design) -> None:
 
     The first faulty run in order is named, as ``run N: ...`` with its
     error's class; on one run the checks run in the order point, A, the
-    amount sum, the sign count and the order.  The design's index is
-    checked in bulk (see `_check_index`), at the cost of its distinct
-    values, and the first faulty run is sought (see `_raise_faulty_run`)
-    only when that check fails, among the first runs of the distinct keys
-    a run's checks read, by halves, each half checked in bulk.  The
-    design's shape (m, kind, and which of signs and A its runs carry) is
-    checked when the Design is built.  A design that `read_design` or a
-    constructor of the library made from valid input is valid at birth
-    and records it (see ``core.Design._of``), so this returns at once for
-    it; a design built by calling `Design` is checked.  A `design` that is
-    not a Design raises InvalidParameter."""
+    amount sum, the sign count and the order.  The check costs what the
+    design's distinct values cost (`_check_index`; a faulty run is sought
+    by `_raise_first_fault`), and the shape (m, kind, and which of signs
+    and A its runs carry) is checked when the Design is built.  A design
+    the library made returns at once (see ``core.Design._of``).  A
+    `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
     if not design._checked:
         try:
@@ -356,14 +346,11 @@ def validate_design(design: Design) -> None:
 
 def _raise_faulty_run(design: Design) -> None:
     """Raise the error of the first run of `design` that `validate_run`
-    refuses, prefixed ``run N:`` (see `_raise_first_fault`).
-
-    A run's checks read only its point, sign and amount slots: on a
-    proportion design its (point, sign) slot pair and its amount slot, on
-    an amount design, whose A is compared with its point's sum, its
-    (point, sign, amount) slot triple.  Each half of the search is checked
-    by `_check_index` of the sub-index of its runs' slots, and the run
-    found alone by `validate_run`'s own check, so no run is built."""
+    refuses, prefixed ``run N:``, by `_raise_first_fault`.  A run's keys
+    are its (point, sign) slot pair and its amount slot, or on an amount
+    design, whose A is compared with its point's sum, its (point, sign,
+    amount) slot triple; runs are checked by `_check_index` of the
+    sub-index of their slots, so no run is built."""
     point_of, sign_of, amount_of = (design._index[field][1] for field in ("point", "pwo", "amount"))
     keys = [list(zip(point_of, sign_of, amount_of))] if design.kind is Kind.AMOUNT else [list(zip(point_of, sign_of)), amount_of]
 
@@ -409,16 +396,10 @@ def _check_index(index: dict) -> None:
 
     A run's checks read only its point, its A, its (point, A) pair, its
     sign tuple and its (support, signs) content, so each check runs once
-    per distinct key, and the keys are taken from the slot lists in bulk
-    passes (``dict.fromkeys``): each referenced point is checked and its
-    support and total are found once; each amount is checked for sign
-    once; on an amount design each (point, A) pair has its total compared
-    once; each sign tuple has its count checked once, and each (support,
-    signs) content its order once (see `_check_order`): by one lookup in a
-    table of the orderings' sign tuples for a support of at most 6
-    components, and by win counts beyond.  A faulty key's error is raised
-    unprefixed; the callers name the first faulty row of a file or run of
-    a design, which they seek only when this check fails."""
+    per distinct key, with the keys taken from the slot lists in bulk
+    passes (``dict.fromkeys``); each order is checked by `_check_order`.
+    A faulty key's error is raised unprefixed: the callers name the first
+    faulty row or run (`_raise_first_fault`)."""
     points, point_of = index["point"]
     signs, sign_of = index["pwo"]
     amounts, amount_of = index["amount"]
@@ -485,7 +466,7 @@ def _check_counts(signs: Iterable[tuple], m: int) -> None:
 def _check_sign_counts(design: Design) -> None:
     """Raise InconsistentPwo, with `_check_index`'s message, at the first
     distinct sign tuple of an expanded design that does not hold one sign
-    for each pair of its m components.  A design valid at birth has passed
-    `_check_index`, so its tuples are not counted again."""
+    for each pair of its m components.  A design valid at birth
+    (``core.Design._of``) has passed `_check_index`, so is not counted."""
     if not design._checked:
         _check_counts(design._index["pwo"][0], design.m)

@@ -111,9 +111,8 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
     amounts; each run's total becomes its amount level.
 
     A pure column selection: duplicates created by the projection are kept,
-    and deduplication is left to the caller.  Each distinct point of the
-    design is projected once, so runs that shared a point share its
-    projection and its total.  A `design` that is not a Design raises
+    and deduplication is left to the caller; runs that shared a point share
+    its projection.  A `design` that is not a Design raises
     InvalidParameter.
     """
     _require_design(design)
