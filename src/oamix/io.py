@@ -30,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 from itertools import compress, count, product, repeat
+from numbers import Rational
 
 from .core import Design, DesignPoint, Kind, _as_signs, _require_design
-from .errors import InvalidParameter, MalformedHeader, OamixError, RowLengthMismatch, _int_in_range, _shown
+from .errors import InvalidParameter, MalformedHeader, NotExact, OamixError, RowLengthMismatch, _int_in_range, _shown
 from .oofa import _check_index, _check_sign_counts, _pwo_pairs, _raise_first_fault
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
@@ -41,7 +42,11 @@ __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 def format_value(value: Fraction, decimals: int | None) -> str:
     """Render one exact value: rational text, or half-up rounded decimals.
 
-    `decimals`, when given, is an integer from 0 to 1000."""
+    `value` is an int or a Fraction (a bool is an int); anything else, a
+    float among them, raises NotExact.  `decimals`, when given, is an
+    integer from 0 to 1000."""
+    if not isinstance(value, Rational):
+        raise NotExact(f"value must be an int or a Fraction, got {_shown(value)}")
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
     return _format_value(value, decimals)

@@ -304,9 +304,9 @@ class ModelMatrix:
 
 
 def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """X as a 2-D float array with at least one column, and one label per
-    column: `labels`, or the column numbers when None.  Anything else raises
-    InvalidParameter."""
+    """X as a 2-D float array with at least one column, and one text label
+    per column: `labels`, or the column numbers when None.  Anything else
+    raises InvalidParameter."""
     try:
         arr = np.asarray(X, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -317,6 +317,8 @@ def _checked_matrix(X, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
     labels = tuple(map(str, range(p))) if labels is None else tuple(_iterable("col_labels", labels))
     if len(labels) != p:
         raise InvalidParameter(f"X has {p} columns but {len(labels)} labels")
+    if not all(isinstance(label, str) for label in labels):
+        raise InvalidParameter(f"col_labels must be text, got {_shown(labels)}")
     return arr, labels
 
 

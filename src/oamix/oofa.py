@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, permutations, repeat
 from math import isqrt
-from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -148,59 +147,51 @@ def ordering_from_pwo(support: Iterable[int], pwo: Sequence[int]) -> tuple[int, 
 def _ordering_from_pwo(support: tuple[int, ...], pwo: tuple[int, ...]) -> tuple[int, ...]:
     """`ordering_from_pwo` of an ascending support and a sign vector that
     are already tuples of ints, as a point's support and a run's signs are:
-    the support's entries distinct and from 1.  Only the support's pairs
-    are visited one by one (see `_order_plan`): the others pass zero
-    masking when the vector holds as many zeros as they number and none of
-    the support's pairs is zero."""
-    zeros = pwo.count(0)
-    if zeros + pwo.count(1) + pwo.count(-1) != len(pwo):
+    the support's entries distinct and from 1.  It is the walk that
+    `_check_order` takes for the signs its table does not hold, one pass
+    over every pair in pair order."""
+    if pwo.count(0) + pwo.count(1) + pwo.count(-1) != len(pwo):
         raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {_shown(pwo, text=_joined)}")
-    within, choices, outside = _order_plan(len(pwo), support)
-    # each pair's first-added component: a sign of 1 picks j, -1 picks k
-    # and 0 picks None
-    firsts = list(map(getitem, choices, within(pwo)))
-    if None in firsts or zeros != outside:
-        _raise_mask_fault(support, pwo)
-    # the signs make a tournament on the support, and a tournament is
-    # transitive exactly when its win counts are all distinct: then they
-    # are 0..s-1, and the component with w wins is added at s - 1 - w
-    s = len(support)
-    order = [0] * s
-    for c in support:
-        order[s - 1 - firsts.count(c)] = c
-    if 0 in order:
-        raise InconsistentPwo("sign pattern is not induced by any addition order")
-    return tuple(order)
-
-
-# room for every support at every m the file format covers (2 to 9)
-@lru_cache(maxsize=2048)
-def _order_plan(n_pairs: int, support: tuple[int, ...]) -> tuple[itemgetter, tuple[tuple, ...], int]:
-    """For signs over `n_pairs` pairs and an ascending support: a getter of
-    the tuple of signs of the pairs within the support, for each of those
-    pairs (j, k) the tuple (None, j, k) that a sign indexes, and the number
-    of the other pairs, whose signs must be 0.  InconsistentPwo when
-    `n_pairs` is not the pair count of some m or the support exceeds that
-    m."""
-    m = _m_from_pairs(n_pairs)
+    m = _m_from_pairs(len(pwo))
     if support and support[-1] > m:
         raise InconsistentPwo(f"support {_shown(support)} exceeds the {m} components the signs cover")
-    at = [n for n, (j, k) in enumerate(_pwo_pairs(m)) if j in support and k in support]
-    # a getter of one item returns it bare, one of a slice a tuple
-    within = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
-    choices = tuple((None, *_pwo_pairs(m)[n]) for n in at)
-    return within, choices, n_pairs - len(at)
-
-
-def _raise_mask_fault(support: tuple[int, ...], pwo: tuple[int, ...]) -> None:
-    """InconsistentPwo at the lowest pair, in pair order, whose sign breaks
-    zero masking: 0 within the support, or nonzero outside it."""
-    for (j, k), z in zip(_pwo_pairs(_m_from_pairs(len(pwo))), pwo):
-        if j in support and k in support:
+    # each support component's wins: the pairs it is added first in
+    wins = dict.fromkeys(support, 0)
+    for (j, k), z in zip(_pwo_pairs(m), pwo):
+        if j in wins and k in wins:
             if z == 0:
                 raise InconsistentPwo(f"z{j}{k} must be nonzero: both components are active")
+            wins[j if z == 1 else k] += 1
         elif z != 0:
             raise InconsistentPwo(f"z{j}{k} must be zero: an absent component is involved")
+    # the signs make a tournament on the support, and a tournament is
+    # transitive exactly when its win counts are all distinct: then the
+    # component with the most wins is added first
+    if len(set(wins.values())) != len(wins):
+        raise InconsistentPwo("sign pattern is not induced by any addition order")
+    return tuple(sorted(wins, key=wins.get, reverse=True))
+
+
+# the largest support whose orderings' sign tuples are tabled: 720 of them
+_TABLED = 6
+
+
+# room for every support of at most 6 components at every m the file
+# format covers (2 to 9): 964 of them
+@lru_cache(maxsize=1024)
+def _support_signs(m: int, support: tuple[int, ...]) -> dict[tuple[int, ...], None]:
+    """The sign tuples over the pairs of m components of every ordering of
+    an ascending support of at most 6 (`_TABLED`) components, in the
+    lexicographic order of the orderings, as the keys of a dict: the one
+    statement of the signs a run over that support may hold.  `oofa_expand`
+    writes a support's runs from it, so expansions over one support share
+    its tuples, and `_check_order` looks signs up in it.
+
+    It holds only tuples that a design over the same supports holds
+    anyway: at most 1,957 at m = 6 (0.4 MiB), and at m = 9, the format's
+    limit, 79,210 (28.6 MiB) when every support of at most 6 components
+    is tabled, which only a design of at least that many runs reaches."""
+    return dict.fromkeys(_pwo_from_orderings(m, support, permutations(support)))
 
 
 def oofa_expand(design: Design) -> Design:
@@ -210,10 +201,12 @@ def oofa_expand(design: Design) -> Design:
     runs with s <= 1 pass through as a single run with an all-zero sign
     vector.  Amount tags and coordinates are unchanged; the ordered runs
     of a base run share its point, and runs with the same support and
-    ordering share one sign tuple.  A design needs two components to have
-    sign factors (and a file with none could not tell its expanded runs
-    from unexpanded ones), so m = 1 is refused.  A `design` that is not a
-    Design raises InvalidParameter.
+    ordering share one sign tuple.  A support of at most 6 components takes
+    its tuples from the table that `_check_order` looks signs up in
+    (`_support_signs`), so expansions over one support share them.  A
+    design needs two components to have sign factors (and a file with none
+    could not tell its expanded runs from unexpanded ones), so m = 1 is
+    refused.  A `design` that is not a Design raises InvalidParameter.
     """
     _require_design(design)
     if design.m < 2:
@@ -234,7 +227,10 @@ def oofa_expand(design: Design) -> Design:
         if slots is None:
             start = len(signs)
             # permutations of a support of size 0 or 1 is that support alone
-            signs += _pwo_from_orderings(design.m, support, permutations(support))
+            if len(support) <= _TABLED:
+                signs += _support_signs(design.m, support)
+            else:
+                signs += _pwo_from_orderings(design.m, support, permutations(support))
             slots = slots_of[support] = range(start, len(signs))
         run_points += [i] * len(slots)
         run_signs += slots
@@ -397,7 +393,8 @@ def _check_index(index: dict) -> None:
     A run's checks read only its point, its A, its (point, A) pair, its
     sign tuple and its (support, signs) content, so each check runs once
     per distinct key, with the keys taken from the slot lists in bulk
-    passes (``dict.fromkeys``); each order is checked by `_check_order`.
+    passes (``dict.fromkeys``); each order is checked by `_check_order`,
+    by a lookup in its support's table of sign tuples or a walk.
     A faulty key's error is raised unprefixed: the callers name the first
     faulty row or run (`_raise_first_fault`)."""
     points, point_of = index["point"]
@@ -427,30 +424,22 @@ def _check_index(index: dict) -> None:
         # slot pairs, so each sign tuple is hashed once per pair
         point_slots, sign_slots = zip(*dict.fromkeys(zip(point_of, sign_of)))
         for pattern in dict.fromkeys(zip(map(supports.__getitem__, point_slots), map(signs.__getitem__, sign_slots))):
-            _check_order(*pattern)
+            _check_order(m, *pattern)
 
 
-# the largest support whose orderings' sign tuples are tabled: 720 of them
-_TABLED = 6
+def _check_order(m: int, support: tuple[int, ...], pwo: tuple[int, ...]) -> None:
+    """`_ordering_from_pwo`'s error, if any, for an ascending support of m
+    components and a sign tuple of m's pair count: the one check that a
+    run's signs are those of an addition order of its support.
 
-
-@cache
-def _tournaments(s: int) -> frozenset[tuple[int, ...]]:
-    """The sign tuples, over the pairs of 1..s, of every ordering of 1..s
-    (s <= 6), as `oofa_expand` writes them.  They are the signs within any
-    support of s components, in pair order, that some ordering induces."""
-    support = tuple(range(1, s + 1))
-    return frozenset(_pwo_from_orderings(s, support, permutations(support)))
-
-
-def _check_order(support: tuple[int, ...], pwo: tuple[int, ...]) -> None:
-    """`_ordering_from_pwo`'s error, if any, for an ascending support and
-    a sign tuple of its m's pair count.  Signs within a support of at most
-    6 components that are one ordering's, with zeros only outside it,
-    pass by one lookup in `_tournaments`; any other signs take the win
-    count walk, which also names the fault."""
-    within, _, outside = _order_plan(len(pwo), support)
-    if len(support) > _TABLED or pwo.count(0) != outside or within(pwo) not in _tournaments(len(support)):
+    Signs over a support of at most 6 components pass by one lookup in the
+    support's table of its orderings' sign tuples (`_support_signs`), which
+    holds every valid pattern; any other signs, a larger support's and
+    every faulty one, take `_ordering_from_pwo`'s walk, which raises in the
+    order: a value that is no sign, a sign count that is no pair set or a
+    support past m, the first zero-masking fault in pair order, and last
+    signs that no sequence of additions gives."""
+    if len(support) > _TABLED or pwo not in _support_signs(m, support):
         _ordering_from_pwo(support, pwo)
 
 

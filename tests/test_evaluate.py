@@ -532,8 +532,9 @@ def test_array_criteria_reject_malformed_arrays(criterion, X, message):
         (("a",), "X has 2 columns but 1 labels"),
         (("a", "b", "c"), "X has 2 columns but 3 labels"),
         (2, "col_labels must be iterable, got 2"),
+        ((1, 2), r"col_labels must be text, got \(1, 2\)"),
     ],
-    ids=["too_few", "too_many", "not_iterable"],
+    ids=["too_few", "too_many", "not_iterable", "not_text"],
 )
 def test_model_matrix_needs_one_label_per_column(labels, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):

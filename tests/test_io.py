@@ -32,6 +32,7 @@ from oamix.errors import (
     InvalidParameter,
     MalformedHeader,
     NegativeEntry,
+    NotExact,
     RowLengthMismatch,
     SumNotOne,
     located,
@@ -84,6 +85,13 @@ def test_write_rejects_bad_decimals(table1, decimals):
 def test_format_value_rejects_bad_decimals(decimals):
     with pytest.raises(InvalidParameter, match="^decimals must be an integer from 0 to 1000"):
         format_value(Fraction(1, 3), decimals)
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+@pytest.mark.parametrize("value", [None, 0.5, "1/3", [Fraction(1, 3)]], ids=["None", "float", "text", "list"])
+def test_format_value_refuses_a_value_that_is_no_exact_number(value, decimals):
+    with pytest.raises(NotExact, match="^value must be an int or a Fraction, got "):
+        format_value(value, decimals)
 
 
 def test_write_table1_display_matches_reference_tokens(table1):

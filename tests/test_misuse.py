@@ -99,9 +99,6 @@ class Site:
     valid: dict = field(default_factory=dict)
     # (module, name) of the builders a huge count must not reach
     builders: tuple = ()
-    # value names that raise an error that is not an OamixError today; see
-    # test_a_value_that_is_no_fraction_is_refused_with_a_named_error
-    faults: frozenset = frozenset()
 
     def __str__(self):
         return f"{self.name}:{self.arg}"
@@ -119,7 +116,6 @@ def same_curve(got):
 BASE_TEXT = "x1,x2,x3\n0,0,1\n0,1/2,1/2\n0,1,0\n1/2,0,1/2\n1/2,1/2,0\n1,0,0\n"
 BASE_TEXT_0 = "x1,x2,x3\n0,0,1\n0,1,1\n0,1,0\n1,0,1\n1,1,0\n1,0,0\n"
 NO_DROP = project_columns(BASE, ())
-NOT_FRACTIONS = frozenset(VALUES) - {"True", "-1", "0", "10**400"}
 
 SITES = [
     Site("as_fraction", "value", lambda v: as_fraction(v), valid={
@@ -187,7 +183,7 @@ SITES = [
         "None": eq(BASE_TEXT), "0": eq(BASE_TEXT_0),
     }),
     Site("read_design", "text", lambda v: read_design(v)),
-    Site("format_value", "value", lambda v: format_value(v, 2), faults=NOT_FRACTIONS, valid={
+    Site("format_value", "value", lambda v: format_value(v, 2), valid={
         "True": eq("1"), "-1": eq("-1"), "0": eq("0"), "10**400": eq(str(10**400)),
     }),
     Site("format_value", "decimals", lambda v: format_value(Fraction(1, 3), v), valid={
@@ -210,8 +206,6 @@ SITES = [
     Site("ModelMatrix", "X", lambda v: ModelMatrix(v, ("a", "b"))),
     Site("ModelMatrix", "col_labels", lambda v: ModelMatrix(np.eye(2), v), valid={
         "None": lambda got: got.col_labels == ("0", "1"),
-        "array": lambda got: got.col_labels == (0.25, 0.75),
-        "nan array": lambda got: len(got.col_labels) == 2,
     }),
     Site("leverages", "X", lambda v: leverages(v)),
     Site("prediction_variance", "X", lambda v: prediction_variance(v, np.ones(7))),
@@ -298,7 +292,7 @@ def test_every_public_call_site_has_a_row():
     assert {"format_value", "coded_model_matrix", "FdsCurve", "ModelKind"} <= rows
     assert len(VALUES) == 19
     for site in SITES:
-        assert set(site.valid) | set(site.faults) <= set(VALUES), site
+        assert set(site.valid) <= set(VALUES), site
 
 
 @pytest.mark.parametrize("site", SITES, ids=str)
@@ -307,8 +301,6 @@ def test_a_malformed_argument_raises_a_named_error(monkeypatch, site):
         monkeypatch.setattr(f"oamix.{module}.{name}", _must_not_build)
     wrong = []
     for value, make in VALUES.items():
-        if value in site.faults:
-            continue
         try:
             got = site.call(make())
         except OamixError:
@@ -323,11 +315,3 @@ def test_a_malformed_argument_raises_a_named_error(monkeypatch, site):
         elif not site.valid[value](got):
             wrong.append(f"{value}: gave {got!r:.80}")
     assert not wrong, f"{site}: " + "; ".join(wrong)
-
-
-@pytest.mark.xfail(strict=True, reason="format_value reads its value as a Fraction unchecked")
-@pytest.mark.parametrize("site", [site for site in SITES if site.faults], ids=str)
-def test_a_value_that_is_no_fraction_is_refused_with_a_named_error(site):
-    for value in sorted(site.faults):
-        with pytest.raises(OamixError):
-            site.call(VALUES[value]())

@@ -44,9 +44,11 @@ from oamix.errors import (
     OamixError,
     OrderingSupportMismatch,
     WrongKind,
+    _joined,
+    _shown,
 )
 from oamix import oofa
-from oamix.oofa import _m_from_pairs, _ordering_from_pwo, _tournaments, validate_run
+from oamix.oofa import _m_from_pairs, _ordering_from_pwo, _support_signs, validate_run
 from oamix.simplex import project_columns
 
 import reader_faults
@@ -133,10 +135,12 @@ def test_ordering_from_pwo_accepts_exactly_the_induced_signs(m):
 
 
 def _full_pair_ordering(support: tuple[int, ...], pwo: tuple) -> tuple[int, ...]:
-    """`_ordering_from_pwo` as a loop over every pair: the reference for the
-    plan that visits only the support's pairs."""
+    """`_ordering_from_pwo` restated here, a loop over every pair that
+    places each component by its win count: the reference, kept apart from
+    the library's code, for its walk and for the table lookup that spares
+    the walk.  Messages are shortened as the library's are (`_shown`)."""
     if not {-1, 0, 1}.issuperset(pwo):
-        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {','.join(map(str, pwo))}")
+        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {_shown(pwo, text=_joined)}")
     m = _m_from_pairs(len(pwo))
     if support and support[-1] > m:
         raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
@@ -238,9 +242,11 @@ def sign_patterns(draw):
 @example(_run(3, (1, 2, 3), (1, 1, Fraction(1, 2))))
 def test_a_run_is_judged_by_its_order_as_the_win_count_walk_judges_its_signs(run):
     # the table lookup accepts exactly the signs the walk accepts, and
-    # every refusal is the walk's, class and message
+    # every refusal is the walk's, class and message; the test's own loop
+    # over every pair judges them alike
     want = _refusal(lambda: _ordering_from_pwo(run.point.support(), run.pwo))
     assert _refusal(lambda: validate_run(run)) == want, run
+    assert _refusal(lambda: _full_pair_ordering(run.point.support(), run.pwo)) == want, run
 
 
 def _refusal(call):
@@ -252,11 +258,29 @@ def _refusal(call):
     return None
 
 
-@pytest.mark.parametrize("s", range(7))
-def test_the_table_holds_the_signs_of_every_ordering(s):
-    point = P(*(1,) * s or (0,), kind=Kind.AMOUNT)
-    assert _tournaments(s) == {pwo_from_ordering(point, o) for o in permutations(range(1, s + 1))}
-    assert len(_tournaments(s)) == factorial(s)
+@pytest.mark.parametrize("m", range(2, 7))
+def test_the_table_holds_the_signs_of_every_ordering(m):
+    # every support of 1..m, its orderings' signs in lexicographic order
+    for size in range(m + 1):
+        for support in combinations(range(1, m + 1), size):
+            point = P(*(int(c in support) for c in range(1, m + 1)), kind=Kind.AMOUNT)
+            assert list(_support_signs(m, support)) == [pwo_from_ordering(point, o) for o in permutations(support)]
+
+
+def test_expansions_over_one_support_share_its_table_tuples():
+    lattice, centroid = oofa_expand(simplex_lattice(4, 3)), oofa_expand(simplex_centroid(4))
+    for design in (lattice, centroid):
+        for run in design.runs:
+            table = _support_signs(4, run.point.support())
+            assert any(run.pwo is signs for signs in table), run
+    shared = [[run.pwo for run in design.runs if run.point.support() == (1, 2, 3)] for design in (lattice, centroid)]
+    assert len(shared[0]) == factorial(3)
+    assert all(a is b for a, b in zip(*shared, strict=True))
+    # a support of 7 components is past the table: expanding the m = 7
+    # centroid tables its 126 smaller supports and not the full one
+    _support_signs.cache_clear()
+    oofa_expand(simplex_centroid(7))
+    assert _support_signs.cache_info().currsize == 2**7 - 2
 
 
 @pytest.mark.parametrize(
