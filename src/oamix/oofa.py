@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -177,7 +177,7 @@ _TABLED = 6
 
 
 # room for every support of at most 6 components at every m the file
-# format covers (2 to 9): 964 of them
+# format covers (2 to 9), 964 of them, and the check's 7 full supports
 @lru_cache(maxsize=1024)
 def _support_signs(m: int, support: tuple[int, ...]) -> dict[tuple[int, ...], None]:
     """The sign tuples over the pairs of m components of every ordering of
@@ -185,13 +185,30 @@ def _support_signs(m: int, support: tuple[int, ...]) -> dict[tuple[int, ...], No
     lexicographic order of the orderings, as the keys of a dict: the one
     statement of the signs a run over that support may hold.  `oofa_expand`
     writes a support's runs from it, so expansions over one support share
-    its tuples, and `_check_order` looks signs up in it.
+    its tuples, and `_check_order` looks up a run's signs within its
+    support in the table of the full support of that size (m = s).
 
-    It holds only tuples that a design over the same supports holds
-    anyway: at most 1,957 at m = 6 (0.4 MiB), and at m = 9, the format's
-    limit, 79,210 (28.6 MiB) when every support of at most 6 components
-    is tabled, which only a design of at least that many runs reaches."""
+    Only expansion tables a support at a larger m, and its tuples are the
+    expanded design's own: at most 1,957 at m = 6 (0.4 MiB), and at m = 9,
+    the format's limit, 79,210 (28.6 MiB) once designs holding every
+    ordering of every support of at most 6 components are expanded.  The
+    check adds the 7 full supports' tables, 874 tuples of at most 15
+    signs."""
     return dict.fromkeys(_pwo_from_orderings(m, support, permutations(support)))
+
+
+# room for every support of at most 6 components at every m from 2 to 9
+@lru_cache(maxsize=1024)
+def _within(m: int, support: tuple[int, ...]) -> tuple[tuple[bool, ...], int, dict]:
+    """For signs over the pairs of m components and an ascending support
+    of at most 6 components: which pairs lie within the support, as a mask
+    in pair order, the number of the others, whose signs must be 0, and the
+    table of the signs the pairs within take under each ordering, which is
+    `_support_signs` of the support's size and full support, since
+    relabelling the support 1..s keeps the order of its pairs."""
+    mask = tuple(j in support and k in support for j, k in _pwo_pairs(m))
+    s = len(support)
+    return mask, mask.count(False), _support_signs(s, tuple(range(1, s + 1)))
 
 
 def oofa_expand(design: Design) -> Design:
@@ -202,11 +219,11 @@ def oofa_expand(design: Design) -> Design:
     vector.  Amount tags and coordinates are unchanged; the ordered runs
     of a base run share its point, and runs with the same support and
     ordering share one sign tuple.  A support of at most 6 components takes
-    its tuples from the table that `_check_order` looks signs up in
-    (`_support_signs`), so expansions over one support share them.  A
-    design needs two components to have sign factors (and a file with none
-    could not tell its expanded runs from unexpanded ones), so m = 1 is
-    refused.  A `design` that is not a Design raises InvalidParameter.
+    its tuples from its table (`_support_signs`, whose full supports'
+    tables `_check_order` looks signs up in), so expansions over one
+    support share them.  A design needs two components to have sign
+    factors (and a file with none could not tell its expanded runs from
+    unexpanded ones), so m = 1 is refused.  A `design` that is not a Design raises InvalidParameter.
     """
     _require_design(design)
     if design.m < 2:
@@ -394,7 +411,7 @@ def _check_index(index: dict) -> None:
     sign tuple and its (support, signs) content, so each check runs once
     per distinct key, with the keys taken from the slot lists in bulk
     passes (``dict.fromkeys``); each order is checked by `_check_order`,
-    by a lookup in its support's table of sign tuples or a walk.
+    by a lookup in the table of its support's size or a walk.
     A faulty key's error is raised unprefixed: the callers name the first
     faulty row or run (`_raise_first_fault`)."""
     points, point_of = index["point"]
@@ -432,15 +449,20 @@ def _check_order(m: int, support: tuple[int, ...], pwo: tuple[int, ...]) -> None
     components and a sign tuple of m's pair count: the one check that a
     run's signs are those of an addition order of its support.
 
-    Signs over a support of at most 6 components pass by one lookup in the
-    support's table of its orderings' sign tuples (`_support_signs`), which
-    holds every valid pattern; any other signs, a larger support's and
-    every faulty one, take `_ordering_from_pwo`'s walk, which raises in the
+    Signs over a support of at most 6 components pass when the pairs
+    outside it are all 0 and the signs within it are one lookup in the
+    table of the orderings of a support of that size (`_within`), which
+    holds every valid pattern, so a design pays for a table per support
+    size, not per support; any other signs, a larger support's and every
+    faulty one, take `_ordering_from_pwo`'s walk, which raises in the
     order: a value that is no sign, a sign count that is no pair set or a
     support past m, the first zero-masking fault in pair order, and last
     signs that no sequence of additions gives."""
-    if len(support) > _TABLED or pwo not in _support_signs(m, support):
-        _ordering_from_pwo(support, pwo)
+    if len(support) <= _TABLED:
+        mask, outside, table = _within(m, support)
+        if pwo.count(0) == outside and tuple(compress(pwo, mask)) in table:
+            return
+    _ordering_from_pwo(support, pwo)
 
 
 def _check_counts(signs: Iterable[tuple], m: int) -> None:

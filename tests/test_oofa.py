@@ -44,8 +44,6 @@ from oamix.errors import (
     OamixError,
     OrderingSupportMismatch,
     WrongKind,
-    _joined,
-    _shown,
 )
 from oamix import oofa
 from oamix.oofa import _m_from_pairs, _ordering_from_pwo, _support_signs, validate_run
@@ -138,9 +136,12 @@ def _full_pair_ordering(support: tuple[int, ...], pwo: tuple) -> tuple[int, ...]
     """`_ordering_from_pwo` restated here, a loop over every pair that
     places each component by its win count: the reference, kept apart from
     the library's code, for its walk and for the table lookup that spares
-    the walk.  Messages are shortened as the library's are (`_shown`)."""
+    the walk.  A message shows at most 60 characters of the signs, its
+    last 3 '...' when they are cut, as the library's do."""
     if not {-1, 0, 1}.issuperset(pwo):
-        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {_shown(pwo, text=_joined)}")
+        shown = ",".join(map(str, pwo))
+        shown = shown if len(shown) <= 60 else shown[:57] + "..."
+        raise BadPwoValue(f"sign entries must be -1, 0 or +1, got {shown}")
     m = _m_from_pairs(len(pwo))
     if support and support[-1] > m:
         raise InconsistentPwo(f"support {support} exceeds the {m} components the signs cover")
@@ -281,6 +282,17 @@ def test_expansions_over_one_support_share_its_table_tuples():
     _support_signs.cache_clear()
     oofa_expand(simplex_centroid(7))
     assert _support_signs.cache_info().currsize == 2**7 - 2
+
+
+def test_the_order_check_tables_one_support_of_each_size():
+    # one ordering per support at m = 9: the check looks each run's signs
+    # up in the table of its support's size, so it tables the full
+    # supports of sizes 1..6 and none of the 9-component supports
+    base = simplex_centroid(9)
+    runs = [OofARun(run.point, pwo_from_ordering(run.point, run.point.support()[::-1])) for run in base.runs]
+    _support_signs.cache_clear()
+    validate_design(Design(9, base.kind, runs))
+    assert _support_signs.cache_info().currsize == 6
 
 
 @pytest.mark.parametrize(
