@@ -358,6 +358,22 @@ def _by_value(values, slots: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     return tuple(ids), slots if len(ids) == len(value_of) else tuple(map(value_of.__getitem__, slots))
 
 
+def _once_per_object(function):
+    """`function` of one argument, called once per distinct argument object
+    and its result, never None, kept by the object's id: the caller keeps
+    every argument alive while it uses the returned function, so no id is
+    reused."""
+    results: dict = {}
+
+    def once(obj):
+        result = results.get(id(obj))
+        if result is None:
+            result = results[id(obj)] = function(obj)
+        return result
+
+    return once
+
+
 def _require_design(design) -> None:
     """InvalidParameter naming the type of a `design` argument that is not a
     Design: the one check of every layer that takes a design."""

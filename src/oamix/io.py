@@ -30,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 from itertools import compress, count, product, repeat
-from numbers import Rational
+from numbers import Integral, Rational
 
-from .core import Design, DesignPoint, Kind, _as_signs, _require_design
+from .core import Design, DesignPoint, Kind, _as_signs, _once_per_object, _require_design
 from .errors import InvalidParameter, MalformedHeader, NotExact, OamixError, RowLengthMismatch, _int_in_range, _shown
 from .oofa import _check_index, _check_sign_counts, _pwo_pairs, _raise_first_fault
 
@@ -42,14 +42,15 @@ __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 def format_value(value: Fraction, decimals: int | None) -> str:
     """Render one exact value: rational text, or half-up rounded decimals.
 
-    `value` is an int or a Fraction (a bool is an int); anything else, a
-    float among them, raises NotExact.  `decimals`, when given, is an
-    integer from 0 to 1000."""
+    `value` is an int or a Fraction; an integer of another type, a bool or
+    a numpy integer, renders as the int it equals at any `decimals`, and
+    anything else, a float among them, raises NotExact.  `decimals`, when
+    given, is an integer from 0 to 1000."""
     if not isinstance(value, Rational):
         raise NotExact(f"value must be an int or a Fraction, got {_shown(value)}")
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
-    return _format_value(value, decimals)
+    return _format_value(int(value) if isinstance(value, Integral) else value, decimals)
 
 
 def _format_value(value: Fraction, decimals: int | None) -> str:
@@ -75,6 +76,8 @@ def round_half_up(value: Fraction, decimals: int) -> Fraction:
 _NO_ROWS = "design file has a header but no rows"
 # the canonical sign cells; the reader decodes any other cell
 _SIGN_CELLS = {"-1": -1, "0": 0, "1": 1}
+# their texts by sign, for the writer
+_SIGN_TEXTS = {sign: cell for cell, sign in _SIGN_CELLS.items()}
 # pair labels use single digits
 _MAX_COMPONENTS = 9
 # far below the digits Python converts between int and str by default (4300)
@@ -103,12 +106,12 @@ def write_design(design: Design, decimals: int | None = None) -> str:
 
     `decimals`, when given, is an integer from 0 to 1000.  Each distinct
     point, sign tuple and amount of the design, and each distinct value
-    object, is rendered once per call, so a run costs a join; equal values
-    held as one object or as many give the same text.  A design with no
-    runs or over 9 components is refused (MalformedHeader), as the reader
-    refuses its text, so is one whose sign tuples do not hold one sign per
-    pair (InconsistentPwo), and a `design` that is not a Design raises
-    InvalidParameter."""
+    object, is rendered once per call, a sign tuple by one table of sign
+    texts, so a run costs a join; equal values held as one object or as
+    many give the same text.  A design with no runs or over 9 components
+    is refused (MalformedHeader), as the reader refuses its text, so is
+    one whose sign tuples do not hold one sign per pair (InconsistentPwo),
+    and a `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
@@ -118,19 +121,11 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     with_signs, with_amount = design.is_expanded, design.has_amounts
     if with_signs:
         _check_sign_counts(design)
-    # each distinct value object's text, by id: the design holds every
-    # value alive for the call, so no id is reused while the dict lives
-    texts: dict[int, str] = {}
-
-    def value_text(value: Fraction) -> str:
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = _format_value(value, decimals)
-        return text
-
+    # the design holds every value alive for the call
+    value_text = _once_per_object(lambda value: _format_value(value, decimals))
     pieces = [_rendered(design, "point", lambda point: ",".join(map(value_text, point.values)))]
     if with_signs:
-        pieces.append(_rendered(design, "pwo", lambda pwo: ",".join(map(str, pwo))))
+        pieces.append(_rendered(design, "pwo", _sign_text))
     if with_amount:
         pieces.append(_rendered(design, "amount", value_text))
     header = ",".join(_columns(design.kind, design.m, with_signs, with_amount))
@@ -142,6 +137,16 @@ def _rendered(design: Design, field: str, render) -> list[str]:
     distinct, slots = design._index[field]
     texts = [render(obj) for obj in distinct]
     return [texts[i] for i in slots]
+
+
+def _sign_text(pwo: tuple[int, ...]) -> str:
+    """A sign tuple's cells: each of -1, 0 and 1 by `_SIGN_TEXTS`, and a
+    tuple holding any other int, which a design built in code may, by
+    ``str``."""
+    try:
+        return ",".join(map(_SIGN_TEXTS.__getitem__, pwo))
+    except KeyError:
+        return ",".join(map(str, pwo))
 
 
 # every header the format admits, keyed by its text: a one-component

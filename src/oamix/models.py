@@ -26,6 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -402,14 +403,27 @@ def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray
     return X
 
 
-def _field_rows(design: Design, field: str, to_floats, runs=None) -> np.ndarray:
+def _field_rows(design: Design, field: str, runs=None) -> np.ndarray:
     """One run field (``point``, ``pwo`` or ``amount``) as float rows, one
     per run, or one per entry of `runs` (run numbers) when it is given,
-    gathered by slot from `to_floats` of the field's distinct objects."""
+    gathered by slot from the field's float table (`_field_table`)."""
+    floats, slots = _memoized(design, ("floats", field), lambda: _field_table(design, field))
+    return floats.take(slots if runs is None else slots[runs], axis=0)
+
+
+def _field_table(design: Design, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only floats of a run field's distinct objects, one row each,
+    and each run's slot among them as an intp array; a value beyond float
+    range raises InvalidParameter naming the field."""
     distinct, slots = design._index[field]
-    if runs is not None:
-        slots = np.take(slots, runs)
-    return _floats(field, to_floats, distinct).take(slots, axis=0)
+    floats, slots = _floats(field, _TO_FLOATS[field], distinct), _slots(slots)
+    floats.flags.writeable = slots.flags.writeable = False
+    return floats, slots
+
+
+def _slots(slots: tuple[int, ...]) -> np.ndarray:
+    """Slots as an intp array."""
+    return np.fromiter(slots, np.intp, len(slots))
 
 
 _FIELD_VALUES = {"point": "component value", "pwo": "sign", "amount": "total amount A"}
@@ -434,11 +448,18 @@ def _point_floats(points) -> np.ndarray:
 
 
 def _sign_floats(signs) -> np.ndarray:
-    return np.array(signs, dtype=float)
+    """The (sign tuples, pairs) floats of sign tuples of ints; a float
+    buffer, so any int a design built in code holds converts or overflows
+    as ``float`` does."""
+    pairs = len(signs[0]) if signs else 0
+    return np.fromiter(chain.from_iterable(signs), float, len(signs) * pairs).reshape(len(signs), pairs)
 
 
 def _amount_floats(amounts) -> np.ndarray:
-    return np.array([float(a) for a in amounts])
+    return np.fromiter(map(float, amounts), float, len(amounts))
+
+
+_TO_FLOATS = {"point": _point_floats, "pwo": _sign_floats, "amount": _amount_floats}
 
 
 def _level_floats(design: Design) -> list[float]:
@@ -481,11 +502,15 @@ def _memoized(design: Design, key: tuple, build):
     the one factor every criterion reads (`_matrix`), and the crossed parts
     (``evaluate._crossed_factors``), per spec and coding, so a design
     evaluated coded and raw and then sampled builds and factors each matrix
-    once.  `==`, `hash` and `repr` do not read it, and a pickle or a copy
-    does not carry it (``Design.__getstate__``).  Callers check the design
-    against the spec first, so every error comes before the memo is read,
-    and a build that raises stores nothing.  Two threads that build one
-    entry at once both get the one stored first."""
+    once.  It also holds the float tables every build reads, one per run
+    field: the floats of the field's distinct objects and the runs' slots
+    (`_field_table`), so raw, coded and crossed builds convert each
+    distinct value to float once per design.  `==`, `hash` and `repr` do
+    not read it, and a pickle or a copy does not carry it
+    (``Design.__getstate__``).  Callers check the design against the spec
+    first, so every error comes before the memo is read, and a build that
+    raises stores nothing.  Two threads that build one entry at once both
+    get the one stored first."""
     memo = design.__dict__.setdefault("_memo", {})
     # the memo itself marks a missing entry: it is never one
     found = memo.get(key, memo)
@@ -501,14 +526,14 @@ def _matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
 
 def _build_matrix(design: Design, spec: ModelSpec, coded: bool) -> ModelMatrix:
     """`_matrix`'s build: each distinct value converted to float once."""
-    comps = _field_rows(design, "point", _point_floats).reshape(len(design), spec.m)
-    signs = _field_rows(design, "pwo", _sign_floats) if spec.kind.has_pwo else None
+    comps = _field_rows(design, "point").reshape(len(design), spec.m)
+    signs = _field_rows(design, "pwo") if spec.kind.has_pwo else None
     if spec.kind.uses_amounts:
         if coded:
             comps = np.column_stack([_code_column(comps[:, i]) for i in range(spec.m)])
         amounts = None
     else:
-        amounts = _field_rows(design, "amount", _amount_floats)
+        amounts = _field_rows(design, "amount")
         if coded:
             amounts = _code_column(amounts)
     X = term_columns(spec, comps, signs, amounts)
@@ -555,8 +580,8 @@ def _crossed_rows(design: Design, spec: ModelSpec) -> np.ndarray | None:
     if len(spec._parts) == 1:
         return None
     _, _, (_, point_of), (signs, sign_of), (_, amount_of) = design._value_index
-    base_runs = np.array(point_of) * len(signs) + sign_of
-    level = np.array(amount_of)
+    base_runs = _slots(point_of) * len(signs) + _slots(sign_of)
+    level = _slots(amount_of)
     counts = np.bincount(level)
     if counts.min() != counts.max():
         return None
@@ -565,8 +590,8 @@ def _crossed_rows(design: Design, spec: ModelSpec) -> np.ndarray | None:
         return None
     runs = np.flatnonzero(level == 0)
     base = spec._parts[0]
-    comps = _field_rows(design, "point", _point_floats, runs)
-    signs = _field_rows(design, "pwo", _sign_floats, runs) if base.kind.has_pwo else None
+    comps = _field_rows(design, "point", runs)
+    signs = _field_rows(design, "pwo", runs) if base.kind.has_pwo else None
     return term_columns(base, comps, signs, None)
 
 

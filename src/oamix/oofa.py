@@ -23,6 +23,7 @@ from .core import (
     OofARun,
     _as_ints,
     _as_signs,
+    _once_per_object,
     _point_facts,
     _require_design,
     _require_point,
@@ -304,8 +305,10 @@ def _exact_amount(what: str, value) -> Fraction:
 
 def scale_amounts(design: Design, a_max) -> Design:
     """Multiply every coordinate and per-run total by `a_max`; sign vectors
-    are unchanged, and runs that shared a point share its scaled point.  A
-    `design` that is not a Design raises InvalidParameter."""
+    are unchanged, and runs that shared a point share its scaled point.
+    Each distinct value object is multiplied once, and points that shared
+    it share its product.  A `design` that is not a Design raises
+    InvalidParameter."""
     _require_design(design)
     if design.kind is not Kind.AMOUNT:
         raise WrongKind("amount scaling applies to amount designs")
@@ -314,8 +317,10 @@ def scale_amounts(design: Design, a_max) -> Design:
         raise NonPositiveScale(f"scale must be positive, got {_shown(scale, text=str)}")
     points, point_of = design._index["point"]
     amounts, amount_of = design._index["amount"]
-    scaled_points = [DesignPoint._of(tuple(v * scale for v in point.values), Kind.AMOUNT) for point in points]
-    scaled_amounts = [amount * scale for amount in amounts]
+    # the design holds every value alive for the call
+    scaled = _once_per_object(lambda value: value * scale)
+    scaled_points = [DesignPoint._of(tuple(map(scaled, point.values)), Kind.AMOUNT) for point in points]
+    scaled_amounts = list(map(scaled, amounts))
     # one new object per distinct object, so the parent's slots carry over
     index = {
         "point": (tuple(scaled_points), point_of),

@@ -85,7 +85,8 @@ def simplex_centroid(m: int) -> Design:
     """One run per nonempty subset S: value 1/|S| on S and 0 elsewhere.
 
     Subsets are ordered by size, then lexicographically; the count is
-    2**m - 1, ending at the overall centroid (1/m, ..., 1/m).  A count over
+    2**m - 1, ending at the overall centroid (1/m, ..., 1/m).  The points
+    share one Fraction for 0 and one for each share 1/|S|.  A count over
     10^7 (`_MAX_RUNS`) raises InvalidParameter before anything is built.
     """
     m = _int_in_range("m", m)
@@ -97,11 +98,12 @@ def simplex_centroid(m: int) -> Design:
             f"a centroid design has 2^m - 1 runs, over the limit of {_MAX_RUNS}, at m={_shown(m, _SIZE_DIGITS)}"
         )
     points = []
+    zero = Fraction(0)
     for size in range(1, m + 1):
         share = Fraction(1, size)
         for subset in combinations(range(1, m + 1), size):
             chosen = set(subset)
-            values = tuple(share if i in chosen else Fraction(0) for i in range(1, m + 1))
+            values = tuple(share if i in chosen else zero for i in range(1, m + 1))
             points.append(DesignPoint._of(values, Kind.PROPORTION))
     return _one_run_per_point(m, points)
 

@@ -14,6 +14,7 @@ import json
 import pickle
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -44,8 +45,8 @@ from oamix import (
     validate_design,
     write_design,
 )
-from oamix import cli, core, io, oofa
-from oamix.errors import OamixError, located
+from oamix import cli, core, evaluate, io, models, oofa
+from oamix.errors import InvalidParameter, OamixError, located
 from oamix.models import coded_model_matrix
 
 LEVELS = (Fraction(1, 2), Fraction(5, 4), Fraction(2))
@@ -277,8 +278,10 @@ def test_transforms_do_not_depend_on_sharing(m6_bases, m6_designs):
 def test_model_matrix_converts_each_distinct_value_once(monkeypatch, m6_designs):
     # a read-back crossed design of the test's own holds 126 point objects
     # of 6 components and 3 amount objects; signs are ints and need no
-    # Fraction conversion.  A later call on it converts nothing: the matrix
-    # is kept in the design's memo
+    # Fraction conversion.  The floats of each run field are kept in the
+    # design's memo, so building raw, coded and the crossed parts converts
+    # each distinct value once in all, and a later build, of these or of
+    # another spec's matrices, converts nothing
     design = read_design(write_design(m6_designs["crossed"]))
     assert len(design) == 2448
     assert len({id(run.point) for run in design.runs}) == 126
@@ -291,13 +294,16 @@ def test_model_matrix_converts_each_distinct_value_once(monkeypatch, m6_designs)
         return to_float(self)
 
     monkeypatch.setattr(Fraction, "__float__", counting)
-    spec = build_spec("eq5", 6)
+    builds = (model_matrix, coded_model_matrix, lambda design, spec: evaluate._crossed_factors(design, spec, True))
+    eq5 = build_spec("eq5", 6)
+    first = [build(design, eq5) for build in builds]
+    assert first[2] is not None
+    assert 0 < calls <= 126 * 6 + 3
+    calls = 0
+    assert all(build(design, eq5) is built for build, built in zip(builds, first))
     for build in (model_matrix, coded_model_matrix):
-        calls = 0
-        first = build(design, spec)
-        assert 0 < calls <= 126 * 6 + 3, build
-        calls = 0
-        assert build(design, spec) is first and calls == 0, build
+        build(design, build_spec("eq6", 6))
+    assert calls == 0
 
 
 def test_scale_shares_one_scaled_point_per_point(m6_bases):
@@ -307,6 +313,182 @@ def test_scale_shares_one_scaled_point_per_point(m6_bases):
     assert len({id(run.point) for run in expanded.runs}) == 63
     assert len({id(run.point) for run in scaled.runs}) == 63
     assert len({id(run.amount) for run in scaled.runs}) == len({id(run.amount) for run in expanded.runs})
+
+
+def test_scale_multiplies_each_distinct_value_object_once(monkeypatch, m6_bases):
+    # the projected centroid's points share one zero and one share per
+    # subset size, and each run carries its point's own total
+    expanded = oofa_expand(m6_bases["centroid"])
+    points, amounts = expanded._index["point"][0], expanded._index["amount"][0]
+    objects = {id(v) for point in points for v in point.values} | set(map(id, amounts))
+    want = Design(expanded.m, expanded.kind, tuple(
+        OofARun(DesignPoint(tuple(v * 500 for v in run.point.values), run.point.kind), run.pwo, run.amount * 500)
+        for run in expanded.runs
+    ))
+    calls = 0
+    multiply = Fraction.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    scaled = scale_amounts(expanded, 500)
+    assert calls == len(objects) < 63 * 6
+    monkeypatch.undo()
+    assert scaled == want
+    assert write_design(scaled) == write_design(want)
+
+
+def test_centroid_shares_one_zero_and_one_share_per_subset_size():
+    design = simplex_centroid(6)
+    ids_by_value: dict = {}
+    for run in design.runs:
+        for v in run.point.values:
+            ids_by_value.setdefault(v, set()).add(id(v))
+    assert set(ids_by_value) == {Fraction(0)} | {Fraction(1, size) for size in range(1, 7)}
+    assert all(len(ids) == 1 for ids in ids_by_value.values())
+
+
+def test_write_renders_any_int_sign_as_str_does():
+    # `_as_signs` takes any integer, so a design built in code may hold
+    # signs the sign-text table does not: they are written by `str`
+    point = DesignPoint((Fraction(1, 3),) * 3, Kind.PROPORTION)
+    pwos = [(2, -3, 1), (1, -1, 0), (-1, 0, 2), (300, 0, -10**30)]
+    design = Design(3, Kind.PROPORTION, tuple(OofARun(point, pwo) for pwo in pwos))
+    for decimals in (None, 2):
+        rows = write_design(design, decimals).splitlines()[1:]
+        assert [row.split(",", 3)[3] for row in rows] == [",".join(map(str, pwo)) for pwo in pwos]
+
+
+def _per_run_matrix(design: Design, spec, coded: bool) -> np.ndarray:
+    """The model matrix by a walk over the runs, each value converted as
+    it is met, with no memo."""
+    models._check_design(design, spec)
+    runs = design.runs
+    comps = np.array([[float(v) for v in run.point.values] for run in runs]).reshape(len(runs), spec.m)
+    signs = np.array([run.pwo for run in runs], dtype=float) if spec.kind.has_pwo else None
+    amounts = None
+    if spec.kind.uses_amounts:
+        if coded:
+            comps = np.column_stack([models._code_column(comps[:, i]) for i in range(spec.m)])
+    else:
+        amounts = np.array([float(run.amount) for run in runs])
+        if coded:
+            amounts = models._code_column(amounts)
+    return models.term_columns(spec, comps, signs, amounts)
+
+
+def _per_run_base_rows(design: Design, spec) -> np.ndarray | None:
+    """X_base by a walk over the runs: the base spec's rows at the runs of
+    the first run's level, when every level holds one multiset of (point
+    values, signs); None otherwise."""
+    models._check_design(design, spec)
+    if len(spec._parts) == 1:
+        return None
+    runs = design.runs
+    by_level: dict = {}
+    for run in runs:
+        key = (tuple(run.point.values), run.pwo)
+        by_level.setdefault(run.amount, Counter())[key] += 1
+    if any(level != by_level[runs[0].amount] for level in by_level.values()):
+        return None
+    first = [run for run in runs if run.amount == runs[0].amount]
+    base = spec._parts[0]
+    comps = np.array([[float(v) for v in run.point.values] for run in first])
+    signs = np.array([run.pwo for run in first], dtype=float) if base.kind.has_pwo else None
+    return models.term_columns(base, comps, signs, None)
+
+
+def _per_run_amount_rows(design: Design, spec) -> np.ndarray | None:
+    """X_A, coded, from the design's levels converted as they are met."""
+    models._check_design(design, spec)
+    if len(spec._parts) == 1:
+        return None
+    levels = np.array([float(level) for level in design.amount_levels])
+    return models.term_columns(spec._parts[1], None, None, models._code_column(levels))
+
+
+def _memo_base_rows(design: Design, spec):
+    models._check_design(design, spec)
+    return models._crossed_rows(design, spec)
+
+
+def _memo_amount_rows(design: Design, spec):
+    models._check_design(design, spec)
+    return None if len(spec._parts) == 1 else models._amount_rows(design, spec._parts[1], True)
+
+
+# each memoized build and the per-run build it must equal
+_BUILDS = {
+    "raw": (
+        lambda design, spec: model_matrix(design, spec).X,
+        lambda design, spec: _per_run_matrix(design, spec, False),
+    ),
+    "coded": (
+        lambda design, spec: coded_model_matrix(design, spec).X,
+        lambda design, spec: _per_run_matrix(design, spec, True),
+    ),
+    "base": (_memo_base_rows, _per_run_base_rows),
+    "amount": (_memo_amount_rows, _per_run_amount_rows),
+}
+
+
+def _bits(build, design, spec):
+    """The shape and bytes of a build's float array, None, or the class and
+    message of its error."""
+    try:
+        X = build(design, spec)
+    except OamixError as exc:
+        return type(exc), str(exc)
+    return None if X is None else (X.dtype, X.shape, X.tobytes())
+
+
+@pytest.mark.parametrize("name", [*DESIGN_NAMES, "crossed_in_code", "scaled_in_code"])
+def test_memoized_builds_equal_a_per_run_build_in_any_order(designs, name):
+    design = fresh(designs[name.replace("_in_code", "")]) if name.endswith("_in_code") else designs[name]
+    paths = 0
+    for k in range(1, 9):
+        spec = build_spec(f"eq{k}", design.m)
+        want = {key: _bits(per_run, design, spec) for key, (_, per_run) in _BUILDS.items()}
+        paths += isinstance(want["base"], tuple) and want["base"][0] == np.float64
+        for order in permutations(_BUILDS):
+            # a copy starts with no memo, so each order fills it anew
+            again = copy.copy(design)
+            assert "_memo" not in again.__dict__
+            got = {key: _bits(_BUILDS[key][0], again, spec) for key in order}
+            assert got == want, (k, order)
+    # the crossed designs take the product path under eq1, eq2, eq5 and eq6
+    assert paths == (4 if name in ("table3", "crossed", "crossed_read", "crossed_in_code") else 0)
+
+
+def test_a_value_beyond_float_range_raises_in_any_build_order():
+    # an amount level of 10**400, and a design built in code whose signs
+    # 1 are 10**400, so that both are crossed
+    base = oofa_expand(simplex_lattice(3, 2))
+    crossed = cross_amounts(base, [1, 10**400])
+    signed = Design(3, Kind.PROPORTION, tuple(
+        OofARun(run.point, tuple(10**400 if z == 1 else z for z in run.pwo), level)
+        for level in (Fraction(1), Fraction(2))
+        for run in base.runs
+    ))
+    limit = f"{sys.float_info.max:.4g}"
+    builds = (model_matrix, coded_model_matrix, evaluate._crossed_factors, evaluate_design)
+    # a build that raises stores nothing: only the tables that converted
+    # are kept, and no matrix or part
+    cases = (
+        (crossed, "total amount A", {("floats", "point"), ("floats", "pwo")}),
+        (signed, "sign", {("floats", "point"), ("floats", "amount")}),
+    )
+    for design, what, kept in cases:
+        for order in permutations(builds):
+            again = copy.copy(design)
+            for build in order:
+                with pytest.raises(InvalidParameter) as exc:
+                    build(again, build_spec("eq5", 3))
+                assert str(exc.value) == f"a {what} of the design is too large for a float (over {limit})"
+            assert set(again.__dict__.get("_memo", ())) <= kept
 
 
 def _count_calls(monkeypatch, name: str, *modules) -> list[int]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,17 @@ from test_distinct_values import built_designs, fresh
 def test_format_value_rational():
     assert format_value(Fraction(1, 3), None) == "1/3"
     assert format_value(Fraction(2), None) == "2"
+
+
+@pytest.mark.parametrize("decimals", [None, 0, 2, 25])
+def test_format_value_renders_a_bool_as_its_int(decimals):
+    # a bool is an int, so it renders as 0 or 1, never by its name
+    assert format_value(True, decimals) == format_value(1, decimals) == "1"
+    assert format_value(False, decimals) == format_value(0, decimals) == "0"
+    # so does a numpy integer, whose fixed width would wrap or overflow
+    # when scaled by 10**decimals
+    assert format_value(np.uint8(200), decimals) == "200"
+    assert format_value(np.int64(-7), decimals) == "-7"
 
 
 def test_format_value_decimals():
