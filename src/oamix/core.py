@@ -57,15 +57,17 @@ def as_fraction(value) -> Fraction:
     A Fraction is immutable, so one comes back as it is.  Floats are
     rejected with NotExact, a TypeError: a binary float has already lost
     the decimal value it was meant to carry, and exactness is the whole
-    point here.  A value that is no number (None, a container, an array,
-    bytes) raises NotExact too, and text that is no exact number ('x', '',
-    '1/0') raises InvalidParameter, a ValueError, as does an infinite
-    Decimal.
+    point here.  A value that is no number (None, a bool, a container, an
+    array, bytes) raises NotExact too, and text that is no exact number
+    ('x', '', '1/0') raises InvalidParameter, a ValueError, as does an
+    infinite Decimal.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise NotExact(f"refusing lossy coercion of float {value!r}; pass a string, int, or Fraction")
+    if isinstance(value, bool):
+        raise NotExact(f"a bool is no exact number, got {value!r}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

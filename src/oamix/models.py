@@ -1,6 +1,7 @@
 """Model specifications and numeric model matrices.
 
-Eight model families are supported, keyed eq1..eq8:
+Eight model families are supported, keyed eq1..eq8, each stated once in
+`_FAMILIES` as its ordered blocks of terms and its top amount power:
 
   eq1/eq2  mixture-amount: linear/quadratic Scheffe blocks in the
            proportions x_i, each block multiplied by a power of the total
@@ -92,16 +93,14 @@ class ModelKind(Enum):
 @dataclass(frozen=True)
 class Term:
     """A product of component powers, at most one sign factor, and a power
-    of the total amount.  `intercept` terms carry no other factors."""
+    of the total amount.  The term with no factor, ``Term()``, is the
+    intercept, labelled ``1``."""
 
-    intercept: bool = False
     comp_powers: tuple[tuple[int, int], ...] = ()
     pwo_pair: tuple[int, int] | None = None
     amount_power: int = 0
 
     def label(self, comp_symbol: str) -> str:
-        if self.intercept:
-            return "1"
         parts = []
         for i, p in self.comp_powers:
             # squares render subscript-style: a1^2 is "a11"
@@ -113,7 +112,7 @@ class Term:
             parts.append("A")
         elif self.amount_power >= 2:
             parts.append(f"A^{self.amount_power}")
-        return "".join(parts)
+        return "".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ class ModelSpec:
         for t in range(top + 1):
             if self.terms[t * q : (t + 1) * q] != tuple(replace(term, amount_power=t) for term in base):
                 return (self,)
-        powers = (Term(intercept=True),) + tuple(Term(amount_power=t) for t in range(1, top + 1))
+        powers = tuple(Term(amount_power=t) for t in range(top + 1))
         return replace(self, terms=base), ModelSpec(kind=ModelKind.MA_LIN, m=self.m, terms=powers)
 
 
@@ -197,29 +196,44 @@ def _resolve_reduction(reduction, m: int) -> tuple[tuple[int, tuple[int, int]], 
     return tuple(out)
 
 
-def _linear(m, t=0):
-    return [Term(comp_powers=((i, 1),), amount_power=t) for i in range(1, m + 1)]
+# the blocks of terms the families are made of: each gives, at m and with
+# the kept (component, pair) interactions, its terms' (comp_powers, pwo_pair)
+def _intercept(m, kept):
+    return [((), None)]
 
 
-def _squares(m, t=0):
-    return [Term(comp_powers=((i, 2),), amount_power=t) for i in range(1, m + 1)]
+def _linear(m, kept):
+    return [(((i, 1),), None) for i in range(1, m + 1)]
 
 
-def _crosses(m, t=0):
-    return [
-        Term(comp_powers=((i, 1), (j, 1)), amount_power=t) for i, j in _pwo_pairs(m)
-    ]
+def _squares(m, kept):
+    return [(((i, 2),), None) for i in range(1, m + 1)]
 
 
-def _signs(m, t=0):
-    return [Term(pwo_pair=pair, amount_power=t) for pair in _pwo_pairs(m)]
+def _crosses(m, kept):
+    return [(((i, 1), (j, 1)), None) for i, j in _pwo_pairs(m)]
 
 
-def _interactions(pairs, t=0):
-    return [
-        Term(comp_powers=((i, 1),), pwo_pair=pair, amount_power=t) for i, pair in pairs
-    ]
+def _signs(m, kept):
+    return [((), pair) for pair in _pwo_pairs(m)]
 
+
+def _interactions(m, kept):
+    return [(((i, 1),), pair) for i, pair in kept]
+
+
+# each family's top amount power T and its blocks, in order; the blocks are
+# repeated, in the same order, for the amount powers t = 0, ..., T
+_FAMILIES = {
+    ModelKind.MA_LIN: (1, (_linear,)),
+    ModelKind.MA_QUAD: (2, (_linear, _crosses)),
+    ModelKind.CA_LIN: (0, (_intercept, _linear)),
+    ModelKind.CA_QUAD: (0, (_intercept, _linear, _squares, _crosses)),
+    ModelKind.OOFA_MA_ADD: (1, (_linear, _signs)),
+    ModelKind.OOFA_MA_FULL: (2, (_linear, _crosses, _signs, _interactions)),
+    ModelKind.OOFA_CA_ADD: (0, (_intercept, _linear, _signs)),
+    ModelKind.OOFA_CA_FULL: (0, (_intercept, _linear, _signs, _squares, _crosses, _interactions)),
+}
 
 # the most terms a spec may have; m is checked against the largest family,
 # eq6 keeping all interactions, before any term is built
@@ -227,7 +241,8 @@ _MAX_TERMS = 10**5
 
 
 def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
-    """Deterministic term list for one of the eight model families.
+    """Deterministic term list for one of the eight model families: its
+    blocks (`_FAMILIES`) for A^0, then for A^1, up to its top power.
 
     `reduction` applies only to eq6/eq8 and defaults to cyclic pairing; a
     custom one is a list of (component, (j, k)) entries of integers.  An m
@@ -248,35 +263,15 @@ def build_spec(kind, m: int, reduction="cyclic") -> ModelSpec:
             f"a model at m={_shown(m, _SIZE_DIGITS)} may have {_shown(count, _SIZE_DIGITS)} terms, "
             f"over the limit of {_MAX_TERMS}"
         )
-    terms: list[Term] = []
-    if kind is ModelKind.MA_LIN:
-        terms = _linear(m, 0) + _linear(m, 1)
-    elif kind is ModelKind.MA_QUAD:
-        for t in range(3):
-            terms += _linear(m, t) + _crosses(m, t)
-    elif kind is ModelKind.CA_LIN:
-        terms = [Term(intercept=True)] + _linear(m)
-    elif kind is ModelKind.CA_QUAD:
-        terms = [Term(intercept=True)] + _linear(m) + _squares(m) + _crosses(m)
-    elif kind is ModelKind.OOFA_MA_ADD:
-        terms = _linear(m, 0) + _signs(m, 0) + _linear(m, 1) + _signs(m, 1)
-    elif kind is ModelKind.OOFA_MA_FULL:
-        pairs = _resolve_reduction(reduction, m)
-        for t in range(3):
-            terms += _linear(m, t) + _crosses(m, t) + _signs(m, t) + _interactions(pairs, t)
-    elif kind is ModelKind.OOFA_CA_ADD:
-        terms = [Term(intercept=True)] + _linear(m) + _signs(m)
-    elif kind is ModelKind.OOFA_CA_FULL:
-        pairs = _resolve_reduction(reduction, m)
-        terms = (
-            [Term(intercept=True)]
-            + _linear(m)
-            + _signs(m)
-            + _squares(m)
-            + _crosses(m)
-            + _interactions(pairs)
-        )
-    return ModelSpec(kind=kind, m=m, terms=tuple(terms))
+    top, blocks = _FAMILIES[kind]
+    kept = _resolve_reduction(reduction, m) if _interactions in blocks else ()
+    terms = tuple(
+        Term(comp_powers=comps, pwo_pair=pair, amount_power=t)
+        for t in range(top + 1)
+        for block in blocks
+        for comps, pair in block(m, kept)
+    )
+    return ModelSpec(kind=kind, m=m, terms=terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,46 +355,25 @@ def _product_into(factors: list, out: np.ndarray) -> np.ndarray:
 def term_columns(spec: ModelSpec, comps, signs, amounts, out=None) -> np.ndarray:
     """The n x p matrix of model vectors f(x) at n points given as float arrays:
     `comps` (n, m), `signs` (n, pairs) in `pwo_pairs` order with zero masking
-    applied, and `amounts` (n,).  Column arithmetic is comps**p * z *
-    amounts**t, in that order, for design matrices and FDS rows alike,
-    written straight into each column (`_product_into`); a product before
-    the amount power is formed once and read, for every later power t, from
-    its column, and a repeated term is copied from its first.  `comps` may
-    be None for a spec of terms in A alone.  The matrix is written into
-    `out`, an (n, p) float array of either order with the same bits, or
-    into a new C-ordered array."""
+    applied, and `amounts` (n,).  Each column is one product of its term's
+    factors, comps**p, z and amounts**t in that order, written straight
+    into the column (`_product_into`), for design matrices and FDS rows
+    alike; the term with no factor, the intercept, is a column of ones.
+    `comps` may be None for a spec of terms in A alone.  The matrix is
+    written into `out`, an (n, p) float array of either order with the same
+    bits, or into a new C-ordered array."""
     pair_col = {pair: c for c, pair in enumerate(_pwo_pairs(spec.m))}
     X = np.empty((len(amounts if comps is None else comps), spec.p)) if out is None else out
-    # the column of each product (amount power 0) and of each term formed
-    product_col: dict = {}
-    term_col: dict = {}
-    powers: dict = {}
     for col, term in enumerate(spec.terms):
-        key, t = (term.comp_powers, term.pwo_pair), term.amount_power
-        target = X[:, col]
-        if (key, t) in term_col:
-            target[...] = X[:, term_col[key, t]]
-            continue
-        term_col[key, t] = col
-        if not term.comp_powers and term.pwo_pair is None:
-            if t:
-                _power_into(amounts, t, target)
-            else:
-                target[...] = 1.0
-            continue
-        if t and t not in powers:
-            powers[t] = amounts if t == 1 else amounts**t
-        if key in product_col:
-            np.multiply(X[:, product_col[key]], powers[t], out=target)
+        factors = [(comps[:, i - 1], p) for i, p in term.comp_powers]
+        if term.pwo_pair is not None:
+            factors.append((signs[:, pair_col[term.pwo_pair]], 1))
+        if term.amount_power:
+            factors.append((amounts, term.amount_power))
+        if factors:
+            _product_into(factors, X[:, col])
         else:
-            factors = [(comps[:, i - 1], p) for i, p in term.comp_powers]
-            if term.pwo_pair is not None:
-                factors.append((signs[:, pair_col[term.pwo_pair]], 1))
-            _product_into(factors, target)
-            if t:
-                target *= powers[t]
-            else:
-                product_col[key] = col
+            X[:, col] = 1.0
     return X
 
 
@@ -556,6 +530,10 @@ def model_matrix(design: Design, spec: ModelSpec) -> ModelMatrix:
 
 
 def _code_column(col: np.ndarray) -> np.ndarray:
+    """`col` centered and scaled to [-1, 1]; a constant or empty column
+    comes back as it is."""
+    if not col.size:
+        return col
     lo, hi = col.min(), col.max()
     if hi == lo:
         return col

@@ -293,14 +293,13 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
 
 
 def _exact_amount(what: str, value) -> Fraction:
-    """An amount level or scale as an exact Fraction, or InvalidParameter
-    naming `what` and the value; a bool is never taken as 0 or 1."""
-    if not isinstance(value, bool):
-        try:
-            return as_fraction(value)
-        except (TypeError, ValueError):
-            pass
-    raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {_shown(value)}")
+    """An amount level or scale as an exact Fraction (`as_fraction`, so a
+    bool is never taken as 0 or 1), or InvalidParameter naming `what` and
+    the value."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{what} must be an int, a Fraction or exact text, got {_shown(value)}") from None
 
 
 def scale_amounts(design: Design, a_max) -> Design:

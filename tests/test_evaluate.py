@@ -1120,7 +1120,7 @@ _ODD_TERMS = (
     Term(comp_powers=((1, 3),)),
     Term(comp_powers=((1, 2), (3, 2))),
     Term(amount_power=2),
-    Term(intercept=True),
+    Term(),
     Term(comp_powers=((1, 1), (2, 2))),
     Term(pwo_pair=(2, 3), amount_power=1),
     Term(comp_powers=((2, 1),), pwo_pair=(1, 3), amount_power=3),
@@ -1132,9 +1132,10 @@ _ODD_TERMS = (
     "eq, reduction",
     [(f"eq{i}", "cyclic") for i in range(1, 9)] + [("eq6", "keep_all"), ("eq8", "keep_all"), ("odd", None)],
 )
-def test_term_columns_match_the_reduce_and_copy_builder(eq, reduction, sign_policy):
-    # the FDS rows (zero-masked, with a level of 0 among the amounts) and
-    # the model matrices of the reference tables, bit for bit, into a new
+def test_term_columns_match_the_reduce_and_copy_builder(eq, reduction, sign_policy, m6_crossed):
+    # the FDS rows (zero-masked, with a level of 0 among the amounts), the
+    # model matrices of the reference tables and, under eq5 and eq6, the
+    # full matrix of the m = 6 crossed design, bit for bit, into a new
     # array and into C- and F-ordered buffers
     policy = DiscreteAmounts((0.0, 0.75, 1.5, 3.0))
     x, keys, signs, amounts = _sample_chunk(9, 1, 1500, 3, policy, sign_policy)
@@ -1144,13 +1145,17 @@ def test_term_columns_match_the_reduce_and_copy_builder(eq, reduction, sign_poli
         spec = build_spec(eq, 3, reduction)
     comps = x * amounts[:, None] if spec.kind.uses_amounts else x
     z = _pair_signs(3, comps, keys, signs, None)
-    cases = [(comps, np.ascontiguousarray(z), amounts)]
+    cases = [(spec, (comps, np.ascontiguousarray(z), amounts))]
+    designs = []
     if eq != "odd":
-        design = oamix.reference_design("table5" if spec.kind.uses_amounts else "table3")
+        designs.append((spec, oamix.reference_design("table5" if spec.kind.uses_amounts else "table3")))
+    if eq in ("eq5", "eq6") and reduction == "cyclic":
+        designs.append((build_spec(eq, 6), m6_crossed))
+    for spec, design in designs:
         X = model_matrix(design, spec).X
         assert _same_bits(X, _reduce_and_copy_columns(spec, *_matrix_inputs(design, spec)))
-        cases.append(_matrix_inputs(design, spec))
-    for inputs in cases:
+        cases.append((spec, _matrix_inputs(design, spec)))
+    for spec, inputs in cases:
         want = _reduce_and_copy_columns(spec, *inputs)
         assert _same_bits(term_columns(spec, *inputs), want), eq
         for order in ("C", "F"):

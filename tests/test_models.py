@@ -1,6 +1,7 @@
 """Model specs, matrices, and least squares."""
 
 import dataclasses
+import hashlib
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -36,7 +37,7 @@ from oamix.errors import (
     UnsupportedReduction,
 )
 from oamix import models
-from oamix.models import coded_model_matrix
+from oamix.models import Term, coded_model_matrix
 
 
 def expected_p(kind: ModelKind, m: int) -> int:
@@ -80,6 +81,26 @@ def test_eq8_m3_term_list_and_labels():
 
 def test_ca_lin_terms():
     assert list(build_spec("eq3", 3).labels) == ["1", "a1", "a2", "a3"]
+
+
+def test_the_term_with_no_factor_is_the_intercept():
+    assert Term().label("x") == Term().label("a") == "1"
+
+
+# sha256 of the labels and of every term's comp_powers, pwo_pair and
+# amount_power, for each family at m = 2..9 under three reductions
+SPEC_DIGEST = "b07cd7a5e811c89bd84d39aa06b81c67537df12f00174c34946b533382f43c0c"
+
+
+def test_every_term_list_is_pinned():
+    digest = hashlib.sha256()
+    for kind in ModelKind:
+        for m in range(2, 10):
+            for reduction in ("cyclic", "keep_all", ((m, (1, m)), (1, (2, 1)))):
+                spec = build_spec(kind, m, reduction)
+                terms = [(t.comp_powers, t.pwo_pair, t.amount_power) for t in spec.terms]
+                digest.update(repr((spec.labels, terms)).encode())
+    assert digest.hexdigest() == SPEC_DIGEST
 
 
 def test_model_kind_parse():
@@ -288,6 +309,14 @@ def test_coded_matrix_same_shape_and_signs(table2, spec8):
     assert coded.col_labels == raw.col_labels
     # sign columns are untouched by coding
     assert np.array_equal(coded.X[:, 4:7], raw.X[:, 4:7])
+
+
+@pytest.mark.parametrize("build", [model_matrix, coded_model_matrix])
+@pytest.mark.parametrize("eq, p", [("eq3", 4), ("eq4", 10)])
+def test_a_design_with_no_runs_has_a_matrix_with_no_rows(build, eq, p):
+    mm = build(Design(3, Kind.AMOUNT, ()), build_spec(eq, 3))
+    assert mm.shape == (0, p)
+    assert mm.col_labels == build_spec(eq, 3).labels
 
 
 def test_fit_ols_identity():

@@ -1,21 +1,29 @@
-"""Benchmark a revision against the working tree in alternating pairs.
+"""Benchmark a revision against a change in alternating pairs.
 
 Run from the root of a checkout:
 
     python tools/ab.py --parent HEAD~1 --workload scale --seed 1 --pairs 10 --seconds 15
+    python tools/ab.py --parent 8f2aa4f --change 1c62e74 --workload paper-study --seed 1 --pairs 10
 
 The parent revision's committed files are unpacked into a temporary
 directory (``git archive``, so nothing is registered in the repository and
-an interrupted run leaves no worktree behind).  Each pair runs
-``perfbench/run.py --trace 0`` once on the parent copy and once on the
-working tree, the side that goes first alternating from pair to pair, with
-the same workload and seed.  The result is written to
+an interrupted run leaves no worktree behind).  The change side is the
+revision --change, unpacked the same way, or, without it, the working
+tree's tracked files, modified ones included, copied into a temporary
+directory, so both sides always run from the same kind of place.  Each
+pair runs ``perfbench/run.py --trace 0`` once on each side, the side that
+goes first alternating from pair to pair, with the same workload and
+seed.  The result is written to
 ``BENCH_<parent short sha>_<workload>_s<seed>.json`` in --out (the root of
 the checkout by default).  It holds:
 
+  parent      the parent revision's sha
+  change      the change side's revision, ``rev`` (HEAD for the working
+              tree), and ``dirty``, whether it was a working tree that
+              differs from HEAD in a tracked file
   runs        each pair's end-to-end metrics and ``env`` line, per side
   summary     per metric: each side's median and quartiles, the pairs the
-              working tree won (the direction is BENCHMARK.json's
+              change won (the direction is BENCHMARK.json's
               ``better``), its median's change relative to the parent's,
               whether it is worse than the metric's ``bound``, and whether
               it is a claimable gain: at least 10 pairs, won in at least 9
@@ -27,8 +35,8 @@ the checkout by default).  It holds:
               which moves setup_s
 
 The script never edits BENCHMARK.json or perfbench/.  It exits 1 when a
-run fails and 0 otherwise, regressions included; --smoke passes --smoke to
-each run, for the test of this script.
+revision is unknown or a run fails and 0 otherwise, regressions included;
+--smoke passes --smoke to each run, for the test of this script.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +65,16 @@ def unpack(rev: str, into: Path) -> None:
     data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into, filter="data")
+
+
+def copy_tree(into: Path) -> None:
+    """The working tree's tracked files, modified ones included, copied
+    under `into`; a tracked file deleted from the tree is left out."""
+    for name in git("ls-files", "-z").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def bench(root: Path, args: argparse.Namespace) -> dict:
@@ -78,9 +97,9 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per end-to-end metric, both sides' spreads, the pairs the working
-    tree won, its relative change, and whether that is a regression beyond
-    the metric's bound or a claimable gain."""
+    """Per end-to-end metric, both sides' spreads, the pairs the change
+    won, its relative change, and whether that is a regression beyond the
+    metric's bound or a claimable gain."""
     summary = {}
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -108,7 +127,8 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="the revision to compare the working tree with")
+    parser.add_argument("--parent", required=True, help="the revision to compare the change with")
+    parser.add_argument("--change", help="the changed revision (default: the working tree's tracked files)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
@@ -119,14 +139,22 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     runs = []
     try:
-        with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-            parent_root = Path(tmp)
+        sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        if args.change:
+            change = {"rev": git("rev-parse", "--verify", f"{args.change}^{{commit}}"), "dirty": False}
+        else:
+            change = {"rev": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+        with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+            parent_root, change_root = Path(tmp, "parent"), Path(tmp, "change")
             unpack(sha, parent_root)
+            if args.change:
+                unpack(change["rev"], change_root)
+            else:
+                copy_tree(change_root)
             for n in range(args.pairs):
-                sides = [("parent", parent_root), ("change", ROOT)]
+                sides = [("parent", parent_root), ("change", change_root)]
                 run = {"first": sides[n % 2][0]}
                 for side, root in sides[n % 2:] + sides[:n % 2]:
                     run[side] = bench(root, args)
@@ -142,7 +170,7 @@ def main() -> int:
         "seconds": args.seconds,
         "smoke": args.smoke,
         "parent": sha,
-        "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": change,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "runs": runs,
         "summary": summary,
