@@ -1149,12 +1149,13 @@ def test_term_columns_match_the_reduce_and_copy_builder(eq, reduction, sign_poli
     designs = []
     if eq != "odd":
         designs.append((spec, oamix.reference_design("table5" if spec.kind.uses_amounts else "table3")))
-    if eq in ("eq5", "eq6") and reduction == "cyclic":
+    if eq in ("eq5", "eq6") and reduction == "cyclic" and sign_policy == "orderings":
+        # the sign policy shapes only the FDS rows, so this matrix is built once
         designs.append((build_spec(eq, 6), m6_crossed))
     for spec, design in designs:
-        X = model_matrix(design, spec).X
-        assert _same_bits(X, _reduce_and_copy_columns(spec, *_matrix_inputs(design, spec)))
-        cases.append((spec, _matrix_inputs(design, spec)))
+        inputs = _matrix_inputs(design, spec)
+        assert _same_bits(model_matrix(design, spec).X, _reduce_and_copy_columns(spec, *inputs))
+        cases.append((spec, inputs))
     for spec, inputs in cases:
         want = _reduce_and_copy_columns(spec, *inputs)
         assert _same_bits(term_columns(spec, *inputs), want), eq

@@ -1,15 +1,14 @@
-"""Benchmark a revision against a change in alternating pairs.
+"""Benchmark a revision against the working tree in alternating pairs.
 
 Run from the root of a checkout:
 
     python tools/ab.py --parent HEAD~1 --workload scale --seed 1 --pairs 10 --seconds 15
-    python tools/ab.py --parent 8f2aa4f --change 1c62e74 --workload paper-study --seed 1 --pairs 10
 
 The parent revision's committed files are unpacked into a temporary
 directory (``git archive``, so nothing is registered in the repository and
 an interrupted run leaves no worktree behind).  The change side is the
-revision --change, unpacked the same way, or, without it, the working
-tree's tracked files, modified ones included, copied into a temporary
+working tree's files, tracked ones as they stand (modified included) and
+untracked ones that .gitignore does not exclude, copied into a temporary
 directory, so both sides always run from the same kind of place.  Each
 pair runs ``perfbench/run.py --trace 0`` once on each side, the side that
 goes first alternating from pair to pair, with the same workload and
@@ -18,9 +17,9 @@ seed.  The result is written to
 the checkout by default).  It holds:
 
   parent      the parent revision's sha
-  change      the change side's revision, ``rev`` (HEAD for the working
-              tree), and ``dirty``, whether it was a working tree that
-              differs from HEAD in a tracked file
+  change      the working tree's ``head`` revision, ``dirty``, whether it
+              differs from HEAD in a tracked file or has an untracked one,
+              and ``untracked``, the untracked files copied
   runs        each pair's end-to-end metrics and ``env`` line, per side
   summary     per metric: each side's median and quartiles, the pairs the
               change won (the direction is BENCHMARK.json's
@@ -34,9 +33,9 @@ the checkout by default).  It holds:
               cache every spawned process compiles the sources again,
               which moves setup_s
 
-The script never edits BENCHMARK.json or perfbench/.  It exits 1 when a
-revision is unknown or a run fails and 0 otherwise, regressions included;
---smoke passes --smoke to each run, for the test of this script.
+The script never edits BENCHMARK.json or perfbench/.  It exits 1 when the
+parent revision is unknown or a run fails and 0 otherwise, regressions
+included; --smoke passes --smoke to each run, for the test of this script.
 """
 
 from __future__ import annotations
@@ -68,9 +67,10 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def copy_tree(into: Path) -> None:
-    """The working tree's tracked files, modified ones included, copied
-    under `into`; a tracked file deleted from the tree is left out."""
-    for name in git("ls-files", "-z").split("\0"):
+    """The working tree's tracked files, modified ones included, and its
+    untracked files that .gitignore does not exclude, copied under `into`;
+    a tracked file deleted from the tree is left out."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
         source = ROOT / name
         if name and source.is_file():
             (into / name).parent.mkdir(parents=True, exist_ok=True)
@@ -127,8 +127,7 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="the revision to compare the change with")
-    parser.add_argument("--change", help="the changed revision (default: the working tree's tracked files)")
+    parser.add_argument("--parent", required=True, help="the revision to compare the working tree with")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
@@ -142,17 +141,13 @@ def main() -> int:
     runs = []
     try:
         sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-        if args.change:
-            change = {"rev": git("rev-parse", "--verify", f"{args.change}^{{commit}}"), "dirty": False}
-        else:
-            change = {"rev": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+        untracked = [name for name in git("ls-files", "-z", "--others", "--exclude-standard").split("\0") if name]
+        change = {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+                  "untracked": untracked}
         with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
             parent_root, change_root = Path(tmp, "parent"), Path(tmp, "change")
             unpack(sha, parent_root)
-            if args.change:
-                unpack(change["rev"], change_root)
-            else:
-                copy_tree(change_root)
+            copy_tree(change_root)
             for n in range(args.pairs):
                 sides = [("parent", parent_root), ("change", change_root)]
                 run = {"first": sides[n % 2][0]}
