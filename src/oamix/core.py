@@ -19,8 +19,8 @@ from math import lcm
 from numbers import Real
 from operator import attrgetter
 
-from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, NotExact, SumNotOne, WrongKind
-from .errors import _int_in_range, _iterable, _joined, _shown
+from .errors import BadPwoValue, InvalidDimension, InvalidParameter, NegativeEntry, NotExact, OamixError, SumNotOne
+from .errors import WrongKind, _int_in_range, _iterable, _joined, _shown
 
 __all__ = [
     "Kind",
@@ -200,21 +200,23 @@ class Design:
     be iterated and a run that is not an OofARun raise InvalidParameter;
     `kind` may be given as the Kind's value as text.
 
+    Every design is valid at birth: once the shape holds, every run must
+    pass ``oofa.validate_run``, checked at the cost of the distinct values
+    (``oofa._check_index``), and the first run that does not is named as
+    ``run N: ...`` with its error's class (``oofa._raise_faulty_run``).
+
     Runs may share point, sign tuple and amount objects, and every design
     holds the index of its distinct objects, which every layer reads, so
     it costs what its distinct values cost.  A design built by calling
-    `Design` keeps its runs; the library's are stored as their index and
-    valid at birth (see `_of`).  `==` and `hash` are a dataclass's, equal
-    when `m`, `kind` and the runs are, in order, but read `_value_index`
-    and build no run.  The model layer's memo is ``models._memoized``.
+    `Design` keeps its runs; the library's are stored as their index (see
+    `_of`).  `==` and `hash` are a dataclass's, equal when `m`, `kind` and
+    the runs are, in order, but read `_value_index` and build no run.  The
+    model layer's memo is ``models._memoized``.
     """
 
     m: int
     kind: Kind
     runs: tuple[OofARun, ...]
-
-    # not a field: only `_of` sets it, in the instance dict
-    _checked = False
 
     def __post_init__(self):
         object.__setattr__(self, "m", _int_in_range("m", self.m))
@@ -246,31 +248,31 @@ class Design:
             raise WrongKind(f"run {idx} has {_describe(*got)}; the design's runs have {_describe(*shape)}")
         if self.m < 2 and self.is_expanded:
             raise InvalidDimension(f"addition orders need m >= 2 components, got m={_shown(self.m)}")
+        from .oofa import _check_index, _raise_faulty_run  # oofa imports this module
+
+        try:
+            _check_index(index)
+        except OamixError:
+            _raise_faulty_run(self)
+            raise
 
     @classmethod
-    def _of(cls, m: int, kind: Kind, index: dict, checked: bool) -> Design:
-        """A design of one shape stored as its index, with no runs.
+    def _of(cls, m: int, kind: Kind, index: dict) -> Design:
+        """A design of one shape stored as its index, with no runs, and not
+        checked again.
 
         `index`, what `__post_init__` builds from runs, is the design's
         storage, and its runs are made from it on first access (see
-        `__getattr__`).  Only the library's own constructors, which hold
-        the slots of a valid shape, call it.
-
-        `checked` records that every run passes ``oofa.validate_run``, so
-        that ``oofa.validate_design`` returns at once for the design: the
-        reader, which has checked every row, and the lattice and centroid,
-        valid by construction, pass True, and a projection, expansion,
-        crossing or scaling passes its parent's flag, since its argument
-        checks keep a valid parent's child valid.  The flag is kept in the
-        instance dict, not as a field, so `==`, `hash`, `repr` and pickle
-        are those of the runs; a design built by calling `Design` (or
-        `dataclasses.replace`) is never marked, and is checked in full."""
+        `__getattr__`).  Only the library's own constructors call it, each
+        with the slots of a valid design: the reader, which has checked
+        every row, the lattice and centroid, valid by construction, and a
+        projection, expansion, crossing or scaling, whose argument checks
+        keep its valid parent's child valid."""
         design = object.__new__(cls)
         assign = object.__setattr__
         assign(design, "m", m)
         assign(design, "kind", kind)
         assign(design, "_index", index)
-        design.__dict__["_checked"] = checked
         return design
 
     def __getattr__(self, name: str):

@@ -657,10 +657,11 @@ def _crossed_factors(design: Design, spec: ModelSpec, coded: bool = False):
     of the equilibrated factors, so its reciprocal condition is theirs.
 
     None sends the caller to the full matrix, whose factor raises the full
-    path's error or passes: off the path, when a base column is constant
-    (so that whether a column's R^2 is NaN is read from the cells of the
-    full matrix), when a small factor raises, and when the product of the
-    base and amount factors' reciprocal conditions is below RCOND_FLOOR.
+    path's error or passes: off the path, when a small factor raises, and
+    when the product of the base and amount factors' reciprocal conditions
+    is below RCOND_FLOOR.  A constant base column is one of the first: on
+    a design, whose proportions sum to 1, it is a multiple of the sum of
+    the x_i columns, so X_base is singular.
     The coded parts are sought only when the raw ones pass, and share the
     raw base part, so X_base is factored once for both codings.  The
     result, None too, is kept per spec and coding (``models._memoized``)."""
@@ -677,7 +678,7 @@ def _gated_parts(design: Design, spec: ModelSpec, coded: bool, base):
     X_A under the coding `coded`, or None where a gate fails."""
     if base is None:
         X_base = _crossed_rows(design, spec)
-        if X_base is None or _constant(X_base).any():
+        if X_base is None:
             return None
     base_spec, amount_spec = spec._parts
     X_A = _amount_rows(design, amount_spec, coded)

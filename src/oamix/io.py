@@ -34,7 +34,7 @@ from numbers import Integral, Rational
 
 from .core import Design, DesignPoint, Kind, _as_signs, _once_per_object, _require_design
 from .errors import InvalidParameter, MalformedHeader, NotExact, OamixError, RowLengthMismatch, _int_in_range, _shown
-from .oofa import _check_index, _check_sign_counts, _pwo_pairs, _raise_first_fault
+from .oofa import _check_index, _pwo_pairs, _raise_first_fault
 
 __all__ = ["write_design", "read_design", "format_value", "reference_design"]
 
@@ -108,10 +108,11 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     point, sign tuple and amount of the design, and each distinct value
     object, is rendered once per call, a sign tuple by one table of sign
     texts, so a run costs a join; equal values held as one object or as
-    many give the same text.  A design with no runs or over 9 components
-    is refused (MalformedHeader), as the reader refuses its text, so is
-    one whose sign tuples do not hold one sign per pair (InconsistentPwo),
-    and a `design` that is not a Design raises InvalidParameter."""
+    many give the same text.  Every design is valid (``core.Design``), so
+    its text reads back as an equal design, except that one with no runs
+    or over 9 components is refused (MalformedHeader), as the reader
+    refuses its text; a `design` that is not a Design raises
+    InvalidParameter."""
     _require_design(design)
     if decimals is not None:
         decimals = _int_in_range("decimals", decimals, 0, _MAX_DECIMALS)
@@ -119,13 +120,11 @@ def write_design(design: Design, decimals: int | None = None) -> str:
     if not len(design):
         raise MalformedHeader(_NO_ROWS)
     with_signs, with_amount = design.is_expanded, design.has_amounts
-    if with_signs:
-        _check_sign_counts(design)
     # the design holds every value alive for the call
     value_text = _once_per_object(lambda value: _format_value(value, decimals))
     pieces = [_rendered(design, "point", lambda point: ",".join(map(value_text, point.values)))]
     if with_signs:
-        pieces.append(_rendered(design, "pwo", _sign_text))
+        pieces.append(_rendered(design, "pwo", lambda pwo: ",".join(map(_SIGN_TEXTS.__getitem__, pwo))))
     if with_amount:
         pieces.append(_rendered(design, "amount", value_text))
     header = ",".join(_columns(design.kind, design.m, with_signs, with_amount))
@@ -137,16 +136,6 @@ def _rendered(design: Design, field: str, render) -> list[str]:
     distinct, slots = design._index[field]
     texts = [render(obj) for obj in distinct]
     return [texts[i] for i in slots]
-
-
-def _sign_text(pwo: tuple[int, ...]) -> str:
-    """A sign tuple's cells: each of -1, 0 and 1 by `_SIGN_TEXTS`, and a
-    tuple holding any other int, which a design built in code may, by
-    ``str``."""
-    try:
-        return ",".join(map(_SIGN_TEXTS.__getitem__, pwo))
-    except KeyError:
-        return ",".join(map(str, pwo))
 
 
 # every header the format admits, keyed by its text: a one-component
@@ -181,7 +170,7 @@ def read_design(text: str) -> Design:
     and is InconsistentPwoRow for a sign-order fault.  On one row the
     checks run in the order width, component cells, sign cells, A cell,
     sign judgement, then ``oofa.validate_run``'s point, A, amount sum, sign
-    count and order.  The design is valid at birth (``core.Design._of``).
+    count and order.  The design is not checked again (``core.Design._of``).
     A `text` that is not a str raises InvalidParameter.
     """
     if not isinstance(text, str):
@@ -203,7 +192,7 @@ def read_design(text: str) -> Design:
     except OamixError:
         _raise_faulty_row(lines, rows, shape, signs)
         raise
-    return Design._of(m, kind, index, True)
+    return Design._of(m, kind, index)
 
 
 def _read_index(rows: list[str], shape: tuple, signs: _Signs) -> dict:

@@ -44,7 +44,7 @@ from .errors import (
     _iterable,
     _shown,
 )
-from .oofa import _check_sign_counts, _pwo_pairs
+from .oofa import _pwo_pairs
 
 __all__ = [
     "ModelKind",
@@ -422,9 +422,7 @@ def _point_floats(points) -> np.ndarray:
 
 
 def _sign_floats(signs) -> np.ndarray:
-    """The (sign tuples, pairs) floats of sign tuples of ints; a float
-    buffer, so any int a design built in code holds converts or overflows
-    as ``float`` does."""
+    """The (sign tuples, pairs) floats of sign tuples of -1, 0 and 1."""
     pairs = len(signs[0]) if signs else 0
     return np.fromiter(chain.from_iterable(signs), float, len(signs) * pairs).reshape(len(signs), pairs)
 
@@ -446,7 +444,7 @@ def _check_design(design: Design, spec: ModelSpec) -> None:
     """Raise unless `design` is a Design whose shape the ModelSpec `spec`
     can read: the same m, the kind its terms are in, total-amount levels
     for a mixture-amount spec and, for a spec with sign terms, sign
-    vectors of one sign per pair (checked once per distinct tuple)."""
+    vectors, which hold one sign per pair, as every Design's do."""
     _require_design(design)
     if not isinstance(spec, ModelSpec):
         raise InvalidParameter(f"spec must be a ModelSpec, got {type(spec).__name__}")
@@ -463,7 +461,6 @@ def _check_design(design: Design, spec: ModelSpec) -> None:
     if spec.kind.has_pwo:
         if not design.is_expanded:
             raise MissingPwo("spec has sign terms but the design carries no orderings")
-        _check_sign_counts(design)
 
 
 def _memoized(design: Design, key: tuple, build):

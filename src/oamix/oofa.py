@@ -258,7 +258,7 @@ def oofa_expand(design: Design) -> Design:
         "pwo": (tuple(signs), tuple(run_signs)),
         "amount": (amounts, tuple(run_amounts)),
     }
-    return Design._of(design.m, design.kind, index, design._checked)
+    return Design._of(design.m, design.kind, index)
 
 
 def cross_amounts(design: Design, levels: Iterable) -> Design:
@@ -289,7 +289,7 @@ def cross_amounts(design: Design, levels: Iterable) -> Design:
         "pwo": (signs, sign_of * len(coerced)),
         "amount": (coerced if n else (), tuple(chain.from_iterable(repeat(k, n) for k in range(len(coerced))))),
     }
-    return Design._of(design.m, design.kind, index, design._checked)
+    return Design._of(design.m, design.kind, index)
 
 
 def _exact_amount(what: str, value) -> Fraction:
@@ -326,7 +326,7 @@ def scale_amounts(design: Design, a_max) -> Design:
         "pwo": design._index["pwo"],
         "amount": (tuple(scaled_amounts), amount_of),
     }
-    return Design._of(design.m, design.kind, index, design._checked)
+    return Design._of(design.m, design.kind, index)
 
 
 def validate_run(run: OofARun) -> None:
@@ -342,27 +342,22 @@ def validate_run(run: OofARun) -> None:
 
 
 def validate_design(design: Design) -> None:
-    """Raise unless every run of a design passes `validate_run`.
+    """Raise unless `design` is a Design, which is then valid: every run
+    passes `validate_run`.
 
-    The first faulty run in order is named, as ``run N: ...`` with its
-    error's class; on one run the checks run in the order point, A, the
-    amount sum, the sign count and the order.  The check costs what the
-    design's distinct values cost (`_check_index`; a faulty run is sought
-    by `_raise_first_fault`), and the shape (m, kind, and which of signs
-    and A its runs carry) is checked when the Design is built.  A design
-    the library made returns at once (see ``core.Design._of``).  A
+    A design is checked when it is built (``core.Design``), so a design
+    whose runs fail is refused there, with the first faulty run in order
+    named as ``run N: ...`` with its error's class; on one run the checks
+    run in the order point, A, the amount sum, the sign count and the
+    order.  The check costs what the design's distinct values cost
+    (`_check_index`; a faulty run is sought by `_raise_first_fault`).  A
     `design` that is not a Design raises InvalidParameter."""
     _require_design(design)
-    if not design._checked:
-        try:
-            _check_index(design._index)
-        except OamixError:
-            _raise_faulty_run(design)
-            raise
 
 
 def _raise_faulty_run(design: Design) -> None:
-    """Raise the error of the first run of `design` that `validate_run`
+    """Raise the error of the first run of `design`, a design being built
+    (``core.Design``) whose index fails `_check_index`, that `validate_run`
     refuses, prefixed ``run N:``, by `_raise_first_fault`.  A run's keys
     are its (point, sign) slot pair and its amount slot, or on an amount
     design, whose A is compared with its point's sum, its (point, sign,
@@ -380,8 +375,8 @@ def _raise_faulty_run(design: Design) -> None:
 def _raise_first_fault(columns: list[Sequence], check, where) -> None:
     """Raise the first fault of the rows of a file or the runs of a design
     whose bulk check failed, prefixed by `where` of its row's position
-    (see ``errors.located``): the one search of `read_design` and
-    `validate_design`.
+    (see ``errors.located``): the one search of `read_design` and of
+    ``core.Design``.
 
     `columns` hold each row's keys, one column per kind of key, such that
     a row's checks read only its keys.  A row whose keys earlier rows all
@@ -476,12 +471,3 @@ def _check_counts(signs: Iterable[tuple], m: int) -> None:
     count = next((len(pwo) for pwo in signs if len(pwo) != pairs), None)
     if count is not None:
         raise InconsistentPwo(f"{count} signs for the pairs of {m} components")
-
-
-def _check_sign_counts(design: Design) -> None:
-    """Raise InconsistentPwo, with `_check_index`'s message, at the first
-    distinct sign tuple of an expanded design that does not hold one sign
-    for each pair of its m components.  A design valid at birth
-    (``core.Design._of``) has passed `_check_index`, so is not counted."""
-    if not design._checked:
-        _check_counts(design._index["pwo"][0], design.m)

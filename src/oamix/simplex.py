@@ -138,7 +138,7 @@ def project_columns(design: Design, drop: Iterable[int]) -> Design:
         # one new total per projected point, so the point slots carry over
         "amount": (tuple(map(total_amount, projected)), point_of),
     }
-    return Design._of(len(keep), Kind.AMOUNT, index, design._checked)
+    return Design._of(len(keep), Kind.AMOUNT, index)
 
 
 def _one_run_per_point(m: int, points: list[DesignPoint]) -> Design:
@@ -146,4 +146,4 @@ def _one_run_per_point(m: int, points: list[DesignPoint]) -> Design:
     point is a new object, so run i holds slot i."""
     n = len(points)
     none = ((None,) if n else (), (0,) * n)
-    return Design._of(m, Kind.PROPORTION, {"point": (tuple(points), tuple(range(n))), "pwo": none, "amount": none}, True)
+    return Design._of(m, Kind.PROPORTION, {"point": (tuple(points), tuple(range(n))), "pwo": none, "amount": none})

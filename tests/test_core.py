@@ -60,10 +60,11 @@ def test_kind_given_as_text_is_the_kind():
     assert point.kind is Kind.PROPORTION
     with pytest.raises(SumNotOne):
         validate_point(point)
-    design = Design(2, "proportion", (OofARun(point),))
-    assert design.kind is Kind.PROPORTION
     with pytest.raises(SumNotOne, match="^run 1: "):
-        validate_design(design)
+        Design(2, "proportion", (OofARun(point),))
+    design = Design(2, "proportion", (OofARun(DesignPoint(("1/4", "3/4"), "proportion")),))
+    assert design.kind is Kind.PROPORTION
+    validate_design(design)
     assert DesignPoint((1, 2), "amount") == P(1, 2, kind=Kind.AMOUNT)
 
 

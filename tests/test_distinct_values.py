@@ -48,6 +48,7 @@ from oamix import (
 from oamix import cli, core, evaluate, io, models, oofa
 from oamix.errors import InvalidParameter, OamixError, located
 from oamix.models import coded_model_matrix
+from run_lists import first_fault, runs_text
 
 LEVELS = (Fraction(1, 2), Fraction(5, 4), Fraction(2))
 
@@ -351,17 +352,6 @@ def test_centroid_shares_one_zero_and_one_share_per_subset_size():
     assert all(len(ids) == 1 for ids in ids_by_value.values())
 
 
-def test_write_renders_any_int_sign_as_str_does():
-    # `_as_signs` takes any integer, so a design built in code may hold
-    # signs the sign-text table does not: they are written by `str`
-    point = DesignPoint((Fraction(1, 3),) * 3, Kind.PROPORTION)
-    pwos = [(2, -3, 1), (1, -1, 0), (-1, 0, 2), (300, 0, -10**30)]
-    design = Design(3, Kind.PROPORTION, tuple(OofARun(point, pwo) for pwo in pwos))
-    for decimals in (None, 2):
-        rows = write_design(design, decimals).splitlines()[1:]
-        assert [row.split(",", 3)[3] for row in rows] == [",".join(map(str, pwo)) for pwo in pwos]
-
-
 def _per_run_matrix(design: Design, spec, coded: bool) -> np.ndarray:
     """The model matrix by a walk over the runs, each value converted as
     it is met, with no memo."""
@@ -464,29 +454,25 @@ def test_memoized_builds_equal_a_per_run_build_in_any_order(designs, name):
 
 
 def test_a_value_beyond_float_range_raises_in_any_build_order():
-    # an amount level of 10**400, and a design built in code whose signs
-    # 1 are 10**400, so that both are crossed
-    base = oofa_expand(simplex_lattice(3, 2))
-    crossed = cross_amounts(base, [1, 10**400])
-    signed = Design(3, Kind.PROPORTION, tuple(
-        OofARun(run.point, tuple(10**400 if z == 1 else z for z in run.pwo), level)
-        for level in (Fraction(1), Fraction(2))
-        for run in base.runs
-    ))
+    # an amount level of 10**400, as a crossed design, and amounts scaled
+    # by 10**400, as an amount design
+    crossed = cross_amounts(oofa_expand(simplex_lattice(3, 2)), [1, 10**400])
+    scaled = scale_amounts(oofa_expand(project_columns(simplex_centroid(4), [4])), 10**400)
     limit = f"{sys.float_info.max:.4g}"
-    builds = (model_matrix, coded_model_matrix, evaluate._crossed_factors, evaluate_design)
+    builds = (model_matrix, coded_model_matrix, evaluate_design)
     # a build that raises stores nothing: only the tables that converted
-    # are kept, and no matrix or part
+    # are kept, and no matrix or part; an amount spec has no crossed parts,
+    # which evaluate_design keeps as None
     cases = (
-        (crossed, "total amount A", {("floats", "point"), ("floats", "pwo")}),
-        (signed, "sign", {("floats", "point"), ("floats", "amount")}),
+        (crossed, "eq5", "total amount A", {("floats", "point"), ("floats", "pwo")}, (evaluate._crossed_factors,)),
+        (scaled, "eq7", "component value", {("floats", "pwo"), ("crossed", build_spec("eq7", 3), False)}, ()),
     )
-    for design, what, kept in cases:
-        for order in permutations(builds):
+    for design, model, what, kept, crossed_builds in cases:
+        for order in permutations(builds + crossed_builds):
             again = copy.copy(design)
             for build in order:
                 with pytest.raises(InvalidParameter) as exc:
-                    build(again, build_spec("eq5", 3))
+                    build(again, build_spec(model, 3))
                 assert str(exc.value) == f"a {what} of the design is too large for a float (over {limit})"
             assert set(again.__dict__.get("_memo", ())) <= kept
 
@@ -558,11 +544,12 @@ def test_each_sign_pattern_has_its_order_checked_once(monkeypatch, m6_designs, n
     back = read_design(text)
     assert 0 < calls[0] <= patterns
     calls[0] = 0
-    # the reader's walk is recorded on the design, so validating it again
-    # walks nothing; the same runs in a design built in code are walked
+    # the read design was checked by the reader, so validating it checks
+    # nothing; the same runs in a design built in code are checked once,
+    # when it is built
     validate_design(back)
     assert calls[0] == 0
-    validate_design(Design(back.m, back.kind, back.runs))
+    Design(back.m, back.kind, back.runs)
     assert 0 < calls[0] <= patterns
     assert walks[0] == 0
 
@@ -814,15 +801,17 @@ def _respelled(design: Design) -> Design:
 
 def _edited(draw, design: Design) -> Design:
     """`design` built in code with one drawn run moved to a drawn place, or
-    with its point, signs or amount taken from another drawn run."""
+    with its point, signs or amount taken from another drawn run among
+    those whose field leaves the run valid."""
     runs = list(design.runs)
     i, j = (draw(st.integers(0, len(runs) - 1)) for _ in range(2))
     if draw(st.booleans()):
         runs.insert(j, runs.pop(i))
     else:
         field = draw(st.sampled_from(["point", "pwo", "amount"]))
-        if getattr(runs[j], field) is not None:
-            runs[i] = dataclasses.replace(runs[i], **{field: getattr(runs[j], field)})
+        edits = [dataclasses.replace(runs[i], **{field: getattr(run, field)}) for run in runs]
+        # the run itself is one of them
+        runs[i] = draw(st.sampled_from([run for run in edits if first_fault([run]) is None]))
     return Design(design.m, design.kind, tuple(runs))
 
 
@@ -866,8 +855,8 @@ _SMALL = {
 }
 
 
-def _corrupt(draw, design: Design) -> Design:
-    """`design` with one run corrupted at a drawn position: a negative
+def _corrupt(draw, design: Design) -> list[OofARun]:
+    """The runs of `design` with one corrupted at a drawn position: a negative
     entry in its point, an A that is negative or that another run's point
     sums to, a zero sign between two present components, or a cyclic sign
     pattern, as the run admits."""
@@ -902,17 +891,7 @@ def _corrupt(draw, design: Design) -> Design:
         at = pairs.index((min(a, b), max(a, b)))
         pwo = pwo[:at] + ((0 if fault == "zero sign" else -pwo[at]),) + pwo[at + 1 :]
     runs[n] = OofARun(point, pwo, amount)
-    return Design(design.m, design.kind, tuple(runs))
-
-
-def _first_fault(design: Design) -> tuple[int, OamixError]:
-    """The 1-based number and error of the first run `validate_run` refuses."""
-    for n, run in enumerate(design.runs, start=1):
-        try:
-            oofa.validate_run(run)
-        except OamixError as exc:
-            return n, exc
-    raise AssertionError("no faulty run")
+    return runs
 
 
 def _assert_located(call, where: str, exc: OamixError) -> None:
@@ -925,90 +904,42 @@ def _assert_located(call, where: str, exc: OamixError) -> None:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_SMALL)), st.data())
 def test_checks_name_the_first_faulty_run(name, data):
-    # validate_design checks one run per distinct point and pair; it and
-    # the reader must still name the run validate_run refuses first
-    bad = _corrupt(data.draw, _SMALL[name]())
-    n, exc = _first_fault(bad)
-    _assert_located(lambda: validate_design(bad), f"run {n}", exc)
-    _assert_located(lambda: read_design(write_design(bad)), f"line {n + 1}", exc)
+    # a Design checks one run per distinct point and pair; it and the
+    # reader must still name the run validate_run refuses first
+    design = _SMALL[name]()
+    bad = _corrupt(data.draw, design)
+    n, exc = first_fault(bad)
+    _assert_located(lambda: Design(design.m, design.kind, bad), f"run {n}", exc)
+    _assert_located(lambda: read_design(runs_text(design.m, design.kind, bad)), f"line {n + 1}", exc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_born_index_names_the_first_faulty_run(data):
-    # a corrupted base expanded and crossed: validate_design reads the
-    # index the design was born with
-    base = _corrupt(data.draw, simplex_lattice(4, 2))
+    # one corrupted point object in every run of a crossed design that
+    # held the base point it replaces: a Design of those runs indexes it
+    # once and names the first run holding it
+    base = simplex_lattice(4, 2)
+    point = base.runs[data.draw(st.integers(0, len(base) - 1))].point
+    bad = DesignPoint((-1 - point.values[0],) + point.values[1:], point.kind)
     crossed = cross_amounts(oofa_expand(base), LEVELS)
-    assert "_index" in vars(crossed)
-    n, exc = _first_fault(crossed)
-    _assert_located(lambda: validate_design(crossed), f"run {n}", exc)
+    runs = [OofARun(bad, run.pwo, run.amount) if run.point is point else run for run in crossed.runs]
+    assert sum(run.point is bad for run in runs) >= len(LEVELS)
+    n, exc = first_fault(runs)
+    _assert_located(lambda: Design(crossed.m, crossed.kind, runs), f"run {n}", exc)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(transformed_designs())
-def test_a_design_marked_valid_passes_the_full_walk(made):
-    # the lattice, the centroid and the reader mark the designs they make
-    # as valid, and a projection, expansion, crossing or scaling passes its
-    # parent's mark on; validate_design skips the check for a marked design,
-    # so each must pass that check, called directly
-    for design in made:
-        for born in (design, read_design(write_design(design))):
-            assert born._checked
-            oofa._check_index(born._index)
-
-
-def _second_run_replaced(design: Design, **fields) -> Design:
-    """`design` built in code, with its second run's `fields` replaced."""
-    runs = list(design.runs)
-    runs[1] = dataclasses.replace(runs[1], **fields)
-    return Design(design.m, design.kind, tuple(runs))
-
-
-def _point(*values: str) -> DesignPoint:
-    return DesignPoint(values, Kind.PROPORTION)
-
-
-_INVALID_CHILDREN = {
-    # a negative proportion, in a point that still sums to 1
-    "project": lambda: project_columns(_second_run_replaced(simplex_lattice(3, 2), point=_point("-1/2", "1", "1/2")), {3}),
-    # proportions that sum to 3/2
-    "expand": lambda: oofa_expand(_second_run_replaced(simplex_lattice(3, 2), point=_point("1/2", "1/2", "1/2"))),
-    "cross": lambda: cross_amounts(_second_run_replaced(simplex_lattice(3, 2), point=_point("1/2", "1/2", "1/2")), LEVELS),
-    # an A that is not the sum of the run's amounts
-    "scale": lambda: scale_amounts(
-        _second_run_replaced(project_columns(simplex_centroid(3), {3}), amount=Fraction(7, 3)), 500
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_INVALID_CHILDREN))
-def test_a_child_of_an_invalid_design_built_in_code_is_walked(name):
-    # a transform checks its arguments, not its parent's runs, so the child
-    # of an unmarked parent is unmarked and validate_design walks it
-    child = _INVALID_CHILDREN[name]()
-    assert not child._checked
-    n, exc = _first_fault(child)
-    _assert_located(lambda: validate_design(child), f"run {n}", exc)
-
-
-@pytest.mark.parametrize("name", ["crossed", "crossed_read"])
-def test_copies_keep_the_mark_and_a_design_built_in_code_has_none(m6_designs, name):
-    design = m6_designs[name]
-    for again in (pickle.loads(pickle.dumps(design)), copy.deepcopy(design), copy.copy(design)):
-        assert again._checked and again == design
-    public = Design(design.m, design.kind, design.runs)
-    for unmarked in (public, dataclasses.replace(design), dataclasses.replace(public)):
-        assert "_checked" not in vars(unmarked) and not unmarked._checked
-        assert unmarked == design and hash(unmarked) == hash(design) and repr(unmarked) == repr(design)
-
-
-def test_validate_design_walks_only_a_design_not_marked(monkeypatch, m6_bases, m6_designs):
-    marked = [*m6_bases.values(), *m6_designs.values(), reference_design("table5")]
+def test_a_design_is_checked_once_when_built_in_code(monkeypatch, m6_bases, m6_designs):
+    # the library's designs are valid at birth and take no check; one built
+    # in code, or a dataclasses.replace of one, takes one, when it is
+    # built, and validate_design takes none
+    designs = [*m6_bases.values(), *m6_designs.values(), reference_design("table5")]
     walks = _count_calls(monkeypatch, "_check_index", oofa)
-    for design in marked:
+    for design in designs:
         validate_design(design)
     assert walks[0] == 0
-    for design in marked:
-        validate_design(Design(design.m, design.kind, design.runs))
-    assert walks[0] == len(marked)
+    for design in designs:
+        for again in (Design(design.m, design.kind, design.runs), dataclasses.replace(design)):
+            validate_design(again)
+            assert again == design and hash(again) == hash(design) and repr(again) == repr(design)
+    assert walks[0] == 2 * len(designs)

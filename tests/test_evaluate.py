@@ -41,7 +41,8 @@ from oamix import (
     simplex_lattice,
     std_errors,
 )
-from oamix.core import Design, OofARun
+from oamix import models
+from oamix.core import Design, DesignPoint, Kind, OofARun
 from oamix.models import ModelKind, ModelSpec, Term
 from oamix.errors import (
     ConstantColumn,
@@ -1337,56 +1338,91 @@ def test_singular_crossed_design_fails_as_the_full_factor(table1, spec6, runs, l
     # factor's rcond above 1e-10 (1.2e-10 and 0.012) but not their product,
     # the full matrix's.  Either way the error is the full matrix's
     design = cross_amounts(Design(table1.m, table1.kind, table1.runs[runs]), levels)
+    _assert_refused_as_the_full_factor(design, spec6)
+
+
+def _assert_refused_as_the_full_factor(design, spec) -> None:
+    """The curve and both codings' reports of a singular design raise the
+    error of the full model matrix's factor."""
     with pytest.raises(SingularInformation) as want:
-        leverages(model_matrix(design, spec6))
+        leverages(model_matrix(design, spec))
     with pytest.raises(SingularInformation) as got:
-        fds_curve(design, spec6, 100, seed=1)
+        fds_curve(design, spec, 100, seed=1)
     assert str(got.value) == str(want.value)
     for coding in ("raw", "coded"):
         with pytest.raises(SingularInformation) as got:
-            evaluate_design(design, spec6, coding=coding)
+            evaluate_design(design, spec, coding=coding)
         assert str(got.value) == str(want.value)
+
+
+def _assert_constant_base_column_takes_the_full_path(design, spec) -> None:
+    """A design's proportions sum to 1, so a constant base column is a
+    multiple of the sum of its x_i columns: X_base is singular, and the
+    refusal of its factor sends the design to the full path."""
+    X_base = models._crossed_rows(design, spec)
+    assert (X_base == X_base[0]).all(axis=0).any()
+    with pytest.raises(SingularInformation):
+        _Factor(X_base, spec._parts[0].labels)
+    assert _crossed_factors(design, spec) is None
+    _assert_refused_as_the_full_factor(design, spec)
 
 
 @pytest.mark.parametrize("value", ["1/2", "1/3"])
 def test_constant_base_column_takes_the_full_path(value):
-    # proportions that do not sum to 1, with x1 the same in every run, so X
-    # is not singular: whether x1's R^2 is NaN turns on the full column's
-    # sum of squares, so the report is the full matrices', bit for bit
-    from oamix.core import DesignPoint, Kind
-
+    # x1 the same in every run
+    share = 1 - Fraction(value)
     rest = ((1, 2), (3, 1), (2, 5), (6, 1), (0, 3), (4, 4))
-    runs = tuple(OofARun(DesignPoint((value, f"{a}/7", f"{b}/7"), Kind.PROPORTION)) for a, b in rest)
+    runs = tuple(OofARun(DesignPoint((value, share * a / (a + b), share * b / (a + b)), Kind.PROPORTION)) for a, b in rest)
     design = cross_amounts(Design(3, Kind.PROPORTION, runs), ["1", "2", "3"])
-    spec = build_spec("eq1", 3)
-    assert _crossed_factors(design, spec) is None
-    for coding, build in (("raw", model_matrix), ("coded", coded_model_matrix)):
-        report, term = evaluate_design(design, spec, coding=coding), build(design, spec)
-        np.testing.assert_array_equal([t.r2 for t in report.terms], term._factor.r2)
-        assert [t.se for t in report.terms] == std_errors(term).tolist()
+    _assert_constant_base_column_takes_the_full_path(design, build_spec("eq1", 3))
+
+
+@st.composite
+def constant_column_designs(draw):
+    """A crossed design whose base runs all hold x1 = c, maybe expanded
+    and then cut to the runs that add the last two components in order, so
+    that their sign column is constant too, and a spec it can read."""
+    m = draw(st.integers(2, 4))
+    c = draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    weights = st.lists(st.integers(0, 6), min_size=m - 1, max_size=m - 1).filter(any)
+    points = []
+    for w in draw(st.lists(weights, min_size=m + 1, max_size=3 * m + 4)):
+        points.append(DesignPoint((c, *((1 - c) * x / sum(w) for x in w)), Kind.PROPORTION))
+    design = Design(m, Kind.PROPORTION, tuple(map(OofARun, points)))
+    keys = ["eq1", "eq2"]
+    if draw(st.booleans()):
+        design = oofa_expand(design)
+        keys += ["eq5", "eq6"]
+        if m >= 3 and draw(st.booleans()):
+            design = Design(m, Kind.PROPORTION, tuple(run for run in design.runs if run.pwo[-1] != -1))
+    levels = draw(st.lists(st.sampled_from(["1/2", "1", "5/4", "2", "3"]), min_size=2, max_size=3, unique=True))
+    return cross_amounts(design, levels), build_spec(draw(st.sampled_from(keys)), m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(constant_column_designs())
+def test_a_constant_base_column_is_refused_by_the_base_factor(drawn):
+    _assert_constant_base_column_takes_the_full_path(*drawn)
 
 
 @pytest.mark.parametrize("coding", ["raw", "coded"])
 def test_a_column_of_equal_cells_has_no_r2(coding):
-    # x1 = 1/3 in every run: the mean of 16 equal cells does not round back
+    # x1 = 1/3 in every row: the mean of 16 equal cells does not round back
     # to 1/3, so the computed centred sum of squares is not 0, yet the
-    # column is constant and its R^2 is undefined
-    from oamix.core import DesignPoint, Kind
-
+    # column is constant and its R^2 is undefined.  A valid design's
+    # constant column is a multiple of the sum of its x_i, so X is
+    # singular: the eq1 rows x_i, x_i A of components that do not sum to 1
+    # are given as a plain array, A at levels 1 and 2, or coded to -1 and 1
     rest = ((1, 2), (3, 1), (2, 4), (6, 1), (0, 3), (4, 4), (5, 2), (1, 1))
-    runs = tuple(
-        OofARun(DesignPoint(("1/3", f"{p}/7", f"{q}/5"), Kind.PROPORTION), None, amount)
-        for amount in (1, 2)
-        for p, q in rest
-    )
-    design = Design(3, Kind.PROPORTION, runs)
-    spec = build_spec("eq1", 3)
-    X = (model_matrix if coding == "raw" else coded_model_matrix)(design, spec).X
+    levels = (1, 2) if coding == "raw" else (-1, 1)
+    rows = [(x := (1 / 3, p / 7, q / 5)) + tuple(a * v for v in x) for a in levels for p, q in rest]
+    matrix = oamix.ModelMatrix(np.array(rows), build_spec("eq1", 3).labels)
+    X = matrix.X
     assert (X[:, 0] == X[0, 0]).all() and _centred_sst(X)[0] > 0
-    r2 = [t.r2 for t in evaluate_design(design, spec, coding=coding).terms]
+    r2 = matrix._factor.r2
     assert math.isnan(r2[0]) and not any(math.isnan(v) for v in r2[1:])
     with pytest.raises(ConstantColumn, match="^column x1 is constant$"):
-        r2_multicollinearity(model_matrix(design, spec), 0)
+        r2_multicollinearity(matrix, 0)
 
 
 def _big_level():

@@ -42,6 +42,7 @@ from oamix import io, oofa
 from oamix.io import _columns, _parse_header, format_value, round_half_up
 
 import reader_faults
+from run_lists import first_fault, runs_text
 from test_distinct_values import built_designs, fresh
 
 
@@ -419,13 +420,14 @@ def test_reader_and_checks_refuse_the_wrong_type(call, message):
     ids=["amount_total", "negative_total", "cyclic_signs", "masking"],
 )
 def test_validate_design_and_reader_agree(good, bad, error):
-    # a design built in code fails validate_design exactly as its file fails read_design
-    design = Design(m=bad.point.m, kind=bad.point.kind, runs=(good, bad))
+    # runs are refused as a Design exactly as their file is by read_design
+    m, kind, runs = bad.point.m, bad.point.kind, (good, bad)
     with pytest.raises(error, match="^run 2: ") as built:
-        validate_design(design)
+        Design(m=m, kind=kind, runs=runs)
     with pytest.raises(error, match="^line 3: ") as read:
-        read_design(write_design(design))
+        read_design(runs_text(m, kind, runs))
     assert type(built.value) is type(read.value) is error
+    validate_design(Design(m=m, kind=kind, runs=(good,)))
 
 
 @pytest.mark.parametrize("name, decimals", [("table1", 2), ("table3", 2)])
@@ -469,12 +471,11 @@ def test_shared_point_with_a_wrong_total_names_its_run():
     # can tell the third run from the first two
     point = DesignPoint((Fraction(1, 2), Fraction(1, 2)), Kind.AMOUNT)
     runs = (OofARun(point, amount=1), OofARun(point, amount=1), OofARun(point, amount=3), OofARun(point, amount=1))
-    design = Design(2, Kind.AMOUNT, runs)
-    assert len({id(run.point) for run in design.runs}) == 1
+    assert len({id(run.point) for run in runs}) == 1
     with pytest.raises(AmountMismatch, match="^run 3: A is 3 but the amounts sum to 1$"):
-        validate_design(design)
+        Design(2, Kind.AMOUNT, runs)
     with pytest.raises(AmountMismatch, match="^line 4: A is 3 but the amounts sum to 1$"):
-        read_design(write_design(design))
+        read_design(runs_text(2, Kind.AMOUNT, runs))
 
 
 def test_cyclic_signs_in_the_last_level_block_name_their_run(table3):
@@ -483,29 +484,19 @@ def test_cyclic_signs_in_the_last_level_block_name_their_run(table3):
     runs = list(table3.runs)
     idx = max(i for i, run in enumerate(runs) if len(run.point.support()) == 3)
     runs[idx] = OofARun(runs[idx].point, pwo=(1, -1, 1), amount=runs[idx].amount)
-    design = Design(3, Kind.PROPORTION, tuple(runs))
     assert sum(run.point is runs[idx].point for run in runs) == 18
     assert idx >= 2 * len(runs) // 3
     with pytest.raises(InconsistentPwoRow, match=f"^run {idx + 1}: "):
-        validate_design(design)
+        Design(3, Kind.PROPORTION, tuple(runs))
     with pytest.raises(InconsistentPwoRow, match=f"^line {idx + 2}: "):
-        read_design(write_design(design))
-
-
-def _first_fault(design):
-    """(error class, 1-based run) of a plain loop of validate_run, or None."""
-    for idx, run in enumerate(design.runs, start=1):
-        try:
-            validate_run(run)
-        except OamixError as exc:
-            return type(located("run", exc)), idx
-    return None
+        read_design(runs_text(3, Kind.PROPORTION, runs))
 
 
 @st.composite
-def mutated_designs(draw):
-    """A built design with one run changed: its signs redrawn, its A
-    redrawn, or its point swapped for another run's point object."""
+def mutated_runs(draw):
+    """The m, kind and runs of a built design with one run changed: its
+    signs redrawn, its A redrawn, or its point swapped for another run's
+    point object."""
     design = draw(built_designs())
     runs = list(design.runs)
     idx = draw(st.integers(0, len(runs) - 1))
@@ -521,22 +512,23 @@ def mutated_designs(draw):
     else:
         other = runs[draw(st.integers(0, len(runs) - 1))]
         runs[idx] = OofARun(other.point, pwo=run.pwo, amount=run.amount)
-    return Design(design.m, design.kind, tuple(runs))
+    return design.m, design.kind, tuple(runs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(mutated_designs())
-def test_memoized_checks_agree_with_a_plain_loop(design):
-    expected = _first_fault(design)
-    for check, where, offset in ((validate_design, "run", 0),
-                                 (lambda d: read_design(write_design(d)), "line", 1)):
+@given(mutated_runs())
+def test_memoized_checks_agree_with_a_plain_loop(mutated):
+    m, kind, runs = mutated
+    expected = first_fault(runs)
+    for check, where, offset in ((lambda: validate_design(Design(m, kind, runs)), "run", 0),
+                                 (lambda: read_design(runs_text(m, kind, runs)), "line", 1)):
         if expected is None:
-            check(design)
+            check()
             continue
-        error, idx = expected
+        idx, exc = expected
         with pytest.raises(OamixError, match=f"^{where} {idx + offset}: ") as got:
-            check(design)
-        assert type(got.value) is error
+            check()
+        assert type(got.value) is type(located(where, exc))
 
 
 _FAULTS = json.loads((Path(__file__).parent / "reader_faults.json").read_text())

@@ -365,9 +365,8 @@ def test_expand_projected_centroid_31_runs(table2):
 
 def test_validate_design_needs_a_sign_per_pair():
     point = P("1/2", "1/2", 0)
-    design = Design(m=3, kind=Kind.PROPORTION, runs=(OofARun(point, pwo=(1,)),))
     with pytest.raises(InconsistentPwo, match="^run 1: "):
-        validate_design(design)
+        Design(m=3, kind=Kind.PROPORTION, runs=(OofARun(point, pwo=(1,)),))
 
 
 def test_expand_counts_sum_of_factorials():
@@ -562,9 +561,11 @@ def _walked(runs) -> list[str]:
     return ["ok"]
 
 
-def _validated(design: Design) -> list[str]:
+def _validated(m: int, kind: Kind, runs: list[OofARun]) -> list[str]:
+    """The answer of a Design built of `runs`: the error it is refused
+    with, or ["ok"] when it is built and passes `validate_design`."""
     try:
-        validate_design(design)
+        validate_design(Design(m, kind, runs))
     except OamixError as exc:
         return [type(exc).__name__, str(exc)]
     return ["ok"]
@@ -612,7 +613,7 @@ def test_the_first_faulty_run_is_the_one_a_walk_over_the_runs_names(name, count)
         for _ in range(rng.randint(1, 3)):
             _edit(rng, runs)
         want = _walked(runs)
-        assert _validated(Design(design.m, design.kind, runs)) == want
+        assert _validated(design.m, design.kind, runs) == want
         classes.add(want[0])
     faults = {"NegativeEntry", "BadPwoValue", "InconsistentPwoRow"}
     faults.add("SumNotOne" if design.kind is Kind.PROPORTION else "AmountMismatch")
