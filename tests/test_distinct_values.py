@@ -929,6 +929,82 @@ def test_born_index_names_the_first_faulty_run(data):
     _assert_located(lambda: Design(crossed.m, crossed.kind, runs), f"run {n}", exc)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformed_designs())
+def test_a_library_design_passes_the_full_walk(made):
+    # the lattice, the centroid, the reader and a projection, expansion,
+    # crossing or scaling build their designs through Design._of, which
+    # skips the check; each must pass that check, called directly, and a
+    # plain validate_run walk over its runs
+    for design in made:
+        for born in (design, read_design(write_design(design))):
+            oofa._check_index(born._index)
+            assert first_fault(born.runs) is None
+
+
+def _point(*values: str) -> DesignPoint:
+    return DesignPoint(values, Kind.PROPORTION)
+
+
+_FAULTY_PARENTS = {
+    # a negative proportion, in a point that still sums to 1
+    "project": (
+        lambda: simplex_lattice(3, 2), {"point": _point("-1/2", "1", "1/2")}, lambda d: project_columns(d, {3})
+    ),
+    # proportions that sum to 3/2
+    "expand": (lambda: simplex_lattice(3, 2), {"point": _point("1/2", "1/2", "1/2")}, oofa_expand),
+    "cross": (
+        lambda: simplex_lattice(3, 2), {"point": _point("1/2", "1/2", "1/2")}, lambda d: cross_amounts(d, LEVELS)
+    ),
+    # an A that is not the sum of the run's amounts
+    "scale": (
+        lambda: project_columns(simplex_centroid(3), {3}), {"amount": Fraction(7, 3)}, lambda d: scale_amounts(d, 500)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTY_PARENTS))
+def test_a_transform_never_meets_an_invalid_parent(name):
+    # a transform checks its arguments, not its parent's runs, and builds
+    # its child unchecked: a parent whose second run is faulty is refused
+    # when it is built, before the transform is reached, and the child of
+    # the valid parent passes a plain walk
+    parent, fields, transform = _FAULTY_PARENTS[name]
+    base = parent()
+    runs = list(base.runs)
+    runs[1] = dataclasses.replace(runs[1], **fields)
+    n, exc = first_fault(runs)
+    assert n == 2
+    _assert_located(lambda: transform(Design(base.m, base.kind, runs)), f"run {n}", exc)
+    assert first_fault(transform(base).runs) is None
+
+
+@pytest.mark.parametrize("name", ["crossed", "crossed_read"])
+def test_copies_are_equal_and_a_replaced_design_is_checked(m6_designs, name):
+    design = m6_designs[name]
+    for again in (pickle.loads(pickle.dumps(design)), copy.deepcopy(design), copy.copy(design)):
+        assert again == design and hash(again) == hash(design) and repr(again) == repr(design)
+    # dataclasses.replace builds through __init__, so runs with a negative
+    # A in the last are refused, naming that run
+    runs = list(design.runs)
+    runs[-1] = dataclasses.replace(runs[-1], amount=-1 - runs[-1].amount)
+    n, exc = first_fault(runs)
+    assert n == len(runs)
+    _assert_located(lambda: dataclasses.replace(design, runs=tuple(runs)), f"run {n}", exc)
+
+
+def test_a_sign_other_than_minus_one_zero_or_one_never_reaches_the_writer():
+    # `_as_signs` takes any integer, but a design of such signs is refused
+    # when it is built, so the writer renders only -1, 0 and 1
+    point = DesignPoint((Fraction(1, 3),) * 3, Kind.PROPORTION)
+    pwos = [(2, -3, 1), (1, -1, 0), (-1, 0, 2), (300, 0, -10**30)]
+    runs = [OofARun(point, pwo) for pwo in pwos]
+    n, exc = first_fault(runs)
+    assert n == 1
+    for decimals in (None, 2):
+        _assert_located(lambda: write_design(Design(3, Kind.PROPORTION, runs), decimals), f"run {n}", exc)
+
+
 def test_a_design_is_checked_once_when_built_in_code(monkeypatch, m6_bases, m6_designs):
     # the library's designs are valid at birth and take no check; one built
     # in code, or a dataclasses.replace of one, takes one, when it is

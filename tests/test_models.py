@@ -16,12 +16,15 @@ from oamix import (
     ModelKind,
     build_spec,
     cross_amounts,
+    evaluate_design,
+    fds_curve,
     fit_ols,
     leverages,
     model_matrix,
     ordering_from_pwo,
     pwo_from_ordering,
     simplex_lattice,
+    write_design,
 )
 from oamix.core import Design, OofARun
 from oamix.errors import (
@@ -228,17 +231,27 @@ def test_matrix_kind_checks(table1, table2, table3, spec6, spec8):
         model_matrix(cross_amounts(base, [1]), spec6)
 
 
+_SIGN_READERS = {
+    "model_matrix": lambda design: model_matrix(design, build_spec("eq5", 3)),
+    "coded_model_matrix": lambda design: coded_model_matrix(design, build_spec("eq6", 3)),
+    "evaluate_design": lambda design: evaluate_design(design, build_spec("eq5", 3)),
+    "fds_curve": lambda design: fds_curve(design, build_spec("eq6", 3), 100, 1),
+    "write_design": write_design,
+}
+
+
+@pytest.mark.parametrize("reader", list(_SIGN_READERS))
 @pytest.mark.parametrize(
     "cut, count",
     [(lambda n, pwo: pwo[:2], 2), (lambda n, pwo: pwo if n % 2 else pwo + (1,), 4)],
     ids=["all_short", "ragged"],
 )
-def test_sign_tuples_of_the_wrong_length_are_refused(table3, cut, count):
+def test_sign_tuples_of_the_wrong_length_are_refused(table3, reader, cut, count):
     # refused when the design is built, so no matrix, report, curve or
     # file is ever made of them
     runs = [OofARun(run.point, cut(n, run.pwo), run.amount) for n, run in enumerate(table3.runs)]
     with pytest.raises(InconsistentPwo, match=f"^run 1: {count} signs for the pairs of 3 components$"):
-        Design(3, Kind.PROPORTION, runs)
+        _SIGN_READERS[reader](Design(3, Kind.PROPORTION, runs))
 
 
 @pytest.mark.parametrize(
